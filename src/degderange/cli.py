@@ -15,7 +15,9 @@ import csv
 import io
 import json
 import os
+import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import identities, probability, sequences
@@ -23,7 +25,6 @@ from .exactcore import Poly
 from .sequences import SequenceTable
 
 SCHEMA_VERSION = 1
-HARD_N_CAP = 256
 
 DEFAULT_LAMBDA_GRID = "0,1/2,-1/2,1/3,-1/3,2/7"
 DEFAULT_X_GRID = "0,1,-2,3/4"
@@ -49,6 +50,35 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad rational {text!r}: {exc}") from None
+
+
+# Options whose value is a rational or a comma list of rationals.  argparse
+# takes a separate value token such as "-1/3" for an option, so main() glues
+# a negative value to its option ("--lambda=-1/3") before parsing.
+_RATIONAL_OPTIONS = ("--lambda", "--x", "--lambda-grid", "--x-grid")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _check_n_max(n_max: int) -> None:
+    if not 0 <= n_max <= identities.MAX_N:
+        raise CliError(f"--n-max must lie in [0, {identities.MAX_N}]")
+
+
+def _jobs(requested: int) -> int:
+    """Worker count for --jobs: at least 1, capped at the number of CPUs."""
+    if requested < 1:
+        raise CliError(f"--jobs must be >= 1, got {requested}")
+    return min(requested, os.cpu_count() or 1)
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -110,8 +140,7 @@ def _build_table(args) -> SequenceTable | list[tuple[int, Poly]]:
     """Scalar selectors produce a SequenceTable; the poly selector a row list."""
     lam = _parse_rational(args.lam)
     n_max = args.n_max
-    if not 0 <= n_max <= HARD_N_CAP:
-        raise CliError(f"--n-max must lie in [0, {HARD_N_CAP}]")
+    _check_n_max(n_max)
     sel = args.sequence
     x = r = m = None
     if sel == "derangement":
@@ -207,10 +236,10 @@ def _parse_identities(text: str | None) -> list[identities.IdentityId]:
 
 def _cmd_verify(args) -> int:
     ids = _parse_identities(args.identities)
-    if not 0 <= args.n_max <= HARD_N_CAP:
-        raise CliError(f"--n-max must lie in [0, {HARD_N_CAP}]")
+    _check_n_max(args.n_max)
     if args.r_max < 1:
         raise CliError("--r-max must be >= 1")
+    jobs = _jobs(args.jobs)
     lam_grid = _parse_grid(args.lambda_grid)
     x_grid = _parse_grid(args.x_grid)
     report = identities.verify_grid(
@@ -220,7 +249,7 @@ def _cmd_verify(args) -> int:
         x_grid=x_grid,
         r_max=args.r_max,
         mutate=args.mutate,
-        jobs=args.jobs,
+        jobs=jobs,
     )
     params = {
         "identities": [i.value for i in ids],
@@ -258,8 +287,7 @@ def _certify_points(n: int, count: int) -> list[Fraction]:
 
 def _cmd_certify(args) -> int:
     ids = _parse_identities(args.identities)
-    if not 0 <= args.n_max <= HARD_N_CAP:
-        raise CliError(f"--n-max must lie in [0, {HARD_N_CAP}]")
+    _check_n_max(args.n_max)
     all_ok = True
     results = []
     for ident in ids:
@@ -303,8 +331,6 @@ def _result_dict(res: probability.MomentCheckResult, **context) -> dict:
 
 def _map_batch(fn, items, jobs):
     if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))  # order-preserving: deterministic
     return [fn(item) for item in items]
@@ -322,13 +348,14 @@ def _expansion_item(arg):
 
 def _cmd_gamma_check(args) -> int:
     lam = _parse_rational(args.lam)
+    jobs = _jobs(args.jobs)
     results = []
     params: dict = {"check": args.check, "lambda": _frac_str(lam)}
     try:
         if args.check == "thm11":
             params["n_max"] = args.n_max
             batch = _map_batch(
-                _thm11_item, [(n, lam) for n in range(args.n_max + 1)], args.jobs
+                _thm11_item, [(n, lam) for n in range(args.n_max + 1)], jobs
             )
             for n, res in enumerate(batch):
                 results.append(_result_dict(res, n=n))
@@ -366,7 +393,7 @@ def _cmd_gamma_check(args) -> int:
             batch = _map_batch(
                 _expansion_item,
                 [(n, args.m_cap, lam) for n in range(args.n_max + 1)],
-                args.jobs,
+                jobs,
             )
             for n, res in enumerate(batch):
                 results.append(_result_dict(res, n=n))
@@ -466,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except CliError as exc:

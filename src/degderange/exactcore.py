@@ -5,6 +5,11 @@ rationals, realized by :class:`fractions.Fraction` (always reduced, positive
 denominator, decidable equality).  Plain ``int`` values are accepted and
 returned wherever a quantity is integer-valued; they mix exactly with
 ``Fraction``.  No floating point enters this module.
+
+Coefficient-list arithmetic runs on the integer-numerator form of a list:
+one integer per entry over one common denominator (the model of FLINT's
+``fmpq_poly``).  Products and sums then cost plain integer operations, and
+each result entry is reduced to a ``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 ExactScalar = Union[int, Fraction]
@@ -22,6 +28,46 @@ FACTORIAL_CACHE_CAP = 256
 
 _fact_table = [1]
 _fact_lock = threading.Lock()
+
+
+def as_ints(values: Sequence[ExactScalar]) -> tuple[list[int], int]:
+    """Integer-numerator form (nums, den): values[i] == nums[i] / den, with den
+    the least common denominator of the values."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def as_fractions(nums: Sequence[int], den: int) -> list[Fraction]:
+    """The reduced fractions nums[i] / den: one gcd per entry."""
+    return [Fraction(v, den) for v in nums]
+
+
+def widen(nums: list[int], den: int, d: int) -> tuple[list[int], int]:
+    """The same values as nums / den, over the least multiple of den that d
+    divides, so that a fraction with denominator d can be added in."""
+    f = d // math.gcd(den, d)
+    if f == 1:
+        return nums, den
+    return [v * f for v in nums], den * f
+
+
+def convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of two integer coefficient lists,
+    for n <= len(a) + len(b) - 2."""
+    rb = b[::-1]
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(n + 1):
+        lo, hi = max(0, k - lb + 1), min(k, la - 1)
+        out.append(sum(map(mul, a[lo : hi + 1], rb[lb - 1 - k + lo : lb - k + hi])))
+    return out
+
+
+def dot(u: Sequence[ExactScalar], v: Sequence[ExactScalar]) -> Fraction:
+    """Exact sum of u[i] * v[i], reduced once."""
+    nu, du = as_ints(u)
+    nv, dv = as_ints(v)
+    return Fraction(sum(map(mul, nu, nv)), du * dv)
 
 
 def rat(num: int, den: int = 1) -> Fraction:
@@ -117,14 +163,9 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+        a, da = as_ints(self.coeffs)
+        b, db = as_ints(other.coeffs)
+        return Poly(as_fractions(convolve(a, b, len(a) + len(b) - 2), da * db))
 
     def scale(self, c: ExactScalar) -> "Poly":
         return Poly([Fraction(c) * v for v in self.coeffs])

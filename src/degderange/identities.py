@@ -110,7 +110,6 @@ class IdentityCase:
 class VerificationReport:
     cases_run: int
     failures: list[tuple[IdentityCase, Fraction, Fraction]]
-    certified_degrees: dict[str, int] | None = None
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactcore import ExactScalar, Poly, binomial, factorial
+from .exactcore import ExactScalar, Poly, as_fractions, as_ints, binomial, dot, factorial
 from .series import Series, deg_exp, deg_log, geometric, one
 
 _lock = threading.RLock()
@@ -42,20 +42,24 @@ def _key(v: ExactScalar) -> Fraction:
 _falling_cache: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
 
 
-def falling_deg(x: ExactScalar, n: int, lam: ExactScalar) -> Fraction:
-    """x(x-lam)(x-2*lam)...(x-(n-1)*lam); empty product 1 at n = 0."""
-    if n < 0:
-        raise ValueError(f"falling factorial length must be >= 0, got {n}")
-    key = (_key(x), _key(lam))
+def _falling_row(x: Fraction, lam: Fraction, n: int) -> list[Fraction]:
+    """The memo list of falling_deg(x, k, lam), filled for k = 0..n at least."""
+    key = (x, lam)
     vals = _falling_cache.get(key)
     if vals is None or len(vals) <= n:
         with _lock:
             vals = _falling_cache.setdefault(key, [Fraction(1)])
-            x_, lam_ = key
             while len(vals) <= n:
                 k = len(vals)
-                vals.append(vals[-1] * (x_ - (k - 1) * lam_))
-    return vals[n]
+                vals.append(vals[-1] * (x - (k - 1) * lam))
+    return vals
+
+
+def falling_deg(x: ExactScalar, n: int, lam: ExactScalar) -> Fraction:
+    """x(x-lam)(x-2*lam)...(x-(n-1)*lam); empty product 1 at n = 0."""
+    if n < 0:
+        raise ValueError(f"falling factorial length must be >= 0, got {n}")
+    return _falling_row(_key(x), _key(lam), n)[n]
 
 
 def falling_poly(n: int, lam: ExactScalar) -> Poly:
@@ -83,9 +87,10 @@ def derange_deg(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     if sums is None or len(sums) <= n:
         with _lock:
             sums = _derange_sums.setdefault(key, [Fraction(1)])
+            falls = _falling_row(key[1] - 1, key[0], n)
             while len(sums) <= n:
                 l = len(sums)
-                sums.append(sums[-1] + falling_deg(key[1] - 1, l, key[0]) / factorial(l))
+                sums.append(sums[-1] + falls[l] / factorial(l))
     value = sums[n] * factorial(n)
     if _cross_check:
         other = derange_deg_series(n, lam, x)
@@ -117,11 +122,21 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     lam = _key(lam)
-    acc = Poly((0,))
-    for l in range(n + 1):
-        term = falling_poly(n - l, lam).scale(binomial(n, l) * derange_deg(l, lam, 0))
-        acc = acc + term
-    return acc
+    p, q = lam.numerator, lam.denominator
+    # falls[k]: integer coefficients of q^k * falling_poly(k, lam), grown one
+    # linear factor (q*x - k*p) at a time
+    falls = [[1]]
+    for k in range(n):
+        prev = falls[-1]
+        falls.append([q * a - k * p * b for a, b in zip([0] + prev, prev + [0])])
+    weights, wden = as_ints(
+        [Fraction(binomial(n, l) * derange_deg(l, lam, 0), q ** (n - l)) for l in range(n + 1)]
+    )
+    acc = [0] * (n + 1)
+    for w, fall in zip(weights, reversed(falls)):
+        for j, c in enumerate(fall):
+            acc[j] += w * c
+    return Poly(as_fractions(acc, wden))
 
 
 def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
@@ -133,10 +148,10 @@ def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> F
         raise ValueError(f"order r must be >= 1, got {r}")
     lam = _key(lam)
     x = _key(x)
-    acc = Fraction(0)
-    for l in range(n + 1):
-        acc += falling_deg(x - 1, l, lam) / factorial(l) * binomial(r + n - l - 1, n - l)
-    value = acc * factorial(n)
+    value = dot(
+        _falling_row(x - 1, lam, n)[: n + 1],
+        [factorial(n) // factorial(l) * binomial(r + n - l - 1, n - l) for l in range(n + 1)],
+    )
     if _cross_check:
         other = derange_deg_order_series(n, r, lam, x)
         if other != value:
@@ -159,29 +174,42 @@ def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 
 # degenerate Stirling numbers, both kinds, both paths
 
 
-_s2_rows: dict[Fraction, list[list[Fraction]]] = {}
-_s1_rows: dict[Fraction, list[list[Fraction]]] = {}
+class _Triangle:
+    """Rows 0..k of a Stirling triangle as reduced fractions, plus row k in
+    integer form T(k, m) = q^k S(k, m), from which the next row is built."""
+
+    __slots__ = ("rows", "top")
+
+    def __init__(self):
+        self.rows: list[list[Fraction]] = [[Fraction(1)]]
+        self.top: list[int] = [1]
 
 
-def _recurrence_rows(cache, lam: Fraction, n: int, second_kind: bool):
-    rows = cache.get(lam)
-    if rows is None or len(rows) <= n:
+_s2_rows: dict[Fraction, _Triangle] = {}
+_s1_rows: dict[Fraction, _Triangle] = {}
+
+
+def _recurrence_rows(cache, lam: Fraction, n: int, second_kind: bool) -> list[list[Fraction]]:
+    """Rows 0..n (at least) of the triangle at lam = p/q, built on the integers
+    T(k, m) = q^k S(k, m):
+    second kind T(k,m) = q T(k-1,m-1) + (m q - (k-1) p) T(k-1,m),
+    first kind  T(k,m) = q T(k-1,m-1) + (m p - (k-1) q) T(k-1,m)."""
+    tri = cache.get(lam)
+    if tri is None or len(tri.rows) <= n:
         with _lock:
-            rows = cache.setdefault(lam, [[Fraction(1)]])
+            tri = cache.setdefault(lam, _Triangle())
+            p, q = lam.numerator, lam.denominator
+            a, b = (q, p) if second_kind else (p, q)
+            rows, top = tri.rows, tri.top
             while len(rows) <= n:
-                prev = rows[-1]
                 k = len(rows)  # building row k from row k-1
-                row = [Fraction(0)] * (k + 1)
-                for m in range(k + 1):
-                    acc = prev[m - 1] if 1 <= m <= k else Fraction(0)
-                    if m < k:
-                        if second_kind:
-                            acc += (m - (k - 1) * lam) * prev[m]
-                        else:
-                            acc += (lam * m - (k - 1)) * prev[m]
-                    row[m] = acc
-                rows.append(row)
-    return rows
+                top = [
+                    q * left + (m * a - (k - 1) * b) * up
+                    for m, (left, up) in enumerate(zip([0] + top, top + [0]))
+                ]
+                rows.append(as_fractions(top, q**k))
+            tri.top = top
+    return tri.rows
 
 
 def stirling2_deg(n: int, m: int, lam: ExactScalar) -> Fraction:
@@ -296,12 +324,8 @@ def fubini_deg(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
         raise ValueError(f"index must be >= 0, got {n}")
     lam = _key(lam)
     y = _key(y)
-    acc = Fraction(0)
-    ypow = Fraction(1)
-    for m in range(n + 1):
-        if m:
-            ypow *= y
-        acc += factorial(m) * ypow * stirling2_deg(n, m, lam)
+    row = _recurrence_rows(_s2_rows, lam, n, second_kind=True)[n]
+    acc = dot([factorial(m) * y**m for m in range(n + 1)], row)
     if _cross_check:
         other = fubini_deg_series(n, lam, y)
         if other != acc:
@@ -335,12 +359,9 @@ def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
         raise ValueError(f"index must be >= 0, got {n}")
     lam = _key(lam)
     x = _key(x)
-    acc = Fraction(0)
-    xpow = Fraction(1)
-    for m in range(n + 1):
-        if m:
-            xpow *= x
-        acc += falling_deg(1, m, lam) * xpow * stirling2_deg(n, m, lam)
+    row = _recurrence_rows(_s2_rows, lam, n, second_kind=True)[n]
+    falls = _falling_row(Fraction(1), lam, n)
+    acc = dot([falls[m] * x**m for m in range(n + 1)], row)
     if _cross_check:
         other = bell_deg_series(n, lam, x)
         if other != acc:

@@ -14,10 +14,21 @@ exponential/logarithm rather than a numeric limit.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .exactcore import ExactScalar, Poly, binomial_rational, factorial
+from .exactcore import (
+    ExactScalar,
+    Poly,
+    as_fractions,
+    as_ints,
+    binomial_rational,
+    convolve,
+    factorial,
+    widen,
+)
 
 
 class Series:
@@ -86,51 +97,58 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return Series(out, n)
+        a, da = as_ints(self.coeffs[: n + 1])
+        b, db = as_ints(other.coeffs[: n + 1])
+        return Series(as_fractions(convolve(a, b, n), da * db), n)
 
     def scale(self, c: ExactScalar) -> "Series":
         c = Fraction(c)
-        return Series([c * v for v in self.coeffs], self.order)
+        nums, den = as_ints(self.coeffs)
+        return Series(
+            as_fractions([v * c.numerator for v in nums], den * c.denominator), self.order
+        )
 
     def __truediv__(self, other: "Series") -> "Series":
-        """Exact long division; the divisor needs a nonzero constant term."""
+        """Exact long division; the divisor needs a nonzero constant term.
+
+        The quotient so far is also kept as integers over one common
+        denominator, so each step's convolution sum is an integer dot product.
+        """
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("series division by zero constant term")
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        b0 = b[0]
+        a, b0 = self.coeffs, other.coeffs[0]
+        rb, db = as_ints(other.coeffs[n:0:-1])  # b[n], ..., b[1]
         out: list[Fraction] = []
+        nums: list[int] = []  # out[i] == nums[i] / den
+        den = 1
         for k in range(n + 1):
-            acc = a[k]
-            for j in range(1, k + 1):
-                if b[j] != 0:
-                    acc -= b[j] * out[k - j]
-            out.append(acc / b0)
+            s = sum(map(mul, rb[n - k :], nums))
+            c = (a[k] - Fraction(s, db * den)) / b0
+            nums, den = widen(nums, den, c.denominator)
+            nums.append(c.numerator * (den // c.denominator))
+            out.append(c)
         return Series(out, n)
 
     def compose(self, inner: "Series") -> "Series":
         """outer(inner(t)) truncated to the common order (Horner scheme).
 
-        The inner series must have zero constant term.
+        The inner series must have zero constant term.  The Horner
+        accumulator stays in integer-numerator form throughout.
         """
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires zero constant term in inner series")
         n = min(self.order, inner.order)
-        inner_n = inner.truncate(n)
-        acc = Series.constant(self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner_n + Series.constant(self.coeffs[k], n)
-        return acc
+        b, db = as_ints(inner.coeffs[: n + 1])
+        acc, den = [0] * (n + 1), 1
+        for c in reversed(self.coeffs[: n + 1]):
+            acc, den = widen(convolve(acc, b, n), den * db, c.denominator)
+            acc[0] += c.numerator * (den // c.denominator)
+            g = math.gcd(den, *acc)
+            if g != 1:
+                den //= g
+                acc = [v // g for v in acc]
+        return Series(as_fractions(acc, den), n)
 
 
 def series_mul(a: Series, b: Series) -> Series:
@@ -158,16 +176,13 @@ def binomial_pow(base: Series, q: ExactScalar) -> Series:
     """base**q for rational q via the generalized binomial series.
 
     The base must have constant term 1; with u = base - 1 the result is
-    sum_k binom(q, k) u^k, evaluated by Horner over series.
+    sum_k binom(q, k) u^k, the binomial series composed with u.
     """
     if base.coeffs[0] != 1:
         raise ValueError("binomial_pow requires constant term 1")
     n = base.order
-    u = base - one(n)
-    acc = Series.constant(binomial_rational(q, n), n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * u + Series.constant(binomial_rational(q, k), n)
-    return acc
+    binom = Series([binomial_rational(q, k) for k in range(n + 1)], n)
+    return binom.compose(base - one(n))
 
 
 def deg_exp(x: ExactScalar, lam: ExactScalar, order: int) -> Series:

@@ -192,3 +192,67 @@ def test_out_file_and_env_dir(tmp_path):
     )
     assert out.returncode == 0
     assert (tmp_path / "rel.json").exists()
+
+
+def test_negative_rational_as_separate_token():
+    # the README example: "-1/3" must not be taken for an option
+    glued = run_cli(
+        "table", "stirling2", "--lambda=-1/3", "--m", "2", "--n-max", "10", "--format", "csv"
+    )
+    spaced = run_cli(
+        "table", "stirling2", "--lambda", "-1/3", "--m", "2", "--n-max", "10", "--format", "csv"
+    )
+    assert glued.returncode == spaced.returncode == 0
+    assert spaced.stdout == glued.stdout
+    grid = run_cli(
+        "verify", "--identities", "THM2_REC", "--n-max", "3",
+        "--lambda-grid", "-1/2,1/3", "--x-grid", "-2,3/4",
+    )
+    assert grid.returncode == 0
+    params = json.loads(grid.stdout)["params"]
+    assert params["lambda_grid"] == ["-1/2", "1/3"]
+    assert params["x_grid"] == ["-2", "3/4"]
+    out = run_cli("table", "falling", "--x", "-3/2", "--lambda", "-1/2", "--n-max", "2")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["params"]["x"] == "-3/2"
+
+
+def test_jobs_below_one_is_config_error():
+    for argv in (
+        ("verify", "--identities", "THM3", "--n-max", "2", "--jobs", "0"),
+        ("gamma-check", "thm11", "--lambda", "1/4", "--n-max", "1", "--jobs", "-1"),
+    ):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert "--jobs" in out.stderr
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
+    from degderange import cli, identities
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the worker count and
+        maps in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli.main(["verify", "--identities", "THM3", "--n-max", "4", "--jobs", "64"]) == 0
+    assert cli.main(["gamma-check", "thm11", "--lambda", "1/4", "--n-max", "2", "--jobs", "64"]) == 0
+    assert cli.main(["verify", "--identities", "THM3", "--n-max", "4", "--jobs", "2"]) == 0
+    assert sizes == [3, 3, 2]
+    capsys.readouterr()

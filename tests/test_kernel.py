@@ -1,0 +1,200 @@
+"""The integer-numerator kernel against plain-Fraction reference code.
+
+Series and polynomial arithmetic, the Stirling triangles and the explicit
+sums run on integers over one common denominator.  The reference
+implementations below are the textbook Fraction loops; they live here only,
+so that the library's two dual paths, which now share the kernel, are still
+checked against code that does not use it.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degderange.exactcore import Poly, as_fractions, as_ints, binomial, factorial
+from degderange.sequences import (
+    bell_deg,
+    derange_deg_order,
+    derange_deg_poly,
+    fubini_deg,
+    stirling1_deg,
+    stirling2_deg,
+)
+from degderange.series import Series
+
+N_MAX = 40
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+# deformation parameters: 0, negatives and assorted denominators
+lambdas = st.one_of(st.sampled_from([F(0), F(-1, 3), F(2, 7)]), small_rationals)
+orders = st.integers(min_value=0, max_value=N_MAX)
+
+
+def coeff_lists(n):
+    return st.lists(small_rationals, min_size=n + 1, max_size=n + 1)
+
+
+# ---------------------------------------------------------------------------
+# plain-Fraction reference implementations
+
+
+def ref_mul(a, b, n):
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_div(a, b, n):
+    out = []
+    for k in range(n + 1):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc -= b[j] * out[k - j]
+        out.append(acc / b[0])
+    return out
+
+
+def ref_compose(outer, inner, n):
+    acc = [outer[n]] + [F(0)] * n
+    for k in range(n - 1, -1, -1):
+        acc = ref_mul(acc, inner, n)
+        acc[0] += outer[k]
+    return acc
+
+
+def ref_poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def ref_falling(x, n, lam):
+    acc = F(1)
+    for i in range(n):
+        acc *= x - i * lam
+    return acc
+
+
+def ref_stirling_rows(lam, n, second_kind):
+    rows = [[F(1)]]
+    for k in range(1, n + 1):
+        prev = rows[-1]
+        row = []
+        for m in range(k + 1):
+            acc = prev[m - 1] if m >= 1 else F(0)
+            if m < k:
+                factor = m - (k - 1) * lam if second_kind else lam * m - (k - 1)
+                acc += factor * prev[m]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def ref_derange(n, lam):
+    return factorial(n) * sum(ref_falling(F(-1), l, lam) / factorial(l) for l in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# kernel helpers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rationals, min_size=1, max_size=12))
+def test_as_ints_roundtrip(values):
+    nums, den = as_ints(values)
+    assert all(isinstance(v, int) for v in nums)
+    assert [F(v, den) for v in nums] == values
+    assert as_fractions(nums, den) == values
+
+
+# ---------------------------------------------------------------------------
+# Series and Poly arithmetic
+
+
+@settings(max_examples=30, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(coeff_lists(n), coeff_lists(n))))
+def test_series_mul_matches_reference(ab):
+    a, b = ab
+    n = len(a) - 1
+    assert list((Series(a) * Series(b)).coeffs) == ref_mul(a, b, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(coeff_lists(n), coeff_lists(n))))
+def test_series_div_matches_reference(ab):
+    a, b = ab
+    if b[0] == 0:
+        b[0] = F(1)
+    n = len(a) - 1
+    assert list((Series(a) / Series(b)).coeffs) == ref_div(a, b, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(coeff_lists(n), coeff_lists(n))))
+def test_series_compose_matches_reference(ab):
+    outer, inner = ab
+    inner[0] = F(0)
+    n = len(outer) - 1
+    assert list(Series(outer).compose(Series(inner)).coeffs) == ref_compose(outer, inner, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(small_rationals, min_size=1, max_size=N_MAX + 1),
+    st.lists(small_rationals, min_size=1, max_size=N_MAX + 1),
+    small_rationals,
+)
+def test_series_scale_and_poly_mul_match_reference(a, b, c):
+    assert list(Series(a).scale(c).coeffs) == [c * v for v in a]
+    assert Poly(a) * Poly(b) == Poly(ref_poly_mul(a, b))
+
+
+# ---------------------------------------------------------------------------
+# sequences
+
+
+@settings(max_examples=25, deadline=None)
+@given(lambdas, orders)
+def test_stirling_triangles_match_reference(lam, n):
+    for fn, second_kind in ((stirling2_deg, True), (stirling1_deg, False)):
+        ref = ref_stirling_rows(lam, n, second_kind)
+        assert [[fn(k, m, lam) for m in range(k + 1)] for k in range(n + 1)] == ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(lambdas, small_rationals, orders)
+def test_fubini_and_bell_match_reference(lam, x, n):
+    row = ref_stirling_rows(lam, n, second_kind=True)[n]
+    assert fubini_deg(n, lam, x) == sum(factorial(m) * x**m * s for m, s in enumerate(row))
+    assert bell_deg(n, lam, x) == sum(
+        ref_falling(F(1), m, lam) * x**m * s for m, s in enumerate(row)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(lambdas, small_rationals, orders, st.integers(min_value=1, max_value=5))
+def test_derange_order_matches_reference(lam, x, n, r):
+    ref = factorial(n) * sum(
+        ref_falling(x - 1, l, lam) / factorial(l) * binomial(r + n - l - 1, n - l)
+        for l in range(n + 1)
+    )
+    assert derange_deg_order(n, r, lam, x) == ref
+
+
+@settings(max_examples=15, deadline=None)
+@given(lambdas, st.integers(min_value=0, max_value=N_MAX))
+def test_derange_poly_matches_reference(lam, n):
+    acc = [F(0)] * (n + 1)
+    for l in range(n + 1):
+        fall = [F(1)]  # falling factorial of length n - l, as a polynomial in x
+        for i in range(n - l):
+            fall = ref_poly_mul(fall, [-i * lam, F(1)])
+        w = binomial(n, l) * ref_derange(l, lam)
+        for j, c in enumerate(fall):
+            acc[j] += w * c
+    assert derange_deg_poly(n, lam) == Poly(acc)
