@@ -20,11 +20,6 @@ from .exactcore import (
     binomial,
     binomial_rational,
     factorial,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    rat,
 )
 from .identities import (
     IdentityCase,
@@ -57,20 +52,26 @@ from .sequences import (
     SequenceTable,
     bell_deg,
     bell_deg_series,
+    bell_series_row,
     derange_deg,
     derange_deg_order,
     derange_deg_order_series,
     derange_deg_poly,
     derange_deg_series,
+    derange_row,
     falling_deg,
+    falling_row,
     fubini_deg,
     fubini_deg_series,
+    fubini_series_row,
     set_cross_check,
     stirling1_classical,
     stirling1_deg,
     stirling1_deg_series,
+    stirling1_row,
     stirling2_deg,
     stirling2_deg_series,
+    stirling2_row,
 )
 from .series import (
     Series,
@@ -78,9 +79,6 @@ from .series import (
     deg_exp,
     deg_log,
     geometric,
-    series_compose,
-    series_div,
-    series_mul,
 )
 
 __version__ = "0.1.0"
@@ -88,38 +86,36 @@ __version__ = "0.1.0"
 __all__ = [
     "ExactScalar",
     "Poly",
-    "rat",
     "factorial",
     "binomial",
     "binomial_rational",
-    "poly_eval",
-    "poly_add",
-    "poly_mul",
-    "poly_scale",
     "Series",
-    "series_mul",
-    "series_div",
-    "series_compose",
     "binomial_pow",
     "deg_exp",
     "deg_log",
     "geometric",
     "SequenceTable",
     "falling_deg",
+    "falling_row",
     "derange_deg",
+    "derange_row",
     "derange_deg_series",
     "derange_deg_poly",
     "derange_deg_order",
     "derange_deg_order_series",
     "stirling1_deg",
     "stirling1_deg_series",
+    "stirling1_row",
     "stirling2_deg",
     "stirling2_deg_series",
+    "stirling2_row",
     "stirling1_classical",
     "fubini_deg",
     "fubini_deg_series",
+    "fubini_series_row",
     "bell_deg",
     "bell_deg_series",
+    "bell_series_row",
     "set_cross_check",
     "IdentityId",
     "IdentityCase",

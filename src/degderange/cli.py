@@ -145,7 +145,7 @@ def _build_table(args) -> SequenceTable | list[tuple[int, Poly]]:
     x = r = m = None
     if sel == "derangement":
         x = _parse_rational(args.x) if args.x is not None else Fraction(0)
-        vals = [(n, sequences.derange_deg(n, lam, x)) for n in range(n_max + 1)]
+        vals = enumerate(sequences.derange_row(n_max, lam, x))
     elif sel == "derangement-poly":
         return [(n, sequences.derange_deg_poly(n, lam)) for n in range(n_max + 1)]
     elif sel == "derangement-order":
@@ -172,7 +172,7 @@ def _build_table(args) -> SequenceTable | list[tuple[int, Poly]]:
         vals = [(n, sequences.bell_deg(n, lam, x)) for n in range(n_max + 1)]
     elif sel == "falling":
         x = _parse_rational(args.x) if args.x is not None else Fraction(1)
-        vals = [(n, sequences.falling_deg(x, n, lam)) for n in range(n_max + 1)]
+        vals = enumerate(sequences.falling_row(x, n_max, lam))
     else:
         raise CliError(f"unknown sequence selector {sel!r}")
     return SequenceTable(name=sel, lam=lam, x=x, r=r, m=m, values=tuple(vals))

@@ -70,14 +70,6 @@ def dot(u: Sequence[ExactScalar], v: Sequence[ExactScalar]) -> Fraction:
     return Fraction(sum(map(mul, nu, nv)), du * dv)
 
 
-def rat(num: int, den: int = 1) -> Fraction:
-    """Reduced rational num/den with positive denominator.
-
-    Raises ZeroDivisionError when den == 0.
-    """
-    return Fraction(num, den)
-
-
 def factorial(n: int) -> int:
     """Exact n! for n >= 0."""
     if n < 0:
@@ -179,18 +171,3 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
-
-def poly_eval(p: Poly, a: ExactScalar) -> Fraction:
-    return p(a)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_scale(p: Poly, c: ExactScalar) -> Poly:
-    return p.scale(c)

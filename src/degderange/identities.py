@@ -43,31 +43,32 @@ control for the harness itself).
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactcore import ExactScalar, binomial, factorial
+from .exactcore import ExactScalar, binomial, dot, factorial
 from .sequences import (
+    _Memo,
     bell_deg,
     bell_deg_series,
+    bell_series_row,
     derange_deg,
     derange_deg_order,
     derange_deg_order_series,
     derange_deg_series,
+    derange_row,
     falling_deg,
+    falling_row,
     fubini_deg,
-    fubini_deg_series,
-    stirling1_deg,
-    stirling2_deg,
+    fubini_series_row,
+    stirling1_row,
+    stirling2_row,
 )
 
 MAX_N = 256
-
-_lock = threading.RLock()
 
 
 class IdentityId(str, Enum):
@@ -120,13 +121,22 @@ class VerificationReport:
 # verifiers; each returns (lhs, rhs)
 
 
+def _binomial_conv(a, b, n):
+    """sum_l binom(n, l) a[l] b[n-l]."""
+    return dot([binomial(n, l) * a[l] for l in range(n + 1)], b[n::-1])
+
+
+def _alternating(row):
+    """The entries (-1)^m row[m]."""
+    return [-v if m % 2 else v for m, v in enumerate(row)]
+
+
 def _thm2_conv(n, lam, x, r, mutate):
     lhs = derange_deg_series(n, lam, x)
-    rhs = Fraction(0)
-    for l in range(n + 1):
-        rhs += binomial(n, l) * derange_deg(l, lam, 0) * falling_deg(x, n - l, lam)
+    d, f = derange_row(n, lam, 0), falling_row(x, n, lam)
+    rhs = _binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand
-        rhs -= 2 * derange_deg(n, lam, 0) * falling_deg(x, 0, lam)
+        rhs -= 2 * d[n] * f[0]
     return lhs, rhs
 
 
@@ -141,68 +151,54 @@ def _thm2_rec_x0(n, lam, x, r, mutate):
     return _thm2_rec(n, lam, Fraction(0), r, mutate)
 
 
-_thm3_inner: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+def _grow_alternating_inner(key, inner, n):
+    """inner[j] = sum_l (-1)^l D(l; lam, x) S2(j, l; mu), for THM3 (mu = lam)
+    and THM10 (x = 0, mu = -lam)."""
+    lam, x, mu = key
+    d = _alternating(derange_row(n, lam, x))
+    for j in range(len(inner), n + 1):
+        inner.append(dot(d[: j + 1], stirling2_row(j, mu)))
+    return inner
+
+
+_ALTERNATING_INNER = _Memo(_grow_alternating_inner)
 
 
 def _thm3(n, lam, x, r, mutate):
-    key = (lam, x)
-    inner = _thm3_inner.get(key)
-    if inner is None or len(inner) <= n:
-        with _lock:
-            inner = _thm3_inner.setdefault(key, [])
-            for j in range(len(inner), n + 1):
-                acc = Fraction(0)
-                for l in range(j + 1):
-                    acc += (-1) ** l * derange_deg(l, lam, x) * stirling2_deg(j, l, lam)
-                inner.append(acc)
-    lhs = Fraction(0)
-    for j in range(n + 1):
-        lhs += binomial(n, j) * falling_deg(1, n - j, lam) * inner[j]
-    rhs = Fraction(0)
+    lhs = _binomial_conv(_ALTERNATING_INNER.row((lam, x, lam), n), falling_row(1, n, lam), n)
     sign = -1 if mutate else 1
-    for j in range(n + 1):
-        rhs += falling_deg(x - 1, j, lam) * sign * (-1) ** j * stirling2_deg(n, j, lam)
+    rhs = sign * dot(_alternating(falling_row(x - 1, n, lam)), stirling2_row(n, lam))
     return lhs, rhs
 
 
-_thm4_inner: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+def _grow_thm4_inner(key, inner, n):
+    """inner[l] = sum_m falling(x-1, m, lam) S2(l, m; lam)."""
+    lam, x = key
+    f = falling_row(x - 1, n, lam)
+    for l in range(len(inner), n + 1):
+        inner.append(dot(f[: l + 1], stirling2_row(l, lam)))
+    return inner
+
+
+_THM4_INNER = _Memo(_grow_thm4_inner)
 
 
 def _thm4(n, lam, x, r, mutate):
-    lhs = Fraction(0)
-    for l in range(n + 1):
-        lhs += stirling2_deg(n, l, lam) * derange_deg(l, lam, x)
-    key = (lam, x)
-    inner = _thm4_inner.get(key)
-    if inner is None or len(inner) <= n:
-        with _lock:
-            inner = _thm4_inner.setdefault(key, [])
-            for l in range(len(inner), n + 1):
-                acc = Fraction(0)
-                for m in range(l + 1):
-                    acc += falling_deg(x - 1, m, lam) * stirling2_deg(l, m, lam)
-                inner.append(acc)
-    rhs = Fraction(0)
-    for l in range(n + 1):
-        f = fubini_deg_series(n - l, lam, 1)
-        if mutate:
-            f = -f
-        rhs += binomial(n, l) * f * inner[l]
+    lhs = dot(stirling2_row(n, lam), derange_row(n, lam, x))
+    rhs = _binomial_conv(_THM4_INNER.row((lam, x), n), fubini_series_row(n, lam, 1), n)
+    if mutate:  # negate every Fubini value
+        rhs = -rhs
     return lhs, rhs
 
 
 def _thm5(n, lam, x, r, mutate):
-    expr_a = Fraction(0)
-    for l in range(n + 1):
-        expr_a += fubini_deg(l, lam, 1) * stirling1_deg(n, l, lam)
-    expr_b = Fraction(0)
-    for l in range(n + 1):
-        expr_b += binomial(n, l) * derange_deg(l, lam, 0) * falling_deg(1, n - l, lam)
-    expr_c = Fraction(0)
-    for l in range(n + 1):
-        expr_c += binomial(n, l) * derange_deg(l, lam, x) * falling_deg(1 - x, n - l, lam)
+    fubini = [fubini_deg(l, lam, 1) for l in range(n + 1)]
+    expr_a = dot(fubini, stirling1_row(n, lam))
+    expr_b = _binomial_conv(derange_row(n, lam, 0), falling_row(1, n, lam), n)
+    d, f = derange_row(n, lam, x), falling_row(1 - x, n, lam)
+    expr_c = _binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand of the x-shifted form
-        expr_c -= 2 * derange_deg(n, lam, x) * falling_deg(1 - x, 0, lam)
+        expr_c -= 2 * d[n] * f[0]
     nfact = Fraction(factorial(n))
     if expr_a == expr_b == nfact:
         return expr_a, expr_c
@@ -211,68 +207,55 @@ def _thm5(n, lam, x, r, mutate):
 
 
 def _lemma6(n, lam, x, r, mutate):
-    lhs = Fraction(0)
-    for m in range(1, n + 1):
-        lhs += falling_deg(x - 1, m, lam) * stirling2_deg(n, m, lam)
+    f, s = falling_row(x - 1, n, lam), stirling2_row(n, lam)
+    lhs = dot(f[1:], s[1:])
     if mutate:
-        lhs -= 2 * falling_deg(x - 1, 1, lam) * stirling2_deg(n, 1, lam)
-    rhs = Fraction(0)
-    for m in range(1, n + 1):
-        diff = derange_deg(m, lam, x) - m * derange_deg(m - 1, lam, x)
-        rhs += diff * stirling2_deg(n, m, lam)
+        lhs -= 2 * f[1] * s[1]
+    d = derange_row(n, lam, x)
+    rhs = dot([d[m] - m * d[m - 1] for m in range(1, n + 1)], s[1:])
     return lhs, rhs
 
 
 def _thm7_a(n, lam, x, r, mutate):
     lhs = falling_deg(1, n, lam)
-    rhs = Fraction(0)
-    for m in range(n + 1):
-        rhs += bell_deg_series(m, lam, 1) * stirling1_deg(n, m, lam)
+    b, s = bell_series_row(n, lam, 1), stirling1_row(n, lam)
+    rhs = dot(b, s)
     if mutate:
-        rhs -= 2 * bell_deg_series(n, lam, 1) * stirling1_deg(n, n, lam)
+        rhs -= 2 * b[n] * s[n]
     return lhs, rhs
 
 
 def _thm7_b(n, lam, x, r, mutate):
     lhs = bell_deg_series(n, lam, 1)
-    rhs = Fraction(0)
-    for m in range(n + 1):
-        rhs += falling_deg(1, m, lam) * stirling2_deg(n, m, lam)
+    f, s = falling_row(1, n, lam), stirling2_row(n, lam)
+    rhs = dot(f, s)
     if mutate:
-        rhs -= 2 * falling_deg(1, n, lam) * stirling2_deg(n, n, lam)
+        rhs -= 2 * f[n] * s[n]
     return lhs, rhs
 
 
 def _thm8_a(n, lam, x, r, mutate):
-    lhs = Fraction(0)
-    for m in range(n + 1):
-        lhs += (-1) ** m * derange_deg(m, lam, 0) * stirling2_deg(n, m, -lam)
-    rhs = Fraction(0)
-    for m in range(n + 1):
-        rhs += binomial(n, m) * bell_deg_series(m, -lam, 1) * falling_deg(-1, n - m, -lam)
+    lhs = dot(_alternating(derange_row(n, lam, 0)), stirling2_row(n, -lam))
+    b, f = bell_series_row(n, -lam, 1), falling_row(-1, n, -lam)
+    rhs = _binomial_conv(b, f, n)
     if mutate:
-        rhs -= 2 * bell_deg_series(n, -lam, 1) * falling_deg(-1, 0, -lam)
+        rhs -= 2 * b[n] * f[0]
     return lhs, rhs
 
 
 def _thm8_b(n, lam, x, r, mutate):
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += bell_deg(k, lam, 1) * stirling1_deg(n, k, lam)
+    bell = [bell_deg(k, lam, 1) for k in range(n + 1)]
+    lhs = dot(bell, stirling1_row(n, lam))
     sign = -1 if mutate else 1
     rhs = sign * (-1) ** n * falling_deg(-1, n, -lam)
     return lhs, rhs
 
 
 def _eq24_25(n, lam, x, r, mutate):
-    acc = Fraction(0)
-    for m in range(n + 1):
-        acc += falling_deg(-1, m, lam) * stirling1_deg(n, m, lam)
+    acc = dot(falling_row(-1, n, lam), stirling1_row(n, lam))
     sign = -1 if mutate else 1
     lhs = sign * (-1) ** n * acc
-    rhs = Fraction(0)
-    for m in range(n + 1):
-        rhs += binomial(n, m) * derange_deg(m, lam, x) * falling_deg(1 - x, n - m, lam)
+    rhs = _binomial_conv(derange_row(n, lam, x), falling_row(1 - x, n, lam), n)
     return lhs, rhs
 
 
@@ -284,34 +267,20 @@ def _thm9_vs_series(n, lam, x, r, mutate):
     return lhs, rhs
 
 
-_thm10_inner: dict[Fraction, list[Fraction]] = {}
-
-
 def _thm10(n, lam, x, r, mutate):
     lhs = bell_deg_series(n, -lam, 1)
-    inner = _thm10_inner.get(lam)
-    if inner is None or len(inner) <= n:
-        with _lock:
-            inner = _thm10_inner.setdefault(lam, [])
-            for j in range(len(inner), n + 1):
-                acc = Fraction(0)
-                for m in range(j + 1):
-                    acc += (-1) ** m * derange_deg(m, lam, 0) * stirling2_deg(j, m, -lam)
-                inner.append(acc)
-    rhs = Fraction(0)
-    for j in range(n + 1):
-        rhs += binomial(n, j) * falling_deg(1, n - j, -lam) * inner[j]
+    inner, f = _ALTERNATING_INNER.row((lam, Fraction(0), -lam), n), falling_row(1, n, -lam)
+    rhs = _binomial_conv(inner, f, n)
     if mutate:
-        rhs -= 2 * binomial(n, 0) * falling_deg(1, n, -lam) * inner[0]
+        rhs -= 2 * f[n] * inner[0]
     return lhs, rhs
 
 
 def _exp_moment_bridge(n, lam, x, r, mutate):
-    lhs = Fraction(0)
-    for m in range(n + 1):
-        lhs += binomial(n, m) * falling_deg(x - 1, n - m, lam) * factorial(m)
+    f = falling_row(x - 1, n, lam)
+    lhs = _binomial_conv([factorial(m) for m in range(n + 1)], f, n)
     if mutate:
-        lhs -= 2 * binomial(n, n) * falling_deg(x - 1, 0, lam) * factorial(n)
+        lhs -= 2 * f[0] * factorial(n)
     rhs = derange_deg_series(n, lam, x)
     return lhs, rhs
 
@@ -432,8 +401,12 @@ def verify_grid(
     id_list = sorted(set(ids), key=lambda i: i.value) if ids is not None else list(IdentityId)
     cases = _expand_cases(id_list, n_max, lam_grid, x_grid, r_max)
     if jobs > 1 and len(cases) > 1:
-        nchunks = min(jobs * 4, len(cases))
-        chunks = [cases[i::nchunks] for i in range(nchunks)]
+        # One contiguous run per worker in (|lam|, lam, x) order: each worker
+        # builds the memo rows of its own keys only, lam next to -lam (THM8_A
+        # and THM10 read both).
+        ordered = sorted(cases, key=lambda c: (abs(c.lam), c.lam, c.x or 0))
+        size = -(-len(ordered) // jobs)
+        chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
         failures: list[tuple[IdentityCase, Fraction, Fraction]] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_run_chunk, [(c, mutate) for c in chunks]):

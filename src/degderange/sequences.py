@@ -9,6 +9,21 @@ verify its companion path on each call.
 
 All values are exact rationals.  Negative deformation parameters are fully
 supported (the sign-flipped identities need them).
+
+Every memoised sequence lives in one :class:`_Memo`: a list of values per
+key (the deformation parameter, with the argument where there is one),
+grown on demand under one lock.  Two growth rules apply.  Recurrences
+(falling factorials, derangement partial sums, both Stirling triangles)
+extend their list exactly to the requested n.  Series extractions rebuild
+theirs at order ``max(n, 2 * len, 8)``, so that a sweep over n costs a
+logarithmic number of extractions.  The ``*_row`` accessors return a new
+list of values 0..n, keyed once per call; each scalar operation is a
+validated index into the same memo.
+
+Derangement values always come from the explicit sum
+n! * sum_{l<=n} falling(x-1, l, lam)/l!, memoised as its partial sums.  They
+are never grown by D(n) = n D(n-1) + falling(x-1, n, lam): that recurrence is
+the identity THM2_REC, which must stay a check and not become a tautology.
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .exactcore import ExactScalar, Poly, as_fractions, as_ints, binomial, dot, factorial
 from .series import Series, deg_exp, deg_log, geometric, one
@@ -35,31 +51,90 @@ def _key(v: ExactScalar) -> Fraction:
     return Fraction(v)
 
 
+class _Memo:
+    """Lists of sequence values per key, grown on demand under one lock.
+
+    ``grow(key, row, n)`` receives the key's list (empty for a new key) and
+    returns one holding entries 0..n at least: the same list extended in
+    place, or a rebuilt one.  Readers never see a list shrink or change an
+    entry.  The lock is reentrant because growing one memo may read another.
+    """
+
+    __slots__ = ("grow", "rows")
+
+    def __init__(self, grow):
+        self.grow = grow
+        self.rows: dict = {}
+
+    def row(self, key, n: int) -> list:
+        """The memo list for key, filled for indices 0..n at least."""
+        row = self.rows.get(key)
+        if row is None or len(row) <= n:
+            with _lock:
+                row = self.rows.get(key, [])
+                if len(row) <= n:
+                    row = self.rows[key] = self.grow(key, row, n)
+        return row
+
+
+def _order(row: list, n: int) -> int:
+    """Truncation order at which a series memo is rebuilt to cover n."""
+    return max(n, 2 * len(row), 8)
+
+
+def _values(s: Series) -> list[Fraction]:
+    """k! times coefficient k of s, for k = 0..order."""
+    return [c * factorial(k) for k, c in enumerate(s.coeffs)]
+
+
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+
+
+def _dual(value, other, *args):
+    """value, after checking it against other(*args), its companion path, when
+    the cross-check mode is on."""
+    if _cross_check and other(*args) != value:
+        raise AssertionError(f"dual-path mismatch with {other.__name__}{args}")
+    return value
+
+
+def _entry(memo: _Memo, n: int, m: int, lam: ExactScalar) -> Fraction:
+    """Entry (n, m) of a Stirling triangle memo; 0 above the diagonal."""
+    if n < 0 or m < 0:
+        raise ValueError("indices must be >= 0")
+    if m > n:
+        return Fraction(0)
+    return memo.row(_key(lam), n)[n][m]
+
+
 # ---------------------------------------------------------------------------
 # generalized falling factorials
 
 
-_falling_cache: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
-
-
-def _falling_row(x: Fraction, lam: Fraction, n: int) -> list[Fraction]:
-    """The memo list of falling_deg(x, k, lam), filled for k = 0..n at least."""
-    key = (x, lam)
-    vals = _falling_cache.get(key)
-    if vals is None or len(vals) <= n:
-        with _lock:
-            vals = _falling_cache.setdefault(key, [Fraction(1)])
-            while len(vals) <= n:
-                k = len(vals)
-                vals.append(vals[-1] * (x - (k - 1) * lam))
+def _grow_falling(key, vals, n):
+    x, lam = key
+    vals = vals or [Fraction(1)]
+    for k in range(len(vals), n + 1):
+        vals.append(vals[-1] * (x - (k - 1) * lam))
     return vals
+
+
+_FALLING = _Memo(_grow_falling)
+
+
+def falling_row(x: ExactScalar, n: int, lam: ExactScalar) -> list[Fraction]:
+    """[falling_deg(x, k, lam) for k = 0..n], as a new list."""
+    _check_index(n)
+    return _FALLING.row((_key(x), _key(lam)), n)[: n + 1]
 
 
 def falling_deg(x: ExactScalar, n: int, lam: ExactScalar) -> Fraction:
     """x(x-lam)(x-2*lam)...(x-(n-1)*lam); empty product 1 at n = 0."""
     if n < 0:
         raise ValueError(f"falling factorial length must be >= 0, got {n}")
-    return _falling_row(_key(x), _key(lam), n)[n]
+    return _FALLING.row((_key(x), _key(lam)), n)[n]
 
 
 def falling_poly(n: int, lam: ExactScalar) -> Poly:
@@ -75,52 +150,54 @@ def falling_poly(n: int, lam: ExactScalar) -> Poly:
 # degenerate derangement polynomials and numbers
 
 
-_derange_sums: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+def _grow_derange_sums(key, sums, n):
+    """Partial sums sum_{l<=k} falling(x-1, l, lam)/l! of the explicit sum."""
+    lam, x = key
+    sums = sums or [Fraction(1)]
+    falls = _FALLING.row((x - 1, lam), n)
+    for l in range(len(sums), n + 1):
+        sums.append(sums[-1] + falls[l] / factorial(l))
+    return sums
+
+
+_DERANGE_SUMS = _Memo(_grow_derange_sums)
+
+
+def derange_row(n: int, lam: ExactScalar, x: ExactScalar = 0) -> list[Fraction]:
+    """[derange_deg(k, lam, x) for k = 0..n], as a new list."""
+    _check_index(n)
+    lam, x = _key(lam), _key(x)
+    sums = _DERANGE_SUMS.row((lam, x), n)
+    vals = [s * factorial(k) for k, s in enumerate(sums[: n + 1])]
+    return _dual(vals, lambda: [derange_deg_series(k, lam, x) for k in range(n + 1)])
 
 
 def derange_deg(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Degenerate derangement value: n! * sum_{l<=n} falling(x-1, l, lam)/l!."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    key = (_key(lam), _key(x))
-    sums = _derange_sums.get(key)
-    if sums is None or len(sums) <= n:
-        with _lock:
-            sums = _derange_sums.setdefault(key, [Fraction(1)])
-            falls = _falling_row(key[1] - 1, key[0], n)
-            while len(sums) <= n:
-                l = len(sums)
-                sums.append(sums[-1] + falls[l] / factorial(l))
-    value = sums[n] * factorial(n)
-    if _cross_check:
-        other = derange_deg_series(n, lam, x)
-        if other != value:
-            raise AssertionError(f"derange_deg dual-path mismatch at n={n}")
-    return value
+    _check_index(n)
+    value = _DERANGE_SUMS.row((_key(lam), _key(x)), n)[n] * factorial(n)
+    return _dual(value, derange_deg_series, n, lam, x)
 
 
-_derange_series: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+def _grow_derange_series(key, vals, n):
+    lam, x = key
+    order = _order(vals, n)
+    return _values(geometric(order) * deg_exp(x - 1, lam, order))
+
+
+_DERANGE_SERIES = _Memo(_grow_derange_series)
 
 
 def derange_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Series-extraction path: n! times coefficient n of geometric * deg_exp(x-1)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    key = (_key(lam), _key(x))
-    coeffs = _derange_series.get(key)
-    if coeffs is None or len(coeffs) <= n:
-        with _lock:
-            order = max(n, 2 * len(_derange_series.get(key, ())), 8)
-            s = geometric(order) * deg_exp(key[1] - 1, key[0], order)
-            _derange_series[key] = coeffs = list(s.coeffs)
-    return coeffs[n] * factorial(n)
+    _check_index(n)
+    return _DERANGE_SERIES.row((_key(lam), _key(x)), n)[n]
 
 
 def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     """The degree-<=n derangement polynomial in x, built from the convolution
     with derangement numbers and falling-factorial polynomials."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_index(n)
     lam = _key(lam)
     p, q = lam.numerator, lam.denominator
     # falls[k]: integer coefficients of q^k * falling_poly(k, lam), grown one
@@ -130,7 +207,7 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
         prev = falls[-1]
         falls.append([q * a - k * p * b for a, b in zip([0] + prev, prev + [0])])
     weights, wden = as_ints(
-        [Fraction(binomial(n, l) * derange_deg(l, lam, 0), q ** (n - l)) for l in range(n + 1)]
+        [Fraction(binomial(n, l) * d, q ** (n - l)) for l, d in enumerate(derange_row(n, lam))]
     )
     acc = [0] * (n + 1)
     for w, fall in zip(weights, reversed(falls)):
@@ -142,21 +219,16 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
 def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Order-r degenerate derangement value:
     n! * sum_{l<=n} falling(x-1, l, lam)/l! * binom(r+n-l-1, n-l)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     lam = _key(lam)
     x = _key(x)
     value = dot(
-        _falling_row(x - 1, lam, n)[: n + 1],
+        _FALLING.row((x - 1, lam), n)[: n + 1],
         [factorial(n) // factorial(l) * binomial(r + n - l - 1, n - l) for l in range(n + 1)],
     )
-    if _cross_check:
-        other = derange_deg_order_series(n, r, lam, x)
-        if other != value:
-            raise AssertionError(f"derange_deg_order dual-path mismatch at n={n}, r={r}")
-    return value
+    return _dual(value, derange_deg_order_series, n, r, lam, x)
 
 
 def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
@@ -174,122 +246,99 @@ def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 
 # degenerate Stirling numbers, both kinds, both paths
 
 
-class _Triangle:
-    """Rows 0..k of a Stirling triangle as reduced fractions, plus row k in
-    integer form T(k, m) = q^k S(k, m), from which the next row is built."""
-
-    __slots__ = ("rows", "top")
-
-    def __init__(self):
-        self.rows: list[list[Fraction]] = [[Fraction(1)]]
-        self.top: list[int] = [1]
-
-
-_s2_rows: dict[Fraction, _Triangle] = {}
-_s1_rows: dict[Fraction, _Triangle] = {}
-
-
-def _recurrence_rows(cache, lam: Fraction, n: int, second_kind: bool) -> list[list[Fraction]]:
-    """Rows 0..n (at least) of the triangle at lam = p/q, built on the integers
+def _grow_triangle(second_kind: bool, lam, rows, n):
+    """Rows 0..n of the triangle at lam = p/q, built on the integers
     T(k, m) = q^k S(k, m):
     second kind T(k,m) = q T(k-1,m-1) + (m q - (k-1) p) T(k-1,m),
-    first kind  T(k,m) = q T(k-1,m-1) + (m p - (k-1) q) T(k-1,m)."""
-    tri = cache.get(lam)
-    if tri is None or len(tri.rows) <= n:
-        with _lock:
-            tri = cache.setdefault(lam, _Triangle())
-            p, q = lam.numerator, lam.denominator
-            a, b = (q, p) if second_kind else (p, q)
-            rows, top = tri.rows, tri.top
-            while len(rows) <= n:
-                k = len(rows)  # building row k from row k-1
-                top = [
-                    q * left + (m * a - (k - 1) * b) * up
-                    for m, (left, up) in enumerate(zip([0] + top, top + [0]))
-                ]
-                rows.append(as_fractions(top, q**k))
-            tri.top = top
-    return tri.rows
+    first kind  T(k,m) = q T(k-1,m-1) + (m p - (k-1) q) T(k-1,m).
+    Each row is kept reduced; the integer form of the last one is rebuilt
+    from it (q^k S(k, m) is an integer, so q^k // denominator is exact)."""
+    p, q = lam.numerator, lam.denominator
+    a, b = (q, p) if second_kind else (p, q)
+    rows = rows or [[Fraction(1)]]
+    scale = q ** (len(rows) - 1)
+    top = [v.numerator * (scale // v.denominator) for v in rows[-1]]
+    for k in range(len(rows), n + 1):
+        top = [
+            q * left + (m * a - (k - 1) * b) * up
+            for m, (left, up) in enumerate(zip([0] + top, top + [0]))
+        ]
+        rows.append(as_fractions(top, q**k))
+    return rows
+
+
+_S2 = _Memo(partial(_grow_triangle, True))
+_S1 = _Memo(partial(_grow_triangle, False))
+
+
+def stirling2_row(n: int, lam: ExactScalar) -> list[Fraction]:
+    """[stirling2_deg(n, m, lam) for m = 0..n], as a new list."""
+    _check_index(n)
+    lam = _key(lam)
+    return _dual(list(_S2.row(lam, n)[n]), lambda: _S2_SERIES.row(lam, n)[n])
+
+
+def stirling1_row(n: int, lam: ExactScalar) -> list[Fraction]:
+    """[stirling1_deg(n, m, lam) for m = 0..n], as a new list."""
+    _check_index(n)
+    lam = _key(lam)
+    return _dual(list(_S1.row(lam, n)[n]), lambda: _S1_SERIES.row(lam, n)[n])
 
 
 def stirling2_deg(n: int, m: int, lam: ExactScalar) -> Fraction:
     """Degenerate Stirling number of the second kind via the triangular
     recurrence S(n+1,m) = S(n,m-1) + (m - n*lam) S(n,m)."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
-    if m > n:
-        return Fraction(0)
-    rows = _recurrence_rows(_s2_rows, _key(lam), n, second_kind=True)
-    value = rows[n][m]
-    if _cross_check:
-        other = stirling2_deg_series(n, m, lam)
-        if other != value:
-            raise AssertionError(f"stirling2_deg dual-path mismatch at ({n},{m})")
-    return value
+    return _dual(_entry(_S2, n, m, lam), stirling2_deg_series, n, m, lam)
 
 
 def stirling1_deg(n: int, m: int, lam: ExactScalar) -> Fraction:
     """Degenerate Stirling number of the first kind via the triangular
     recurrence S(n+1,m) = S(n,m-1) + (lam*m - n) S(n,m)."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
-    if m > n:
-        return Fraction(0)
-    rows = _recurrence_rows(_s1_rows, _key(lam), n, second_kind=False)
-    value = rows[n][m]
-    if _cross_check:
-        other = stirling1_deg_series(n, m, lam)
-        if other != value:
-            raise AssertionError(f"stirling1_deg dual-path mismatch at ({n},{m})")
-    return value
+    return _dual(_entry(_S1, n, m, lam), stirling1_deg_series, n, m, lam)
 
 
-_s2_series_rows: dict[Fraction, list[list[Fraction]]] = {}
-_s1_series_rows: dict[Fraction, list[list[Fraction]]] = {}
+def _grow_series_triangle(second_kind: bool, lam, tri, n):
+    order = _order(tri, n)
+    base = deg_exp(1, lam, order) - one(order) if second_kind else deg_log(lam, order)
+    power = one(order)
+    cols = [power]
+    for m in range(1, order + 1):
+        power = (power * base).scale(Fraction(1, m))
+        cols.append(power)
+    return [
+        [cols[m].coeff(k) * factorial(k) for m in range(k + 1)] for k in range(order + 1)
+    ]
 
 
-def _series_triangle(cache, lam: Fraction, n: int, second_kind: bool):
-    tri = cache.get(lam)
-    if tri is None or len(tri) <= n:
-        with _lock:
-            order = max(n, 2 * len(cache.get(lam, ())), 8)
-            base = (
-                deg_exp(1, lam, order) - one(order)
-                if second_kind
-                else deg_log(lam, order)
-            )
-            power = one(order)
-            cols = [power]
-            for m in range(1, order + 1):
-                power = (power * base).scale(Fraction(1, m))
-                cols.append(power)
-            tri = [
-                [cols[m].coeff(k) * factorial(k) for m in range(k + 1)]
-                for k in range(order + 1)
-            ]
-            cache[lam] = tri
-    return tri
+_S2_SERIES = _Memo(partial(_grow_series_triangle, True))
+_S1_SERIES = _Memo(partial(_grow_series_triangle, False))
 
 
 def stirling2_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
     """Definitional path: n! times coefficient n of (deg_exp(1)-1)^m / m!."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
-    if m > n:
-        return Fraction(0)
-    return _series_triangle(_s2_series_rows, _key(lam), n, second_kind=True)[n][m]
+    return _entry(_S2_SERIES, n, m, lam)
 
 
 def stirling1_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
     """Definitional path: n! times coefficient n of deg_log^m / m!."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
-    if m > n:
-        return Fraction(0)
-    return _series_triangle(_s1_series_rows, _key(lam), n, second_kind=False)[n][m]
+    return _entry(_S1_SERIES, n, m, lam)
 
 
-_s1_classical_rows: list[list[int]] = [[1]]
+def _grow_s1_classical(key, rows, n):
+    rows = rows or [[1]]
+    for k in range(len(rows), n + 1):
+        prev = rows[-1]
+        row = [0] * (k + 1)
+        for j in range(k + 1):
+            acc = prev[j - 1] if 1 <= j <= k else 0
+            if j < k:
+                acc -= (k - 1) * prev[j]
+            row[j] = acc
+        rows.append(row)
+    return rows
+
+
+_S1_CLASSICAL = _Memo(_grow_s1_classical)
 
 
 def stirling1_classical(n: int, m: int) -> int:
@@ -299,19 +348,7 @@ def stirling1_classical(n: int, m: int) -> int:
         raise ValueError("indices must be >= 0")
     if m > n:
         return 0
-    if len(_s1_classical_rows) <= n:
-        with _lock:
-            while len(_s1_classical_rows) <= n:
-                prev = _s1_classical_rows[-1]
-                k = len(_s1_classical_rows)
-                row = [0] * (k + 1)
-                for j in range(k + 1):
-                    acc = prev[j - 1] if 1 <= j <= k else 0
-                    if j < k:
-                        acc -= (k - 1) * prev[j]
-                    row[j] = acc
-                _s1_classical_rows.append(row)
-    return _s1_classical_rows[n][m]
+    return _S1_CLASSICAL.row(None, n)[n][m]
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +357,34 @@ def stirling1_classical(n: int, m: int) -> int:
 
 def fubini_deg(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
     """Degenerate Fubini polynomial value: sum_m m! y^m S2(n,m)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_index(n)
     lam = _key(lam)
     y = _key(y)
-    row = _recurrence_rows(_s2_rows, lam, n, second_kind=True)[n]
+    row = _S2.row(lam, n)[n]
     acc = dot([factorial(m) * y**m for m in range(n + 1)], row)
-    if _cross_check:
-        other = fubini_deg_series(n, lam, y)
-        if other != acc:
-            raise AssertionError(f"fubini_deg dual-path mismatch at n={n}")
-    return acc
+    return _dual(acc, fubini_deg_series, n, lam, y)
 
 
-_fubini_series: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+def _grow_fubini_series(key, vals, n):
+    lam, y = key
+    order = _order(vals, n)
+    denom = one(order) - (deg_exp(1, lam, order) - one(order)).scale(y)
+    return _values(one(order) / denom)
+
+
+_FUBINI_SERIES = _Memo(_grow_fubini_series)
+
+
+def fubini_series_row(n: int, lam: ExactScalar, y: ExactScalar) -> list[Fraction]:
+    """[fubini_deg_series(k, lam, y) for k = 0..n], as a new list."""
+    _check_index(n)
+    return _FUBINI_SERIES.row((_key(lam), _key(y)), n)[: n + 1]
 
 
 def fubini_deg_series(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
     """Series path: n! times coefficient n of 1/(1 - y(deg_exp(1)-1))."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    key = (_key(lam), _key(y))
-    coeffs = _fubini_series.get(key)
-    if coeffs is None or len(coeffs) <= n:
-        with _lock:
-            order = max(n, 2 * len(_fubini_series.get(key, ())), 8)
-            denom = one(order) - (deg_exp(1, key[0], order) - one(order)).scale(key[1])
-            _fubini_series[key] = coeffs = list((one(order) / denom).coeffs)
-    return coeffs[n] * factorial(n)
+    _check_index(n)
+    return _FUBINI_SERIES.row((_key(lam), _key(y)), n)[n]
 
 
 def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
@@ -355,37 +392,37 @@ def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
 
     The plain Bell number variant is the x = 1 value.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _check_index(n)
     lam = _key(lam)
     x = _key(x)
-    row = _recurrence_rows(_s2_rows, lam, n, second_kind=True)[n]
-    falls = _falling_row(Fraction(1), lam, n)
+    row = _S2.row(lam, n)[n]
+    falls = _FALLING.row((Fraction(1), lam), n)
     acc = dot([falls[m] * x**m for m in range(n + 1)], row)
-    if _cross_check:
-        other = bell_deg_series(n, lam, x)
-        if other != acc:
-            raise AssertionError(f"bell_deg dual-path mismatch at n={n}")
-    return acc
+    return _dual(acc, bell_deg_series, n, lam, x)
 
 
-_bell_series: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+def _grow_bell_series(key, vals, n):
+    lam, x = key
+    order = _order(vals, n)
+    outer = deg_exp(1, lam, order)
+    inner = (deg_exp(1, lam, order) - one(order)).scale(x)
+    return _values(outer.compose(inner))
+
+
+_BELL_SERIES = _Memo(_grow_bell_series)
+
+
+def bell_series_row(n: int, lam: ExactScalar, x: ExactScalar = 1) -> list[Fraction]:
+    """[bell_deg_series(k, lam, x) for k = 0..n], as a new list."""
+    _check_index(n)
+    return _BELL_SERIES.row((_key(lam), _key(x)), n)[: n + 1]
 
 
 def bell_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
     """Series path: n! times coefficient n of deg_exp(1) composed with
     x*(deg_exp(1)-1)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    key = (_key(lam), _key(x))
-    coeffs = _bell_series.get(key)
-    if coeffs is None or len(coeffs) <= n:
-        with _lock:
-            order = max(n, 2 * len(_bell_series.get(key, ())), 8)
-            outer = deg_exp(1, key[0], order)
-            inner = (deg_exp(1, key[0], order) - one(order)).scale(key[1])
-            _bell_series[key] = coeffs = list(outer.compose(inner).coeffs)
-    return coeffs[n] * factorial(n)
+    _check_index(n)
+    return _BELL_SERIES.row((_key(lam), _key(x)), n)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -151,18 +151,6 @@ class Series:
         return Series(as_fractions(acc, den), n)
 
 
-def series_mul(a: Series, b: Series) -> Series:
-    return a * b
-
-
-def series_div(a: Series, b: Series) -> Series:
-    return a / b
-
-
-def series_compose(outer: Series, inner: Series) -> Series:
-    return outer.compose(inner)
-
-
 def one(order: int) -> Series:
     return Series.constant(1, order)
 

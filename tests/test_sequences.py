@@ -13,6 +13,7 @@ from degderange.sequences import (
     derange_deg_order_series,
     derange_deg_poly,
     derange_deg_series,
+    derange_row,
     falling_deg,
     falling_poly,
     fubini_deg,
@@ -21,8 +22,10 @@ from degderange.sequences import (
     stirling1_classical,
     stirling1_deg,
     stirling1_deg_series,
+    stirling1_row,
     stirling2_deg,
     stirling2_deg_series,
+    stirling2_row,
 )
 from degderange.series import deg_exp
 
@@ -349,6 +352,9 @@ def test_cross_check_mode_runs_clean():
         stirling1_deg(9, 4, F(2, 7))
         fubini_deg(7, F(1, 3), F(1))
         bell_deg(7, F(-1, 3), F(1))
+        derange_row(6, F(2, 7), F(3, 4))
+        stirling2_row(9, F(-1, 2))
+        stirling1_row(9, F(2, 7))
     finally:
         set_cross_check(False)
 
