@@ -49,9 +49,9 @@ from .probability import (
     theorem11_check,
 )
 from .sequences import (
-    SequenceTable,
     bell_deg,
     bell_deg_series,
+    bell_row,
     bell_series_row,
     derange_deg,
     derange_deg_order,
@@ -63,6 +63,7 @@ from .sequences import (
     falling_row,
     fubini_deg,
     fubini_deg_series,
+    fubini_row,
     fubini_series_row,
     set_cross_check,
     stirling1_classical,
@@ -94,7 +95,6 @@ __all__ = [
     "deg_exp",
     "deg_log",
     "geometric",
-    "SequenceTable",
     "falling_deg",
     "falling_row",
     "derange_deg",
@@ -112,9 +112,11 @@ __all__ = [
     "stirling1_classical",
     "fubini_deg",
     "fubini_deg_series",
+    "fubini_row",
     "fubini_series_row",
     "bell_deg",
     "bell_deg_series",
+    "bell_row",
     "bell_series_row",
     "set_cross_check",
     "IdentityId",

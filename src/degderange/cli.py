@@ -21,8 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import identities, probability, sequences
-from .exactcore import Poly
-from .sequences import SequenceTable
 
 SCHEMA_VERSION = 1
 
@@ -136,78 +134,59 @@ def _csv_rows(header: list[str], rows: list[list[str]]) -> str:
 # table
 
 
-def _build_table(args) -> SequenceTable | list[tuple[int, Poly]]:
-    """Scalar selectors produce a SequenceTable; the poly selector a row list."""
+def _table(args) -> tuple[dict, list]:
+    """The params echo and the values 0..n_max of a table: rationals, or
+    polynomials in x for derangement-poly."""
     lam = _parse_rational(args.lam)
     n_max = args.n_max
     _check_n_max(n_max)
     sel = args.sequence
-    x = r = m = None
-    if sel == "derangement":
-        x = _parse_rational(args.x) if args.x is not None else Fraction(0)
-        vals = enumerate(sequences.derange_row(n_max, lam, x))
-    elif sel == "derangement-poly":
-        return [(n, sequences.derange_deg_poly(n, lam)) for n in range(n_max + 1)]
-    elif sel == "derangement-order":
-        if args.r is None:
-            raise CliError("derangement-order needs --r")
-        if args.r < 1:
-            raise CliError("--r must be >= 1")
-        x = _parse_rational(args.x) if args.x is not None else Fraction(0)
-        r = args.r
-        vals = [(n, sequences.derange_deg_order(n, r, lam, x)) for n in range(n_max + 1)]
-    elif sel in ("stirling1", "stirling2"):
+    params = {"sequence": sel, "lambda": _frac_str(lam), "n_max": n_max}
+    ns = range(n_max + 1)
+    if sel == "derangement-poly":
+        return params, [sequences.derange_deg_poly(n, lam) for n in ns]
+    if sel in ("stirling1", "stirling2"):
         if args.m is None:
             raise CliError(f"{sel} needs --m (fixed second index)")
         if args.m < 0:
             raise CliError("--m must be >= 0")
-        m = args.m
-        fn = sequences.stirling1_deg if sel == "stirling1" else sequences.stirling2_deg
-        vals = [(n, fn(n, m, lam)) for n in range(n_max + 1)]
-    elif sel == "fubini":
-        x = _parse_rational(args.x) if args.x is not None else Fraction(1)
-        vals = [(n, sequences.fubini_deg(n, lam, x)) for n in range(n_max + 1)]
-    elif sel == "bell":
-        x = _parse_rational(args.x) if args.x is not None else Fraction(1)
-        vals = [(n, sequences.bell_deg(n, lam, x)) for n in range(n_max + 1)]
-    elif sel == "falling":
-        x = _parse_rational(args.x) if args.x is not None else Fraction(1)
-        vals = enumerate(sequences.falling_row(x, n_max, lam))
-    else:
-        raise CliError(f"unknown sequence selector {sel!r}")
-    return SequenceTable(name=sel, lam=lam, x=x, r=r, m=m, values=tuple(vals))
+        m = params["m"] = args.m
+        first = sel == "stirling1"
+        row = sequences.stirling1_row if first else sequences.stirling2_row
+        entry = sequences.stirling1_deg if first else sequences.stirling2_deg
+        row(n_max, lam)  # grow the triangle once, then read its column
+        return params, [entry(n, m, lam) for n in ns]
+    if sel == "derangement-order":
+        if args.r is None:
+            raise CliError("derangement-order needs --r")
+        if args.r < 1:
+            raise CliError("--r must be >= 1")
+    default_x = 0 if sel in ("derangement", "derangement-order") else 1
+    x = _parse_rational(args.x) if args.x is not None else Fraction(default_x)
+    params["x"] = _frac_str(x)
+    if sel == "derangement":
+        return params, sequences.derange_row(n_max, lam, x)
+    if sel == "derangement-order":
+        r = params["r"] = args.r
+        return params, [sequences.derange_deg_order(n, r, lam, x) for n in ns]
+    if sel == "fubini":
+        return params, sequences.fubini_row(n_max, lam, x)
+    if sel == "bell":
+        return params, sequences.bell_row(n_max, lam, x)
+    return params, sequences.falling_row(x, n_max, lam)
 
 
 def _cmd_table(args) -> int:
-    table = _build_table(args)
-    if isinstance(table, SequenceTable):
-        params = {"sequence": table.name, "lambda": _frac_str(table.lam), "n_max": args.n_max}
-        if table.x is not None:
-            params["x"] = _frac_str(table.x)
-        if table.r is not None:
-            params["r"] = table.r
-        if table.m is not None:
-            params["m"] = table.m
-        if args.format == "json":
-            results = [{"n": n, "value": _frac_str(v)} for n, v in table.values]
-            text = _json_doc("table", params, results)
-        else:
-            rows = [[str(n), _frac_str(v)] for n, v in table.values]
-            text = _csv_rows(["n", "value"], rows)
+    params, values = _table(args)
+    if args.sequence == "derangement-poly":
+        field, cells = "coeffs", [[_frac_str(c) for c in p.coeffs] for p in values]
     else:
-        params = {
-            "sequence": args.sequence,
-            "lambda": _frac_str(_parse_rational(args.lam)),
-            "n_max": args.n_max,
-        }
-        if args.format == "json":
-            results = [
-                {"n": n, "coeffs": [_frac_str(c) for c in p.coeffs]} for n, p in table
-            ]
-            text = _json_doc("table", params, results)
-        else:
-            rows = [[str(n), " ".join(_frac_str(c) for c in p.coeffs)] for n, p in table]
-            text = _csv_rows(["n", "coeffs"], rows)
+        field, cells = "value", [_frac_str(v) for v in values]
+    if args.format == "json":
+        text = _json_doc("table", params, [{"n": n, field: c} for n, c in enumerate(cells)])
+    else:
+        rows = [[str(n), c if isinstance(c, str) else " ".join(c)] for n, c in enumerate(cells)]
+        text = _csv_rows(["n", field], rows)
     _emit(text, _resolve_out(args.out))
     return 0
 
@@ -365,27 +344,14 @@ def _cmd_gamma_check(args) -> int:
             params["k"] = args.k
             exact = probability.deg_gamma_fn_exact(args.k, lam)
             numeric = probability.deg_gamma_fn_quadrature(args.k, float(lam))
-            res = probability.MomentCheckResult(
-                numeric_value=numeric,
-                exact_target=exact,
-                abs_error=abs(numeric - float(exact)),
-                rel_error=abs(numeric - float(exact)) / abs(float(exact)),
-                passed=abs(numeric - float(exact)) / abs(float(exact))
-                <= probability.DEFAULT_CHECK_TOL,
-            )
+            res = probability._compare(numeric, exact, probability.DEFAULT_CHECK_TOL)
             results.append(_result_dict(res, k=args.k))
         elif args.check == "normalization":
             params["alpha"] = args.alpha
             params["beta"] = args.beta
             p = probability.DegGammaParams(args.alpha, args.beta, float(lam))
             mass = probability.improper_quadrature(lambda x: probability.deg_gamma_pdf(p, x))
-            res = probability.MomentCheckResult(
-                numeric_value=mass,
-                exact_target=Fraction(1),
-                abs_error=abs(mass - 1.0),
-                rel_error=abs(mass - 1.0),
-                passed=abs(mass - 1.0) <= probability.DEFAULT_CHECK_TOL,
-            )
+            res = probability._compare(mass, Fraction(1), probability.DEFAULT_CHECK_TOL)
             results.append(_result_dict(res, alpha=args.alpha, beta=args.beta))
         elif args.check == "expansion":
             params["n_max"] = args.n_max

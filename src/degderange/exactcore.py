@@ -70,6 +70,11 @@ def dot(u: Sequence[ExactScalar], v: Sequence[ExactScalar]) -> Fraction:
     return Fraction(sum(map(mul, nu, nv)), du * dv)
 
 
+def binomial_conv(a: Sequence[ExactScalar], b: Sequence[ExactScalar], n: int) -> Fraction:
+    """Exact sum of binom(n, l) * a[l] * b[n-l] over l = 0..n."""
+    return dot([binomial(n, l) * a[l] for l in range(n + 1)], b[n::-1])
+
+
 def factorial(n: int) -> int:
     """Exact n! for n >= 0."""
     if n < 0:

@@ -49,11 +49,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactcore import ExactScalar, binomial, dot, factorial
+from .exactcore import ExactScalar, binomial_conv, dot, factorial
 from .sequences import (
     _Memo,
-    bell_deg,
+    _s2_sums,
     bell_deg_series,
+    bell_row,
     bell_series_row,
     derange_deg,
     derange_deg_order,
@@ -62,7 +63,7 @@ from .sequences import (
     derange_row,
     falling_deg,
     falling_row,
-    fubini_deg,
+    fubini_row,
     fubini_series_row,
     stirling1_row,
     stirling2_row,
@@ -121,11 +122,6 @@ class VerificationReport:
 # verifiers; each returns (lhs, rhs)
 
 
-def _binomial_conv(a, b, n):
-    """sum_l binom(n, l) a[l] b[n-l]."""
-    return dot([binomial(n, l) * a[l] for l in range(n + 1)], b[n::-1])
-
-
 def _alternating(row):
     """The entries (-1)^m row[m]."""
     return [-v if m % 2 else v for m, v in enumerate(row)]
@@ -134,7 +130,7 @@ def _alternating(row):
 def _thm2_conv(n, lam, x, r, mutate):
     lhs = derange_deg_series(n, lam, x)
     d, f = derange_row(n, lam, 0), falling_row(x, n, lam)
-    rhs = _binomial_conv(d, f, n)
+    rhs = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand
         rhs -= 2 * d[n] * f[0]
     return lhs, rhs
@@ -151,52 +147,45 @@ def _thm2_rec_x0(n, lam, x, r, mutate):
     return _thm2_rec(n, lam, Fraction(0), r, mutate)
 
 
-def _grow_alternating_inner(key, inner, n):
-    """inner[j] = sum_l (-1)^l D(l; lam, x) S2(j, l; mu), for THM3 (mu = lam)
-    and THM10 (x = 0, mu = -lam)."""
+def _alternating_weights(key, n):
     lam, x, mu = key
-    d = _alternating(derange_row(n, lam, x))
-    for j in range(len(inner), n + 1):
-        inner.append(dot(d[: j + 1], stirling2_row(j, mu)))
-    return inner
+    return _alternating(derange_row(n, lam, x)), mu
 
 
-_ALTERNATING_INNER = _Memo(_grow_alternating_inner)
+# inner[j] = sum_l (-1)^l D(l; lam, x) S2(j, l; mu), for THM3 (mu = lam) and
+# THM10 (x = 0, mu = -lam)
+_ALTERNATING_INNER = _Memo(_s2_sums(_alternating_weights))
 
 
 def _thm3(n, lam, x, r, mutate):
-    lhs = _binomial_conv(_ALTERNATING_INNER.row((lam, x, lam), n), falling_row(1, n, lam), n)
+    lhs = binomial_conv(_ALTERNATING_INNER.row((lam, x, lam), n), falling_row(1, n, lam), n)
     sign = -1 if mutate else 1
     rhs = sign * dot(_alternating(falling_row(x - 1, n, lam)), stirling2_row(n, lam))
     return lhs, rhs
 
 
-def _grow_thm4_inner(key, inner, n):
-    """inner[l] = sum_m falling(x-1, m, lam) S2(l, m; lam)."""
+def _thm4_weights(key, n):
     lam, x = key
-    f = falling_row(x - 1, n, lam)
-    for l in range(len(inner), n + 1):
-        inner.append(dot(f[: l + 1], stirling2_row(l, lam)))
-    return inner
+    return falling_row(x - 1, n, lam), lam
 
 
-_THM4_INNER = _Memo(_grow_thm4_inner)
+# inner[l] = sum_m falling(x-1, m, lam) S2(l, m; lam)
+_THM4_INNER = _Memo(_s2_sums(_thm4_weights))
 
 
 def _thm4(n, lam, x, r, mutate):
     lhs = dot(stirling2_row(n, lam), derange_row(n, lam, x))
-    rhs = _binomial_conv(_THM4_INNER.row((lam, x), n), fubini_series_row(n, lam, 1), n)
+    rhs = binomial_conv(_THM4_INNER.row((lam, x), n), fubini_series_row(n, lam, 1), n)
     if mutate:  # negate every Fubini value
         rhs = -rhs
     return lhs, rhs
 
 
 def _thm5(n, lam, x, r, mutate):
-    fubini = [fubini_deg(l, lam, 1) for l in range(n + 1)]
-    expr_a = dot(fubini, stirling1_row(n, lam))
-    expr_b = _binomial_conv(derange_row(n, lam, 0), falling_row(1, n, lam), n)
+    expr_a = dot(fubini_row(n, lam, 1), stirling1_row(n, lam))
+    expr_b = binomial_conv(derange_row(n, lam, 0), falling_row(1, n, lam), n)
     d, f = derange_row(n, lam, x), falling_row(1 - x, n, lam)
-    expr_c = _binomial_conv(d, f, n)
+    expr_c = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand of the x-shifted form
         expr_c -= 2 * d[n] * f[0]
     nfact = Fraction(factorial(n))
@@ -237,15 +226,14 @@ def _thm7_b(n, lam, x, r, mutate):
 def _thm8_a(n, lam, x, r, mutate):
     lhs = dot(_alternating(derange_row(n, lam, 0)), stirling2_row(n, -lam))
     b, f = bell_series_row(n, -lam, 1), falling_row(-1, n, -lam)
-    rhs = _binomial_conv(b, f, n)
+    rhs = binomial_conv(b, f, n)
     if mutate:
         rhs -= 2 * b[n] * f[0]
     return lhs, rhs
 
 
 def _thm8_b(n, lam, x, r, mutate):
-    bell = [bell_deg(k, lam, 1) for k in range(n + 1)]
-    lhs = dot(bell, stirling1_row(n, lam))
+    lhs = dot(bell_row(n, lam, 1), stirling1_row(n, lam))
     sign = -1 if mutate else 1
     rhs = sign * (-1) ** n * falling_deg(-1, n, -lam)
     return lhs, rhs
@@ -255,7 +243,7 @@ def _eq24_25(n, lam, x, r, mutate):
     acc = dot(falling_row(-1, n, lam), stirling1_row(n, lam))
     sign = -1 if mutate else 1
     lhs = sign * (-1) ** n * acc
-    rhs = _binomial_conv(derange_row(n, lam, x), falling_row(1 - x, n, lam), n)
+    rhs = binomial_conv(derange_row(n, lam, x), falling_row(1 - x, n, lam), n)
     return lhs, rhs
 
 
@@ -270,7 +258,7 @@ def _thm9_vs_series(n, lam, x, r, mutate):
 def _thm10(n, lam, x, r, mutate):
     lhs = bell_deg_series(n, -lam, 1)
     inner, f = _ALTERNATING_INNER.row((lam, Fraction(0), -lam), n), falling_row(1, n, -lam)
-    rhs = _binomial_conv(inner, f, n)
+    rhs = binomial_conv(inner, f, n)
     if mutate:
         rhs -= 2 * f[n] * inner[0]
     return lhs, rhs
@@ -278,7 +266,7 @@ def _thm10(n, lam, x, r, mutate):
 
 def _exp_moment_bridge(n, lam, x, r, mutate):
     f = falling_row(x - 1, n, lam)
-    lhs = _binomial_conv([factorial(m) for m in range(n + 1)], f, n)
+    lhs = binomial_conv([factorial(m) for m in range(n + 1)], f, n)
     if mutate:
         lhs -= 2 * f[0] * factorial(n)
     rhs = derange_deg_series(n, lam, x)

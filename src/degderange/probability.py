@@ -20,11 +20,12 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, stats
 
-from .exactcore import ExactScalar, binomial, factorial
+from .exactcore import ExactScalar, binomial_conv, factorial
 from .sequences import (
-    derange_deg,
     derange_deg_order,
+    derange_row,
     falling_deg,
+    falling_row,
     stirling1_classical,
 )
 
@@ -233,10 +234,7 @@ def theorem11_check(
     lam = Fraction(lam)
     if not Fraction(0) < lam < Fraction(1, 2):
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-    target = Fraction(0)
-    for l in range(n + 1):
-        target += binomial(n, l) * derange_deg(l, lam, 0) * falling_deg(1, n - l, lam)
-    target *= 1 - lam
+    target = (1 - lam) * binomial_conv(derange_row(n, lam, 0), falling_row(1, n, lam), n)
     consistency = (1 - lam) * factorial(n)
     if target != consistency:
         raise AssertionError(
@@ -421,7 +419,6 @@ def erlang_bridge_check(
     lam = Fraction(lam)
     x = Fraction(x)
     lhs = derange_deg_order(n, r, lam, x)
-    rhs = Fraction(0)
-    for l in range(n + 1):
-        rhs += binomial(n, l) * erlang_moment(l, r) * falling_deg(x - 1, n - l, lam)
+    moments = [erlang_moment(l, r) for l in range(n + 1)]
+    rhs = binomial_conv(moments, falling_row(x - 1, n, lam), n)
     return lhs, rhs, lhs == rhs

@@ -13,12 +13,14 @@ supported (the sign-flipped identities need them).
 Every memoised sequence lives in one :class:`_Memo`: a list of values per
 key (the deformation parameter, with the argument where there is one),
 grown on demand under one lock.  Two growth rules apply.  Recurrences
-(falling factorials, derangement partial sums, both Stirling triangles)
-extend their list exactly to the requested n.  Series extractions rebuild
-theirs at order ``max(n, 2 * len, 8)``, so that a sweep over n costs a
-logarithmic number of extractions.  The ``*_row`` accessors return a new
-list of values 0..n, keyed once per call; each scalar operation is a
-validated index into the same memo.
+(falling factorials, derangement partial sums, both Stirling triangles) and
+the sums over a second-kind Stirling row (the Fubini and Bell values, grown
+by ``_s2_sums``) extend their list exactly to the requested n.  Series
+extractions (derangement, order-r derangement, both series triangles,
+Fubini, Bell) rebuild theirs at order ``max(n, 2 * len, 8)``, so that a
+sweep over n costs a logarithmic number of extractions.  The ``*_row``
+accessors return a new list of values 0..n, keyed once per call; each
+scalar operation is a validated index into the same memo.
 
 Derangement values always come from the explicit sum
 n! * sum_{l<=n} falling(x-1, l, lam)/l!, memoised as its partial sums.  They
@@ -29,7 +31,6 @@ the identity THM2_REC, which must stay a check and not become a tautology.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -231,15 +232,22 @@ def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> F
     return _dual(value, derange_deg_order_series, n, r, lam, x)
 
 
+def _grow_derange_order_series(key, vals, n):
+    lam, x, r = key
+    order = _order(vals, n)
+    denom = Poly([(-1) ** k * binomial(r, k) for k in range(r + 1)])  # (1-t)^r
+    return _values(deg_exp(x - 1, lam, order) / Series.from_poly(denom, order))
+
+
+_DERANGE_ORDER_SERIES = _Memo(_grow_derange_order_series)
+
+
 def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Series path for the order-r values: deg_exp(x-1) divided by (1-t)^r."""
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
-    denom = Poly((1,))
-    for _ in range(r):
-        denom = denom * Poly((1, -1))
-    s = deg_exp(_key(x) - 1, lam, n) / Series.from_poly(denom, n)
-    return s.coeff(n) * factorial(n)
+    _check_index(n)
+    return _DERANGE_ORDER_SERIES.row((_key(lam), _key(x), r), n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +363,47 @@ def stirling1_classical(n: int, m: int) -> int:
 # degenerate Fubini and fully degenerate Bell polynomials
 
 
+def _s2_sums(weights):
+    """Grow step for sums[j] = sum_m w[m] S2(j, m; mu), j = 0..n, where
+    weights(key, n) gives (w, mu) with w[0..n].  The triangle is read once."""
+
+    def grow(key, sums, n):
+        w, mu = weights(key, n)
+        rows = _S2.row(mu, n)
+        for j in range(len(sums), n + 1):
+            sums.append(dot(w[: j + 1], rows[j]))
+        return sums
+
+    return grow
+
+
+def _fubini_weights(key, n):
+    lam, y = key
+    return [factorial(m) * y**m for m in range(n + 1)], lam
+
+
+def _bell_weights(key, n):
+    lam, x = key
+    falls = _FALLING.row((Fraction(1), lam), n)
+    return [falls[m] * x**m for m in range(n + 1)], lam
+
+
+_FUBINI = _Memo(_s2_sums(_fubini_weights))
+_BELL = _Memo(_s2_sums(_bell_weights))
+
+
+def fubini_row(n: int, lam: ExactScalar, y: ExactScalar) -> list[Fraction]:
+    """[fubini_deg(k, lam, y) for k = 0..n], as a new list."""
+    _check_index(n)
+    lam, y = _key(lam), _key(y)
+    return _dual(_FUBINI.row((lam, y), n)[: n + 1], fubini_series_row, n, lam, y)
+
+
 def fubini_deg(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
     """Degenerate Fubini polynomial value: sum_m m! y^m S2(n,m)."""
     _check_index(n)
-    lam = _key(lam)
-    y = _key(y)
-    row = _S2.row(lam, n)[n]
-    acc = dot([factorial(m) * y**m for m in range(n + 1)], row)
-    return _dual(acc, fubini_deg_series, n, lam, y)
+    lam, y = _key(lam), _key(y)
+    return _dual(_FUBINI.row((lam, y), n)[n], fubini_deg_series, n, lam, y)
 
 
 def _grow_fubini_series(key, vals, n):
@@ -387,18 +428,21 @@ def fubini_deg_series(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
     return _FUBINI_SERIES.row((_key(lam), _key(y)), n)[n]
 
 
+def bell_row(n: int, lam: ExactScalar, x: ExactScalar = 1) -> list[Fraction]:
+    """[bell_deg(k, lam, x) for k = 0..n], as a new list."""
+    _check_index(n)
+    lam, x = _key(lam), _key(x)
+    return _dual(_BELL.row((lam, x), n)[: n + 1], bell_series_row, n, lam, x)
+
+
 def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
     """Fully degenerate Bell polynomial value: sum_m falling(1,m,lam) x^m S2(n,m).
 
     The plain Bell number variant is the x = 1 value.
     """
     _check_index(n)
-    lam = _key(lam)
-    x = _key(x)
-    row = _S2.row(lam, n)[n]
-    falls = _FALLING.row((Fraction(1), lam), n)
-    acc = dot([falls[m] * x**m for m in range(n + 1)], row)
-    return _dual(acc, bell_deg_series, n, lam, x)
+    lam, x = _key(lam), _key(x)
+    return _dual(_BELL.row((lam, x), n)[n], bell_deg_series, n, lam, x)
 
 
 def _grow_bell_series(key, vals, n):
@@ -423,19 +467,3 @@ def bell_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
     x*(deg_exp(1)-1)."""
     _check_index(n)
     return _BELL_SERIES.row((_key(lam), _key(x)), n)[n]
-
-
-# ---------------------------------------------------------------------------
-# emission container
-
-
-@dataclass(frozen=True)
-class SequenceTable:
-    """Tagged table of exact sequence values for emission and cross-checks."""
-
-    name: str
-    lam: Fraction
-    x: Fraction | None = None
-    r: int | None = None
-    m: int | None = None
-    values: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)

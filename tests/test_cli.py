@@ -1,7 +1,10 @@
+import hashlib
 import json
 import re
 import subprocess
 import sys
+
+import pytest
 
 CMD = [sys.executable, "-m", "degderange"]
 
@@ -256,3 +259,91 @@ def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
     assert cli.main(["verify", "--identities", "THM3", "--n-max", "4", "--jobs", "2"]) == 0
     assert sizes == [3, 3, 2]
     capsys.readouterr()
+
+
+# SHA-256 of stdout for every table selector in both formats, with the --x,
+# --r and --m values echoed in params.  The output bytes are a contract (see
+# the README's output contract): a refactor of the table path must keep them.
+TABLE_DIGESTS = [
+    ("derangement --lambda 2/7 --x 3/4 --n-max 12 --format json",
+     "02272d1c5be838549c2e4a03add99406ee8244bba39776f59d883bf83cb51818"),
+    ("derangement --lambda -1/3 --n-max 12 --format json",
+     "4ff12f2e989c8bc79690d650d64922ee6b91c8635bce34c97816b11243d4af40"),
+    ("derangement-poly --lambda 2/7 --n-max 6 --format json",
+     "1218afb0118a2e71530e39d14b6d32eb409004b5b1bda8a4128e26ddd9fd6c1d"),
+    ("derangement-order --lambda 2/7 --r 2 --x -2 --n-max 12 --format json",
+     "039abff1b7882619bfb180189fd5151e6b90847746d985bde4c588f0954ff388"),
+    ("derangement-order --lambda -1/3 --r 3 --n-max 12 --format json",
+     "3c46f4171a4354f9d8b1ca811cc7b8010cd5d584ec06d8399e98404588999dab"),
+    ("stirling1 --lambda 2/7 --m 3 --n-max 12 --format json",
+     "d1f4c043b0428c761f390fb8684cf9af337a2c846fc1c95641385b7340c0b0e1"),
+    ("stirling2 --lambda -1/3 --m 2 --n-max 12 --format json",
+     "429df415511c4f350e9c9be6d16e7dbaf51b991bd10dae840b640bfbf6b3a6c9"),
+    ("fubini --lambda 2/7 --n-max 12 --format json",
+     "2a14204fa41ff9e6508a9d5a707846d710da2f720f2fc375a6c938acced6e769"),
+    ("fubini --lambda -1/3 --x -3/4 --n-max 12 --format json",
+     "871b5f0867a677d16b32dfc94c87458e480ba57e6a3995e0ec9d9f4238b36de0"),
+    ("bell --lambda 2/7 --x 5/2 --n-max 12 --format json",
+     "7dab8a2a6dd69237b27b9dd2ad76bc1fd6f42fe9edf92c772282e3744100088a"),
+    ("bell --lambda -1/3 --n-max 12 --format json",
+     "062d0df40f09d58dd13723594b856e7fc6188f6eec7fe061f518945092c5bb09"),
+    ("falling --lambda 2/7 --n-max 12 --format json",
+     "34fccb2150bbd8a5a8f8931116a8a466e4e1d4aaa6d90eec383d4db045333b11"),
+    ("falling --lambda -1/3 --x -2 --n-max 12 --format json",
+     "3e96b0dcced42944e992203289d221c218cd684465ff3a8e102e36aa1d66e953"),
+    ("derangement --lambda 2/7 --x 3/4 --n-max 12 --format csv",
+     "3c8431e35f389b653777320f7329a65cd7a0b0f5c6a0dbef17ac8655c6d25bbe"),
+    ("derangement --lambda -1/3 --n-max 12 --format csv",
+     "f2e6e5c6d2b7e7208e401197b253a2465fe8404728b1d1d29aadd81a797a2dde"),
+    ("derangement-poly --lambda 2/7 --n-max 6 --format csv",
+     "65afa3e5c26b2fd5addc41bc9a7b0db9c8868dbfbd68c4f2dfafe5a860071052"),
+    ("derangement-order --lambda 2/7 --r 2 --x -2 --n-max 12 --format csv",
+     "9212965245aad78ab40ab4813c77c9a3194967af9e508aaddb971f9d24b48295"),
+    ("derangement-order --lambda -1/3 --r 3 --n-max 12 --format csv",
+     "dce4039d788cfd18db985f700f0135b100db6b30a33552167cdd8cd5c9a2b982"),
+    ("stirling1 --lambda 2/7 --m 3 --n-max 12 --format csv",
+     "df53471e967a02efade80fdac041d7d67da6c4e2beda791ff8314078cb98be24"),
+    ("stirling2 --lambda -1/3 --m 2 --n-max 12 --format csv",
+     "402f81377fb3d52a11d60318bcdaed77cbcc98727ef3b6b9b5971b4de609d873"),
+    ("fubini --lambda 2/7 --n-max 12 --format csv",
+     "4cd7f94f6e0116193504afed4646479d219447eaa579a7cb9b1dd585dc828209"),
+    ("fubini --lambda -1/3 --x -3/4 --n-max 12 --format csv",
+     "3db2c98c0f2ecc361991b89e14e037d26475696f3cedcc7ce1713c10a8551386"),
+    ("bell --lambda 2/7 --x 5/2 --n-max 12 --format csv",
+     "d5e873c0bcd43a68d5646a779d3b4c9a634ce82d36d84d37b2485aae30649a26"),
+    ("bell --lambda -1/3 --n-max 12 --format csv",
+     "cda2c5e79c68e65ff6bf93bf7489ad59883964b470f769f477de0f006a91abe7"),
+    ("falling --lambda 2/7 --n-max 12 --format csv",
+     "f467d9877b4fd35bf5e9955551b726c6955565143093e800cd4ecc21db939008"),
+    ("falling --lambda -1/3 --x -2 --n-max 12 --format csv",
+     "a1c73310e53e73ab42d628cb21aee692f2146b056529174cd0427a6fb39b6f48"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TABLE_DIGESTS, ids=[a for a, _ in TABLE_DIGESTS])
+def test_table_bytes_are_unchanged(argv, digest, capsys):
+    from degderange import cli
+
+    assert cli.main(["table"] + argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("stirling1", "stirling1 needs --m (fixed second index)"),
+        ("stirling2 --format csv", "stirling2 needs --m (fixed second index)"),
+        ("stirling2 --m -1", "--m must be >= 0"),
+        ("derangement-order", "derangement-order needs --r"),
+        ("derangement-order --r 0 --format csv", "--r must be >= 1"),
+        ("derangement-order --x zap", "derangement-order needs --r"),
+        ("fubini --x zap", "bad rational 'zap': Invalid literal for Fraction: 'zap'"),
+    ],
+)
+def test_table_errors_are_unchanged(argv, message, capsys):
+    from degderange import cli
+
+    assert cli.main(["table"] + argv.split() + ["--lambda", "1/2", "--n-max", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

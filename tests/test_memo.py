@@ -13,16 +13,20 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degderange import sequences
+from degderange import identities, sequences
 from degderange.sequences import (
     _Memo,
+    bell_deg,
     bell_deg_series,
+    bell_row,
     bell_series_row,
     derange_deg,
     derange_row,
     falling_deg,
     falling_row,
+    fubini_deg,
     fubini_deg_series,
+    fubini_row,
     fubini_series_row,
     stirling1_deg,
     stirling1_row,
@@ -31,16 +35,21 @@ from degderange.sequences import (
 )
 
 # (memo, key) pairs covering both growth rules: recurrences grown in place
-# (falling factorials, derangement partial sums, a Stirling triangle) and
-# series extractions rebuilt at a larger order.
+# (falling factorials, derangement partial sums, a Stirling triangle, the
+# sums over second-kind Stirling rows) and series extractions rebuilt at a
+# larger order.
 LAM, X = F(-2, 7), F(3, 4)
 MEMOS = [
     (sequences._FALLING, (X, LAM)),
     (sequences._DERANGE_SUMS, (LAM, X)),
     (sequences._S2, LAM),
     (sequences._S1, LAM),
+    (sequences._FUBINI, (LAM, X)),
+    (sequences._BELL, (LAM, X)),
+    (identities._THM4_INNER, (LAM, X)),
     (sequences._S1_SERIES, LAM),
     (sequences._FUBINI_SERIES, (LAM, X)),
+    (sequences._DERANGE_ORDER_SERIES, (LAM, X, 2)),
 ]
 
 
@@ -113,6 +122,8 @@ def test_rows_equal_scalar_reads(lam, x, n):
         (derange_row(n, lam, x), [derange_deg(k, lam, x) for k in ks]),
         (stirling2_row(n, lam), [stirling2_deg(n, m, lam) for m in ks]),
         (stirling1_row(n, lam), [stirling1_deg(n, m, lam) for m in ks]),
+        (fubini_row(n, lam, x), [fubini_deg(k, lam, x) for k in ks]),
+        (bell_row(n, lam, x), [bell_deg(k, lam, x) for k in ks]),
         (fubini_series_row(n, lam, x), [fubini_deg_series(k, lam, x) for k in ks]),
         (bell_series_row(n, lam, x), [bell_deg_series(k, lam, x) for k in ks]),
     ]
@@ -123,5 +134,7 @@ def test_rows_equal_scalar_reads(lam, x, n):
     assert derange_row(n, lam, x)[0] == 1
     assert stirling2_row(n, lam)[0] == stirling2_deg(n, 0, lam)
     assert stirling1_row(n, lam)[0] == stirling1_deg(n, 0, lam)
+    assert fubini_row(n, lam, x)[0] == 1
+    assert bell_row(n, lam, x)[0] == 1
     assert fubini_series_row(n, lam, x)[0] == 1
     assert bell_series_row(n, lam, x)[0] == 1

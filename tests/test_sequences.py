@@ -8,6 +8,7 @@ from degderange.exactcore import Poly, binomial, factorial
 from degderange.sequences import (
     bell_deg,
     bell_deg_series,
+    bell_row,
     derange_deg,
     derange_deg_order,
     derange_deg_order_series,
@@ -18,6 +19,7 @@ from degderange.sequences import (
     falling_poly,
     fubini_deg,
     fubini_deg_series,
+    fubini_row,
     set_cross_check,
     stirling1_classical,
     stirling1_deg,
@@ -355,6 +357,8 @@ def test_cross_check_mode_runs_clean():
         derange_row(6, F(2, 7), F(3, 4))
         stirling2_row(9, F(-1, 2))
         stirling1_row(9, F(2, 7))
+        fubini_row(7, F(1, 3), F(1))
+        bell_row(7, F(-1, 3), F(1))
     finally:
         set_cross_check(False)
 
