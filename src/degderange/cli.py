@@ -11,12 +11,13 @@ variable DEGDERANGE_OUT_DIR supplies a default directory for relative
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -122,12 +123,13 @@ def _json_doc(command: str, params: dict, results) -> str:
     )
 
 
-def _csv_rows(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit_csv(header: list[str], rows: Iterable[list[str]], out_path: str | None) -> None:
+    """Write the rows straight to stdout or the out file, one at a time, so a
+    generator of rows is never held in memory whole, nor is the text."""
+    with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +184,12 @@ def _cmd_table(args) -> int:
         field, cells = "coeffs", [[_frac_str(c) for c in p.coeffs] for p in values]
     else:
         field, cells = "value", [_frac_str(v) for v in values]
+    out_path = _resolve_out(args.out)
     if args.format == "json":
-        text = _json_doc("table", params, [{"n": n, field: c} for n, c in enumerate(cells)])
+        _emit(_json_doc("table", params, [{"n": n, field: c} for n, c in enumerate(cells)]), out_path)
     else:
         rows = [[str(n), c if isinstance(c, str) else " ".join(c)] for n, c in enumerate(cells)]
-        text = _csv_rows(["n", field], rows)
-    _emit(text, _resolve_out(args.out))
+        _emit_csv(["n", field], rows, out_path)
     return 0
 
 
@@ -383,11 +385,11 @@ def _cmd_sample(args) -> int:
         "seed": args.seed,
         "count": args.count,
     }
+    out_path = _resolve_out(args.out)
     if args.format == "json":
-        text = _json_doc("sample", params, {"samples": [float(s) for s in samples]})
+        _emit(_json_doc("sample", params, {"samples": [float(s) for s in samples]}), out_path)
     else:
-        text = _csv_rows(["sample"], [[repr(float(s))] for s in samples])
-    _emit(text, _resolve_out(args.out))
+        _emit_csv(["sample"], ([repr(float(s))] for s in samples), out_path)
     return 0
 
 

@@ -72,7 +72,9 @@ def dot(u: Sequence[ExactScalar], v: Sequence[ExactScalar]) -> Fraction:
 
 def binomial_conv(a: Sequence[ExactScalar], b: Sequence[ExactScalar], n: int) -> Fraction:
     """Exact sum of binom(n, l) * a[l] * b[n-l] over l = 0..n."""
-    return dot([binomial(n, l) * a[l] for l in range(n + 1)], b[n::-1])
+    na, da = as_ints(a[: n + 1])
+    nb, db = as_ints(b[n::-1])
+    return Fraction(sum(binomial(n, l) * u * v for l, (u, v) in enumerate(zip(na, nb))), da * db)
 
 
 def factorial(n: int) -> int:

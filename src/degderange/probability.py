@@ -8,6 +8,13 @@ Integrands containing powers of the deformed exponential are integrated after
 the change of variables u = (1/lam)*log(1 + lam*x), which maps them to
 exponentially damped integrands on [0, inf); the generic truncation fallback
 stays available through :class:`QuadratureSpec`.
+
+The normaliser of the degenerate gamma density is computed once per
+:class:`DegGammaParams` (its ``norm`` property), not once per density
+evaluation: an outer quadrature over the density then costs one inner
+quadrature in all, not one per node.  scipy is imported by the first call
+that needs it (quadrature or the KS check), so importing the package does not
+load it.
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
 
 from .exactcore import ExactScalar, binomial_conv, factorial
 from .sequences import (
@@ -79,6 +86,19 @@ class DegGammaParams:
                 f"alpha must lie in (0, 1/lam) = (0, {1 / self.lam}), got {self.alpha}"
             )
 
+    @cached_property
+    def norm(self) -> float:
+        """Gamma_lam(alpha): the closed form (alpha-1)!/prod_{i<=alpha}(1-i*lam)
+        at integer alpha, the integral definition otherwise."""
+        a, lam = self.alpha, self.lam
+        if float(a).is_integer():
+            k = int(a)
+            prod = 1.0
+            for i in range(k + 1):
+                prod *= 1 - i * lam  # positive throughout since lam < 1/alpha
+            return math.gamma(k) / prod
+        return deg_gamma_fn_quadrature(a, lam)
+
 
 @dataclass
 class MomentCheckResult:
@@ -103,6 +123,15 @@ def _compare(numeric: float, target: Fraction, tol: float, **extra) -> MomentChe
 # quadrature engine
 
 
+def _scipy():
+    """scipy's ``integrate`` and ``stats``, both imported by the first call that
+    needs either.  Loading them together keeps the memory a process holds, and
+    so its peak, independent of which kind of scipy call it makes first."""
+    from scipy import integrate, stats
+
+    return integrate, stats
+
+
 def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
     """Integrate f over [0, inf) to the requested tolerances.
 
@@ -110,6 +139,7 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
     variable transform; "truncation" integrates [0, T] for an adaptively
     doubled cutoff T (suited to polynomially damped tails).
     """
+    integrate, _ = _scipy()
     spec = spec or QuadratureSpec()
     if spec.tail_cutoff_strategy == "substitution":
         upper = np.inf
@@ -200,17 +230,9 @@ def deg_gamma_pdf(params: DegGammaParams, x: float) -> float:
     if x < 0:
         return 0.0
     a, b, lam = params.alpha, params.beta, params.lam
-    if float(a).is_integer():
-        k = int(a)
-        prod = 1.0
-        for i in range(k + 1):
-            prod *= 1 - i * lam  # positive throughout since lam < 1/alpha
-        norm = math.gamma(k) / prod
-    else:
-        norm = deg_gamma_fn_quadrature(a, lam)
     bx = b * x
     power = 1.0 if a == 1 else bx ** (a - 1)
-    return b * power * (1 + lam * bx) ** (-1 / lam) / norm
+    return b * power * (1 + lam * bx) ** (-1 / lam) / params.norm
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +399,7 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
     Returns (statistic, critical_value, passed) at the given level, using the
     exact finite-sample two-sided KS distribution for the critical value.
     """
+    _, stats = _scipy()
     samples = sample_deg_gamma11(lam, rng_seed, count)
     result = stats.kstest(samples, lambda x: deg_gamma11_cdf(lam, x))
     critical = stats.kstwo.ppf(1 - level, count)

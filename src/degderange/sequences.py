@@ -23,9 +23,10 @@ accessors return a new list of values 0..n, keyed once per call; each
 scalar operation is a validated index into the same memo.
 
 Derangement values always come from the explicit sum
-n! * sum_{l<=n} falling(x-1, l, lam)/l!, memoised as its partial sums.  They
-are never grown by D(n) = n D(n-1) + falling(x-1, n, lam): that recurrence is
-the identity THM2_REC, which must stay a check and not become a tautology.
+n! * sum_{l<=n} falling(x-1, l, lam)/l!: the memo carries the partial sum
+forward and stores each value already scaled by n!.  They are never grown
+by D(n) = n D(n-1) + falling(x-1, n, lam): that recurrence is the identity
+THM2_REC, which must stay a check and not become a tautology.
 """
 
 from __future__ import annotations
@@ -151,32 +152,34 @@ def falling_poly(n: int, lam: ExactScalar) -> Poly:
 # degenerate derangement polynomials and numbers
 
 
-def _grow_derange_sums(key, sums, n):
-    """Partial sums sum_{l<=k} falling(x-1, l, lam)/l! of the explicit sum."""
+def _grow_derange(key, vals, n):
+    """Derangement values k! * sum_{l<=k} falling(x-1, l, lam)/l!, each formed
+    from its partial sum, which is carried forward."""
     lam, x = key
-    sums = sums or [Fraction(1)]
+    vals = vals or [Fraction(1)]
+    total = vals[-1] / factorial(len(vals) - 1)
     falls = _FALLING.row((x - 1, lam), n)
-    for l in range(len(sums), n + 1):
-        sums.append(sums[-1] + falls[l] / factorial(l))
-    return sums
+    for k in range(len(vals), n + 1):
+        total += falls[k] / factorial(k)
+        vals.append(total * factorial(k))
+    return vals
 
 
-_DERANGE_SUMS = _Memo(_grow_derange_sums)
+_DERANGE = _Memo(_grow_derange)
 
 
 def derange_row(n: int, lam: ExactScalar, x: ExactScalar = 0) -> list[Fraction]:
     """[derange_deg(k, lam, x) for k = 0..n], as a new list."""
     _check_index(n)
     lam, x = _key(lam), _key(x)
-    sums = _DERANGE_SUMS.row((lam, x), n)
-    vals = [s * factorial(k) for k, s in enumerate(sums[: n + 1])]
+    vals = _DERANGE.row((lam, x), n)[: n + 1]
     return _dual(vals, lambda: [derange_deg_series(k, lam, x) for k in range(n + 1)])
 
 
 def derange_deg(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Degenerate derangement value: n! * sum_{l<=n} falling(x-1, l, lam)/l!."""
     _check_index(n)
-    value = _DERANGE_SUMS.row((_key(lam), _key(x)), n)[n] * factorial(n)
+    value = _DERANGE.row((_key(lam), _key(x)), n)[n]
     return _dual(value, derange_deg_series, n, lam, x)
 
 

@@ -347,3 +347,34 @@ def test_table_errors_are_unchanged(argv, message, capsys):
 
     assert cli.main(["table"] + argv.split() + ["--lambda", "1/2", "--n-max", "4"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported on first quadrature or KS use, not with the package.
+    code = "import sys, degderange, degderange.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+# SHA-256 of stdout for the density normalization check, at non-integer alpha
+# (the normaliser is itself a quadrature) and at the README's integer alpha.
+# The floats printed are part of the output contract.
+NORMALIZATION_DIGESTS = [
+    ("--lambda=1/20 --alpha 1.5", "279edf173745f586d43a204eac4bfd3cecb64da1c31f055621bfb57722580e64"),
+    ("--lambda=1/5 --alpha 1.5", "0f4c4924683ff4a4c0a2c4630581fffb685fadbd720763c395f824714ccdefc7"),
+    ("--lambda=9/25 --alpha 1.5", "e1f376da65ecf989723e90ac1f6213481bb9c01f755995e8f4ddec12b6ccfdc2"),
+    ("--lambda 1/5 --alpha 2", "cc1d543789121c2af2a6f4ddd2649b46cb502c07e4f60d9e27d7f6b7adbd17cb"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", NORMALIZATION_DIGESTS, ids=[a for a, _ in NORMALIZATION_DIGESTS]
+)
+def test_normalization_bytes_are_unchanged(argv, digest, capsys):
+    from degderange import cli
+
+    assert cli.main(["gamma-check", "normalization"] + argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -41,7 +41,7 @@ from degderange.sequences import (
 LAM, X = F(-2, 7), F(3, 4)
 MEMOS = [
     (sequences._FALLING, (X, LAM)),
-    (sequences._DERANGE_SUMS, (LAM, X)),
+    (sequences._DERANGE, (LAM, X)),
     (sequences._S2, LAM),
     (sequences._S1, LAM),
     (sequences._FUBINI, (LAM, X)),

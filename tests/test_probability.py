@@ -136,11 +136,53 @@ def test_pdf_zero_on_negative_axis():
     assert deg_gamma_pdf(p, -1.0) == 0.0
 
 
-@pytest.mark.parametrize("alpha,beta,lam", [(1, 1, 0.25), (2, 1, 0.2), (1, 2, 1 / 3)])
+@pytest.mark.parametrize(
+    "alpha,beta,lam",
+    [(1, 1, 0.25), (2, 1, 0.2), (1, 2, 1 / 3), (1.5, 1, 0.2), (0.5, 2, 0.25), (2.5, 1, 0.3)],
+)
 def test_pdf_normalization(alpha, beta, lam):
     p = DegGammaParams(alpha, beta, lam)
     mass = improper_quadrature(lambda x: deg_gamma_pdf(p, x))
     assert abs(mass - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("alpha,quads", [(1.5, 2), (2, 1)])
+def test_normalization_check_quadrature_count(alpha, quads, monkeypatch, capsys):
+    # One quadrature for the mass, plus one for the normaliser when alpha is
+    # not an integer: the normaliser is not recomputed at each node.
+    from degderange import cli
+
+    calls = []
+    quad = integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counted)
+    argv = ["gamma-check", "normalization", "--lambda", "1/5", "--alpha", str(alpha)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == quads
+
+
+@pytest.mark.parametrize("alpha,beta,lam", [(1, 1, 0.25), (2, 0.7, 0.2), (1.5, 1, 0.2), (2.5, 2, 0.3)])
+def test_pdf_matches_per_call_normaliser(alpha, beta, lam):
+    # The density with its normaliser recomputed inline at every x, as a
+    # plain formula: the cached normaliser must give the same floats.
+    p = DegGammaParams(alpha, beta, lam)
+    for x in (0.0, 0.3, 1.0, 2.75, 40.0):
+        if float(alpha).is_integer():
+            prod = 1.0
+            for i in range(int(alpha) + 1):
+                prod *= 1 - i * lam
+            norm = math.gamma(int(alpha)) / prod
+        else:
+            norm = deg_gamma_fn_quadrature(alpha, lam)
+        bx = beta * x
+        power = 1.0 if alpha == 1 else bx ** (alpha - 1)
+        expected = beta * power * (1 + lam * bx) ** (-1 / lam) / norm
+        assert deg_gamma_pdf(p, x) == expected
 
 
 def test_params_validation():
