@@ -26,6 +26,7 @@ from .identities import (
     IdentityId,
     VerificationReport,
     certify,
+    certify_range,
     verify,
     verify_grid,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "verify",
     "verify_grid",
     "certify",
+    "certify_range",
     "DegGammaParams",
     "QuadratureSpec",
     "QuadratureError",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import re
@@ -261,23 +262,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _certify_points(n: int, count: int) -> list[Fraction]:
-    # distinct rationals symmetric around 0, denominator clear of small poles
-    return [Fraction(2 * i - n, 2 * (n + 2)) for i in range(count)]
-
-
 def _cmd_certify(args) -> int:
     ids = _parse_identities(args.identities)
     _check_n_max(args.n_max)
     all_ok = True
     results = []
     for ident in ids:
-        per_n = {}
-        for n in range(identities.identity_min_n(ident), args.n_max + 1):
-            pts = _certify_points(n, n + 1)
-            ok = identities.certify(ident, n, pts, pts, mutate=args.mutate)
-            per_n[str(n)] = ok
-            all_ok = all_ok and ok
+        certified = identities.certify_range(ident, args.n_max, mutate=args.mutate)
+        all_ok = all_ok and all(certified.values())
+        per_n = {str(n): ok for n, ok in certified.items()}
         results.append({"identity": ident.value, "certified": per_n})
     params = {
         "identities": [i.value for i in ids],
@@ -397,7 +390,10 @@ def _cmd_sample(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` parses each
+    argument list with it afresh."""
     parser = argparse.ArgumentParser(
         prog="degderange",
         description="Exact degenerate-derangement sequence tables, identity "
@@ -460,8 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except CliError as exc:

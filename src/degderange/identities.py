@@ -39,10 +39,56 @@ mapping, per identity:
 
 The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
+
+Degree bounds.  At fixed n every side is a polynomial in lam and x, and each
+identity declares a bound (d_lam, d_x) on its degrees (``_Spec.degrees``).
+The bounds are derived, not measured, from the per-sequence bounds:
+
+  falling(x, k; lam) = prod_{i<k} (x - i lam)   x-degree k, lam-degree k-1
+  S1(n, m; lam), S2(n, m; lam)                  lam-degree n-m (each step of
+                                                the recurrence off the
+                                                diagonal multiplies by a
+                                                linear factor in lam)
+  D(n; lam, x) = n! sum_{l<=n} falling(x-1, l; lam)/l!
+                                                x-degree n, lam-degree n-1
+  D_r(n; lam, x), order r                       as D: the binomial weights
+                                                are constants
+  Fubini F(n; lam, y) = sum_m m! y^m S2(n, m; lam)
+                                                lam-degree n-1
+  Bell(n; lam, x) = sum_m falling(1, m; lam) x^m S2(n, m; lam)
+                                                x-degree n, lam-degree n-1
+
+(every lam-degree k-1 or n-1 reads 0 at k = 0 or n = 0; a generating-function
+path computes the same polynomial as its explicit sum, coefficient by
+coefficient).  Degrees add in products, and the two sums the identities use
+keep the bound n-1 in lam and n in x:
+
+  sum_m a_m S(n, m; lam) with deg_lam a_m <= m-1:   (m-1) + (n-m) = n-1;
+  sum_l binom(n, l) a_l b_{n-l} with deg_lam a_l <= l-1 and
+  deg_lam b_k <= k-1:   (l-1) + (n-l-1) <= n-1, the terms l = 0 and l = n
+  (a constant a_0 or b_0) reaching n-1.
+
+Per identity, with d(n) = max(n-1, 0):
+
+  THM2_CONV, THM2_REC, THM3, THM4, LEMMA6, EQ24_25, EXP_MOMENT_BRIDGE,
+  THM9_VS_SERIES (at fixed r)          (d(n), n): D, falling(x-1, .) and the
+                                       inner sums over D or falling(x-1, .)
+                                       each have x-degree <= their index.
+  THM5                                 (d(n), n): the same bound for all
+                                       three expressions, although their
+                                       common value n! is constant.
+  THM2_REC_X0, THM7_A/B, THM8_A/B, THM10
+                                       (d(n), 0): x does not occur; -lam in
+                                       place of lam leaves each degree.
+
+THM9_VS_SERIES has degree <= n in r as well (through
+binom(n-l+r-1, n-l)); ``certify`` fixes r = 1, so it certifies that
+identity at r = 1 only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -273,30 +319,41 @@ def _exp_moment_bridge(n, lam, x, r, mutate):
     return lhs, rhs
 
 
+def _deg_lam(n):
+    """(d_lam, d_x) of sides free of x (see the module docstring)."""
+    return max(n - 1, 0), 0
+
+
+def _deg_lam_x(n):
+    """(d_lam, d_x) of sides in lam and x (see the module docstring)."""
+    return max(n - 1, 0), n
+
+
 @dataclass(frozen=True)
 class _Spec:
     fn: Callable
+    degrees: Callable[[int], tuple[int, int]]  # n -> declared (d_lam, d_x)
     uses_x: bool = False
     uses_r: bool = False
     min_n: int = 0
 
 
 _REGISTRY: dict[IdentityId, _Spec] = {
-    IdentityId.THM2_CONV: _Spec(_thm2_conv, uses_x=True),
-    IdentityId.THM2_REC: _Spec(_thm2_rec, uses_x=True, min_n=1),
-    IdentityId.THM2_REC_X0: _Spec(_thm2_rec_x0, min_n=1),
-    IdentityId.THM3: _Spec(_thm3, uses_x=True),
-    IdentityId.THM4: _Spec(_thm4, uses_x=True),
-    IdentityId.THM5: _Spec(_thm5, uses_x=True),
-    IdentityId.LEMMA6: _Spec(_lemma6, uses_x=True, min_n=1),
-    IdentityId.THM7_A: _Spec(_thm7_a),
-    IdentityId.THM7_B: _Spec(_thm7_b),
-    IdentityId.THM8_A: _Spec(_thm8_a),
-    IdentityId.THM8_B: _Spec(_thm8_b),
-    IdentityId.EQ24_25: _Spec(_eq24_25, uses_x=True),
-    IdentityId.THM9_VS_SERIES: _Spec(_thm9_vs_series, uses_x=True, uses_r=True),
-    IdentityId.THM10: _Spec(_thm10),
-    IdentityId.EXP_MOMENT_BRIDGE: _Spec(_exp_moment_bridge, uses_x=True),
+    IdentityId.THM2_CONV: _Spec(_thm2_conv, _deg_lam_x, uses_x=True),
+    IdentityId.THM2_REC: _Spec(_thm2_rec, _deg_lam_x, uses_x=True, min_n=1),
+    IdentityId.THM2_REC_X0: _Spec(_thm2_rec_x0, _deg_lam, min_n=1),
+    IdentityId.THM3: _Spec(_thm3, _deg_lam_x, uses_x=True),
+    IdentityId.THM4: _Spec(_thm4, _deg_lam_x, uses_x=True),
+    IdentityId.THM5: _Spec(_thm5, _deg_lam_x, uses_x=True),
+    IdentityId.LEMMA6: _Spec(_lemma6, _deg_lam_x, uses_x=True, min_n=1),
+    IdentityId.THM7_A: _Spec(_thm7_a, _deg_lam),
+    IdentityId.THM7_B: _Spec(_thm7_b, _deg_lam),
+    IdentityId.THM8_A: _Spec(_thm8_a, _deg_lam),
+    IdentityId.THM8_B: _Spec(_thm8_b, _deg_lam),
+    IdentityId.EQ24_25: _Spec(_eq24_25, _deg_lam_x, uses_x=True),
+    IdentityId.THM9_VS_SERIES: _Spec(_thm9_vs_series, _deg_lam_x, uses_x=True, uses_r=True),
+    IdentityId.THM10: _Spec(_thm10, _deg_lam),
+    IdentityId.EXP_MOMENT_BRIDGE: _Spec(_exp_moment_bridge, _deg_lam_x, uses_x=True),
 }
 
 
@@ -346,17 +403,24 @@ def _expand_cases(
     x_grid: Sequence[ExactScalar],
     r_max: int,
 ) -> list[IdentityCase]:
+    """The cases of the grid, emitted in ``IdentityCase.sort_key`` order.
+
+    A value repeated in a grid gives equal cases, which that order keeps
+    together: each case is emitted (copies of lam) * (copies of x) times in
+    a row.
+    """
+    lams = sorted(Counter(Fraction(v) for v in lam_grid).items())
+    x_all = sorted(Counter(Fraction(v) for v in x_grid).items())
     cases = []
-    for ident in ids:
+    for ident in sorted(ids, key=lambda i: i.value):
         spec = _REGISTRY[ident]
-        xs = [Fraction(x) for x in x_grid] if spec.uses_x else [None]
-        rs = list(range(1, r_max + 1)) if spec.uses_r else [None]
-        for lam in lam_grid:
-            for x in xs:
-                for r in rs:
-                    for n in range(spec.min_n, n_max + 1):
-                        cases.append(IdentityCase(ident, n, Fraction(lam), x, r))
-    cases.sort(key=IdentityCase.sort_key)
+        xs = x_all if spec.uses_x else [(None, 1)]
+        rs = range(1, r_max + 1) if spec.uses_r else [None]
+        for n in range(spec.min_n, n_max + 1):
+            for lam, lam_copies in lams:
+                for x, x_copies in xs:
+                    for r in rs:
+                        cases += [IdentityCase(ident, n, lam, x, r)] * (lam_copies * x_copies)
     return cases
 
 
@@ -405,6 +469,37 @@ def verify_grid(
     return VerificationReport(cases_run=len(cases), failures=failures)
 
 
+def _certify_grids(identity_id: IdentityId, grids: dict, mutate: bool) -> dict[int, bool]:
+    """For each n of ``grids`` (n -> (lam_points, x_points), x_points [None]
+    for identities free of x), whether both sides agree on every point.
+
+    Each n needs d_lam + 1 and d_x + 1 distinct points, from its declared
+    degree bounds.  The points are grouped by (lam, x) key, and each key is
+    evaluated for every n whose grid holds it, in descending n: a memo row
+    grows once, to its final length, and the smaller n read its prefix.  An
+    n is evaluated no further after its first failing point.
+    """
+    spec = _REGISTRY[identity_id]
+    by_key: dict = {}
+    for n in sorted(grids, reverse=True):
+        lam_points, x_points = grids[n]
+        d_lam, d_x = spec.degrees(n)
+        if len(set(lam_points)) < d_lam + 1:
+            raise ValueError(f"need at least {d_lam + 1} distinct deformation points")
+        if spec.uses_x and len(set(x_points)) < d_x + 1:
+            raise ValueError(f"need at least {d_x + 1} distinct x points")
+        for lam in lam_points:
+            for x in x_points:
+                by_key.setdefault((lam, x), []).append(n)
+    r = 1 if spec.uses_r else None
+    certified = dict.fromkeys(grids, True)
+    for (lam, x), ns in by_key.items():
+        for n in ns:
+            if certified[n]:
+                certified[n] = verify(IdentityCase(identity_id, n, lam, x, r), mutate=mutate)[2]
+    return certified
+
+
 def certify(
     identity_id: IdentityId,
     n: int,
@@ -414,29 +509,41 @@ def certify(
 ) -> bool:
     """Upgrade grid agreement at fixed n to a polynomial identity proof.
 
-    Both sides at fixed n are polynomials of degree <= n in the deformation
-    parameter and (when referenced) in x, so exact agreement on an
-    (n+1) x (n+1) tensor grid of distinct points forces them to coincide as
-    polynomials.  Raises ValueError when fewer than n+1 distinct points are
-    supplied for a referenced variable.
+    At fixed n both sides are polynomials of degree <= d_lam in the
+    deformation parameter and <= d_x in x, the bounds each identity declares
+    (derived in the module docstring).  A polynomial of degree <= d in each
+    variable that vanishes on a tensor grid of d + 1 distinct points per
+    variable is zero, so exact agreement on lam_points x x_points proves the
+    identity at n.  THM9_VS_SERIES is evaluated at r = 1 only.  Raises
+    ValueError when fewer than d_lam + 1 (or d_x + 1) distinct points are
+    supplied for a referenced variable.  ``certify_range`` runs the same
+    evaluation for a range of n on one nested point set.
     """
     spec = _REGISTRY[identity_id]
     lam_points = [Fraction(v) for v in lam_points]
-    if len(set(lam_points)) < n + 1:
-        raise ValueError(f"need at least {n + 1} distinct deformation points")
     if spec.uses_x:
         if x_points is None:
             raise ValueError(f"{identity_id.value} references x; supply x points")
         x_points = [Fraction(v) for v in x_points]
-        if len(set(x_points)) < n + 1:
-            raise ValueError(f"need at least {n + 1} distinct x points")
     else:
         x_points = [None]
-    r = 1 if spec.uses_r else None
-    for lam in lam_points:
-        for x in x_points:
-            case = IdentityCase(identity_id, n, lam, x, r)
-            _, _, passed = verify(case, mutate=mutate)
-            if not passed:
-                return False
-    return True
+    return _certify_grids(identity_id, {n: (lam_points, x_points)}, mutate)[n]
+
+
+def certify_range(identity_id: IdentityId, n_max: int, mutate: bool = False) -> dict[int, bool]:
+    """``certify`` at every n of the identity's range up to n_max, on nested
+    points: n uses the first n + 1 entries, on each referenced axis, of the
+    symmetric sequence 0, h, -h, 2h, -2h, ... with h = 1/(2(n_max + 2)).
+
+    Every declared bound is <= n, so n + 1 points suffice.  The nested
+    points make the (lam, x) keys repeat across n, and the memo rows of a
+    key are built once.  Returns {n: certified} in ascending n.
+    """
+    spec = _REGISTRY[identity_id]
+    h = Fraction(1, 2 * (n_max + 2))
+    points = [(i + 1) // 2 * (1 if i % 2 else -1) * h for i in range(n_max + 1)]
+    grids = {
+        n: (points[: n + 1], points[: n + 1] if spec.uses_x else [None])
+        for n in range(spec.min_n, n_max + 1)
+    }
+    return _certify_grids(identity_id, grids, mutate)

@@ -378,3 +378,70 @@ def test_normalization_bytes_are_unchanged(argv, digest, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # main() reuses one parser; each call parses its own arguments, so calls
+    # in one process print what separate fresh processes print
+    from degderange import cli
+
+    runs = [
+        ["table", "falling", "--lambda", "-1/3", "--x", "-2", "--n-max", "5"],
+        ["certify", "--identities", "THM7_B", "--n-max", "3"],
+        ["table", "derangement", "--n-max", "4", "--format", "csv"],
+        ["table", "stirling2", "--lambda", "1/2", "--n-max", "3"],
+    ]
+    in_process = []
+    for argv in runs:
+        rc = cli.main(argv)
+        in_process.append((rc, *capsys.readouterr()))
+    assert cli._build_parser() is cli._build_parser()
+    for argv, (rc, out, err) in zip(runs, in_process):
+        fresh = run_cli(*argv)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# SHA-256 of certify's stdout.  Every --mutate run must still exit 1 with at
+# least one uncertified n.
+CERTIFY_DIGESTS = [
+    ("--n-max 16", 0, "dd3164db0830b163492816485a4db6a45651558b1742e4b54ed4258fd7a014ce"),
+    ("--n-max 3 --mutate", 1, "98d8425c1d41ece8c6cf8a5839d348fc5489e62ab5d90055654bd775d308be94"),
+]
+MUTATED_CERTIFY_DIGESTS = {
+    "THM2_CONV": "93222da289774da308c75b8f6822377771707e465cb94ad323a30269a8c2b560",
+    "THM2_REC": "7d57e5a91aa08d6eab2d202c0dc2cdb533c08d008e7dde8a28d2f5165505e533",
+    "THM2_REC_X0": "bef2b249eed72c16e0d1bba8fe5975299581d5cde894ff5e946ab5c515839f1b",
+    "THM3": "d599bccdf1f7e79a03e31d8a93516e2e57c50699b57892d98da33b11bb17dec2",
+    "THM4": "e2bae598875aa200afc0b09c238dffd5f7b250f9e998dce7b72abca598f84b27",
+    "THM5": "5319ec6b42488fa561b3becbc1c2992dd12d58bb112bf9234397c9fe840db9d9",
+    "LEMMA6": "49ee4cfccf33735576988ada486dfc41badd2d61f96aec84df6fbd36e9c8abe6",
+    "THM7_A": "477a959cdd5eb7fa760263046bce399e350492d3762c7331b444c1e239323f54",
+    "THM7_B": "b6a17cdcd96171e027f2a09048785a69678055e7a8438703cee44df60cef9779",
+    "THM8_A": "dee2ef2754cde11423f912d4a3564f86d83137035d45c2afb486c89140fe2805",
+    "THM8_B": "672c6e6e5aca9feae9e9d0f027c85bbd8d5330c6eec17433a0e58c457fd933b6",
+    "EQ24_25": "993355fd17fceb99493cc6ae101940ed880e01fe719dab0ce98ddadeefa31763",
+    "THM9_VS_SERIES": "e4f589d0cad9abe6bbb709cc6a4c67c0126efd5cf37a8ad117b064e5fc67233f",
+    "THM10": "22a46497f761cc47f665899255a252a272fe980eeb928c3148fd7bfc571322d3",
+    "EXP_MOMENT_BRIDGE": "3d3b3c696f3dba6067e8b8373a53df23e21a6b91fd198b7215f7ff3943c9a029",
+}
+
+
+@pytest.mark.parametrize("argv, rc, digest", CERTIFY_DIGESTS, ids=[a for a, _, _ in CERTIFY_DIGESTS])
+def test_certify_bytes_are_unchanged(argv, rc, digest, capsys):
+    from degderange import cli
+
+    assert cli.main(["certify"] + argv.split()) == rc
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ident", list(MUTATED_CERTIFY_DIGESTS))
+def test_mutated_certify_bytes_are_unchanged(ident, capsys):
+    from degderange import cli
+
+    assert cli.main(["certify", "--identities", ident, "--n-max", "3", "--mutate"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert not all(json.loads(out)["results"][0]["certified"].values())
+    assert hashlib.sha256(out.encode()).hexdigest() == MUTATED_CERTIFY_DIGESTS[ident]

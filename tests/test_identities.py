@@ -2,11 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from degderange.exactcore import factorial
+from degderange import identities
+from degderange.exactcore import binomial, factorial
 from degderange.identities import (
+    MAX_N,
     IdentityCase,
     IdentityId,
+    _expand_cases,
+    _REGISTRY,
     certify,
+    certify_range,
+    identity_min_n,
     identity_uses_r,
     identity_uses_x,
     verify,
@@ -139,3 +145,150 @@ def test_report_is_deterministically_sorted():
     )
     keys = [case.sort_key() for case, _, _ in report.failures]
     assert keys == sorted(keys)
+
+
+def test_cases_are_generated_in_sort_key_order():
+    # duplicates (2/4 is 1/2) and negatives on both axes, identities in enum
+    # order, which is not their sort order (THM10 sorts before THM2_CONV)
+    lam_grid = [F(1, 2), 0, F(-1, 3), F(2, 4), -1, F(2, 7)]
+    x_grid = [F(3, 4), -2, 0, F(3, 4), 1]
+    ids = list(IdentityId)
+    cases = _expand_cases(ids, 6, lam_grid, x_grid, 3)
+    unsorted = [
+        IdentityCase(ident, n, F(lam), F(x) if identity_uses_x(ident) else None, r)
+        for ident in ids
+        for lam in lam_grid
+        for x in (x_grid if identity_uses_x(ident) else [None])
+        for r in (range(1, 4) if identity_uses_r(ident) else [None])
+        for n in range(identity_min_n(ident), 7)
+    ]
+    assert cases == sorted(unsorted, key=IdentityCase.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# declared degree bounds
+
+
+def _sides(ident, n, lam, x):
+    spec = _REGISTRY[ident]
+    return spec.fn(n, lam, x if spec.uses_x else None, 1 if spec.uses_r else None, False)
+
+
+def _difference(values):
+    """The (len(values) - 1)-th forward difference of equispaced samples."""
+    k = len(values) - 1
+    return sum(((-1) ** (k - i) * binomial(k, i) * v for i, v in enumerate(values)), F(0))
+
+
+def _along_lam(ident, n, count):
+    """(lam points, [lhs values, rhs values]) at count equispaced lam, x fixed."""
+    lams = [F(-1, 3) + F(i, 5) for i in range(count)]
+    return lams, [list(side) for side in zip(*(_sides(ident, n, lam, F(3, 4)) for lam in lams))]
+
+
+def test_declared_bounds_never_exceed_n():
+    for ident in IdentityId:
+        for n in range(MAX_N + 1):
+            d_lam, d_x = _REGISTRY[ident].degrees(n)
+            assert 0 <= d_lam <= n and 0 <= d_x <= n
+            if not identity_uses_x(ident):
+                assert d_x == 0
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
+def test_declared_bounds_hold_for_each_side(ident):
+    # the (d + 1)-th difference of each side vanishes along each axis
+    spec = _REGISTRY[ident]
+    for n in range(spec.min_n, 9):
+        d_lam, d_x = spec.degrees(n)
+        _, sides = _along_lam(ident, n, d_lam + 2)
+        assert all(_difference(values) == 0 for values in sides), n
+        if spec.uses_x:
+            xs = [F(-1) + F(i, 3) for i in range(d_x + 2)]
+            sides = zip(*(_sides(ident, n, F(2, 7), x) for x in xs))
+            assert all(_difference(list(values)) == 0 for values in sides), n
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
+def test_degree_check_catches_an_extra_lam_factor(ident):
+    # negative control: a side times (lam - 1/7) breaks its declared bound
+    # wherever the side reaches that bound (its d-th difference is nonzero)
+    spec = _REGISTRY[ident]
+    caught = 0
+    for n in range(spec.min_n, 9):
+        d_lam, _ = spec.degrees(n)
+        lams, sides = _along_lam(ident, n, d_lam + 2)
+        for values in sides:
+            multiplied = [v * (lam - F(1, 7)) for v, lam in zip(values, lams)]
+            fails = _difference(multiplied) != 0
+            if _difference(values[:-1]) != 0:
+                assert fails, n
+            caught += fails
+    assert caught
+
+
+# ---------------------------------------------------------------------------
+# certification on nested points
+
+
+def _nested(n_max):
+    h = F(1, 2 * (n_max + 2))
+    return [F(0)] + [s * k * h for k in range(1, n_max + 1) for s in (1, -1)][:n_max]
+
+
+def test_certify_needs_only_the_declared_points():
+    # THM2_REC at n = 3 has degree <= 2 in lam and <= 3 in x
+    lams, xs = [F(0), F(1, 5), F(2, 5)], [F(0), F(1, 5), F(2, 5), F(3, 5)]
+    assert certify(IdentityId.THM2_REC, 3, lams, xs)
+    with pytest.raises(ValueError, match="3 distinct deformation"):
+        certify(IdentityId.THM2_REC, 3, lams[:2], xs)
+    with pytest.raises(ValueError, match="4 distinct x"):
+        certify(IdentityId.THM2_REC, 3, lams, xs[:3])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_certify_range_matches_certify_per_n(mutate):
+    pts = _nested(3)
+    for ident in IdentityId:
+        per_n = {
+            n: certify(ident, n, pts[: n + 1], pts[: n + 1], mutate=mutate)
+            for n in range(identity_min_n(ident), 4)
+        }
+        assert certify_range(ident, 3, mutate=mutate) == per_n
+        assert all(per_n.values()) is not mutate
+
+
+def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
+    calls = []
+    real = identities.verify
+
+    def counted(case, mutate=False):
+        calls.append(case)
+        return real(case, mutate=mutate)
+
+    monkeypatch.setattr(identities, "verify", counted)
+    n_max, pts = 4, _nested(4)
+    expected = set()
+    for ident in IdentityId:
+        assert all(certify_range(ident, n_max).values())
+        xs = identity_uses_x(ident)
+        r = 1 if identity_uses_r(ident) else None
+        for n in range(identity_min_n(ident), n_max + 1):
+            for lam in pts[: n + 1]:
+                for x in pts[: n + 1] if xs else [None]:
+                    expected.add(IdentityCase(ident, n, lam, x, r))
+    assert len(calls) == sum(
+        (n + 1) ** (2 if identity_uses_x(ident) else 1)
+        for ident in IdentityId
+        for n in range(identity_min_n(ident), n_max + 1)
+    )
+    assert set(calls) == expected
+    # grouped by (identity, lam, x) key, each key once, in descending n
+    runs = []
+    for case in calls:
+        key = (case.identity_id, case.lam, case.x)
+        if not runs or runs[-1][0] != key:
+            runs.append((key, []))
+        runs[-1][1].append(case.n)
+    assert len({key for key, _ in runs}) == len(runs)
+    assert all(ns == sorted(ns, reverse=True) for _, ns in runs)

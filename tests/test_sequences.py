@@ -399,3 +399,78 @@ def test_derange_difference_recurrence(x, lam, n):
     assert falling_deg(x - 1, n, lam) == derange_deg(n, lam, x) - n * derange_deg(
         n - 1, lam, x
     )
+
+
+# ---------------------------------------------------------------------------
+# degree bounds: the per-sequence bounds that the declared bounds of the
+# identities are derived from (see the identities module docstring)
+
+
+def forward_difference(values):
+    """The (len(values) - 1)-th forward difference of equispaced samples."""
+    k = len(values) - 1
+    return sum(((-1) ** (k - i) * binomial(k, i) * v for i, v in enumerate(values)), F(0))
+
+
+def equispaced(data, count):
+    """count equispaced rationals that run through 0, with negatives among
+    them whenever the drawn offset is positive."""
+    step = data.draw(st.fractions(min_value=F(1, 12), max_value=2, max_denominator=12))
+    below = data.draw(st.integers(min_value=0, max_value=count - 1))
+    return [(i - below) * step for i in range(count)]
+
+
+def lam_degree(n):
+    return max(n - 1, 0)
+
+
+degree_ns = st.integers(min_value=0, max_value=24)
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree_ns, rationals, rationals, st.data())
+def test_falling_degree_bounds(k, x, lam, data):
+    # x-degree k, lam-degree k - 1
+    lams = equispaced(data, lam_degree(k) + 2)
+    assert forward_difference([falling_deg(x, k, mu) for mu in lams]) == 0
+    xs = equispaced(data, k + 2)
+    assert forward_difference([falling_deg(y, k, lam) for y in xs]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree_ns, st.data())
+def test_stirling_degree_bounds(n, data):
+    # lam-degree n - m, both kinds
+    m = data.draw(st.integers(min_value=0, max_value=n))
+    lams = equispaced(data, n - m + 2)
+    assert forward_difference([stirling1_deg(n, m, mu) for mu in lams]) == 0
+    assert forward_difference([stirling2_deg(n, m, mu) for mu in lams]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree_ns, rationals, rationals, st.data())
+def test_derange_degree_bounds(n, x, lam, data):
+    # x-degree n, lam-degree n - 1
+    lams = equispaced(data, lam_degree(n) + 2)
+    assert forward_difference([derange_deg(n, mu, x) for mu in lams]) == 0
+    xs = equispaced(data, n + 2)
+    assert forward_difference([derange_deg(n, lam, y) for y in xs]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree_ns, rationals, rationals, st.data())
+def test_bell_and_fubini_degree_bounds(n, x, lam, data):
+    # Bell: x-degree n, lam-degree n - 1; Fubini: lam-degree n - 1
+    lams = equispaced(data, lam_degree(n) + 2)
+    assert forward_difference([bell_deg(n, mu, x) for mu in lams]) == 0
+    assert forward_difference([fubini_deg(n, mu, x) for mu in lams]) == 0
+    xs = equispaced(data, n + 2)
+    assert forward_difference([bell_deg(n, lam, y) for y in xs]) == 0
+
+
+def test_degree_bounds_are_tight_at_lam_zero():
+    # the bounds are not vacuous: one fewer difference leaves a nonzero value
+    n, lams = 7, [F(i, 3) for i in range(-3, 4)]  # n - 1 + 1 points through 0
+    assert forward_difference([derange_deg(n, mu, F(3, 4)) for mu in lams]) != 0
+    assert forward_difference([bell_deg(n, mu, F(3, 4)) for mu in lams]) != 0
+    assert forward_difference([falling_deg(F(3, 4), n, mu) for mu in lams]) != 0
