@@ -12,21 +12,48 @@ supported (the sign-flipped identities need them).
 
 Every memoised sequence lives in one :class:`_Memo`: a list of values per
 key (the deformation parameter, with the argument where there is one),
-grown on demand under one lock.  Two growth rules apply.  Recurrences
-(falling factorials, derangement partial sums, both Stirling triangles) and
-the sums over a second-kind Stirling row (the Fubini and Bell values, grown
-by ``_s2_sums``) extend their list exactly to the requested n.  Series
-extractions (derangement, order-r derangement, both series triangles,
-Fubini, Bell) rebuild theirs at order ``max(n, 2 * len, 8)``, so that a
-sweep over n costs a logarithmic number of extractions.  The ``*_row``
-accessors return a new list of values 0..n, keyed once per call; each
-scalar operation is a validated index into the same memo.
+grown on demand under one lock, in place and exactly to the requested n.
+The ``*_row`` accessors return a new list of values 0..n, keyed once per
+call; each scalar operation is a validated index into the same memo.
+
+The fast paths grow by recurrences (falling factorials, derangement partial
+sums, both Stirling triangles) and by sums over a second-kind Stirling row
+(the Fubini and Bell values, grown by ``_s2_sums``).  The series paths
+(order-r derangements, whose r = 1 case is the derangement series, both
+series triangles, Fubini, Bell) grow online: value k, k! times coefficient k
+of the generating function F, comes from the values below k through F's own
+coefficient equation, an exponential convolution
+sum_j binom(k, j) w_j v_{k-j} whose weights w_j are k! times the
+coefficients of the series F is built from:
+
+  order-r derangement  F (1-t)^r = deg_exp(x-1)        (F * denominator
+  Fubini               F (1 - y(deg_exp(1)-1)) = 1      = numerator)
+  series triangles     m F_m = base F_{m-1}, F_m = base^m/m!, with base
+                       deg_exp(1)-1 (second kind) or deg_log (first kind);
+                       one memo list per column m, so entry (n, m) costs
+                       columns 1..m only
+  Bell                 B G' = a B' G for G = B^a, B = 1 + lam x(deg_exp(1)-1),
+                       a = 1/lam (J.C.P. Miller's power recurrence); at
+                       lam = 0, G = exp(x(e^t-1)) and the same sum is
+                       G' = h' G
+
+Each step runs on integers, the values scaled by powers of one fixed
+integer with at most one exact division; Fubini runs on the ordinary
+coefficients v_k/k! over one common denominator instead, since there the
+exponential form is slower.  Each builds its weights itself from lam and x,
+reading no memo but its own.  So a series path shares with its fast
+path only the exact-core primitives: it steps along the power of t of one
+generating-function product, where a triangle steps a Stirling row by a
+linear factor and an explicit sum adds falling factorials.
 
 Derangement values always come from the explicit sum
 n! * sum_{l<=n} falling(x-1, l, lam)/l!: the memo carries the partial sum
 forward and stores each value already scaled by n!.  They are never grown
 by D(n) = n D(n-1) + falling(x-1, n, lam): that recurrence is the identity
-THM2_REC, which must stay a check and not become a tautology.
+THM2_REC, which must stay a check and not become a tautology.  The series
+path at r = 1 does step by d_k = e_k + k d_{k-1}, the coefficient equation
+of F (1-t) = deg_exp(x-1), with e_k from its own falling product; no
+identity sets it against THM2_REC, whose both sides are fast-path values.
 """
 
 from __future__ import annotations
@@ -34,9 +61,19 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
+from math import comb, perm
+from operator import mul
 
-from .exactcore import ExactScalar, Poly, as_fractions, as_ints, binomial, dot, factorial
-from .series import Series, deg_exp, deg_log, geometric, one
+from .exactcore import (
+    ExactScalar,
+    Poly,
+    as_fractions,
+    as_ints,
+    binomial,
+    dot,
+    factorial,
+    widen,
+)
 
 _lock = threading.RLock()
 
@@ -57,9 +94,9 @@ class _Memo:
     """Lists of sequence values per key, grown on demand under one lock.
 
     ``grow(key, row, n)`` receives the key's list (empty for a new key) and
-    returns one holding entries 0..n at least: the same list extended in
-    place, or a rebuilt one.  Readers never see a list shrink or change an
-    entry.  The lock is reentrant because growing one memo may read another.
+    returns it extended in place to entries 0..n (a new list for a new key).
+    Readers never see a list shrink or change an entry.  The lock is
+    reentrant because growing one memo may read another.
     """
 
     __slots__ = ("grow", "rows")
@@ -79,14 +116,39 @@ class _Memo:
         return row
 
 
-def _order(row: list, n: int) -> int:
-    """Truncation order at which a series memo is rebuilt to cover n."""
-    return max(n, 2 * len(row), 8)
+def _nums(vals: list, s: int) -> list[int]:
+    """The integers s^k * vals[k] of a series memo list, whose entry k has a
+    denominator dividing s^k."""
+    out, sk = [], 1
+    for v in vals:
+        out.append(v.numerator * (sk // v.denominator))
+        sk *= s
+    return out
 
 
-def _values(s: Series) -> list[Fraction]:
-    """k! times coefficient k of s, for k = 0..order."""
-    return [c * factorial(k) for k, c in enumerate(s.coeffs)]
+def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> list[int]:
+    """[1, lead, lead (a-b) c, lead (a-b)(a-2b) c^2, ...], entries 0..n: entry
+    j >= 2 is entry j-1 times (a - (j-1) b) c.  lead defaults to a, so that
+    entry j is c^(j-1) prod_{i<j} (a - i b), the weights of the series steps
+    (whose sums start at j = 1 and never read entry 0)."""
+    out = [1, a if lead is None else lead]
+    for j in range(2, n + 1):
+        out.append(out[-1] * (a - (j - 1) * b) * c)
+    return out[: n + 1]
+
+
+def _grow_online(vals: list, n: int, s: int, step, first: Fraction = Fraction(1)) -> list:
+    """A series memo list extended in place to entries 0..n (a new list
+    starts at first).  Entry k is N_k / s^k, and step(k, nums) gives the
+    integer N_k from nums = [N_0, ..., N_{k-1}]."""
+    vals = vals or [first]
+    nums = _nums(vals, s)
+    sk = s ** (len(vals) - 1)
+    for k in range(len(vals), n + 1):
+        sk *= s
+        nums.append(step(k, nums))
+        vals.append(Fraction(nums[k], sk))
+    return vals
 
 
 def _check_index(n: int) -> None:
@@ -183,19 +245,11 @@ def derange_deg(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     return _dual(value, derange_deg_series, n, lam, x)
 
 
-def _grow_derange_series(key, vals, n):
-    lam, x = key
-    order = _order(vals, n)
-    return _values(geometric(order) * deg_exp(x - 1, lam, order))
-
-
-_DERANGE_SERIES = _Memo(_grow_derange_series)
-
-
 def derange_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
-    """Series-extraction path: n! times coefficient n of geometric * deg_exp(x-1)."""
+    """Series-extraction path: n! times coefficient n of deg_exp(x-1)/(1-t),
+    the order-r series at r = 1."""
     _check_index(n)
-    return _DERANGE_SERIES.row((_key(lam), _key(x)), n)[n]
+    return _DERANGE_ORDER_SERIES.row((_key(lam), _key(x), 1), n)[n]
 
 
 def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
@@ -236,17 +290,29 @@ def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> F
 
 
 def _grow_derange_order_series(key, vals, n):
+    """d_k = k! [t^k] F for F (1-t)^r = deg_exp(x-1), from its coefficient
+    equation d_k = e_k - sum_{i=1..min(r,k)} binom(k,i) (-1)^i i! binom(r,i) d_{k-i}
+    with e_k = falling(x-1, k, lam).  At lam = p/q, x = u/v and s = q v it
+    runs on N_k = s^k d_k and E_k = s^k e_k = prod_{i<k} ((u-v) q - i p v):
+    N_k = E_k - sum_i (-1)^i binom(r,i) s^i k!/(k-i)! N_{k-i}."""
     lam, x, r = key
-    order = _order(vals, n)
-    denom = Poly([(-1) ** k * binomial(r, k) for k in range(r + 1)])  # (1-t)^r
-    return _values(deg_exp(x - 1, lam, order) / Series.from_poly(denom, order))
+    p, q, u, v = lam.numerator, lam.denominator, x.numerator, x.denominator
+    s = q * v
+    e = _products((u - v) * q, p * v, n)
+    w = [(-1) ** i * binomial(r, i) * s**i for i in range(min(r, n) + 1)]
+
+    def step(k, nums):
+        return e[k] - sum(w[i] * perm(k, i) * nums[k - i] for i in range(1, min(r, k) + 1))
+
+    return _grow_online(vals, n, s, step)
 
 
 _DERANGE_ORDER_SERIES = _Memo(_grow_derange_order_series)
 
 
 def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
-    """Series path for the order-r values: deg_exp(x-1) divided by (1-t)^r."""
+    """Series path for the order-r values: n! times coefficient n of
+    deg_exp(x-1)/(1-t)^r."""
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     _check_index(n)
@@ -286,14 +352,18 @@ def stirling2_row(n: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling2_deg(n, m, lam) for m = 0..n], as a new list."""
     _check_index(n)
     lam = _key(lam)
-    return _dual(list(_S2.row(lam, n)[n]), lambda: _S2_SERIES.row(lam, n)[n])
+    return _dual(
+        list(_S2.row(lam, n)[n]), lambda: [stirling2_deg_series(n, m, lam) for m in range(n + 1)]
+    )
 
 
 def stirling1_row(n: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling1_deg(n, m, lam) for m = 0..n], as a new list."""
     _check_index(n)
     lam = _key(lam)
-    return _dual(list(_S1.row(lam, n)[n]), lambda: _S1_SERIES.row(lam, n)[n])
+    return _dual(
+        list(_S1.row(lam, n)[n]), lambda: [stirling1_deg_series(n, m, lam) for m in range(n + 1)]
+    )
 
 
 def stirling2_deg(n: int, m: int, lam: ExactScalar) -> Fraction:
@@ -308,31 +378,56 @@ def stirling1_deg(n: int, m: int, lam: ExactScalar) -> Fraction:
     return _dual(_entry(_S1, n, m, lam), stirling1_deg_series, n, m, lam)
 
 
-def _grow_series_triangle(second_kind: bool, lam, tri, n):
-    order = _order(tri, n)
-    base = deg_exp(1, lam, order) - one(order) if second_kind else deg_log(lam, order)
-    power = one(order)
-    cols = [power]
-    for m in range(1, order + 1):
-        power = (power * base).scale(Fraction(1, m))
-        cols.append(power)
-    return [
-        [cols[m].coeff(k) * factorial(k) for m in range(k + 1)] for k in range(order + 1)
-    ]
+def _grow_series_column(second_kind: bool, key, col, n):
+    """Entries k = 0..n of column m of a series triangle,
+    S(k, m) = k! [t^k] base^m/m!, from m F_m = base F_{m-1}:
+    m S(k,m) = sum_{j=1..k-m+1} binom(k,j) beta_j S(k-j,m-1), with
+    beta_j = j! [t^j] base: falling(1, j, lam) for base = deg_exp(1)-1 and
+    (lam-1)(lam-2)...(lam-j+1) for base = deg_log.  At lam = p/q it runs on
+    T(k, m) = q^k S(k, m) with B_j = q^j beta_j, both integers:
+    m T(k,m) = sum_j binom(k,j) B_j T(k-j,m-1), an exact division by m.
+    Column m-1 is read to n-1 from the same memo."""
+    lam, m = key
+    p, q = lam.numerator, lam.denominator
+    if m == 0:
+        return _grow_online(col, n, q, lambda k, nums: 0)
+    big = _products(q, p, n) if second_kind else _products(p, q, n, lead=q)
+    memo = _S2_SERIES if second_kind else _S1_SERIES
+    prev = _nums(memo.row((lam, m - 1), n - 1)[:n], q)
+
+    def step(k, nums):
+        return sum(comb(k, j) * big[j] * prev[k - j] for j in range(1, k - m + 2)) // m
+
+    return _grow_online(col, n, q, step, Fraction(0))
 
 
-_S2_SERIES = _Memo(partial(_grow_series_triangle, True))
-_S1_SERIES = _Memo(partial(_grow_series_triangle, False))
+_S2_SERIES = _Memo(partial(_grow_series_column, True))
+_S1_SERIES = _Memo(partial(_grow_series_column, False))
+
+
+def _series_entry(memo: _Memo, n: int, m: int, lam: ExactScalar) -> Fraction:
+    """Entry (n, m) of a series triangle; 0 above the diagonal.  Columns
+    1..m grow in turn, so that no grow step recurses into the one below."""
+    if n < 0 or m < 0:
+        raise ValueError("indices must be >= 0")
+    if m > n:
+        return Fraction(0)
+    lam = _key(lam)
+    for i in range(1, m):
+        memo.row((lam, i), n)
+    return memo.row((lam, m), n)[n]
 
 
 def stirling2_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
-    """Definitional path: n! times coefficient n of (deg_exp(1)-1)^m / m!."""
-    return _entry(_S2_SERIES, n, m, lam)
+    """Definitional path: n! times coefficient n of (deg_exp(1)-1)^m / m!,
+    grown column from column by m F_m = (deg_exp(1)-1) F_{m-1}."""
+    return _series_entry(_S2_SERIES, n, m, lam)
 
 
 def stirling1_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
-    """Definitional path: n! times coefficient n of deg_log^m / m!."""
-    return _entry(_S1_SERIES, n, m, lam)
+    """Definitional path: n! times coefficient n of deg_log^m / m!, grown
+    column from column by m F_m = deg_log F_{m-1}."""
+    return _series_entry(_S1_SERIES, n, m, lam)
 
 
 def _grow_s1_classical(key, rows, n):
@@ -410,10 +505,24 @@ def fubini_deg(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
 
 
 def _grow_fubini_series(key, vals, n):
+    """f_k = k! [t^k] F for F (1 - y(deg_exp(1)-1)) = 1, from its coefficient
+    equation on the ordinary coefficients F_k = f_k/k!:
+    F_k = y sum_{j=1..k} h_j F_{k-j} with h_j = falling(1, j, lam)/j!.  The
+    h_j and the F_k are kept as integers over one common denominator each.
+    The exponential form of ``_grow_online`` is slower here: its terms carry
+    k!-sized factors."""
     lam, y = key
-    order = _order(vals, n)
-    denom = one(order) - (deg_exp(1, lam, order) - one(order)).scale(y)
-    return _values(one(order) / denom)
+    q = lam.denominator
+    c = _products(q, lam.numerator, n)
+    hn, hd = as_ints([Fraction(0)] + [Fraction(c[j], q**j * factorial(j)) for j in range(1, n + 1)])
+    vals = vals or [Fraction(1)]
+    nums, den = as_ints([v / factorial(k) for k, v in enumerate(vals)])
+    for k in range(len(vals), n + 1):
+        f = y * Fraction(sum(map(mul, hn[k:0:-1], nums)), hd * den)
+        nums, den = widen(nums, den, f.denominator)
+        nums.append(f.numerator * (den // f.denominator))
+        vals.append(f * factorial(k))
+    return vals
 
 
 _FUBINI_SERIES = _Memo(_grow_fubini_series)
@@ -449,11 +558,23 @@ def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
 
 
 def _grow_bell_series(key, vals, n):
+    """g_k = k! [t^k] G for G = B^(1/lam), B = 1 + lam x(deg_exp(1)-1), from
+    Miller's power recurrence B G' = (1/lam) B' G:
+    k g_k = x sum_{j=1..k} binom(k,j) ((1+lam) j - lam k) falling(1,j,lam) g_{k-j}.
+    At lam = 0 this is k g_k = x sum_j binom(k,j) j g_{k-j}, the equation
+    G' = h' G of G = exp(h), h = x(e^t-1).  At lam = p/q, x = u/v it runs on
+    N_k = (q^2 v)^k g_k:
+    k N_k = u sum_j binom(k,j) ((q+p) j - p k) q^j falling(1,j,lam) (q v)^(j-1) N_{k-j},
+    an exact division by k."""
     lam, x = key
-    order = _order(vals, n)
-    outer = deg_exp(1, lam, order)
-    inner = (deg_exp(1, lam, order) - one(order)).scale(x)
-    return _values(outer.compose(inner))
+    p, q, u, v = lam.numerator, lam.denominator, x.numerator, x.denominator
+    c = _products(q, p, n, c=q * v)  # q^j falling(1, j, lam) (q v)^(j-1)
+
+    def step(k, nums):
+        tot = sum(comb(k, j) * ((q + p) * j - p * k) * c[j] * nums[k - j] for j in range(1, k + 1))
+        return u * tot // k
+
+    return _grow_online(vals, n, q * q * v, step)
 
 
 _BELL_SERIES = _Memo(_grow_bell_series)
@@ -467,6 +588,7 @@ def bell_series_row(n: int, lam: ExactScalar, x: ExactScalar = 1) -> list[Fracti
 
 def bell_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
     """Series path: n! times coefficient n of deg_exp(1) composed with
-    x*(deg_exp(1)-1)."""
+    x*(deg_exp(1)-1), that is of (1 + lam x(deg_exp(1)-1))^(1/lam), or of
+    exp(x(e^t-1)) at lam = 0, grown by Miller's power recurrence."""
     _check_index(n)
     return _BELL_SERIES.row((_key(lam), _key(x)), n)[n]

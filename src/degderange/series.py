@@ -6,10 +6,13 @@ the first N+1 coefficients of a result always equal those of the untruncated
 formal result.  Binary operations truncate to the smaller operand order and
 never silently extend it.
 
-The two deformation series driving everything else live here as well:
-``deg_exp`` for (1 + lam*t)^(x/lam) and ``deg_log`` for its compositional
-inverse ((1+t)^lam - 1)/lam, with lam = 0 handled as the exact classical
-exponential/logarithm rather than a numeric limit.
+The two deformation series live here as well: ``deg_exp`` for
+(1 + lam*t)^(x/lam) and ``deg_log`` for its compositional inverse
+((1+t)^lam - 1)/lam, with lam = 0 handled as the exact classical
+exponential/logarithm rather than a numeric limit.  (The ``*_series`` paths
+of ``sequences`` grow their coefficients by recurrences and build no
+``Series``; the tests check them against products, divisions and
+compositions of these series.)
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class Series:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Sequence[ExactScalar], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("empty coefficient list needs an explicit order")

@@ -1,10 +1,13 @@
 """The integer-numerator kernel against plain-Fraction reference code.
 
-Series and polynomial arithmetic, the Stirling triangles and the explicit
-sums run on integers over one common denominator.  The reference
-implementations below are the textbook Fraction loops; they live here only,
-so that the library's two dual paths, which now share the kernel, are still
-checked against code that does not use it.
+Series and polynomial arithmetic, the Stirling triangles, the explicit sums
+and the online series memos run on integers over one common denominator.
+The reference implementations below are the textbook Fraction loops; they
+live here only, so that the library's two dual paths, which now share the
+kernel, are still checked against code that does not use it.  The series
+memos grow coefficient by coefficient from a recurrence; their references
+are products, long divisions and Horner compositions of truncated series
+instead, as is that of ``binomial_pow``.
 """
 
 from fractions import Fraction as F
@@ -15,13 +18,19 @@ from hypothesis import strategies as st
 from degderange.exactcore import Poly, as_fractions, as_ints, binomial, factorial
 from degderange.sequences import (
     bell_deg,
+    bell_deg_series,
     derange_deg_order,
+    derange_deg_order_series,
     derange_deg_poly,
+    derange_deg_series,
     fubini_deg,
+    fubini_deg_series,
     stirling1_deg,
+    stirling1_deg_series,
     stirling2_deg,
+    stirling2_deg_series,
 )
-from degderange.series import Series
+from degderange.series import Series, binomial_pow
 
 N_MAX = 40
 
@@ -93,6 +102,27 @@ def ref_stirling_rows(lam, n, second_kind):
             row.append(acc)
         rows.append(row)
     return rows
+
+
+def ref_binomial(q, k):
+    return ref_falling(q, k, 1) / factorial(k)
+
+
+def ref_deg_exp(x, lam, n):
+    """Coefficients 0..n of (1 + lam t)^(x/lam)."""
+    return [ref_falling(x, k, lam) / factorial(k) for k in range(n + 1)]
+
+
+def ref_deg_log(lam, n):
+    """Coefficients 0..n of ((1+t)^lam - 1)/lam, or log(1+t) at lam = 0."""
+    if lam == 0:
+        return [F(0)] + [F((-1) ** (k - 1), k) for k in range(1, n + 1)]
+    return [F(0)] + [ref_binomial(lam, k) / lam for k in range(1, n + 1)]
+
+
+def exponential(coeffs):
+    """k! times coefficient k."""
+    return [c * factorial(k) for k, c in enumerate(coeffs)]
 
 
 def ref_derange(n, lam):
@@ -198,3 +228,64 @@ def test_derange_poly_matches_reference(lam, n):
         for j, c in enumerate(fall):
             acc[j] += w * c
     assert derange_deg_poly(n, lam) == Poly(acc)
+
+
+# ---------------------------------------------------------------------------
+# series memos, each grown by a recurrence, and binomial_pow against series
+# products, long divisions and compositions
+
+series_orders = st.integers(min_value=0, max_value=N_MAX)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lambdas, series_orders)
+def test_series_triangles_match_reference_powers(lam, n):
+    for fn, base in (
+        (stirling2_deg_series, [F(0)] + ref_deg_exp(F(1), lam, n)[1:]),
+        (stirling1_deg_series, ref_deg_log(lam, n)),
+    ):
+        power = [F(1)] + [F(0)] * n
+        for m in range(n + 1):
+            col = exponential(power)
+            assert [fn(k, m, lam) for k in range(n + 1)] == [c / factorial(m) for c in col]
+            power = ref_mul(power, base, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lambdas, small_rationals, series_orders)
+def test_bell_series_matches_reference_compose(lam, x, n):
+    outer = ref_deg_exp(F(1), lam, n)
+    inner = [F(0)] + [x * c for c in outer[1:]]
+    ref = exponential(ref_compose(outer, inner, n))
+    assert [bell_deg_series(k, lam, x) for k in range(n + 1)] == ref
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=N_MAX).flatmap(coeff_lists),
+    small_rationals,
+)
+def test_binomial_pow_matches_reference_compose(coeffs, q):
+    coeffs[0] = F(1)
+    n = len(coeffs) - 1
+    binom = [ref_binomial(q, k) for k in range(n + 1)]
+    ref = ref_compose(binom, [F(0)] + coeffs[1:], n)
+    assert list(binomial_pow(Series(coeffs), q).coeffs) == ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(lambdas, small_rationals, series_orders, st.integers(min_value=1, max_value=5))
+def test_fubini_and_order_r_series_match_reference_division(lam, x, n, r):
+    unit = [F(1)] + [F(0)] * n
+    denom = [F(1)] + [-x * c for c in ref_deg_exp(F(1), lam, n)[1:]]
+    assert [fubini_deg_series(k, lam, x) for k in range(n + 1)] == exponential(
+        ref_div(unit, denom, n)
+    )
+    numer = ref_deg_exp(x - 1, lam, n)
+    for order in (1, r):
+        power = [binomial(order, k) * (-1) ** k for k in range(n + 1)]  # (1-t)^order
+        ref = exponential(ref_div(numer, power, n))
+        assert [derange_deg_order_series(k, order, lam, x) for k in range(n + 1)] == ref
+    assert [derange_deg_series(k, lam, x) for k in range(n + 1)] == exponential(
+        ref_div(numer, [F(1), F(-1)] + [F(0)] * n, n)
+    )

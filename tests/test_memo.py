@@ -34,11 +34,18 @@ from degderange.sequences import (
     stirling2_row,
 )
 
-# (memo, key) pairs covering both growth rules: recurrences grown in place
-# (falling factorials, derangement partial sums, a Stirling triangle, the
-# sums over second-kind Stirling rows) and series extractions rebuilt at a
-# larger order.
+# (memo, key) pairs: the recurrences (falling factorials, derangement partial
+# sums, both Stirling triangles), the sums over second-kind Stirling rows, and
+# every series memo, each grown online from its generating function.
 LAM, X = F(-2, 7), F(3, 4)
+SERIES_MEMOS = [
+    (sequences._S2_SERIES, (LAM, 3)),
+    (sequences._S1_SERIES, (LAM, 3)),
+    (sequences._FUBINI_SERIES, (LAM, X)),
+    (sequences._BELL_SERIES, (LAM, X)),
+    (sequences._DERANGE_ORDER_SERIES, (LAM, X, 1)),
+    (sequences._DERANGE_ORDER_SERIES, (LAM, X, 2)),
+]
 MEMOS = [
     (sequences._FALLING, (X, LAM)),
     (sequences._DERANGE, (LAM, X)),
@@ -47,9 +54,7 @@ MEMOS = [
     (sequences._FUBINI, (LAM, X)),
     (sequences._BELL, (LAM, X)),
     (identities._THM4_INNER, (LAM, X)),
-    (sequences._S1_SERIES, LAM),
-    (sequences._FUBINI_SERIES, (LAM, X)),
-    (sequences._DERANGE_ORDER_SERIES, (LAM, X, 2)),
+    *SERIES_MEMOS,
 ]
 
 
@@ -57,10 +62,24 @@ def fresh(memo):
     return _Memo(memo.grow)
 
 
+COLUMN_MEMOS = (sequences._S2_SERIES, sequences._S1_SERIES)
+
+
+def drop_lower_columns(memo, key):
+    """A series-triangle column grows from the column below it, read from the
+    module's memo.  Dropping the lower columns there makes the next growth
+    of ``key`` grow them as well, one grow step nested in another."""
+    if memo in COLUMN_MEMOS:
+        lam, m = key
+        for i in range(m):
+            memo.rows.pop((lam, i), None)
+
+
 def test_threads_growing_one_key_match_serial_build():
     targets = [3, 17, 9, 30]
     for memo, key in MEMOS:
         serial = fresh(memo).row(key, max(targets))
+        drop_lower_columns(memo, key)
         shared = fresh(memo)
         shared.row(key, 1)  # the threads then extend one shared list
         got = {}
@@ -85,10 +104,13 @@ def test_threads_growing_one_key_match_serial_build():
         for n in targets:
             assert got[n] == serial[: n + 1], (memo.grow, n)
         assert shared.row(key, max(targets))[: max(targets) + 1] == serial[: max(targets) + 1]
+        if memo in COLUMN_MEMOS:  # the race grew the column below to 29
+            assert len(memo.rows[(key[0], key[1] - 1)]) == max(targets)
 
 
 def test_growing_after_a_smaller_n_keeps_the_prefix():
     for memo, key in MEMOS:
+        drop_lower_columns(memo, key)
         step = fresh(memo)
         small = list(step.row(key, 5))
         large = step.row(key, 24)
@@ -96,13 +118,15 @@ def test_growing_after_a_smaller_n_keeps_the_prefix():
         assert large[:25] == fresh(memo).row(key, 24)[:25], memo.grow
 
 
-def test_series_memo_grows_by_the_doubling_rule():
-    memo = fresh(sequences._DERANGE_SERIES)
-    key = (LAM, X)
-    assert len(memo.row(key, 3)) == 9  # order max(3, 0, 8)
-    assert len(memo.row(key, 8)) == 9  # already covered
-    assert len(memo.row(key, 10)) == 19  # order max(10, 2 * 9, 8)
-    assert len(memo.row(key, 50)) == 51
+def test_series_memos_grow_exactly_to_n():
+    for memo, key in SERIES_MEMOS:
+        step = fresh(memo)
+        for n in (3, 8, 10, 50):
+            assert len(step.row(key, n)) == n + 1, (memo.grow, n)
+        assert len(step.row(key, 8)) == 51  # already covered: no rebuild
+    bell = fresh(sequences._BELL_SERIES)
+    bell.row((F(3, 7), F(1)), 96)
+    assert len(bell.row((F(3, 7), F(1)), 128)) == 129
 
 
 lambdas = st.one_of(
