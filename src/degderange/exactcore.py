@@ -6,10 +6,12 @@ denominator, decidable equality).  Plain ``int`` values are accepted and
 returned wherever a quantity is integer-valued; they mix exactly with
 ``Fraction``.  No floating point enters this module.
 
-Coefficient-list arithmetic runs on the integer-numerator form of a list:
-one integer per entry over one common denominator (the model of FLINT's
-``fmpq_poly``).  Products and sums then cost plain integer operations, and
-each result entry is reduced to a ``Fraction`` once, at the end.
+Coefficient-list arithmetic runs on the integer-numerator form of a list,
+(nums, den): one integer per entry over one common denominator (the model of
+FLINT's ``fmpq_poly``).  Products and sums then cost plain integer
+operations, and each result entry is reduced to a ``Fraction`` once, at the
+end.  ``dot`` and ``binomial_conv`` take their operands in this form, which
+is the form the sequence memos store.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Sequence, Union
 
 ExactScalar = Union[int, Fraction]
+IntRow = tuple[list[int], int]  # (nums, den): entry i is nums[i] / den
 
 # Factorials below this are kept in a lazily grown table; larger ones fall
 # through to math.factorial.
@@ -30,7 +34,7 @@ _fact_table = [1]
 _fact_lock = threading.Lock()
 
 
-def as_ints(values: Sequence[ExactScalar]) -> tuple[list[int], int]:
+def as_ints(values: Sequence[ExactScalar]) -> IntRow:
     """Integer-numerator form (nums, den): values[i] == nums[i] / den, with den
     the least common denominator of the values."""
     den = math.lcm(*[v.denominator for v in values])
@@ -42,7 +46,7 @@ def as_fractions(nums: Sequence[int], den: int) -> list[Fraction]:
     return [Fraction(v, den) for v in nums]
 
 
-def widen(nums: list[int], den: int, d: int) -> tuple[list[int], int]:
+def widen(nums: list[int], den: int, d: int) -> IntRow:
     """The same values as nums / den, over the least multiple of den that d
     divides, so that a fraction with denominator d can be added in."""
     f = d // math.gcd(den, d)
@@ -63,18 +67,19 @@ def convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def dot(u: Sequence[ExactScalar], v: Sequence[ExactScalar]) -> Fraction:
-    """Exact sum of u[i] * v[i], reduced once."""
-    nu, du = as_ints(u)
-    nv, dv = as_ints(v)
+def dot(u: IntRow, v: IntRow) -> Fraction:
+    """Exact sum of u[i] * v[i] over the shorter of two lists in
+    integer-numerator form (nums, den), reduced once."""
+    (nu, du), (nv, dv) = u, v
     return Fraction(sum(map(mul, nu, nv)), du * dv)
 
 
-def binomial_conv(a: Sequence[ExactScalar], b: Sequence[ExactScalar], n: int) -> Fraction:
-    """Exact sum of binom(n, l) * a[l] * b[n-l] over l = 0..n."""
-    na, da = as_ints(a[: n + 1])
-    nb, db = as_ints(b[n::-1])
-    return Fraction(sum(binomial(n, l) * u * v for l, (u, v) in enumerate(zip(na, nb))), da * db)
+def binomial_conv(a: IntRow, b: IntRow, n: int) -> Fraction:
+    """Exact sum of binom(n, l) * a[l] * b[n-l] over l = 0..n, for two lists
+    in integer-numerator form (nums, den) of at least n + 1 entries."""
+    (na, da), (nb, db) = a, b
+    weights = map(mul, map(math.comb, repeat(n), range(n + 1)), na)
+    return Fraction(sum(map(mul, weights, nb[n::-1])), da * db)
 
 
 def factorial(n: int) -> int:

@@ -2,8 +2,11 @@
 
 Each identity is evaluated at concrete rational parameters; the two sides are
 computed by structurally independent code paths, sharing only the exact-core
-primitives (factorials, binomials, falling-factorial products).  The path
-mapping, per identity:
+primitives (factorials, binomials, falling-factorial products).  The
+verifiers read the memo rows of ``sequences`` as integers over one
+denominator and sum them with the kernel's ``dot`` and ``binomial_conv``, so
+a case builds only the ``Fraction`` values of its sides.  The path mapping,
+per identity:
 
   THM2_CONV          lhs: series extraction of the derangement generating
                      function; rhs: convolution sum over derangement numbers
@@ -95,24 +98,21 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactcore import ExactScalar, binomial_conv, dot, factorial
+from .exactcore import ExactScalar, IntRow, binomial_conv, dot, factorial
 from .sequences import (
+    _BELL,
+    _BELL_SERIES,
+    _DERANGE,
+    _DERANGE_ORDER_SERIES,
+    _FALLING,
+    _FUBINI,
+    _FUBINI_SERIES,
+    _S1,
+    _S2,
+    _derange_order,
+    _key,
     _Memo,
     _s2_sums,
-    bell_deg_series,
-    bell_row,
-    bell_series_row,
-    derange_deg,
-    derange_deg_order,
-    derange_deg_order_series,
-    derange_deg_series,
-    derange_row,
-    falling_deg,
-    falling_row,
-    fubini_row,
-    fubini_series_row,
-    stirling1_row,
-    stirling2_row,
 )
 
 MAX_N = 256
@@ -165,37 +165,55 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# verifiers; each returns (lhs, rhs)
+# verifiers; each takes lam and x as (numerator, denominator) int pairs, the
+# memo keys, reads the memo rows as integers over one denominator and
+# returns (lhs, rhs)
+
+_ZERO, _ONE, _MINUS_ONE = (0, 1), (1, 1), (-1, 1)
 
 
-def _alternating(row):
+def _neg(a):
+    return -a[0], a[1]
+
+
+def _shift(a, c: int):
+    """a + c for an integer c, still reduced."""
+    return a[0] + c * a[1], a[1]
+
+
+def _at(row: IntRow, i: int) -> Fraction:
+    return Fraction(row[0][i], row[1])
+
+
+def _alternating(row: IntRow) -> IntRow:
     """The entries (-1)^m row[m]."""
-    return [-v if m % 2 else v for m, v in enumerate(row)]
+    nums, den = row
+    return [-v if m % 2 else v for m, v in enumerate(nums)], den
 
 
 def _thm2_conv(n, lam, x, r, mutate):
-    lhs = derange_deg_series(n, lam, x)
-    d, f = derange_row(n, lam, 0), falling_row(x, n, lam)
+    lhs = _DERANGE_ORDER_SERIES.value((lam, x, 1), n)
+    d, f = _DERANGE.ints((lam, _ZERO), n), _FALLING.ints((x, lam), n)
     rhs = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand
-        rhs -= 2 * d[n] * f[0]
+        rhs -= 2 * _at(d, n) * _at(f, 0)
     return lhs, rhs
 
 
 def _thm2_rec(n, lam, x, r, mutate):
-    lhs = falling_deg(x - 1, n, lam)
+    lhs = _FALLING.value((_shift(x, -1), lam), n)
+    d, den = _DERANGE.row((lam, x), n)
     sign = 1 if mutate else -1
-    rhs = derange_deg(n, lam, x) + sign * n * derange_deg(n - 1, lam, x)
-    return lhs, rhs
+    return lhs, Fraction(d[n] + sign * n * d[n - 1], den)
 
 
 def _thm2_rec_x0(n, lam, x, r, mutate):
-    return _thm2_rec(n, lam, Fraction(0), r, mutate)
+    return _thm2_rec(n, lam, _ZERO, r, mutate)
 
 
 def _alternating_weights(key, n):
     lam, x, mu = key
-    return _alternating(derange_row(n, lam, x)), mu
+    return _alternating(_DERANGE.ints((lam, x), n)), mu
 
 
 # inner[j] = sum_l (-1)^l D(l; lam, x) S2(j, l; mu), for THM3 (mu = lam) and
@@ -204,15 +222,16 @@ _ALTERNATING_INNER = _Memo(_s2_sums(_alternating_weights))
 
 
 def _thm3(n, lam, x, r, mutate):
-    lhs = binomial_conv(_ALTERNATING_INNER.row((lam, x, lam), n), falling_row(1, n, lam), n)
-    sign = -1 if mutate else 1
-    rhs = sign * dot(_alternating(falling_row(x - 1, n, lam)), stirling2_row(n, lam))
+    lhs = binomial_conv(_ALTERNATING_INNER.ints((lam, x, lam), n), _FALLING.ints((_ONE, lam), n), n)
+    rhs = dot(_alternating(_FALLING.ints((_shift(x, -1), lam), n)), _S2.ints(lam, n))
+    if mutate:
+        rhs = -rhs
     return lhs, rhs
 
 
 def _thm4_weights(key, n):
     lam, x = key
-    return falling_row(x - 1, n, lam), lam
+    return _FALLING.ints((_shift(x, -1), lam), n), lam
 
 
 # inner[l] = sum_m falling(x-1, m, lam) S2(l, m; lam)
@@ -220,20 +239,20 @@ _THM4_INNER = _Memo(_s2_sums(_thm4_weights))
 
 
 def _thm4(n, lam, x, r, mutate):
-    lhs = dot(stirling2_row(n, lam), derange_row(n, lam, x))
-    rhs = binomial_conv(_THM4_INNER.row((lam, x), n), fubini_series_row(n, lam, 1), n)
+    lhs = dot(_S2.ints(lam, n), _DERANGE.ints((lam, x), n))
+    rhs = binomial_conv(_THM4_INNER.ints((lam, x), n), _FUBINI_SERIES.ints((lam, _ONE), n), n)
     if mutate:  # negate every Fubini value
         rhs = -rhs
     return lhs, rhs
 
 
 def _thm5(n, lam, x, r, mutate):
-    expr_a = dot(fubini_row(n, lam, 1), stirling1_row(n, lam))
-    expr_b = binomial_conv(derange_row(n, lam, 0), falling_row(1, n, lam), n)
-    d, f = derange_row(n, lam, x), falling_row(1 - x, n, lam)
+    expr_a = dot(_FUBINI.ints((lam, _ONE), n), _S1.ints(lam, n))
+    expr_b = binomial_conv(_DERANGE.ints((lam, _ZERO), n), _FALLING.ints((_ONE, lam), n), n)
+    d, f = _DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n)
     expr_c = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand of the x-shifted form
-        expr_c -= 2 * d[n] * f[0]
+        expr_c -= 2 * _at(d, n) * _at(f, 0)
     nfact = Fraction(factorial(n))
     if expr_a == expr_b == nfact:
         return expr_a, expr_c
@@ -242,80 +261,81 @@ def _thm5(n, lam, x, r, mutate):
 
 
 def _lemma6(n, lam, x, r, mutate):
-    f, s = falling_row(x - 1, n, lam), stirling2_row(n, lam)
-    lhs = dot(f[1:], s[1:])
+    (f, fd), (s, sd) = _FALLING.ints((_shift(x, -1), lam), n), _S2.ints(lam, n)
+    lhs = dot((f[1:], fd), (s[1:], sd))
     if mutate:
-        lhs -= 2 * f[1] * s[1]
-    d = derange_row(n, lam, x)
-    rhs = dot([d[m] - m * d[m - 1] for m in range(1, n + 1)], s[1:])
+        lhs -= 2 * Fraction(f[1], fd) * Fraction(s[1], sd)
+    d, dd = _DERANGE.ints((lam, x), n)
+    rhs = dot(([d[m] - m * d[m - 1] for m in range(1, n + 1)], dd), (s[1:], sd))
     return lhs, rhs
 
 
 def _thm7_a(n, lam, x, r, mutate):
-    lhs = falling_deg(1, n, lam)
-    b, s = bell_series_row(n, lam, 1), stirling1_row(n, lam)
+    lhs = _FALLING.value((_ONE, lam), n)
+    b, s = _BELL_SERIES.ints((lam, _ONE), n), _S1.ints(lam, n)
     rhs = dot(b, s)
     if mutate:
-        rhs -= 2 * b[n] * s[n]
+        rhs -= 2 * _at(b, n) * _at(s, n)
     return lhs, rhs
 
 
 def _thm7_b(n, lam, x, r, mutate):
-    lhs = bell_deg_series(n, lam, 1)
-    f, s = falling_row(1, n, lam), stirling2_row(n, lam)
+    lhs = _BELL_SERIES.value((lam, _ONE), n)
+    f, s = _FALLING.ints((_ONE, lam), n), _S2.ints(lam, n)
     rhs = dot(f, s)
     if mutate:
-        rhs -= 2 * f[n] * s[n]
+        rhs -= 2 * _at(f, n) * _at(s, n)
     return lhs, rhs
 
 
 def _thm8_a(n, lam, x, r, mutate):
-    lhs = dot(_alternating(derange_row(n, lam, 0)), stirling2_row(n, -lam))
-    b, f = bell_series_row(n, -lam, 1), falling_row(-1, n, -lam)
+    lhs = dot(_alternating(_DERANGE.ints((lam, _ZERO), n)), _S2.ints(_neg(lam), n))
+    b, f = _BELL_SERIES.ints((_neg(lam), _ONE), n), _FALLING.ints((_MINUS_ONE, _neg(lam)), n)
     rhs = binomial_conv(b, f, n)
     if mutate:
-        rhs -= 2 * b[n] * f[0]
+        rhs -= 2 * _at(b, n) * _at(f, 0)
     return lhs, rhs
 
 
 def _thm8_b(n, lam, x, r, mutate):
-    lhs = dot(bell_row(n, lam, 1), stirling1_row(n, lam))
+    lhs = dot(_BELL.ints((lam, _ONE), n), _S1.ints(lam, n))
+    f, den = _FALLING.row((_MINUS_ONE, _neg(lam)), n)
     sign = -1 if mutate else 1
-    rhs = sign * (-1) ** n * falling_deg(-1, n, -lam)
-    return lhs, rhs
+    return lhs, Fraction(sign * (-1) ** n * f[n], den)
 
 
 def _eq24_25(n, lam, x, r, mutate):
-    acc = dot(falling_row(-1, n, lam), stirling1_row(n, lam))
+    (f, fd), s = _FALLING.ints((_MINUS_ONE, lam), n), _S1.ints(lam, n)
     sign = -1 if mutate else 1
-    lhs = sign * (-1) ** n * acc
-    rhs = binomial_conv(derange_row(n, lam, x), falling_row(1 - x, n, lam), n)
+    lhs = dot(([sign * (-1) ** n * v for v in f], fd), s)
+    rhs = binomial_conv(_DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n), n)
     return lhs, rhs
 
 
 def _thm9_vs_series(n, lam, x, r, mutate):
-    lhs = derange_deg_order(n, r, lam, x)
+    lhs = _derange_order(n, r, lam, x)
     if mutate:  # flip the sign of the top summand (l = n) of the explicit sum
-        lhs -= 2 * falling_deg(x - 1, n, lam)
-    rhs = derange_deg_order_series(n, r, lam, x)
+        lhs -= 2 * _FALLING.value((_shift(x, -1), lam), n)
+    rhs = _DERANGE_ORDER_SERIES.value((lam, x, r), n)
     return lhs, rhs
 
 
 def _thm10(n, lam, x, r, mutate):
-    lhs = bell_deg_series(n, -lam, 1)
-    inner, f = _ALTERNATING_INNER.row((lam, Fraction(0), -lam), n), falling_row(1, n, -lam)
+    lhs = _BELL_SERIES.value((_neg(lam), _ONE), n)
+    inner = _ALTERNATING_INNER.ints((lam, _ZERO, _neg(lam)), n)
+    f = _FALLING.ints((_ONE, _neg(lam)), n)
     rhs = binomial_conv(inner, f, n)
     if mutate:
-        rhs -= 2 * f[n] * inner[0]
+        rhs -= 2 * _at(f, n) * _at(inner, 0)
     return lhs, rhs
 
 
 def _exp_moment_bridge(n, lam, x, r, mutate):
-    f = falling_row(x - 1, n, lam)
-    lhs = binomial_conv([factorial(m) for m in range(n + 1)], f, n)
+    f = _FALLING.ints((_shift(x, -1), lam), n)
+    lhs = binomial_conv(([factorial(m) for m in range(n + 1)], 1), f, n)
     if mutate:
-        lhs -= 2 * f[0] * factorial(n)
-    rhs = derange_deg_series(n, lam, x)
+        lhs -= 2 * _at(f, 0) * factorial(n)
+    rhs = _DERANGE_ORDER_SERIES.value((lam, x, 1), n)
     return lhs, rhs
 
 
@@ -392,7 +412,8 @@ def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction
         )
     if spec.uses_r and case.r < 1:
         raise ValueError(f"r must be >= 1, got {case.r}")
-    lhs, rhs = spec.fn(case.n, Fraction(case.lam), case.x, case.r, mutate)
+    x = None if case.x is None else _key(case.x)
+    lhs, rhs = spec.fn(case.n, _key(case.lam), x, case.r, mutate)
     return lhs, rhs, lhs == rhs
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exactcore import ExactScalar, binomial_conv, factorial
+from .exactcore import ExactScalar, as_ints, binomial_conv, factorial
 from .sequences import (
     derange_deg_order,
     derange_row,
@@ -256,7 +256,8 @@ def theorem11_check(
     lam = Fraction(lam)
     if not Fraction(0) < lam < Fraction(1, 2):
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-    target = (1 - lam) * binomial_conv(derange_row(n, lam, 0), falling_row(1, n, lam), n)
+    d, f = as_ints(derange_row(n, lam, 0)), as_ints(falling_row(1, n, lam))
+    target = (1 - lam) * binomial_conv(d, f, n)
     consistency = (1 - lam) * factorial(n)
     if target != consistency:
         raise AssertionError(
@@ -443,5 +444,5 @@ def erlang_bridge_check(
     x = Fraction(x)
     lhs = derange_deg_order(n, r, lam, x)
     moments = [erlang_moment(l, r) for l in range(n + 1)]
-    rhs = binomial_conv(moments, falling_row(x - 1, n, lam), n)
+    rhs = binomial_conv(as_ints(moments), as_ints(falling_row(x - 1, n, lam)), n)
     return lhs, rhs, lhs == rhs

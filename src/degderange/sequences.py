@@ -10,11 +10,28 @@ verify its companion path on each call.
 All values are exact rationals.  Negative deformation parameters are fully
 supported (the sign-flipped identities need them).
 
-Every memoised sequence lives in one :class:`_Memo`: a list of values per
-key (the deformation parameter, with the argument where there is one),
-grown on demand under one lock, in place and exactly to the requested n.
-The ``*_row`` accessors return a new list of values 0..n, keyed once per
-call; each scalar operation is a validated index into the same memo.
+Every memoised sequence lives in one :class:`_Memo`: an integer row per key,
+grown on demand under one lock, exactly to the requested n.  A key holds one
+(numerator, denominator) int pair per rational parameter (the deformation
+parameter, with the argument where there is one), so a lookup hashes ints
+only.  A row keeps integer numerators over shared denominators, the layout
+of FLINT's ``fmpq_poly``, in one of four forms:
+
+  _Memo          (nums, den): value k is nums[k]/den     falling factorials,
+                                                         derangements and the
+                                                         Stirling-weighted sums
+  _TriangleMemo  (rows, q): row k is (nums, q^k)         both Stirling triangles
+  _SeriesMemo    (nums, s): value k is nums[k]/s^k       the series paths
+  _OrdinaryMemo  (nums, den): value k is k! nums[k]/den  the Fubini series
+
+``ints(key, n)`` gives the values 0..n (row n of a triangle) as one
+(nums, den) pair, the form that the kernel's ``dot`` and ``binomial_conv``
+take and that the identity verifiers read; only the public ``*_row`` and
+scalar accessors build ``Fraction`` values, at the API boundary.  A grow step
+returns a new row and never changes a published one, so a reader outside
+the lock, holding one reference to a row, never pairs new numerators with an
+old denominator.  Each step continues from the integers at the end of the
+row it extends.
 
 The fast paths grow by recurrences (falling factorials, derangement partial
 sums, both Stirling triangles) and by sums over a second-kind Stirling row
@@ -30,7 +47,7 @@ coefficients of the series F is built from:
   Fubini               F (1 - y(deg_exp(1)-1)) = 1      = numerator)
   series triangles     m F_m = base F_{m-1}, F_m = base^m/m!, with base
                        deg_exp(1)-1 (second kind) or deg_log (first kind);
-                       one memo list per column m, so entry (n, m) costs
+                       one memo row per column m, so entry (n, m) costs
                        columns 1..m only
   Bell                 B G' = a B' G for G = B^a, B = 1 + lam x(deg_exp(1)-1),
                        a = 1/lam (J.C.P. Miller's power recurrence); at
@@ -39,11 +56,11 @@ coefficients of the series F is built from:
 
 Each step runs on integers, the values scaled by powers of one fixed
 integer with at most one exact division; Fubini runs on the ordinary
-coefficients v_k/k! over one common denominator instead, since there the
-exponential form is slower.  Each builds its weights itself from lam and x,
-reading no memo but its own.  So a series path shares with its fast
-path only the exact-core primitives: it steps along the power of t of one
-generating-function product, where a triangle steps a Stirling row by a
+coefficients v_k/k! over their least common denominator instead, since
+there the exponential form is slower.  Each builds its weights itself from
+lam and x, reading no memo but its own.  So a series path shares with its
+fast path only the exact-core primitives: it steps along the power of t of
+one generating-function product, where a triangle steps a Stirling row by a
 linear factor and an explicit sum adds falling factorials.
 
 Derangement values always come from the explicit sum
@@ -61,19 +78,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from math import comb, perm
+from math import comb, gcd, perm
 from operator import mul
 
-from .exactcore import (
-    ExactScalar,
-    Poly,
-    as_fractions,
-    as_ints,
-    binomial,
-    dot,
-    factorial,
-    widen,
-)
+from .exactcore import ExactScalar, Poly, as_fractions, dot, factorial, widen
 
 _lock = threading.RLock()
 
@@ -86,17 +94,23 @@ def set_cross_check(flag: bool) -> None:
     _cross_check = bool(flag)
 
 
-def _key(v: ExactScalar) -> Fraction:
-    return Fraction(v)
+def _key(v: ExactScalar) -> tuple[int, int]:
+    """The memo key of a rational: its reduced (numerator, denominator) pair.
+    Anything else that ``Fraction`` accepts goes through it once."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 class _Memo:
-    """Lists of sequence values per key, grown on demand under one lock.
+    """Integer rows per key, grown on demand under one lock.  A key holds
+    ints only: a (numerator, denominator) pair per rational parameter.  Rows
+    are (nums, den): value k is nums[k] / den.
 
-    ``grow(key, row, n)`` receives the key's list (empty for a new key) and
-    returns it extended in place to entries 0..n (a new list for a new key).
-    Readers never see a list shrink or change an entry.  The lock is
-    reentrant because growing one memo may read another.
+    ``grow(key, row, n)`` receives the key's row (None for a new key) and
+    returns a new row covering indices 0..n; it never changes the row it is
+    given.  Every layout is a pair whose first item is the list indexed by
+    k.  The lock is reentrant because growing one memo may read another.
     """
 
     __slots__ = ("grow", "rows")
@@ -105,25 +119,83 @@ class _Memo:
         self.grow = grow
         self.rows: dict = {}
 
-    def row(self, key, n: int) -> list:
-        """The memo list for key, filled for indices 0..n at least."""
+    def row(self, key, n: int):
+        """The row for key, covering indices 0..n at least."""
         row = self.rows.get(key)
-        if row is None or len(row) <= n:
+        if row is None or len(row[0]) <= n:
             with _lock:
-                row = self.rows.get(key, [])
-                if len(row) <= n:
+                row = self.rows.get(key)
+                if row is None or len(row[0]) <= n:
                     row = self.rows[key] = self.grow(key, row, n)
         return row
 
+    def ints(self, key, n: int) -> tuple[list[int], int]:
+        """Values 0..n in integer-numerator form (nums, den)."""
+        nums, den = self.row(key, n)
+        return nums[: n + 1], den
 
-def _nums(vals: list, s: int) -> list[int]:
-    """The integers s^k * vals[k] of a series memo list, whose entry k has a
-    denominator dividing s^k."""
-    out, sk = [], 1
-    for v in vals:
-        out.append(v.numerator * (sk // v.denominator))
-        sk *= s
-    return out
+    def value(self, key, n: int) -> Fraction:
+        nums, den = self.row(key, n)
+        return Fraction(nums[n], den)
+
+
+class _TriangleMemo(_Memo):
+    """Rows (rows, q) of a triangle at lam = p/q: row k is (nums, q^k)."""
+
+    __slots__ = ()
+
+    def ints(self, key, n: int) -> tuple[list[int], int]:
+        """Row n, entries 0..n."""
+        return self.row(key, n)[0][n]
+
+
+class _SeriesMemo(_Memo):
+    """Rows (nums, s): value k is nums[k] / s^k."""
+
+    __slots__ = ()
+
+    def ints(self, key, n: int) -> tuple[list[int], int]:
+        nums, s = self.row(key, n)
+        return _over_power(nums[: n + 1], s)
+
+    def value(self, key, n: int) -> Fraction:
+        nums, s = self.row(key, n)
+        return Fraction(nums[n], s**n)
+
+
+class _OrdinaryMemo(_Memo):
+    """Rows (nums, den) of ordinary coefficients: value k is k! nums[k] / den."""
+
+    __slots__ = ()
+
+    def ints(self, key, n: int) -> tuple[list[int], int]:
+        nums, den = self.row(key, n)
+        return [v * factorial(k) for k, v in enumerate(nums[: n + 1])], den
+
+    def value(self, key, n: int) -> Fraction:
+        nums, den = self.row(key, n)
+        return Fraction(nums[n] * factorial(n), den)
+
+
+def _over_power(nums: list[int], s: int, first: int = 0) -> tuple[list[int], int]:
+    """The values nums[i] / s^(first + i) over one denominator,
+    s^(first + len(nums) - 1)."""
+    out, f = [], 1
+    for v in reversed(nums):
+        out.append(v * f)
+        f *= s
+    out.reverse()
+    return out, s ** (first + len(nums) - 1)
+
+
+def _join(row, new: tuple[list[int], int]) -> tuple[list[int], int]:
+    """The (nums, den) row, None for no entries, followed by the (nums, den)
+    entries new: a new row over the least common denominator."""
+    if row is None:
+        return new
+    nums, den = widen(*row, new[1])
+    f = den // new[1]
+    return nums + [v * f for v in new[0]], den
 
 
 def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> list[int]:
@@ -137,18 +209,14 @@ def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> li
     return out[: n + 1]
 
 
-def _grow_online(vals: list, n: int, s: int, step, first: Fraction = Fraction(1)) -> list:
-    """A series memo list extended in place to entries 0..n (a new list
-    starts at first).  Entry k is N_k / s^k, and step(k, nums) gives the
-    integer N_k from nums = [N_0, ..., N_{k-1}]."""
-    vals = vals or [first]
-    nums = _nums(vals, s)
-    sk = s ** (len(vals) - 1)
-    for k in range(len(vals), n + 1):
-        sk *= s
+def _grow_online(row, n: int, s: int, step, first: int = 1) -> tuple[list[int], int]:
+    """A series row (nums, s) extended to entries 0..n (a new row starts at
+    first).  Entry k is N_k / s^k, and step(k, nums) gives the integer N_k
+    from nums = [N_0, ..., N_{k-1}]."""
+    nums = list(row[0]) if row else [first]
+    for k in range(len(nums), n + 1):
         nums.append(step(k, nums))
-        vals.append(Fraction(nums[k], sk))
-    return vals
+    return nums, s
 
 
 def _check_index(n: int) -> None:
@@ -164,25 +232,33 @@ def _dual(value, other, *args):
     return value
 
 
-def _entry(memo: _Memo, n: int, m: int, lam: ExactScalar) -> Fraction:
+def _entry(memo: _TriangleMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
     """Entry (n, m) of a Stirling triangle memo; 0 above the diagonal."""
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     if m > n:
         return Fraction(0)
-    return memo.row(_key(lam), n)[n][m]
+    nums, den = memo.ints(_key(lam), n)
+    return Fraction(nums[m], den)
 
 
 # ---------------------------------------------------------------------------
 # generalized falling factorials
 
 
-def _grow_falling(key, vals, n):
-    x, lam = key
-    vals = vals or [Fraction(1)]
-    for k in range(len(vals), n + 1):
-        vals.append(vals[-1] * (x - (k - 1) * lam))
-    return vals
+def _grow_falling(key, row, n):
+    """Values falling(x, k, lam) = E_k / s^k at x = u/v, lam = p/q and s = q v,
+    with E_k = prod_{i<k} (u q - i p v).  The row's denominator is
+    s^(len - 1), so its last numerator is the last E_k: the product
+    continues from it."""
+    (u, v), (p, q) = key
+    row = row or ([1], 1)
+    start = len(row[0])
+    e, new = row[0][-1], []
+    for k in range(start, n + 1):
+        e *= u * q - (k - 1) * p * v
+        new.append(e)
+    return _join(row, _over_power(new, q * v, start))
 
 
 _FALLING = _Memo(_grow_falling)
@@ -191,19 +267,19 @@ _FALLING = _Memo(_grow_falling)
 def falling_row(x: ExactScalar, n: int, lam: ExactScalar) -> list[Fraction]:
     """[falling_deg(x, k, lam) for k = 0..n], as a new list."""
     _check_index(n)
-    return _FALLING.row((_key(x), _key(lam)), n)[: n + 1]
+    return as_fractions(*_FALLING.ints((_key(x), _key(lam)), n))
 
 
 def falling_deg(x: ExactScalar, n: int, lam: ExactScalar) -> Fraction:
     """x(x-lam)(x-2*lam)...(x-(n-1)*lam); empty product 1 at n = 0."""
     if n < 0:
         raise ValueError(f"falling factorial length must be >= 0, got {n}")
-    return _FALLING.row((_key(x), _key(lam)), n)[n]
+    return _FALLING.value((_key(x), _key(lam)), n)
 
 
 def falling_poly(n: int, lam: ExactScalar) -> Poly:
     """The falling factorial of length n as a polynomial in its argument."""
-    lam = _key(lam)
+    lam = Fraction(lam)
     p = Poly((1,))
     for i in range(n):
         p = p * Poly((-i * lam, 1))
@@ -214,17 +290,24 @@ def falling_poly(n: int, lam: ExactScalar) -> Poly:
 # degenerate derangement polynomials and numbers
 
 
-def _grow_derange(key, vals, n):
+def _grow_derange(key, row, n):
     """Derangement values k! * sum_{l<=k} falling(x-1, l, lam)/l!, each formed
-    from its partial sum, which is carried forward."""
-    lam, x = key
-    vals = vals or [Fraction(1)]
-    total = vals[-1] / factorial(len(vals) - 1)
-    falls = _FALLING.row((x - 1, lam), n)
-    for k in range(len(vals), n + 1):
-        total += falls[k] / factorial(k)
-        vals.append(total * factorial(k))
-    return vals
+    from its partial sum, which is carried forward.  At lam = p/q, x = u/v
+    and s = q v, falling(x-1, l, lam) = E_l / s^l and the partial sum is
+    tot / (s^k k!): tot is put over the next denominator and the next term's
+    numerator E_k added.  The value k! tot / (s^k k!) is tot over s^k, and
+    the row's denominator is s^(len - 1), so its last numerator is the last
+    tot."""
+    (p, q), (u, v) = key
+    s = q * v
+    e = _products((u - v) * q, p * v, n)
+    row = row or ([1], 1)
+    start = len(row[0])
+    tot, new = row[0][-1], []
+    for k in range(start, n + 1):
+        tot = tot * s * k + e[k]
+        new.append(tot)
+    return _join(row, _over_power(new, s, start))
 
 
 _DERANGE = _Memo(_grow_derange)
@@ -233,15 +316,17 @@ _DERANGE = _Memo(_grow_derange)
 def derange_row(n: int, lam: ExactScalar, x: ExactScalar = 0) -> list[Fraction]:
     """[derange_deg(k, lam, x) for k = 0..n], as a new list."""
     _check_index(n)
-    lam, x = _key(lam), _key(x)
-    vals = _DERANGE.row((lam, x), n)[: n + 1]
-    return _dual(vals, lambda: [derange_deg_series(k, lam, x) for k in range(n + 1)])
+    key = (_key(lam), _key(x))
+    return _dual(
+        as_fractions(*_DERANGE.ints(key, n)),
+        lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, 1), n)),
+    )
 
 
 def derange_deg(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Degenerate derangement value: n! * sum_{l<=n} falling(x-1, l, lam)/l!."""
     _check_index(n)
-    value = _DERANGE.row((_key(lam), _key(x)), n)[n]
+    value = _DERANGE.value((_key(lam), _key(x)), n)
     return _dual(value, derange_deg_series, n, lam, x)
 
 
@@ -249,7 +334,7 @@ def derange_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction
     """Series-extraction path: n! times coefficient n of deg_exp(x-1)/(1-t),
     the order-r series at r = 1."""
     _check_index(n)
-    return _DERANGE_ORDER_SERIES.row((_key(lam), _key(x), 1), n)[n]
+    return _DERANGE_ORDER_SERIES.value((_key(lam), _key(x), 1), n)
 
 
 def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
@@ -257,21 +342,29 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     with derangement numbers and falling-factorial polynomials."""
     _check_index(n)
     lam = _key(lam)
-    p, q = lam.numerator, lam.denominator
+    p, q = lam
     # falls[k]: integer coefficients of q^k * falling_poly(k, lam), grown one
     # linear factor (q*x - k*p) at a time
     falls = [[1]]
     for k in range(n):
         prev = falls[-1]
         falls.append([q * a - k * p * b for a, b in zip([0] + prev, prev + [0])])
-    weights, wden = as_ints(
-        [Fraction(binomial(n, l) * d, q ** (n - l)) for l, d in enumerate(derange_row(n, lam))]
-    )
+    # weights binom(n, l) D(l) / q^(n-l), over the denominator of D times q^n
+    nums, den = _DERANGE.ints((lam, (0, 1)), n)
     acc = [0] * (n + 1)
-    for w, fall in zip(weights, reversed(falls)):
+    for l, (d, fall) in enumerate(zip(nums, reversed(falls))):
+        w = comb(n, l) * d * q**l
         for j, c in enumerate(fall):
             acc[j] += w * c
-    return Poly(as_fractions(acc, wden))
+    return Poly(as_fractions(acc, den * q**n))
+
+
+def _derange_order(n: int, r: int, lam: tuple[int, int], x: tuple[int, int]) -> Fraction:
+    """The explicit order-r sum at int-pair keys, with the integer weights
+    n!/l! * binom(r+n-l-1, n-l) against the falling row."""
+    u, v = x
+    weights = [perm(n, n - l) * comb(r + n - l - 1, n - l) for l in range(n + 1)]
+    return dot(_FALLING.ints(((u - v, v), lam), n), (weights, 1))
 
 
 def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
@@ -280,34 +373,28 @@ def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> F
     _check_index(n)
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
-    lam = _key(lam)
-    x = _key(x)
-    value = dot(
-        _FALLING.row((x - 1, lam), n)[: n + 1],
-        [factorial(n) // factorial(l) * binomial(r + n - l - 1, n - l) for l in range(n + 1)],
-    )
+    value = _derange_order(n, r, _key(lam), _key(x))
     return _dual(value, derange_deg_order_series, n, r, lam, x)
 
 
-def _grow_derange_order_series(key, vals, n):
+def _grow_derange_order_series(key, row, n):
     """d_k = k! [t^k] F for F (1-t)^r = deg_exp(x-1), from its coefficient
     equation d_k = e_k - sum_{i=1..min(r,k)} binom(k,i) (-1)^i i! binom(r,i) d_{k-i}
     with e_k = falling(x-1, k, lam).  At lam = p/q, x = u/v and s = q v it
     runs on N_k = s^k d_k and E_k = s^k e_k = prod_{i<k} ((u-v) q - i p v):
     N_k = E_k - sum_i (-1)^i binom(r,i) s^i k!/(k-i)! N_{k-i}."""
-    lam, x, r = key
-    p, q, u, v = lam.numerator, lam.denominator, x.numerator, x.denominator
+    (p, q), (u, v), r = key
     s = q * v
     e = _products((u - v) * q, p * v, n)
-    w = [(-1) ** i * binomial(r, i) * s**i for i in range(min(r, n) + 1)]
+    w = [(-1) ** i * comb(r, i) * s**i for i in range(min(r, n) + 1)]
 
     def step(k, nums):
         return e[k] - sum(w[i] * perm(k, i) * nums[k - i] for i in range(1, min(r, k) + 1))
 
-    return _grow_online(vals, n, s, step)
+    return _grow_online(row, n, s, step)
 
 
-_DERANGE_ORDER_SERIES = _Memo(_grow_derange_order_series)
+_DERANGE_ORDER_SERIES = _SeriesMemo(_grow_derange_order_series)
 
 
 def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
@@ -316,53 +403,52 @@ def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     _check_index(n)
-    return _DERANGE_ORDER_SERIES.row((_key(lam), _key(x), r), n)[n]
+    return _DERANGE_ORDER_SERIES.value((_key(lam), _key(x), r), n)
 
 
 # ---------------------------------------------------------------------------
 # degenerate Stirling numbers, both kinds, both paths
 
 
-def _grow_triangle(second_kind: bool, lam, rows, n):
-    """Rows 0..n of the triangle at lam = p/q, built on the integers
-    T(k, m) = q^k S(k, m):
+def _grow_triangle(second_kind: bool, lam, tri, n):
+    """Rows 0..n of the triangle at lam = p/q, row k being the integers
+    T(k, m) = q^k S(k, m) over q^k:
     second kind T(k,m) = q T(k-1,m-1) + (m q - (k-1) p) T(k-1,m),
     first kind  T(k,m) = q T(k-1,m-1) + (m p - (k-1) q) T(k-1,m).
-    Each row is kept reduced; the integer form of the last one is rebuilt
-    from it (q^k S(k, m) is an integer, so q^k // denominator is exact)."""
-    p, q = lam.numerator, lam.denominator
+    Each new row is stepped from the last one's integers."""
+    p, q = lam
     a, b = (q, p) if second_kind else (p, q)
-    rows = rows or [[Fraction(1)]]
-    scale = q ** (len(rows) - 1)
-    top = [v.numerator * (scale // v.denominator) for v in rows[-1]]
+    rows = list(tri[0]) if tri else [([1], 1)]
+    top, den = rows[-1]
     for k in range(len(rows), n + 1):
         top = [
             q * left + (m * a - (k - 1) * b) * up
             for m, (left, up) in enumerate(zip([0] + top, top + [0]))
         ]
-        rows.append(as_fractions(top, q**k))
-    return rows
+        den *= q
+        rows.append((top, den))
+    return rows, q
 
 
-_S2 = _Memo(partial(_grow_triangle, True))
-_S1 = _Memo(partial(_grow_triangle, False))
+_S2 = _TriangleMemo(partial(_grow_triangle, True))
+_S1 = _TriangleMemo(partial(_grow_triangle, False))
 
 
 def stirling2_row(n: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling2_deg(n, m, lam) for m = 0..n], as a new list."""
     _check_index(n)
-    lam = _key(lam)
     return _dual(
-        list(_S2.row(lam, n)[n]), lambda: [stirling2_deg_series(n, m, lam) for m in range(n + 1)]
+        as_fractions(*_S2.ints(_key(lam), n)),
+        lambda: [stirling2_deg_series(n, m, lam) for m in range(n + 1)],
     )
 
 
 def stirling1_row(n: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling1_deg(n, m, lam) for m = 0..n], as a new list."""
     _check_index(n)
-    lam = _key(lam)
     return _dual(
-        list(_S1.row(lam, n)[n]), lambda: [stirling1_deg_series(n, m, lam) for m in range(n + 1)]
+        as_fractions(*_S1.ints(_key(lam), n)),
+        lambda: [stirling1_deg_series(n, m, lam) for m in range(n + 1)],
     )
 
 
@@ -386,26 +472,26 @@ def _grow_series_column(second_kind: bool, key, col, n):
     (lam-1)(lam-2)...(lam-j+1) for base = deg_log.  At lam = p/q it runs on
     T(k, m) = q^k S(k, m) with B_j = q^j beta_j, both integers:
     m T(k,m) = sum_j binom(k,j) B_j T(k-j,m-1), an exact division by m.
-    Column m-1 is read to n-1 from the same memo."""
+    The integers of column m-1 are read to n-1 from the same memo."""
     lam, m = key
-    p, q = lam.numerator, lam.denominator
+    p, q = lam
     if m == 0:
         return _grow_online(col, n, q, lambda k, nums: 0)
     big = _products(q, p, n) if second_kind else _products(p, q, n, lead=q)
     memo = _S2_SERIES if second_kind else _S1_SERIES
-    prev = _nums(memo.row((lam, m - 1), n - 1)[:n], q)
+    prev = memo.row((lam, m - 1), n - 1)[0]
 
     def step(k, nums):
         return sum(comb(k, j) * big[j] * prev[k - j] for j in range(1, k - m + 2)) // m
 
-    return _grow_online(col, n, q, step, Fraction(0))
+    return _grow_online(col, n, q, step, 0)
 
 
-_S2_SERIES = _Memo(partial(_grow_series_column, True))
-_S1_SERIES = _Memo(partial(_grow_series_column, False))
+_S2_SERIES = _SeriesMemo(partial(_grow_series_column, True))
+_S1_SERIES = _SeriesMemo(partial(_grow_series_column, False))
 
 
-def _series_entry(memo: _Memo, n: int, m: int, lam: ExactScalar) -> Fraction:
+def _series_entry(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
     """Entry (n, m) of a series triangle; 0 above the diagonal.  Columns
     1..m grow in turn, so that no grow step recurses into the one below."""
     if n < 0 or m < 0:
@@ -415,7 +501,7 @@ def _series_entry(memo: _Memo, n: int, m: int, lam: ExactScalar) -> Fraction:
     lam = _key(lam)
     for i in range(1, m):
         memo.row((lam, i), n)
-    return memo.row((lam, m), n)[n]
+    return memo.value((lam, m), n)
 
 
 def stirling2_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
@@ -430,21 +516,16 @@ def stirling1_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
     return _series_entry(_S1_SERIES, n, m, lam)
 
 
-def _grow_s1_classical(key, rows, n):
-    rows = rows or [[1]]
+def _grow_s1_classical(key, tri, n):
+    rows = list(tri[0]) if tri else [([1], 1)]
+    top = rows[-1][0]
     for k in range(len(rows), n + 1):
-        prev = rows[-1]
-        row = [0] * (k + 1)
-        for j in range(k + 1):
-            acc = prev[j - 1] if 1 <= j <= k else 0
-            if j < k:
-                acc -= (k - 1) * prev[j]
-            row[j] = acc
-        rows.append(row)
-    return rows
+        top = [left - (k - 1) * up for left, up in zip([0] + top, top + [0])]
+        rows.append((top, 1))
+    return rows, 1
 
 
-_S1_CLASSICAL = _Memo(_grow_s1_classical)
+_S1_CLASSICAL = _TriangleMemo(_grow_s1_classical)
 
 
 def stirling1_classical(n: int, m: int) -> int:
@@ -454,7 +535,7 @@ def stirling1_classical(n: int, m: int) -> int:
         raise ValueError("indices must be >= 0")
     if m > n:
         return 0
-    return _S1_CLASSICAL.row(None, n)[n][m]
+    return _S1_CLASSICAL.ints(None, n)[0][m]
 
 
 # ---------------------------------------------------------------------------
@@ -462,28 +543,31 @@ def stirling1_classical(n: int, m: int) -> int:
 
 
 def _s2_sums(weights):
-    """Grow step for sums[j] = sum_m w[m] S2(j, m; mu), j = 0..n, where
-    weights(key, n) gives (w, mu) with w[0..n].  The triangle is read once."""
+    """Grow step for the row sums[j] = sum_m w[m] S2(j, m; mu), j = 0..n,
+    where weights(key, n) gives (w, mu): w[0..n] as (nums, den) and mu an
+    int pair p/q.  The triangle is read once; sums[j] is an integer dot
+    product over den q^j, put over den q^n."""
 
-    def grow(key, sums, n):
-        w, mu = weights(key, n)
-        rows = _S2.row(mu, n)
-        for j in range(len(sums), n + 1):
-            sums.append(dot(w[: j + 1], rows[j]))
-        return sums
+    def grow(key, row, n):
+        (wn, wd), mu = weights(key, n)
+        tri = _S2.row(mu, n)[0]
+        q = mu[1]
+        start = len(row[0]) if row else 0
+        new = [sum(map(mul, wn, tri[j][0])) * q ** (n - j) for j in range(start, n + 1)]
+        return _join(row, (new, wd * q**n))
 
     return grow
 
 
 def _fubini_weights(key, n):
-    lam, y = key
-    return [factorial(m) * y**m for m in range(n + 1)], lam
+    lam, (u, v) = key
+    return ([factorial(m) * u**m * v ** (n - m) for m in range(n + 1)], v**n), lam
 
 
 def _bell_weights(key, n):
-    lam, x = key
-    falls = _FALLING.row((Fraction(1), lam), n)
-    return [falls[m] * x**m for m in range(n + 1)], lam
+    lam, (u, v) = key
+    falls, den = _FALLING.ints(((1, 1), lam), n)
+    return ([f * u**m * v ** (n - m) for m, f in enumerate(falls)], den * v**n), lam
 
 
 _FUBINI = _Memo(_s2_sums(_fubini_weights))
@@ -493,58 +577,60 @@ _BELL = _Memo(_s2_sums(_bell_weights))
 def fubini_row(n: int, lam: ExactScalar, y: ExactScalar) -> list[Fraction]:
     """[fubini_deg(k, lam, y) for k = 0..n], as a new list."""
     _check_index(n)
-    lam, y = _key(lam), _key(y)
-    return _dual(_FUBINI.row((lam, y), n)[: n + 1], fubini_series_row, n, lam, y)
+    return _dual(
+        as_fractions(*_FUBINI.ints((_key(lam), _key(y)), n)), fubini_series_row, n, lam, y
+    )
 
 
 def fubini_deg(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
     """Degenerate Fubini polynomial value: sum_m m! y^m S2(n,m)."""
     _check_index(n)
-    lam, y = _key(lam), _key(y)
-    return _dual(_FUBINI.row((lam, y), n)[n], fubini_deg_series, n, lam, y)
+    return _dual(_FUBINI.value((_key(lam), _key(y)), n), fubini_deg_series, n, lam, y)
 
 
-def _grow_fubini_series(key, vals, n):
+def _grow_fubini_series(key, row, n):
     """f_k = k! [t^k] F for F (1 - y(deg_exp(1)-1)) = 1, from its coefficient
     equation on the ordinary coefficients F_k = f_k/k!:
-    F_k = y sum_{j=1..k} h_j F_{k-j} with h_j = falling(1, j, lam)/j!.  The
-    h_j and the F_k are kept as integers over one common denominator each.
+    F_k = y sum_{j=1..k} h_j F_{k-j} with h_j = falling(1, j, lam)/j!.  At
+    lam = p/q, y = u/v the h_j are H_j / (q^n n!), and the row keeps the F_k
+    over their least common denominator: each new F_k is reduced by one gcd,
+    and the row is widened when its denominator lacks a factor of F_k's.
     The exponential form of ``_grow_online`` is slower here: its terms carry
     k!-sized factors."""
-    lam, y = key
-    q = lam.denominator
-    c = _products(q, lam.numerator, n)
-    hn, hd = as_ints([Fraction(0)] + [Fraction(c[j], q**j * factorial(j)) for j in range(1, n + 1)])
-    vals = vals or [Fraction(1)]
-    nums, den = as_ints([v / factorial(k) for k, v in enumerate(vals)])
-    for k in range(len(vals), n + 1):
-        f = y * Fraction(sum(map(mul, hn[k:0:-1], nums)), hd * den)
-        nums, den = widen(nums, den, f.denominator)
-        nums.append(f.numerator * (den // f.denominator))
-        vals.append(f * factorial(k))
-    return vals
+    (p, q), (u, v) = key
+    c = _products(q, p, n)  # q^j falling(1, j, lam)
+    h = [c[j] * q ** (n - j) * perm(n, n - j) for j in range(n + 1)]
+    hd = v * q**n * factorial(n)
+    nums, den = row or ([1], 1)
+    nums = list(nums)
+    for k in range(len(nums), n + 1):
+        num, d = u * sum(map(mul, h[k:0:-1], nums)), hd * den
+        g = gcd(num, d)
+        num, d = num // g, d // g
+        nums, den = widen(nums, den, d)
+        nums.append(num * (den // d))
+    return nums, den
 
 
-_FUBINI_SERIES = _Memo(_grow_fubini_series)
+_FUBINI_SERIES = _OrdinaryMemo(_grow_fubini_series)
 
 
 def fubini_series_row(n: int, lam: ExactScalar, y: ExactScalar) -> list[Fraction]:
     """[fubini_deg_series(k, lam, y) for k = 0..n], as a new list."""
     _check_index(n)
-    return _FUBINI_SERIES.row((_key(lam), _key(y)), n)[: n + 1]
+    return as_fractions(*_FUBINI_SERIES.ints((_key(lam), _key(y)), n))
 
 
 def fubini_deg_series(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
     """Series path: n! times coefficient n of 1/(1 - y(deg_exp(1)-1))."""
     _check_index(n)
-    return _FUBINI_SERIES.row((_key(lam), _key(y)), n)[n]
+    return _FUBINI_SERIES.value((_key(lam), _key(y)), n)
 
 
 def bell_row(n: int, lam: ExactScalar, x: ExactScalar = 1) -> list[Fraction]:
     """[bell_deg(k, lam, x) for k = 0..n], as a new list."""
     _check_index(n)
-    lam, x = _key(lam), _key(x)
-    return _dual(_BELL.row((lam, x), n)[: n + 1], bell_series_row, n, lam, x)
+    return _dual(as_fractions(*_BELL.ints((_key(lam), _key(x)), n)), bell_series_row, n, lam, x)
 
 
 def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
@@ -553,11 +639,10 @@ def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
     The plain Bell number variant is the x = 1 value.
     """
     _check_index(n)
-    lam, x = _key(lam), _key(x)
-    return _dual(_BELL.row((lam, x), n)[n], bell_deg_series, n, lam, x)
+    return _dual(_BELL.value((_key(lam), _key(x)), n), bell_deg_series, n, lam, x)
 
 
-def _grow_bell_series(key, vals, n):
+def _grow_bell_series(key, row, n):
     """g_k = k! [t^k] G for G = B^(1/lam), B = 1 + lam x(deg_exp(1)-1), from
     Miller's power recurrence B G' = (1/lam) B' G:
     k g_k = x sum_{j=1..k} binom(k,j) ((1+lam) j - lam k) falling(1,j,lam) g_{k-j}.
@@ -566,24 +651,23 @@ def _grow_bell_series(key, vals, n):
     N_k = (q^2 v)^k g_k:
     k N_k = u sum_j binom(k,j) ((q+p) j - p k) q^j falling(1,j,lam) (q v)^(j-1) N_{k-j},
     an exact division by k."""
-    lam, x = key
-    p, q, u, v = lam.numerator, lam.denominator, x.numerator, x.denominator
+    (p, q), (u, v) = key
     c = _products(q, p, n, c=q * v)  # q^j falling(1, j, lam) (q v)^(j-1)
 
     def step(k, nums):
         tot = sum(comb(k, j) * ((q + p) * j - p * k) * c[j] * nums[k - j] for j in range(1, k + 1))
         return u * tot // k
 
-    return _grow_online(vals, n, q * q * v, step)
+    return _grow_online(row, n, q * q * v, step)
 
 
-_BELL_SERIES = _Memo(_grow_bell_series)
+_BELL_SERIES = _SeriesMemo(_grow_bell_series)
 
 
 def bell_series_row(n: int, lam: ExactScalar, x: ExactScalar = 1) -> list[Fraction]:
     """[bell_deg_series(k, lam, x) for k = 0..n], as a new list."""
     _check_index(n)
-    return _BELL_SERIES.row((_key(lam), _key(x)), n)[: n + 1]
+    return as_fractions(*_BELL_SERIES.ints((_key(lam), _key(x)), n))
 
 
 def bell_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
@@ -591,4 +675,4 @@ def bell_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
     x*(deg_exp(1)-1), that is of (1 + lam x(deg_exp(1)-1))^(1/lam), or of
     exp(x(e^t-1)) at lam = 0, grown by Miller's power recurrence."""
     _check_index(n)
-    return _BELL_SERIES.row((_key(lam), _key(x)), n)[n]
+    return _BELL_SERIES.value((_key(lam), _key(x)), n)

@@ -171,7 +171,8 @@ def test_cases_are_generated_in_sort_key_order():
 
 def _sides(ident, n, lam, x):
     spec = _REGISTRY[ident]
-    return spec.fn(n, lam, x if spec.uses_x else None, 1 if spec.uses_r else None, False)
+    case = IdentityCase(ident, n, lam, x if spec.uses_x else None, 1 if spec.uses_r else None)
+    return verify(case)[:2]
 
 
 def _difference(values):

@@ -8,6 +8,11 @@ kernel, are still checked against code that does not use it.  The series
 memos grow coefficient by coefficient from a recurrence; their references
 are products, long divisions and Horner compositions of truncated series
 instead, as is that of ``binomial_pow``.
+
+The memos keep their rows as integers over shared denominators, and the
+kernel's ``dot`` and ``binomial_conv`` take that form; both are checked
+against plain-Fraction sums, and each memo's integer rows against the
+reference values.
 """
 
 from fractions import Fraction as F
@@ -15,8 +20,19 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degderange.exactcore import Poly, as_fractions, as_ints, binomial, factorial
+from degderange import sequences
+from degderange.exactcore import (
+    Poly,
+    as_fractions,
+    as_ints,
+    binomial,
+    binomial_conv,
+    dot,
+    factorial,
+)
+from degderange.identities import verify_grid
 from degderange.sequences import (
+    _key,
     bell_deg,
     bell_deg_series,
     derange_deg_order,
@@ -25,6 +41,7 @@ from degderange.sequences import (
     derange_deg_series,
     fubini_deg,
     fubini_deg_series,
+    set_cross_check,
     stirling1_deg,
     stirling1_deg_series,
     stirling2_deg,
@@ -140,6 +157,29 @@ def test_as_ints_roundtrip(values):
     assert all(isinstance(v, int) for v in nums)
     assert [F(v, den) for v in nums] == values
     assert as_fractions(nums, den) == values
+
+
+def int_row(values, scale, extra=()):
+    """values in (nums, den) form over scale times their least denominator,
+    as memo rows are, followed by the entries extra."""
+    nums, den = as_ints(list(values) + list(extra))
+    return [v * scale for v in nums], den * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    orders.flatmap(lambda n: st.tuples(coeff_lists(n), coeff_lists(n))),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=50),
+    st.lists(small_rationals, max_size=3),
+)
+def test_dot_and_binomial_conv_match_reference(ab, sa, sb, extra):
+    a, b = ab
+    n = len(a) - 1
+    assert dot(int_row(a, sa), int_row(b, sb)) == sum((u * v for u, v in zip(a, b)), F(0))
+    # entries past n are ignored, as in memo rows grown beyond n
+    ref = sum((binomial(n, l) * a[l] * b[n - l] for l in range(n + 1)), F(0))
+    assert binomial_conv(int_row(a, sa, extra), int_row(b, sb, extra), n) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +329,72 @@ def test_fubini_and_order_r_series_match_reference_division(lam, x, n, r):
     assert [derange_deg_series(k, lam, x) for k in range(n + 1)] == exponential(
         ref_div(numer, [F(1), F(-1)] + [F(0)] * n, n)
     )
+
+
+# ---------------------------------------------------------------------------
+# every memo's integer rows against the reference values
+
+
+def exact(row):
+    """The values of an integer-numerator row, after checking its form."""
+    nums, den = row
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    return [F(v, den) for v in nums]
+
+
+@settings(max_examples=15, deadline=None)
+@given(lambdas, small_rationals, series_orders)
+def test_memo_int_rows_match_reference(lam, x, n):
+    L, X = _key(lam), _key(x)
+    ks = range(n + 1)
+    s2 = ref_stirling_rows(lam, n, second_kind=True)
+    s1 = ref_stirling_rows(lam, n, second_kind=False)
+    fall = [ref_falling(x, k, lam) for k in ks]
+    der = [factorial(k) * sum(ref_falling(x - 1, l, lam) / factorial(l) for l in range(k + 1)) for k in ks]
+    fub = [sum(factorial(m) * x**m * v for m, v in enumerate(s2[k])) for k in ks]
+    bell = [sum(ref_falling(F(1), m, lam) * x**m * v for m, v in enumerate(s2[k])) for k in ks]
+    assert exact(sequences._FALLING.ints((X, L), n)) == fall
+    assert exact(sequences._DERANGE.ints((L, X), n)) == der
+    assert exact(sequences._DERANGE_ORDER_SERIES.ints((L, X, 1), n)) == der
+    assert exact(sequences._S2.ints(L, n)) == s2[n]
+    assert exact(sequences._S1.ints(L, n)) == s1[n]
+    assert exact(sequences._FUBINI.ints((L, X), n)) == fub
+    assert exact(sequences._FUBINI_SERIES.ints((L, X), n)) == fub
+    assert exact(sequences._BELL.ints((L, X), n)) == bell
+    assert exact(sequences._BELL_SERIES.ints((L, X), n)) == bell
+    for m in range(min(n, 3) + 1):
+        column = [row[m] if m < len(row) else F(0) for row in s2]
+        assert exact(sequences._S2_SERIES.ints((L, m), n)) == column
+        column = [row[m] if m < len(row) else F(0) for row in s1]
+        assert exact(sequences._S1_SERIES.ints((L, m), n)) == column
+
+
+GRID_LAMBDAS = (F(0), F(1, 2), F(-1, 2), F(1, 3), F(-1, 3), F(2, 7))
+GRID_XS = (F(0), F(1), F(-2), F(3, 4))
+
+
+def test_grid_and_every_public_read_pass_with_cross_check():
+    # the verifiers read integer rows; every public read, each checked
+    # against its dual path, must agree with them
+    set_cross_check(True)
+    try:
+        assert verify_grid(n_max=6).ok
+        for lam in GRID_LAMBDAS:
+            for n in range(7):
+                sequences.stirling2_row(n, lam)
+                sequences.stirling1_row(n, lam)
+                for m in range(n + 1):
+                    stirling2_deg(n, m, lam)
+                    stirling1_deg(n, m, lam)
+                for x in GRID_XS:
+                    sequences.derange_row(n, lam, x)
+                    sequences.derange_deg(n, lam, x)
+                    sequences.fubini_row(n, lam, x)
+                    fubini_deg(n, lam, x)
+                    sequences.bell_row(n, lam, x)
+                    bell_deg(n, lam, x)
+                    for r in range(1, 4):
+                        derange_deg_order(n, r, lam, x)
+    finally:
+        set_cross_check(False)

@@ -1,21 +1,30 @@
 """The one memo mechanism of the sequence layer and the row accessors.
 
-Every memoised sequence is a ``_Memo``: per-key lists grown on demand under
-one lock.  These tests grow fresh memos with the library's own grow steps,
-from several threads and in several steps, and compare them with a serial
-build; then they check each row accessor against its scalar reads.
+Every memoised sequence is a ``_Memo``: integer rows under int-pair keys,
+grown on demand under one lock, each growth publishing a new row.  These
+tests grow fresh memos with the library's own grow steps, from several
+threads and in several steps, and compare them with a serial build; they
+check that a reader never pairs the numerators of one row with the
+denominator of another, that every spelling of a parameter reaches one memo
+entry and that keys hold ints only; then they check each row accessor
+against its scalar reads.
 """
 
+import copy
 import sys
 import threading
+import time
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degderange import identities, sequences
+from degderange.exactcore import as_fractions
 from degderange.sequences import (
+    _key,
     _Memo,
+    _TriangleMemo,
     bell_deg,
     bell_deg_series,
     bell_row,
@@ -37,7 +46,7 @@ from degderange.sequences import (
 # (memo, key) pairs: the recurrences (falling factorials, derangement partial
 # sums, both Stirling triangles), the sums over second-kind Stirling rows, and
 # every series memo, each grown online from its generating function.
-LAM, X = F(-2, 7), F(3, 4)
+LAM, X = (-2, 7), (3, 4)
 SERIES_MEMOS = [
     (sequences._S2_SERIES, (LAM, 3)),
     (sequences._S1_SERIES, (LAM, 3)),
@@ -59,7 +68,14 @@ MEMOS = [
 
 
 def fresh(memo):
-    return _Memo(memo.grow)
+    return type(memo)(memo.grow)
+
+
+def values(memo, key, n):
+    """Entries 0..n at key as fractions (rows 0..n of a triangle)."""
+    if isinstance(memo, _TriangleMemo):
+        return [as_fractions(*memo.ints(key, k)) for k in range(n + 1)]
+    return as_fractions(*memo.ints(key, n))
 
 
 COLUMN_MEMOS = (sequences._S2_SERIES, sequences._S1_SERIES)
@@ -78,16 +94,16 @@ def drop_lower_columns(memo, key):
 def test_threads_growing_one_key_match_serial_build():
     targets = [3, 17, 9, 30]
     for memo, key in MEMOS:
-        serial = fresh(memo).row(key, max(targets))
+        serial = values(fresh(memo), key, max(targets))
         drop_lower_columns(memo, key)
         shared = fresh(memo)
-        shared.row(key, 1)  # the threads then extend one shared list
+        shared.row(key, 1)  # the threads then extend one shared row
         got = {}
         barrier = threading.Barrier(len(targets))
 
         def grow(n):
             barrier.wait(timeout=30)
-            got[n] = shared.row(key, n)[: n + 1]
+            got[n] = values(shared, key, n)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -103,30 +119,121 @@ def test_threads_growing_one_key_match_serial_build():
         assert sorted(got) == sorted(targets)
         for n in targets:
             assert got[n] == serial[: n + 1], (memo.grow, n)
-        assert shared.row(key, max(targets))[: max(targets) + 1] == serial[: max(targets) + 1]
+        assert values(shared, key, max(targets)) == serial
         if memo in COLUMN_MEMOS:  # the race grew the column below to 29
-            assert len(memo.rows[(key[0], key[1] - 1)]) == max(targets)
+            assert len(memo.rows[(key[0], key[1] - 1)][0]) == max(targets)
 
 
 def test_growing_after_a_smaller_n_keeps_the_prefix():
     for memo, key in MEMOS:
         drop_lower_columns(memo, key)
         step = fresh(memo)
-        small = list(step.row(key, 5))
-        large = step.row(key, 24)
+        small = values(step, key, 5)
+        published = step.row(key, 5)
+        frozen = copy.deepcopy(published)
+        large = values(step, key, 24)
         assert large[: len(small)] == small
-        assert large[:25] == fresh(memo).row(key, 24)[:25], memo.grow
+        assert large == values(fresh(memo), key, 24), memo.grow
+        assert published == frozen, memo.grow  # growth left the old row as it was
+
+
+def test_readers_never_pair_new_numerators_with_an_old_denominator():
+    # At (-2/7, 3/4) the derangement row's denominator is 28^n, so every
+    # growth widens it: the writers publish rows over 28^10 ... 28^40 while
+    # the readers read n = 3 and n = 9 outside the lock.
+    key = (LAM, X)
+    serial = values(fresh(sequences._DERANGE), key, 40)
+    for _ in range(5):
+        shared = fresh(sequences._DERANGE)
+        shared.row(key, 9)
+        reads, dens, wrong = [0], set(), []
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                if shared.value(key, 3) != serial[3]:
+                    wrong.append(3)
+                nums, den = shared.ints(key, 9)
+                dens.add(den)
+                if as_fractions(nums, den) != serial[:10]:
+                    wrong.append(9)
+                reads[0] += 1
+
+        def writer(first):
+            for n in range(first, 41, 2):
+                shared.row(key, n)
+
+        def wait_for_a_read():
+            seen, deadline = reads[0], time.monotonic() + 30
+            while reads[0] == seen and time.monotonic() < deadline:
+                time.sleep(1e-4)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            writers = [threading.Thread(target=writer, args=(first,)) for first in (10, 11)]
+            for t in readers:
+                t.start()
+            wait_for_a_read()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=120)
+            wait_for_a_read()
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert not wrong
+        assert len(dens) > 1  # the readers saw the denominator widen
+        assert values(shared, key, 40) == serial
 
 
 def test_series_memos_grow_exactly_to_n():
     for memo, key in SERIES_MEMOS:
         step = fresh(memo)
         for n in (3, 8, 10, 50):
-            assert len(step.row(key, n)) == n + 1, (memo.grow, n)
-        assert len(step.row(key, 8)) == 51  # already covered: no rebuild
+            assert len(step.row(key, n)[0]) == n + 1, (memo.grow, n)
+        assert len(step.row(key, 8)[0]) == 51  # already covered: no rebuild
     bell = fresh(sequences._BELL_SERIES)
-    bell.row((F(3, 7), F(1)), 96)
-    assert len(bell.row((F(3, 7), F(1)), 128)) == 129
+    bell.row(((3, 7), (1, 1)), 96)
+    assert len(bell.row(((3, 7), (1, 1)), 128)[0]) == 129
+
+
+def test_every_spelling_of_a_parameter_reaches_one_memo_entry():
+    for a, b in ((0, F(0)), (2, F(2)), (F(1, 2), 0.5)):
+        assert _key(a) == _key(b)
+        assert all(type(v) is int for v in _key(a))
+    for memo, read in (
+        (sequences._FALLING, lambda lam, x: falling_row(x, 9, lam)),
+        (sequences._DERANGE, lambda lam, x: derange_row(9, lam, x)),
+        (sequences._BELL, lambda lam, x: bell_row(9, lam, x)),
+    ):
+        for x_int, x_frac in ((0, F(0)), (2, F(2))):
+            first = read(F(1, 2), x_int)
+            keys = set(memo.rows)
+            assert read(0.5, x_frac) == first
+            assert set(memo.rows) == keys  # the second spelling added no entry
+
+
+def _leaves(key):
+    if isinstance(key, tuple):
+        for part in key:
+            yield from _leaves(part)
+    else:
+        yield key
+
+
+def test_memo_keys_hold_ints_only():
+    identities.verify_grid(n_max=8)
+    memos = {id(m): m for mod in (sequences, identities) for m in vars(mod).values() if isinstance(m, _Memo)}
+    assert len(memos) == 14
+    for memo in memos.values():
+        for key in memo.rows:
+            assert all(v is None or type(v) is int for v in _leaves(key)), (memo.grow, key)
 
 
 lambdas = st.one_of(
@@ -153,6 +260,7 @@ def test_rows_equal_scalar_reads(lam, x, n):
     ]
     for row, scalars in rows:
         assert row == scalars
+        assert all(type(v) is F for v in row + scalars)
         row[0] += 1  # the row is a copy: a later read is unchanged
     assert falling_row(x, n, lam)[0] == 1
     assert derange_row(n, lam, x)[0] == 1
