@@ -495,26 +495,29 @@ def _certify_grids(identity_id: IdentityId, grids: dict, mutate: bool) -> dict[i
     for identities free of x), whether both sides agree on every point.
 
     Each n needs d_lam + 1 and d_x + 1 distinct points, from its declared
-    degree bounds.  The points are grouped by (lam, x) key, and each key is
-    evaluated for every n whose grid holds it, in descending n: a memo row
-    grows once, to its final length, and the smaller n read its prefix.  An
-    n is evaluated no further after its first failing point.
+    degree bounds.  The points are grouped by (lam, x) key, int pairs as in
+    the memos, and each key is evaluated for every n whose grid holds it, in
+    descending n: a memo row grows once, to its final length, and the smaller
+    n read its prefix.  An n is evaluated no further after its first failing
+    point.
     """
     spec = _REGISTRY[identity_id]
     by_key: dict = {}
     for n in sorted(grids, reverse=True):
         lam_points, x_points = grids[n]
         d_lam, d_x = spec.degrees(n)
-        if len(set(lam_points)) < d_lam + 1:
+        lams = {(v.numerator, v.denominator): v for v in lam_points}
+        xs = {(v.numerator, v.denominator): v for v in x_points} if spec.uses_x else {None: None}
+        if len(lams) < d_lam + 1:
             raise ValueError(f"need at least {d_lam + 1} distinct deformation points")
-        if spec.uses_x and len(set(x_points)) < d_x + 1:
+        if len(xs) < d_x + 1:
             raise ValueError(f"need at least {d_x + 1} distinct x points")
-        for lam in lam_points:
-            for x in x_points:
-                by_key.setdefault((lam, x), []).append(n)
+        for lam_key, lam in lams.items():
+            for x_key, x in xs.items():
+                by_key.setdefault((lam_key, x_key), (lam, x, []))[2].append(n)
     r = 1 if spec.uses_r else None
     certified = dict.fromkeys(grids, True)
-    for (lam, x), ns in by_key.items():
+    for lam, x, ns in by_key.values():
         for n in ns:
             if certified[n]:
                 certified[n] = verify(IdentityCase(identity_id, n, lam, x, r), mutate=mutate)[2]

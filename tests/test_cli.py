@@ -357,6 +357,22 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_quadrature_and_ks_check_load_no_scipy_stats():
+    # The first quadrature loads scipy.integrate alone; the KS check's
+    # critical value is ported, so scipy.stats is never imported.
+    code = (
+        "import sys\n"
+        "from degderange import cli\n"
+        "from degderange.probability import sampler_ks_check\n"
+        "cli.main(['gamma-check', 'normalization', '--lambda=1/5', '--alpha', '1.5'])\n"
+        "assert sampler_ks_check(0.25, 10**5, 42)[2]\n"
+        "print('scipy.integrate' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "True False"
+
+
 # SHA-256 of stdout for the density normalization check, at non-integer alpha
 # (the normaliser is itself a quadrature) and at the README's integer alpha.
 # The floats printed are part of the output contract.

@@ -317,6 +317,12 @@ def test_sampler_validation():
         sample_deg_gamma11(1.5, 0, 10)
     with pytest.raises(ValueError):
         sample_deg_gamma11(0.25, 0, -1)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count"):
+            sampler_ks_check(0.25, count, 42)
+    for level in (0, 1, 1.5, -0.01, float("nan")):
+        with pytest.raises(ValueError, match="level"):
+            sampler_ks_check(0.25, 10, 42, level=level)
 
 
 def test_empirical_cdf_at_one():
