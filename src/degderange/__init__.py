@@ -59,6 +59,7 @@ from .sequences import (
     derange_deg_order_series,
     derange_deg_poly,
     derange_deg_series,
+    derange_order_row,
     derange_row,
     falling_deg,
     falling_row,
@@ -104,6 +105,7 @@ __all__ = [
     "derange_deg_poly",
     "derange_deg_order",
     "derange_deg_order_series",
+    "derange_order_row",
     "stirling1_deg",
     "stirling1_deg_series",
     "stirling1_row",

@@ -29,6 +29,8 @@ SCHEMA_VERSION = 1
 DEFAULT_LAMBDA_GRID = "0,1/2,-1/2,1/3,-1/3,2/7"
 DEFAULT_X_GRID = "0,1,-2,3/4"
 
+SAMPLE_CHUNK = 8192  # samples per write in sample --format csv
+
 TABLE_SELECTORS = (
     "derangement",
     "derangement-poly",
@@ -124,10 +126,15 @@ def _json_doc(command: str, params: dict, results) -> str:
     )
 
 
+def _out_file(out_path: str | None):
+    """stdout, left open on exit, or the out file opened for writing."""
+    return contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w")
+
+
 def _emit_csv(header: list[str], rows: Iterable[list[str]], out_path: str | None) -> None:
     """Write the rows straight to stdout or the out file, one at a time, so a
     generator of rows is never held in memory whole, nor is the text."""
-    with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
+    with _out_file(out_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -171,7 +178,7 @@ def _table(args) -> tuple[dict, list]:
         return params, sequences.derange_row(n_max, lam, x)
     if sel == "derangement-order":
         r = params["r"] = args.r
-        return params, [sequences.derange_deg_order(n, r, lam, x) for n in ns]
+        return params, sequences.derange_order_row(n_max, r, lam, x)
     if sel == "fubini":
         return params, sequences.fubini_row(n_max, lam, x)
     if sel == "bell":
@@ -382,7 +389,12 @@ def _cmd_sample(args) -> int:
     if args.format == "json":
         _emit(_json_doc("sample", params, {"samples": [float(s) for s in samples]}), out_path)
     else:
-        _emit_csv(["sample"], ([repr(float(s))] for s in samples), out_path)
+        # one float per line needs no CSV quoting: the text is joined a chunk
+        # at a time, so memory stays flat however large --count is
+        with _out_file(out_path) as fh:
+            fh.write("sample\n")
+            for i in range(0, len(samples), SAMPLE_CHUNK):
+                fh.write("\n".join(map(repr, samples[i : i + SAMPLE_CHUNK].tolist())) + "\n")
     return 0
 
 

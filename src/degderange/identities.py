@@ -34,7 +34,8 @@ per identity:
                      parameter.
   EQ24_25            lhs: signed falling products with the first-kind
                      triangle; rhs: derangement-polynomial convolution.
-  THM9_VS_SERIES     lhs: explicit order-r sum; rhs: series long division.
+  THM9_VS_SERIES     lhs: explicit order-r sum, n! taken out, over the
+                     shared terms row; rhs: series long division.
   THM10              lhs: composition-path Bell value at the flipped
                      parameter; rhs: double sum over the original one.
   EXP_MOMENT_BRIDGE  lhs: moment-weighted convolution (exponential moments

@@ -37,6 +37,8 @@ import numpy as np
 
 from .exactcore import ExactScalar, as_ints, binomial_conv, factorial
 from .sequences import (
+    _FALLING,
+    _key,
     derange_deg_order,
     derange_row,
     falling_deg,
@@ -456,5 +458,5 @@ def erlang_bridge_check(
     x = Fraction(x)
     lhs = derange_deg_order(n, r, lam, x)
     moments = [erlang_moment(l, r) for l in range(n + 1)]
-    rhs = binomial_conv(as_ints(moments), as_ints(falling_row(x - 1, n, lam)), n)
+    rhs = binomial_conv((moments, 1), _FALLING.ints((_key(x - 1), _key(lam)), n), n)
     return lhs, rhs, lhs == rhs

@@ -18,7 +18,9 @@ only.  A row keeps integer numerators over shared denominators, the layout
 of FLINT's ``fmpq_poly``, in one of four forms:
 
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
-                                                         derangements and the
+                                                         derangements, the
+                                                         order-r terms and
+                                                         weights, and the
                                                          Stirling-weighted sums
   _TriangleMemo  (rows, q): row k is (nums, q^k)         both Stirling triangles
   _SeriesMemo    (nums, s): value k is nums[k]/s^k       the series paths
@@ -71,6 +73,16 @@ THM2_REC, which must stay a check and not become a tautology.  The series
 path at r = 1 does step by d_k = e_k + k d_{k-1}, the coefficient equation
 of F (1-t) = deg_exp(x-1), with e_k from its own falling product; no
 identity sets it against THM2_REC, whose both sides are fast-path values.
+
+Order-r values come from the explicit sum with n! taken out,
+D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) T_l, T_l = falling(x-1, l, lam)/l!,
+each a dot product of the binomials (one weights row per r) against one
+terms row that every r shares (over L! s^L for a row covering 0..L).  The sum stays a sum of
+independently weighted terms, never Horner in l nor r nested running sums:
+at r = 1 either would take the same integer steps as the series path's
+N_k = E_k + s k N_{k-1}, and THM9_VS_SERIES, which ``certify`` runs at
+r = 1, would compare a value with itself.  The order-r values are not
+memoised: such a row would be rescaled whole each time it grew by one n.
 """
 
 from __future__ import annotations
@@ -81,7 +93,7 @@ from functools import partial
 from math import comb, gcd, perm
 from operator import mul
 
-from .exactcore import ExactScalar, Poly, as_fractions, dot, factorial, widen
+from .exactcore import ExactScalar, Poly, as_fractions, convolve, factorial, widen
 
 _lock = threading.RLock()
 
@@ -359,20 +371,75 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     return Poly(as_fractions(acc, den * q**n))
 
 
+def _grow_derange_terms(key, row, n):
+    """The terms T_l = falling(x-1, l, lam)/l! of the order-r sums, shared by
+    every r.  At lam = p/q, x = u/v and s = q v, T_l = E_l / (s^l l!) with
+    E_l = prod_{i<l} ((u-v) q - i p v); a row covering 0..L keeps them over
+    L! s^L, numerator l being E_l prod_{j=l+1..L} (j s).  The last numerator
+    is the last E_l, so the product continues from it, and growing to n
+    widens the old numerators by prod_{j=L+1..n} (j s)."""
+    (p, q), (u, v) = key
+    s = q * v
+    nums, den = row or ([1], 1)
+    start = len(nums)
+    e, new = nums[-1], []
+    for l in range(start, n + 1):
+        e *= (u - v) * q - (l - 1) * p * v
+        new.append(e)
+    f = 1  # prod_{j=l+1..n} (j s) for the entry l being scaled
+    for l in range(n, start - 1, -1):
+        new[l - start] *= f
+        f *= l * s
+    return [c * f for c in nums] + new, den * f
+
+
+_DERANGE_TERMS = _Memo(_grow_derange_terms)
+
+
+def _grow_order_weights(r, row, n):
+    """The weights binom(r-1+k, k), k = 0..n, of the order-r sums (weight k
+    multiplies the term T_{n-k}), under the key r."""
+    w = list(row[0]) if row else [1]
+    for k in range(len(w), n + 1):
+        w.append(w[-1] * (r - 1 + k) // k)
+    return w, 1
+
+
+_ORDER_WEIGHTS = _Memo(_grow_order_weights)
+
+
 def _derange_order(n: int, r: int, lam: tuple[int, int], x: tuple[int, int]) -> Fraction:
-    """The explicit order-r sum at int-pair keys, with the integer weights
-    n!/l! * binom(r+n-l-1, n-l) against the falling row."""
-    u, v = x
-    weights = [perm(n, n - l) * comb(r + n - l - 1, n - l) for l in range(n + 1)]
-    return dot(_FALLING.ints(((u - v, v), lam), n), (weights, 1))
+    """The explicit order-r sum at int-pair keys with n! taken out:
+    n! sum_l binom(r-1+n-l, n-l) T_l, one dot product over the terms row."""
+    nums, den = _DERANGE_TERMS.row((lam, x), n)
+    w = _ORDER_WEIGHTS.row(r, n)[0]
+    return Fraction(factorial(n) * sum(map(mul, w[n::-1], nums)), den)
+
+
+def _check_order(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"order r must be >= 1, got {r}")
+
+
+def derange_order_row(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> list[Fraction]:
+    """[derange_deg_order(k, r, lam, x) for k = 0..n], as a new list: every
+    explicit sum read from one terms row."""
+    _check_index(n)
+    _check_order(r)
+    key = (_key(lam), _key(x))
+    nums, den = _DERANGE_TERMS.row(key, n)
+    sums = convolve(_ORDER_WEIGHTS.ints(r, n)[0], nums[: n + 1], n)
+    return _dual(
+        [Fraction(factorial(k) * v, den) for k, v in enumerate(sums)],
+        lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, r), n)),
+    )
 
 
 def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Order-r degenerate derangement value:
     n! * sum_{l<=n} falling(x-1, l, lam)/l! * binom(r+n-l-1, n-l)."""
     _check_index(n)
-    if r < 1:
-        raise ValueError(f"order r must be >= 1, got {r}")
+    _check_order(r)
     value = _derange_order(n, r, _key(lam), _key(x))
     return _dual(value, derange_deg_order_series, n, r, lam, x)
 
@@ -400,8 +467,7 @@ _DERANGE_ORDER_SERIES = _SeriesMemo(_grow_derange_order_series)
 def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
     """Series path for the order-r values: n! times coefficient n of
     deg_exp(x-1)/(1-t)^r."""
-    if r < 1:
-        raise ValueError(f"order r must be >= 1, got {r}")
+    _check_order(r)
     _check_index(n)
     return _DERANGE_ORDER_SERIES.value((_key(lam), _key(x), r), n)
 

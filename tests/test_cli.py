@@ -173,6 +173,41 @@ def test_sample_csv():
     assert len(lines) == 4
 
 
+# SHA-256 of sample --lambda 1/4 --seed 42 --format csv at counts on both
+# sides of the write chunk (8192 samples) and at 100,000 samples: the header
+# alone at count 0, and the bytes that csv.writer wrote one row at a time.
+SAMPLE_CSV_DIGESTS = [
+    (0, "aaf9ff488e0767da5ea1d56118e6f65a16c5633b0cefc1fa089bd3ab1810613d"),
+    (1, "578ef68918c552d71ee270bb334df8206dc9964960a3f2fcfeca02478ac8a10e"),
+    (8191, "7eeea2e9a34f270c922186d51e00f6760cb310826e26e2f0dc897d1a473ce028"),
+    (8192, "c553cef29d63ef8a02ef76a9d1905b89a09c7e0cd2da56140c5883f930f8fb53"),
+    (8193, "5434f0edd72431c328adfd905a0d57ed80f4c664e0e1b7976fc2f796a0adfb4d"),
+    (100_000, "a7b6be1ee28aaf577de52c248e98f404139e0342186b153349a0e66b4133c3d5"),
+]
+SAMPLE_ARGV = ["sample", "--lambda", "1/4", "--seed", "42", "--format", "csv"]
+
+
+@pytest.mark.parametrize("count, digest", SAMPLE_CSV_DIGESTS, ids=[str(c) for c, _ in SAMPLE_CSV_DIGESTS])
+def test_sample_csv_bytes_are_unchanged(count, digest, capsys):
+    from degderange import cli
+
+    assert cli.SAMPLE_CHUNK == 8192  # the counts above straddle it
+    assert cli.main(SAMPLE_ARGV + ["--count", str(count)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sample_csv_out_file_bytes_are_unchanged(tmp_path, capsys):
+    from degderange import cli
+
+    target = tmp_path / "s.csv"
+    assert cli.main(SAMPLE_ARGV + ["--count", "8193", "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    digest = dict(SAMPLE_CSV_DIGESTS)[8193]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 def test_sample_domain():
     out = run_cli("sample", "--lambda", "3/2", "--seed", "1", "--count", "3")
     assert out.returncode == 2

@@ -15,8 +15,10 @@ against plain-Fraction sums, and each memo's integer rows against the
 reference values.
 """
 
+import functools
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +41,7 @@ from degderange.sequences import (
     derange_deg_order_series,
     derange_deg_poly,
     derange_deg_series,
+    derange_order_row,
     fubini_deg,
     fubini_deg_series,
     set_cross_check,
@@ -146,6 +149,14 @@ def ref_derange(n, lam):
     return factorial(n) * sum(ref_falling(F(-1), l, lam) / factorial(l) for l in range(n + 1))
 
 
+def ref_derange_order_row(n, r, lam, x):
+    terms = [ref_falling(x - 1, l, lam) / factorial(l) for l in range(n + 1)]
+    return [
+        factorial(k) * sum(terms[l] * binomial(r + k - l - 1, k - l) for l in range(k + 1))
+        for k in range(n + 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # kernel helpers
 
@@ -249,11 +260,43 @@ def test_fubini_and_bell_match_reference(lam, x, n):
 @settings(max_examples=25, deadline=None)
 @given(lambdas, small_rationals, orders, st.integers(min_value=1, max_value=5))
 def test_derange_order_matches_reference(lam, x, n, r):
-    ref = factorial(n) * sum(
-        ref_falling(x - 1, l, lam) / factorial(l) * binomial(r + n - l - 1, n - l)
-        for l in range(n + 1)
-    )
-    assert derange_deg_order(n, r, lam, x) == ref
+    assert derange_deg_order(n, r, lam, x) == ref_derange_order_row(n, r, lam, x)[n]
+
+
+ORDER_LAMBDAS = (F(0), F(2, 7), F(-1, 3), F(1, 2))
+ORDER_XS = (F(0), F(1), F(-2), F(3, 4))
+ORDERS = range(1, 5)
+
+
+@functools.cache
+def order_refs(lam, x):
+    return {r: ref_derange_order_row(N_MAX, r, lam, x) for r in ORDERS}
+
+
+@pytest.mark.parametrize("history", ["ascending", "bulk", "bulk_after_smaller"])
+def test_derange_order_row_matches_reference(history):
+    # Every r reads one terms row per (lam, x); its numerators are rescaled
+    # each time it grows, so the values are checked after three growth
+    # histories of a fresh row: one n at a time, one bulk call, and a bulk
+    # call after a smaller one.
+    for lam in ORDER_LAMBDAS:
+        for x in ORDER_XS:
+            key = (_key(lam), _key(x))
+            refs = order_refs(lam, x)
+            sequences._DERANGE_TERMS.rows.pop(key, None)
+            if history == "ascending":
+                for n in range(N_MAX + 1):
+                    for r in ORDERS:
+                        assert derange_deg_order(n, r, lam, x) == refs[r][n]
+                        assert derange_order_row(n, r, lam, x) == refs[r][: n + 1]
+                    assert len(sequences._DERANGE_TERMS.rows[key][0]) == n + 1
+                continue
+            if history == "bulk_after_smaller":
+                assert derange_order_row(7, 2, lam, x) == refs[2][:8]
+            for r in ORDERS:
+                assert derange_order_row(N_MAX, r, lam, x) == refs[r]
+                assert [derange_deg_order(n, r, lam, x) for n in range(N_MAX + 1)] == refs[r]
+            assert len(sequences._DERANGE_TERMS.rows[key][0]) == N_MAX + 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -396,5 +439,6 @@ def test_grid_and_every_public_read_pass_with_cross_check():
                     bell_deg(n, lam, x)
                     for r in range(1, 4):
                         derange_deg_order(n, r, lam, x)
+                        derange_order_row(n, r, lam, x)
     finally:
         set_cross_check(False)

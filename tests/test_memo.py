@@ -30,6 +30,8 @@ from degderange.sequences import (
     bell_row,
     bell_series_row,
     derange_deg,
+    derange_deg_order,
+    derange_order_row,
     derange_row,
     falling_deg,
     falling_row,
@@ -44,8 +46,9 @@ from degderange.sequences import (
 )
 
 # (memo, key) pairs: the recurrences (falling factorials, derangement partial
-# sums, both Stirling triangles), the sums over second-kind Stirling rows, and
-# every series memo, each grown online from its generating function.
+# sums, both Stirling triangles), the terms and weights of the order-r sums,
+# the sums over second-kind Stirling rows, and every series memo, each grown
+# online from its generating function.
 LAM, X = (-2, 7), (3, 4)
 SERIES_MEMOS = [
     (sequences._S2_SERIES, (LAM, 3)),
@@ -58,6 +61,8 @@ SERIES_MEMOS = [
 MEMOS = [
     (sequences._FALLING, (X, LAM)),
     (sequences._DERANGE, (LAM, X)),
+    (sequences._DERANGE_TERMS, (LAM, X)),
+    (sequences._ORDER_WEIGHTS, 3),
     (sequences._S2, LAM),
     (sequences._S1, LAM),
     (sequences._FUBINI, (LAM, X)),
@@ -138,58 +143,60 @@ def test_growing_after_a_smaller_n_keeps_the_prefix():
 
 
 def test_readers_never_pair_new_numerators_with_an_old_denominator():
-    # At (-2/7, 3/4) the derangement row's denominator is 28^n, so every
-    # growth widens it: the writers publish rows over 28^10 ... 28^40 while
-    # the readers read n = 3 and n = 9 outside the lock.
+    # At (-2/7, 3/4) the derangement row's denominator is 28^n and that of
+    # the order-r terms row n! 28^n, so every growth widens it (and rescales
+    # every numerator of the terms row): the writers publish rows for
+    # n = 10 ... 40 while the readers read n = 3 and n = 9 outside the lock.
     key = (LAM, X)
-    serial = values(fresh(sequences._DERANGE), key, 40)
-    for _ in range(5):
-        shared = fresh(sequences._DERANGE)
-        shared.row(key, 9)
-        reads, dens, wrong = [0], set(), []
-        stop = threading.Event()
+    for memo in (sequences._DERANGE, sequences._DERANGE_TERMS):
+        serial = values(fresh(memo), key, 40)
+        for _ in range(5):
+            shared = fresh(memo)
+            shared.row(key, 9)
+            reads, dens, wrong = [0], set(), []
+            stop = threading.Event()
 
-        def reader():
-            while not stop.is_set():
-                if shared.value(key, 3) != serial[3]:
-                    wrong.append(3)
-                nums, den = shared.ints(key, 9)
-                dens.add(den)
-                if as_fractions(nums, den) != serial[:10]:
-                    wrong.append(9)
-                reads[0] += 1
+            def reader():
+                while not stop.is_set():
+                    if shared.value(key, 3) != serial[3]:
+                        wrong.append(3)
+                    nums, den = shared.ints(key, 9)
+                    dens.add(den)
+                    if as_fractions(nums, den) != serial[:10]:
+                        wrong.append(9)
+                    reads[0] += 1
 
-        def writer(first):
-            for n in range(first, 41, 2):
-                shared.row(key, n)
+            def writer(first):
+                for n in range(first, 41, 2):
+                    shared.row(key, n)
 
-        def wait_for_a_read():
-            seen, deadline = reads[0], time.monotonic() + 30
-            while reads[0] == seen and time.monotonic() < deadline:
-                time.sleep(1e-4)
+            def wait_for_a_read():
+                seen, deadline = reads[0], time.monotonic() + 30
+                while reads[0] == seen and time.monotonic() < deadline:
+                    time.sleep(1e-4)
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            readers = [threading.Thread(target=reader) for _ in range(2)]
-            writers = [threading.Thread(target=writer, args=(first,)) for first in (10, 11)]
-            for t in readers:
-                t.start()
-            wait_for_a_read()
-            for t in writers:
-                t.start()
-            for t in writers:
-                t.join(timeout=120)
-            wait_for_a_read()
-            stop.set()
-            for t in readers:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in readers + writers)
-        assert not wrong
-        assert len(dens) > 1  # the readers saw the denominator widen
-        assert values(shared, key, 40) == serial
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                readers = [threading.Thread(target=reader) for _ in range(2)]
+                writers = [threading.Thread(target=writer, args=(first,)) for first in (10, 11)]
+                for t in readers:
+                    t.start()
+                wait_for_a_read()
+                for t in writers:
+                    t.start()
+                for t in writers:
+                    t.join(timeout=120)
+                wait_for_a_read()
+                stop.set()
+                for t in readers:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in readers + writers)
+            assert not wrong
+            assert len(dens) > 1  # the readers saw the denominator widen
+            assert values(shared, key, 40) == serial
 
 
 def test_series_memos_grow_exactly_to_n():
@@ -210,6 +217,7 @@ def test_every_spelling_of_a_parameter_reaches_one_memo_entry():
     for memo, read in (
         (sequences._FALLING, lambda lam, x: falling_row(x, 9, lam)),
         (sequences._DERANGE, lambda lam, x: derange_row(9, lam, x)),
+        (sequences._DERANGE_TERMS, lambda lam, x: derange_order_row(9, 2, lam, x)),
         (sequences._BELL, lambda lam, x: bell_row(9, lam, x)),
     ):
         for x_int, x_frac in ((0, F(0)), (2, F(2))):
@@ -230,7 +238,7 @@ def _leaves(key):
 def test_memo_keys_hold_ints_only():
     identities.verify_grid(n_max=8)
     memos = {id(m): m for mod in (sequences, identities) for m in vars(mod).values() if isinstance(m, _Memo)}
-    assert len(memos) == 14
+    assert len(memos) == 16
     for memo in memos.values():
         for key in memo.rows:
             assert all(v is None or type(v) is int for v in _leaves(key)), (memo.grow, key)
@@ -245,12 +253,13 @@ ns = st.integers(min_value=0, max_value=40)
 
 
 @settings(max_examples=25, deadline=None)
-@given(lambdas, xs, ns)
-def test_rows_equal_scalar_reads(lam, x, n):
+@given(lambdas, xs, ns, st.integers(min_value=1, max_value=4))
+def test_rows_equal_scalar_reads(lam, x, n, r):
     ks = range(n + 1)
     rows = [
         (falling_row(x, n, lam), [falling_deg(x, k, lam) for k in ks]),
         (derange_row(n, lam, x), [derange_deg(k, lam, x) for k in ks]),
+        (derange_order_row(n, r, lam, x), [derange_deg_order(k, r, lam, x) for k in ks]),
         (stirling2_row(n, lam), [stirling2_deg(n, m, lam) for m in ks]),
         (stirling1_row(n, lam), [stirling1_deg(n, m, lam) for m in ks]),
         (fubini_row(n, lam, x), [fubini_deg(k, lam, x) for k in ks]),
@@ -264,6 +273,7 @@ def test_rows_equal_scalar_reads(lam, x, n):
         row[0] += 1  # the row is a copy: a later read is unchanged
     assert falling_row(x, n, lam)[0] == 1
     assert derange_row(n, lam, x)[0] == 1
+    assert derange_order_row(n, r, lam, x)[0] == 1
     assert stirling2_row(n, lam)[0] == stirling2_deg(n, 0, lam)
     assert stirling1_row(n, lam)[0] == stirling1_deg(n, 0, lam)
     assert fubini_row(n, lam, x)[0] == 1
