@@ -69,9 +69,11 @@ from .sequences import (
     fubini_series_row,
     set_cross_check,
     stirling1_classical,
+    stirling1_column,
     stirling1_deg,
     stirling1_deg_series,
     stirling1_row,
+    stirling2_column,
     stirling2_deg,
     stirling2_deg_series,
     stirling2_row,
@@ -109,9 +111,11 @@ __all__ = [
     "stirling1_deg",
     "stirling1_deg_series",
     "stirling1_row",
+    "stirling1_column",
     "stirling2_deg",
     "stirling2_deg_series",
     "stirling2_row",
+    "stirling2_column",
     "stirling1_classical",
     "fubini_deg",
     "fubini_deg_series",

@@ -161,11 +161,8 @@ def _table(args) -> tuple[dict, list]:
         if args.m < 0:
             raise CliError("--m must be >= 0")
         m = params["m"] = args.m
-        first = sel == "stirling1"
-        row = sequences.stirling1_row if first else sequences.stirling2_row
-        entry = sequences.stirling1_deg if first else sequences.stirling2_deg
-        row(n_max, lam)  # grow the triangle once, then read its column
-        return params, [entry(n, m, lam) for n in ns]
+        column = sequences.stirling1_column if sel == "stirling1" else sequences.stirling2_column
+        return params, column(n_max, m, lam)
     if sel == "derangement-order":
         if args.r is None:
             raise CliError("derangement-order needs --r")

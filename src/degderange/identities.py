@@ -17,9 +17,10 @@ per identity:
                      Stirling triangle); rhs: alternating single sum.
   THM4               lhs: recurrence triangle + explicit-sum derangements;
                      rhs: double sum with series-extracted Fubini values.
-  THM5               three expressions: explicit-sum Fubini with the
-                     first-kind triangle / derangement-number convolution /
-                     x-shifted convolution; all must also equal n!.
+  THM5               three expressions: Fubini values (row sums of the
+                     weighted second-kind triangle) with the first-kind
+                     triangle / derangement-number convolution / x-shifted
+                     convolution; all must also equal n!.
   LEMMA6             both sides weighted by the same second-kind triangle,
                      falling products vs derangement differences.
   THM7_A             lhs: falling product; rhs: composition-path Bell values
@@ -29,9 +30,9 @@ per identity:
   THM8_A             lhs: alternating derangement sum over the sign-flipped
                      second-kind triangle; rhs: composition-path Bell values
                      at the flipped parameter.
-  THM8_B             lhs: explicit-sum Bell values with the first-kind
-                     triangle; rhs: signed falling product at the flipped
-                     parameter.
+  THM8_B             lhs: Bell values (row sums of the weighted
+                     second-kind triangle) with the first-kind triangle;
+                     rhs: signed falling product at the flipped parameter.
   EQ24_25            lhs: signed falling products with the first-kind
                      triangle; rhs: derangement-polynomial convolution.
   THM9_VS_SERIES     lhs: explicit order-r sum, n! taken out, over the
@@ -40,6 +41,13 @@ per identity:
                      parameter; rhs: double sum over the original one.
   EXP_MOMENT_BRIDGE  lhs: moment-weighted convolution (exponential moments
                      m! substituted exactly); rhs: series extraction.
+
+The Fubini and Bell values are the only ones read from a weighted
+triangle, and no identity sets them against the same triangle: THM5 and
+THM8_B compare them with n! and a falling product, and THM7_B's rhs dots
+the memoised second-kind triangle with falling products.  The inner sums of
+THM3, THM4 and THM10 dot the rows of that memoised triangle with their
+weights (``_s2_sums``).
 
 The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
@@ -97,6 +105,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .exactcore import ExactScalar, IntRow, binomial_conv, dot, factorial
@@ -111,9 +120,9 @@ from .sequences import (
     _S1,
     _S2,
     _derange_order,
+    _join,
     _key,
     _Memo,
-    _s2_sums,
 )
 
 MAX_N = 256
@@ -210,6 +219,23 @@ def _thm2_rec(n, lam, x, r, mutate):
 
 def _thm2_rec_x0(n, lam, x, r, mutate):
     return _thm2_rec(n, lam, _ZERO, r, mutate)
+
+
+def _s2_sums(weights):
+    """Grow step for the row sums[j] = sum_m w[m] S2(j, m; mu), j = 0..n,
+    where weights(key, n) gives (w, mu): w[0..n] as (nums, den) and mu an
+    int pair p/q.  The triangle is read once; sums[j] is an integer dot
+    product over den q^j, put over den q^n."""
+
+    def grow(key, row, n):
+        (wn, wd), mu = weights(key, n)
+        tri = _S2.row(mu, n)[0]
+        q = mu[1]
+        start = len(row[0]) if row else 0
+        new = [sum(map(mul, wn, tri[j][0])) * q ** (n - j) for j in range(start, n + 1)]
+        return _join(row, (new, wd * q**n))
+
+    return grow
 
 
 def _alternating_weights(key, n):

@@ -35,14 +35,15 @@ from typing import Callable
 
 import numpy as np
 
-from .exactcore import ExactScalar, as_ints, binomial_conv, factorial
+from .exactcore import ExactScalar, binomial_conv, factorial
 from .sequences import (
+    _DERANGE,
+    _DERANGE_ORDER_SERIES,
     _FALLING,
+    _dual,
     _key,
     derange_deg_order,
-    derange_row,
     falling_deg,
-    falling_row,
     stirling1_classical,
 )
 
@@ -258,8 +259,15 @@ def theorem11_check(
     lam = Fraction(lam)
     if not Fraction(0) < lam < Fraction(1, 2):
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-    d, f = as_ints(derange_row(n, lam, 0)), as_ints(falling_row(1, n, lam))
-    target = (1 - lam) * binomial_conv(d, f, n)
+    lam_key = _key(lam)
+    key = (lam_key, (0, 1))  # the derangement numbers: x = 0
+    f = _FALLING.ints(((1, 1), lam_key), n)
+    # in cross-check mode, the derangement numbers of the series path give
+    # the same target
+    target = _dual(
+        (1 - lam) * binomial_conv(_DERANGE.ints(key, n), f, n),
+        lambda: (1 - lam) * binomial_conv(_DERANGE_ORDER_SERIES.ints((*key, 1), n), f, n),
+    )
     consistency = (1 - lam) * factorial(n)
     if target != consistency:
         raise AssertionError(

@@ -20,8 +20,9 @@ of FLINT's ``fmpq_poly``, in one of four forms:
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
                                                          derangements, the
                                                          order-r terms and
-                                                         weights, and the
-                                                         Stirling-weighted sums
+                                                         weights
+                 (nums, den, top), the same values       the Fubini and Bell
+                 with the last weighted-triangle row     sums
   _TriangleMemo  (rows, q): row k is (nums, q^k)         both Stirling triangles
   _SeriesMemo    (nums, s): value k is nums[k]/s^k       the series paths
   _OrdinaryMemo  (nums, den): value k is k! nums[k]/den  the Fubini series
@@ -36,12 +37,17 @@ old denominator.  Each step continues from the integers at the end of the
 row it extends.
 
 The fast paths grow by recurrences (falling factorials, derangement partial
-sums, both Stirling triangles) and by sums over a second-kind Stirling row
-(the Fubini and Bell values, grown by ``_s2_sums``).  The series paths
-(order-r derangements, whose r = 1 case is the derangement series, both
-series triangles, Fubini, Bell) grow online: value k, k! times coefficient k
-of the generating function F, comes from the values below k through F's own
-coefficient equation, an exponential convolution
+sums, both Stirling triangles) and by sums over the rows of a weighted
+second-kind triangle (the Fubini and Bell values): one triangle step,
+``_triangle_step``, serves both Stirling triangles, their columns
+(``stirling1_column``, ``stirling2_column``: the step capped to columns
+0..m, with no memo) and the weighted triangles of Fubini and Bell, in which
+the weights' ratio w_m / w_{m-1}, one linear factor in m, is folded into the
+diagonal step so that each value is the plain sum of one row.  The series
+paths (order-r derangements, whose r = 1 case is the derangement series,
+both series triangles, Fubini, Bell) grow online: value k, k! times
+coefficient k of the generating function F, comes from the values below k
+through F's own coefficient equation, an exponential convolution
 sum_j binom(k, j) w_j v_{k-j} whose weights w_j are k! times the
 coefficients of the series F is built from:
 
@@ -90,6 +96,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import comb, gcd, perm
 from operator import mul
 
@@ -117,11 +124,12 @@ def _key(v: ExactScalar) -> tuple[int, int]:
 class _Memo:
     """Integer rows per key, grown on demand under one lock.  A key holds
     ints only: a (numerator, denominator) pair per rational parameter.  Rows
-    are (nums, den): value k is nums[k] / den.
+    are (nums, den), value k being nums[k] / den; a row may carry one more
+    item, the integers from which its grow step continues.
 
     ``grow(key, row, n)`` receives the key's row (None for a new key) and
     returns a new row covering indices 0..n; it never changes the row it is
-    given.  Every layout is a pair whose first item is the list indexed by
+    given.  Every layout is a tuple whose first item is the list indexed by
     k.  The lock is reentrant because growing one memo may read another.
     """
 
@@ -143,12 +151,12 @@ class _Memo:
 
     def ints(self, key, n: int) -> tuple[list[int], int]:
         """Values 0..n in integer-numerator form (nums, den)."""
-        nums, den = self.row(key, n)
-        return nums[: n + 1], den
+        row = self.row(key, n)
+        return row[0][: n + 1], row[1]
 
     def value(self, key, n: int) -> Fraction:
-        nums, den = self.row(key, n)
-        return Fraction(nums[n], den)
+        row = self.row(key, n)
+        return Fraction(row[0][n], row[1])
 
 
 class _TriangleMemo(_Memo):
@@ -476,21 +484,38 @@ def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 
 # degenerate Stirling numbers, both kinds, both paths
 
 
-def _grow_triangle(second_kind: bool, lam, tri, n):
-    """Rows 0..n of the triangle at lam = p/q, row k being the integers
-    T(k, m) = q^k S(k, m) over q^k:
+def _triangle_step(top: list[int], leads, a: int, b: int, width: int | None = None) -> list[int]:
+    """The integer row after top in a triangle
+    T(k, m) = lead_m T(k-1, m-1) + (m a - b) T(k-1, m), top being row k-1,
+    b the factor's constant at k and leads giving lead_0, lead_1, ... (lead_0
+    multiplies T(k-1, -1) = 0).  With a width, only the entries m < width are
+    kept: no entry reads one to its right."""
+    ups = top + [0] if width is None or len(top) < width else top
+    return [
+        lead * left + (m * a - b) * up
+        for m, (lead, left, up) in enumerate(zip(leads, [0] + top, ups))
+    ]
+
+
+def _stirling_steps(second_kind: bool, lam, top: list[int], k: int, n: int, width=None):
+    """Rows k..n of a Stirling triangle at lam = p/q, stepped from row k-1,
+    top; row k holds the integers T(k, m) = q^k S(k, m):
     second kind T(k,m) = q T(k-1,m-1) + (m q - (k-1) p) T(k-1,m),
-    first kind  T(k,m) = q T(k-1,m-1) + (m p - (k-1) q) T(k-1,m).
-    Each new row is stepped from the last one's integers."""
+    first kind  T(k,m) = q T(k-1,m-1) + (m p - (k-1) q) T(k-1,m)."""
     p, q = lam
     a, b = (q, p) if second_kind else (p, q)
+    for j in range(k, n + 1):
+        top = _triangle_step(top, repeat(q), a, (j - 1) * b, width)
+        yield top
+
+
+def _grow_triangle(second_kind: bool, lam, tri, n):
+    """Rows 0..n of the triangle at lam = p/q, row k being the integers
+    T(k, m) = q^k S(k, m) over q^k, each stepped from the last one's."""
+    q = lam[1]
     rows = list(tri[0]) if tri else [([1], 1)]
-    top, den = rows[-1]
-    for k in range(len(rows), n + 1):
-        top = [
-            q * left + (m * a - (k - 1) * b) * up
-            for m, (left, up) in enumerate(zip([0] + top, top + [0]))
-        ]
+    den = rows[-1][1]
+    for top in _stirling_steps(second_kind, lam, rows[-1][0], len(rows), n):
         den *= q
         rows.append((top, den))
     return rows, q
@@ -498,6 +523,37 @@ def _grow_triangle(second_kind: bool, lam, tri, n):
 
 _S2 = _TriangleMemo(partial(_grow_triangle, True))
 _S1 = _TriangleMemo(partial(_grow_triangle, False))
+
+
+def _stirling_column(second_kind: bool, n: int, m: int, lam: ExactScalar) -> list[Fraction]:
+    """Entries (k, m), k = 0..n, of a Stirling triangle: the rows are
+    stepped with width m + 1, columns 0..m, in O(n m) and with no memo."""
+    if n < 0 or m < 0:
+        raise ValueError("indices must be >= 0")
+    if m > n:
+        return [Fraction(0)] * (n + 1)
+    lam = _key(lam)
+    col, den = [Fraction(int(m == 0))], 1
+    for k, top in enumerate(_stirling_steps(second_kind, lam, [1], 1, n, m + 1), 1):
+        den *= lam[1]
+        col.append(Fraction(top[m], den) if k >= m else Fraction(0))
+    return col
+
+
+def stirling2_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
+    """[stirling2_deg(k, m, lam) for k = 0..n], as a new list."""
+    return _dual(
+        _stirling_column(True, n, m, lam),
+        lambda: [stirling2_deg_series(k, m, lam) for k in range(n + 1)],
+    )
+
+
+def stirling1_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
+    """[stirling1_deg(k, m, lam) for k = 0..n], as a new list."""
+    return _dual(
+        _stirling_column(False, n, m, lam),
+        lambda: [stirling1_deg_series(k, m, lam) for k in range(n + 1)],
+    )
 
 
 def stirling2_row(n: int, lam: ExactScalar) -> list[Fraction]:
@@ -608,36 +664,31 @@ def stirling1_classical(n: int, m: int) -> int:
 # degenerate Fubini and fully degenerate Bell polynomials
 
 
-def _s2_sums(weights):
-    """Grow step for the row sums[j] = sum_m w[m] S2(j, m; mu), j = 0..n,
-    where weights(key, n) gives (w, mu): w[0..n] as (nums, den) and mu an
-    int pair p/q.  The triangle is read once; sums[j] is an integer dot
-    product over den q^j, put over den q^n."""
-
-    def grow(key, row, n):
-        (wn, wd), mu = weights(key, n)
-        tri = _S2.row(mu, n)[0]
-        q = mu[1]
-        start = len(row[0]) if row else 0
-        new = [sum(map(mul, wn, tri[j][0])) * q ** (n - j) for j in range(start, n + 1)]
-        return _join(row, (new, wd * q**n))
-
-    return grow
-
-
-def _fubini_weights(key, n):
-    lam, (u, v) = key
-    return ([factorial(m) * u**m * v ** (n - m) for m in range(n + 1)], v**n), lam
-
-
-def _bell_weights(key, n):
-    lam, (u, v) = key
-    falls, den = _FALLING.ints(((1, 1), lam), n)
-    return ([f * u**m * v ** (n - m) for m, f in enumerate(falls)], den * v**n), lam
+def _grow_weighted_sums(bell: bool, key, row, n):
+    """Values sum_m w_m S2(k, m; lam), k = 0..n, at lam = p/q and argument
+    u/v: Fubini w_m = m! y^m, Bell w_m = falling(1, m, lam) x^m.  The weight
+    ratio w_m / w_{m-1} = c_m / d is one linear factor in m (Fubini c_m = m u,
+    d = v; Bell c_m = (q - (m-1) p) u, d = q v), folded into the diagonal step
+    of the second-kind triangle: X(k, m) = (q d)^k w_m S2(k, m; lam) are the
+    integers X(k,m) = q c_m X(k-1,m-1) + d (m q - (k-1) p) X(k-1,m), and
+    value k is the plain sum of row k over (q d)^k.  A row is
+    (nums, den, top): the values over den = (q d)^(len - 1), and the last
+    X row, from which a grow continues."""
+    (p, q), (u, v) = key
+    if bell:
+        d, leads = q * v, [q * (q - (m - 1) * p) * u for m in range(n + 1)]
+    else:
+        d, leads = v, [q * m * u for m in range(n + 1)]
+    nums, den, top = row or ([1], 1, [1])
+    start, new = len(nums), []
+    for k in range(start, n + 1):
+        top = _triangle_step(top, leads, d * q, (k - 1) * d * p)
+        new.append(sum(top))
+    return (*_join((nums, den), _over_power(new, q * d, start)), top)
 
 
-_FUBINI = _Memo(_s2_sums(_fubini_weights))
-_BELL = _Memo(_s2_sums(_bell_weights))
+_FUBINI = _Memo(partial(_grow_weighted_sums, False))
+_BELL = _Memo(partial(_grow_weighted_sums, True))
 
 
 def fubini_row(n: int, lam: ExactScalar, y: ExactScalar) -> list[Fraction]:

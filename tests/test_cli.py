@@ -352,6 +352,81 @@ TABLE_DIGESTS = [
      "f467d9877b4fd35bf5e9955551b726c6955565143093e800cd4ecc21db939008"),
     ("falling --lambda -1/3 --x -2 --n-max 12 --format csv",
      "a1c73310e53e73ab42d628cb21aee692f2146b056529174cd0427a6fb39b6f48"),
+    # one column of each Stirling triangle to n = 256, at --m 0, 3 and past
+    # the last row (300), recorded when the table still read its column from
+    # the full memoised triangle
+    ("stirling1 --lambda 2/7 --m 0 --n-max 256 --format json",
+     "f8c7459ec8a5aa36bb89026bec5ca7e8cca579a5ddea61673e51b89c638fbdcc"),
+    ("stirling1 --lambda 2/7 --m 0 --n-max 256 --format csv",
+     "954cf508d71055f3c5793f93ba7dddf40a1b009b7d25c40a32e7c6ca5f1fc39f"),
+    ("stirling1 --lambda 2/7 --m 3 --n-max 256 --format json",
+     "1cccb3a8cc088fc56aa997bfb7ee6d12afa79a6594a035ec27510bd63c534ae8"),
+    ("stirling1 --lambda 2/7 --m 3 --n-max 256 --format csv",
+     "0e0b74deb6b806b950654ae556601e481a670759115698ac48ff20e9ba10f4f6"),
+    ("stirling1 --lambda 2/7 --m 300 --n-max 256 --format json",
+     "dfa9259be6d4094db61d681462bd6c40af19b55b884b8689beb7d8b5bf07949b"),
+    ("stirling1 --lambda 2/7 --m 300 --n-max 256 --format csv",
+     "bd523c17712789f5e897295ec7087e26c9389fe68f22476b7325cbdccc84464a"),
+    ("stirling1 --lambda -1/3 --m 0 --n-max 256 --format json",
+     "6e4b2aaef39ab837b9d5956790b30c9476046bced0f8fadc7a6f5e4614ad9390"),
+    ("stirling1 --lambda -1/3 --m 0 --n-max 256 --format csv",
+     "954cf508d71055f3c5793f93ba7dddf40a1b009b7d25c40a32e7c6ca5f1fc39f"),
+    ("stirling1 --lambda -1/3 --m 3 --n-max 256 --format json",
+     "1b94144d7e656d7e2c0a1ec0f3a746171d018c509c03d5bac71089289ad4540a"),
+    ("stirling1 --lambda -1/3 --m 3 --n-max 256 --format csv",
+     "7ddd273b343d52699077a66a1dae450a374b1df15945dd5d191c0b086aebfc65"),
+    ("stirling1 --lambda -1/3 --m 300 --n-max 256 --format json",
+     "038c6f953c8068d58bad3204189241c6b8f6291d1ca7c1a7c214f0739a15ce6f"),
+    ("stirling1 --lambda -1/3 --m 300 --n-max 256 --format csv",
+     "bd523c17712789f5e897295ec7087e26c9389fe68f22476b7325cbdccc84464a"),
+    ("stirling1 --lambda 0 --m 0 --n-max 256 --format json",
+     "40408bf8c3f270509e89087df0867a38454a2a860c9b3ab06802386fc2ea1b34"),
+    ("stirling1 --lambda 0 --m 0 --n-max 256 --format csv",
+     "954cf508d71055f3c5793f93ba7dddf40a1b009b7d25c40a32e7c6ca5f1fc39f"),
+    ("stirling1 --lambda 0 --m 3 --n-max 256 --format json",
+     "617711d33646e4d97ef9a626df69236d86dac66f06f924709b7cd822b409bacd"),
+    ("stirling1 --lambda 0 --m 3 --n-max 256 --format csv",
+     "1fbe42b784b3f3c90b3cc290c79da1be68aba556ac55ea46c58c060d0254965d"),
+    ("stirling1 --lambda 0 --m 300 --n-max 256 --format json",
+     "98f57bcfa03dadfd237f139e8c602a4189b13fa7c69e0ccf48a718963d1cd2c7"),
+    ("stirling1 --lambda 0 --m 300 --n-max 256 --format csv",
+     "bd523c17712789f5e897295ec7087e26c9389fe68f22476b7325cbdccc84464a"),
+    ("stirling2 --lambda 2/7 --m 0 --n-max 256 --format json",
+     "dbf18bf6f31c8debfedd29d28e395c234fc117c8ef352ca442f15bcb072fac37"),
+    ("stirling2 --lambda 2/7 --m 0 --n-max 256 --format csv",
+     "954cf508d71055f3c5793f93ba7dddf40a1b009b7d25c40a32e7c6ca5f1fc39f"),
+    ("stirling2 --lambda 2/7 --m 3 --n-max 256 --format json",
+     "e3efc97bb12a24d9028f56aa6b0d03e904b03ec73e0457fa6f24a2f0261e685a"),
+    ("stirling2 --lambda 2/7 --m 3 --n-max 256 --format csv",
+     "f5cadb2b406308da0ab2983b15556310b12f61de383593cf50f98d7c7da7b391"),
+    ("stirling2 --lambda 2/7 --m 300 --n-max 256 --format json",
+     "1a52c2b5d50ec14abca81b7f172d5d0b173bced54116bbc84bc7ffdafe9920e2"),
+    ("stirling2 --lambda 2/7 --m 300 --n-max 256 --format csv",
+     "bd523c17712789f5e897295ec7087e26c9389fe68f22476b7325cbdccc84464a"),
+    ("stirling2 --lambda -1/3 --m 0 --n-max 256 --format json",
+     "b530021e36ee1a9dc6d61256489c0103a587787c3eafb182679a2268849da939"),
+    ("stirling2 --lambda -1/3 --m 0 --n-max 256 --format csv",
+     "954cf508d71055f3c5793f93ba7dddf40a1b009b7d25c40a32e7c6ca5f1fc39f"),
+    ("stirling2 --lambda -1/3 --m 3 --n-max 256 --format json",
+     "c69ebc824bbe281c398402e58634b4082144a0a64fdf8f0c203702e58a99be70"),
+    ("stirling2 --lambda -1/3 --m 3 --n-max 256 --format csv",
+     "90452f9293154a025968e43f96f6d882a01e21b8d07040828c976894b1eaf95b"),
+    ("stirling2 --lambda -1/3 --m 300 --n-max 256 --format json",
+     "d06c9f0c8d26701b9d3947e35b4bf81cb000d003a2bdcff8c52a8f1c488ae379"),
+    ("stirling2 --lambda -1/3 --m 300 --n-max 256 --format csv",
+     "bd523c17712789f5e897295ec7087e26c9389fe68f22476b7325cbdccc84464a"),
+    ("stirling2 --lambda 0 --m 0 --n-max 256 --format json",
+     "22eebd50fb0ab1f5827e93504d3c81892762f8623aa36720076a2badee8d47c3"),
+    ("stirling2 --lambda 0 --m 0 --n-max 256 --format csv",
+     "954cf508d71055f3c5793f93ba7dddf40a1b009b7d25c40a32e7c6ca5f1fc39f"),
+    ("stirling2 --lambda 0 --m 3 --n-max 256 --format json",
+     "c936bd6eff6947372f63f03c4f04cc0359deba7e06cc6ba415a5fd35db324f5c"),
+    ("stirling2 --lambda 0 --m 3 --n-max 256 --format csv",
+     "2e0c95096eb6fd6ec452d71adefb3523ee5d4bc83e5af2c73df8c68fd870e66f"),
+    ("stirling2 --lambda 0 --m 300 --n-max 256 --format json",
+     "b1b6503bda62c9c1f1a749e9b5180954424a60604324751753a220611ce4cf0b"),
+    ("stirling2 --lambda 0 --m 300 --n-max 256 --format csv",
+     "bd523c17712789f5e897295ec7087e26c9389fe68f22476b7325cbdccc84464a"),
 ]
 
 

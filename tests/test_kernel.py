@@ -1,7 +1,8 @@
 """The integer-numerator kernel against plain-Fraction reference code.
 
-Series and polynomial arithmetic, the Stirling triangles, the explicit sums
-and the online series memos run on integers over one common denominator.
+Series and polynomial arithmetic, the Stirling triangles and their columns,
+the weighted triangles of the Fubini and Bell sums, the explicit sums and
+the online series memos run on integers over one common denominator.
 The reference implementations below are the textbook Fraction loops; they
 live here only, so that the library's two dual paths, which now share the
 kernel, are still checked against code that does not use it.  The series
@@ -45,8 +46,10 @@ from degderange.sequences import (
     fubini_deg,
     fubini_deg_series,
     set_cross_check,
+    stirling1_column,
     stirling1_deg,
     stirling1_deg_series,
+    stirling2_column,
     stirling2_deg,
     stirling2_deg_series,
 )
@@ -299,6 +302,76 @@ def test_derange_order_row_matches_reference(history):
             assert len(sequences._DERANGE_TERMS.rows[key][0]) == N_MAX + 1
 
 
+@functools.cache
+def s2_ref_rows(lam):
+    return ref_stirling_rows(lam, N_MAX, second_kind=True)
+
+
+@functools.cache
+def weighted_sum_refs(lam, x):
+    """The Fubini and Bell values 0..N_MAX: sums over the rows of the
+    reference second-kind triangle with weights m! x^m and falling(1, m) x^m."""
+    rows = s2_ref_rows(lam)
+    fub = [sum(factorial(m) * x**m * v for m, v in enumerate(row)) for row in rows]
+    bell = [sum(ref_falling(F(1), m, lam) * x**m * v for m, v in enumerate(row)) for row in rows]
+    return {sequences._FUBINI: fub, sequences._BELL: bell}
+
+
+WEIGHTED_READS = {
+    sequences._FUBINI: (fubini_deg, sequences.fubini_row),
+    sequences._BELL: (bell_deg, sequences.bell_row),
+}
+
+
+@pytest.mark.parametrize("history", ["ascending", "bulk", "bulk_after_smaller"])
+def test_fubini_and_bell_rows_match_reference(history):
+    # Each row is grown on a weighted second-kind triangle and continues from
+    # its last weighted row, so the values are checked after three growth
+    # histories of a fresh row: one n at a time, one bulk call, and a bulk
+    # call after a smaller one.
+    for lam in ORDER_LAMBDAS:
+        for x in ORDER_XS:
+            key = (_key(lam), _key(x))
+            for memo, ref in weighted_sum_refs(lam, x).items():
+                scalar, row = WEIGHTED_READS[memo]
+                memo.rows.pop(key, None)
+                if history == "ascending":
+                    for n in range(N_MAX + 1):
+                        assert scalar(n, lam, x) == ref[n]
+                        assert row(n, lam, x) == ref[: n + 1]
+                        assert len(memo.rows[key][0]) == n + 1
+                    continue
+                if history == "bulk_after_smaller":
+                    assert row(7, lam, x) == ref[:8]
+                assert row(N_MAX, lam, x) == ref
+                assert [scalar(n, lam, x) for n in range(N_MAX + 1)] == ref
+                assert len(memo.rows[key][0]) == N_MAX + 1
+
+
+COLUMN_NS = (0, 1, 7, N_MAX)
+
+
+@pytest.mark.parametrize("second_kind", [True, False], ids=["stirling2", "stirling1"])
+def test_stirling_columns_match_reference_triangle_and_series(second_kind):
+    column = stirling2_column if second_kind else stirling1_column
+    series = stirling2_deg_series if second_kind else stirling1_deg_series
+    memo = sequences._S2 if second_kind else sequences._S1
+    for lam in ORDER_LAMBDAS:
+        rows = ref_stirling_rows(lam, N_MAX, second_kind)
+        for n in COLUMN_NS:
+            for m in sorted({0, 1, 3, n // 2, n, n + 1, n + 5}):
+                col = column(n, m, lam)
+                assert col == [row[m] if m < len(row) else 0 for row in rows[: n + 1]]
+                assert all(type(v) is F for v in col)
+                # the triangle memo's column, and the series path's
+                tri = [exact(memo.ints(_key(lam), k)) for k in range(n + 1)]
+                assert col == [row[m] if m < len(row) else 0 for row in tri]
+                assert col == [series(k, m, lam) for k in range(n + 1)]
+        for n, m in ((0, -1), (5, -1), (-1, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                column(n, m, lam)
+
+
 @settings(max_examples=15, deadline=None)
 @given(lambdas, st.integers(min_value=0, max_value=N_MAX))
 def test_derange_poly_matches_reference(lam, n):
@@ -427,6 +500,9 @@ def test_grid_and_every_public_read_pass_with_cross_check():
             for n in range(7):
                 sequences.stirling2_row(n, lam)
                 sequences.stirling1_row(n, lam)
+                for m in range(n + 2):
+                    stirling2_column(n, m, lam)
+                    stirling1_column(n, m, lam)
                 for m in range(n + 1):
                     stirling2_deg(n, m, lam)
                     stirling1_deg(n, m, lam)

@@ -1,4 +1,5 @@
-"""The one memo mechanism of the sequence layer and the row accessors.
+"""The one memo mechanism of the sequence layer and the row and column
+accessors.
 
 Every memoised sequence is a ``_Memo``: integer rows under int-pair keys,
 grown on demand under one lock, each growth publishing a new row.  These
@@ -6,8 +7,8 @@ tests grow fresh memos with the library's own grow steps, from several
 threads and in several steps, and compare them with a serial build; they
 check that a reader never pairs the numerators of one row with the
 denominator of another, that every spelling of a parameter reaches one memo
-entry and that keys hold ints only; then they check each row accessor
-against its scalar reads.
+entry and that keys hold ints only; then they check each row and column
+accessor against its scalar reads.
 """
 
 import copy
@@ -39,8 +40,10 @@ from degderange.sequences import (
     fubini_deg_series,
     fubini_row,
     fubini_series_row,
+    stirling1_column,
     stirling1_deg,
     stirling1_row,
+    stirling2_column,
     stirling2_deg,
     stirling2_row,
 )
@@ -262,6 +265,8 @@ def test_rows_equal_scalar_reads(lam, x, n, r):
         (derange_order_row(n, r, lam, x), [derange_deg_order(k, r, lam, x) for k in ks]),
         (stirling2_row(n, lam), [stirling2_deg(n, m, lam) for m in ks]),
         (stirling1_row(n, lam), [stirling1_deg(n, m, lam) for m in ks]),
+        (stirling2_column(n, n // 2, lam), [stirling2_deg(k, n // 2, lam) for k in ks]),
+        (stirling1_column(n, n // 2, lam), [stirling1_deg(k, n // 2, lam) for k in ks]),
         (fubini_row(n, lam, x), [fubini_deg(k, lam, x) for k in ks]),
         (bell_row(n, lam, x), [bell_deg(k, lam, x) for k in ks]),
         (fubini_series_row(n, lam, x), [fubini_deg_series(k, lam, x) for k in ks]),
@@ -276,6 +281,8 @@ def test_rows_equal_scalar_reads(lam, x, n, r):
     assert derange_order_row(n, r, lam, x)[0] == 1
     assert stirling2_row(n, lam)[0] == stirling2_deg(n, 0, lam)
     assert stirling1_row(n, lam)[0] == stirling1_deg(n, 0, lam)
+    assert stirling2_column(n, n // 2, lam)[0] == stirling2_deg(0, n // 2, lam)
+    assert stirling1_column(n, n // 2, lam)[0] == stirling1_deg(0, n // 2, lam)
     assert fubini_row(n, lam, x)[0] == 1
     assert bell_row(n, lam, x)[0] == 1
     assert fubini_series_row(n, lam, x)[0] == 1

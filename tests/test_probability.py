@@ -214,6 +214,29 @@ def test_theorem11_domain():
         theorem11_check(-1, F(1, 4))
 
 
+def test_theorem11_cross_check_reaches_the_series_path(monkeypatch):
+    # The exact side reads the integer derangement row; in cross-check mode
+    # the series path's row must give the same target.  A series row off by
+    # one in its top value makes the check fail.
+    from degderange import probability, sequences
+
+    sequences.set_cross_check(True)
+    try:
+        assert theorem11_check(4, F(1, 5)).passed
+        real = sequences._DERANGE_ORDER_SERIES
+
+        def off_by_one(key, row, n):
+            nums, s = real.grow(key, row, n)
+            return nums[:-1] + [nums[-1] + s**n], s
+
+        monkeypatch.setattr(probability, "_DERANGE_ORDER_SERIES", sequences._SeriesMemo(off_by_one))
+        with pytest.raises(AssertionError, match="dual-path mismatch"):
+            theorem11_check(4, F(1, 5))
+    finally:
+        sequences.set_cross_check(False)
+    assert theorem11_check(4, F(1, 5)).passed
+
+
 def test_theorem11_exact_consistency():
     # the exact side must collapse to (1-lam) * n!; checked inside the op,
     # and the raw convolution is verified here for a spread of lam
