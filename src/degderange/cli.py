@@ -90,10 +90,6 @@ def _parse_grid(text: str) -> list[Fraction]:
     return vals
 
 
-def _frac_str(q) -> str:
-    return str(Fraction(q))
-
-
 def _resolve_out(path: str | None):
     if path is None or path == "-":
         return None
@@ -151,7 +147,7 @@ def _table(args) -> tuple[dict, list]:
     n_max = args.n_max
     _check_n_max(n_max)
     sel = args.sequence
-    params = {"sequence": sel, "lambda": _frac_str(lam), "n_max": n_max}
+    params = {"sequence": sel, "lambda": str(lam), "n_max": n_max}
     ns = range(n_max + 1)
     if sel == "derangement-poly":
         return params, [sequences.derange_deg_poly(n, lam) for n in ns]
@@ -170,7 +166,7 @@ def _table(args) -> tuple[dict, list]:
             raise CliError("--r must be >= 1")
     default_x = 0 if sel in ("derangement", "derangement-order") else 1
     x = _parse_rational(args.x) if args.x is not None else Fraction(default_x)
-    params["x"] = _frac_str(x)
+    params["x"] = str(x)
     if sel == "derangement":
         return params, sequences.derange_row(n_max, lam, x)
     if sel == "derangement-order":
@@ -186,9 +182,9 @@ def _table(args) -> tuple[dict, list]:
 def _cmd_table(args) -> int:
     params, values = _table(args)
     if args.sequence == "derangement-poly":
-        field, cells = "coeffs", [[_frac_str(c) for c in p.coeffs] for p in values]
+        field, cells = "coeffs", [[str(c) for c in p.coeffs] for p in values]
     else:
-        field, cells = "value", [_frac_str(v) for v in values]
+        field, cells = "value", [str(v) for v in values]
     out_path = _resolve_out(args.out)
     if args.format == "json":
         _emit(_json_doc("table", params, [{"n": n, field: c} for n, c in enumerate(cells)]), out_path)
@@ -240,8 +236,8 @@ def _cmd_verify(args) -> int:
     params = {
         "identities": [i.value for i in ids],
         "n_max": args.n_max,
-        "lambda_grid": [_frac_str(v) for v in lam_grid],
-        "x_grid": [_frac_str(v) for v in x_grid],
+        "lambda_grid": [str(v) for v in lam_grid],
+        "x_grid": [str(v) for v in x_grid],
         "r_max": args.r_max,
         "mutate": args.mutate,
     }
@@ -249,11 +245,11 @@ def _cmd_verify(args) -> int:
         {
             "identity": case.identity_id.value,
             "n": case.n,
-            "lambda": _frac_str(case.lam),
-            "x": _frac_str(case.x) if case.x is not None else None,
+            "lambda": str(case.lam),
+            "x": str(case.x) if case.x is not None else None,
             "r": case.r,
-            "lhs": _frac_str(lhs),
-            "rhs": _frac_str(rhs),
+            "lhs": str(lhs),
+            "rhs": str(rhs),
         }
         for case, lhs, rhs in report.failures
     ]
@@ -294,7 +290,7 @@ def _result_dict(res: probability.MomentCheckResult, **context) -> dict:
     out.update(
         {
             "numeric_value": res.numeric_value,
-            "exact_target": _frac_str(res.exact_target),
+            "exact_target": str(res.exact_target),
             "abs_error": res.abs_error,
             "rel_error": res.rel_error,
             "passed": res.passed,
@@ -328,9 +324,10 @@ def _cmd_gamma_check(args) -> int:
     lam = _parse_rational(args.lam)
     jobs = _jobs(args.jobs)
     results = []
-    params: dict = {"check": args.check, "lambda": _frac_str(lam)}
+    params: dict = {"check": args.check, "lambda": str(lam)}
     try:
         if args.check == "thm11":
+            _check_n_max(args.n_max)
             params["n_max"] = args.n_max
             batch = _map_batch(
                 _thm11_item, [(n, lam) for n in range(args.n_max + 1)], jobs
@@ -353,6 +350,7 @@ def _cmd_gamma_check(args) -> int:
             res = probability._compare(mass, Fraction(1), probability.DEFAULT_CHECK_TOL)
             results.append(_result_dict(res, alpha=args.alpha, beta=args.beta))
         elif args.check == "expansion":
+            _check_n_max(args.n_max)
             params["n_max"] = args.n_max
             params["m_cap"] = args.m_cap
             batch = _map_batch(
@@ -378,7 +376,7 @@ def _cmd_sample(args) -> int:
         raise CliError("--count must be >= 0")
     samples = probability.sample_deg_gamma11(float(lam), args.seed, args.count)
     params = {
-        "lambda": _frac_str(lam),
+        "lambda": str(lam),
         "seed": args.seed,
         "count": args.count,
     }

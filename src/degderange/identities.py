@@ -11,8 +11,9 @@ per identity:
   THM2_CONV          lhs: series extraction of the derangement generating
                      function; rhs: convolution sum over derangement numbers
                      (explicit sums) and falling factorials.
-  THM2_REC/_X0       lhs: falling-factorial product; rhs: explicit-sum
-                     derangement values.
+  THM2_REC/_X0       lhs: falling-factorial product; rhs: D(n) - n D(n-1)
+                     over explicit-sum derangement values (prefix sums of
+                     the shared terms row).
   THM3               lhs: double sum (explicit-sum derangements, recurrence
                      Stirling triangle); rhs: alternating single sum.
   THM4               lhs: recurrence triangle + explicit-sum derangements;
@@ -36,7 +37,8 @@ per identity:
   EQ24_25            lhs: signed falling products with the first-kind
                      triangle; rhs: derangement-polynomial convolution.
   THM9_VS_SERIES     lhs: explicit order-r sum, n! taken out, over the
-                     shared terms row; rhs: series long division.
+                     shared terms row; rhs: the series path's
+                     coefficient recurrence for F (1-t)^r = deg_exp(x-1).
   THM10              lhs: composition-path Bell value at the flipped
                      parameter; rhs: double sum over the original one.
   EXP_MOMENT_BRIDGE  lhs: moment-weighted convolution (exponential moments

@@ -11,7 +11,8 @@ All values are exact rationals.  Negative deformation parameters are fully
 supported (the sign-flipped identities need them).
 
 Every memoised sequence lives in one :class:`_Memo`: an integer row per key,
-grown on demand under one lock, exactly to the requested n.  A key holds one
+grown on demand under one lock, exactly to the requested n (the derangement
+row as far as the terms row it is read from).  A key holds one
 (numerator, denominator) int pair per rational parameter (the deformation
 parameter, with the argument where there is one), so a lookup hashes ints
 only.  A row keeps integer numerators over shared denominators, the layout
@@ -34,11 +35,13 @@ scalar accessors build ``Fraction`` values, at the API boundary.  A grow step
 returns a new row and never changes a published one, so a reader outside
 the lock, holding one reference to a row, never pairs new numerators with an
 old denominator.  Each step continues from the integers at the end of the
-row it extends.
+row it extends, or, for the derangement row, rebuilds it from the row it
+reads.
 
-The fast paths grow by recurrences (falling factorials, derangement partial
-sums, both Stirling triangles) and by sums over the rows of a weighted
-second-kind triangle (the Fubini and Bell values): one triangle step,
+The fast paths grow by recurrences (falling factorials, both Stirling
+triangles), by sums over one row of explicit-sum terms (the derangement and
+order-r values) and by sums over the rows of a weighted second-kind triangle
+(the Fubini and Bell values): one triangle step,
 ``_triangle_step``, serves both Stirling triangles, their columns
 (``stirling1_column``, ``stirling2_column``: the step capped to columns
 0..m, with no memo) and the weighted triangles of Fubini and Bell, in which
@@ -71,19 +74,23 @@ fast path only the exact-core primitives: it steps along the power of t of
 one generating-function product, where a triangle steps a Stirling row by a
 linear factor and an explicit sum adds falling factorials.
 
-Derangement values always come from the explicit sum
-n! * sum_{l<=n} falling(x-1, l, lam)/l!: the memo carries the partial sum
-forward and stores each value already scaled by n!.  They are never grown
-by D(n) = n D(n-1) + falling(x-1, n, lam): that recurrence is the identity
-THM2_REC, which must stay a check and not become a tautology.  The series
-path at r = 1 does step by d_k = e_k + k d_{k-1}, the coefficient equation
-of F (1-t) = deg_exp(x-1), with e_k from its own falling product; no
-identity sets it against THM2_REC, whose both sides are fast-path values.
+Derangement values come from the explicit sum
+n! * sum_{l<=n} T_l, T_l = falling(x-1, l, lam)/l!, read from one terms row
+(over L! s^L for a row covering 0..L) that the order-r sums share: value n
+is n! times the plain prefix sum of the row's numerators 0..n, over the
+row's denominator, with L! divided out of both, and the derangement row is
+rebuilt from the terms row whenever that grows.  They are never grown by
+D(n) = n D(n-1) + falling(x-1, n, lam), nor by its integer Horner form
+acc s k + E_k: that recurrence is the identity THM2_REC, which must stay a
+check, and its integer form is the series path's step at r = 1,
+d_k = e_k + k d_{k-1}, the coefficient equation of F (1-t) = deg_exp(x-1)
+with e_k from its own falling product.  ``derange_row``'s cross-check,
+``theorem11_check`` and THM2_CONV set the series path against these values.
 
-Order-r values come from the explicit sum with n! taken out,
-D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) T_l, T_l = falling(x-1, l, lam)/l!,
-each a dot product of the binomials (one weights row per r) against one
-terms row that every r shares (over L! s^L for a row covering 0..L).  The sum stays a sum of
+Order-r values come from the same terms row with n! taken out,
+D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) T_l, each one dot product of the
+binomials (one weights row per r) against the terms row; ``derange_order_row``
+reads each of its values through that dot product.  The sum stays a sum of
 independently weighted terms, never Horner in l nor r nested running sums:
 at r = 1 either would take the same integer steps as the series path's
 N_k = E_k + s k N_{k-1}, and THM9_VS_SERIES, which ``certify`` runs at
@@ -96,11 +103,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, gcd, perm
 from operator import mul
 
-from .exactcore import ExactScalar, Poly, as_fractions, convolve, factorial, widen
+from .exactcore import ExactScalar, Poly, as_fractions, factorial, widen
 
 _lock = threading.RLock()
 
@@ -310,24 +317,41 @@ def falling_poly(n: int, lam: ExactScalar) -> Poly:
 # degenerate derangement polynomials and numbers
 
 
-def _grow_derange(key, row, n):
-    """Derangement values k! * sum_{l<=k} falling(x-1, l, lam)/l!, each formed
-    from its partial sum, which is carried forward.  At lam = p/q, x = u/v
-    and s = q v, falling(x-1, l, lam) = E_l / s^l and the partial sum is
-    tot / (s^k k!): tot is put over the next denominator and the next term's
-    numerator E_k added.  The value k! tot / (s^k k!) is tot over s^k, and
-    the row's denominator is s^(len - 1), so its last numerator is the last
-    tot."""
+def _grow_derange_terms(key, row, n):
+    """The terms T_l = falling(x-1, l, lam)/l! of the explicit sums, shared
+    by the derangement values and the order-r sums of every r.  At lam = p/q,
+    x = u/v and s = q v, T_l = E_l / (s^l l!) with
+    E_l = prod_{i<l} ((u-v) q - i p v); a row covering 0..L keeps them over
+    L! s^L, numerator l being E_l prod_{j=l+1..L} (j s).  The last numerator
+    is the last E_l, so the product continues from it, and growing to n
+    widens the old numerators by prod_{j=L+1..n} (j s)."""
     (p, q), (u, v) = key
     s = q * v
-    e = _products((u - v) * q, p * v, n)
-    row = row or ([1], 1)
-    start = len(row[0])
-    tot, new = row[0][-1], []
-    for k in range(start, n + 1):
-        tot = tot * s * k + e[k]
-        new.append(tot)
-    return _join(row, _over_power(new, s, start))
+    nums, den = row or ([1], 1)
+    start = len(nums)
+    e, new = nums[-1], []
+    for l in range(start, n + 1):
+        e *= (u - v) * q - (l - 1) * p * v
+        new.append(e)
+    f = 1  # prod_{j=l+1..n} (j s) for the entry l being scaled
+    for l in range(n, start - 1, -1):
+        new[l - start] *= f
+        f *= l * s
+    return [c * f for c in nums] + new, den * f
+
+
+_DERANGE_TERMS = _Memo(_grow_derange_terms)
+
+
+def _grow_derange(key, row, n):
+    """Derangement values D(k) = k! sum_{l<=k} T_l, the order-r sum at r = 1:
+    the plain prefix sums of the terms row's numerators, each times k!, over
+    the terms row's denominator L! s^L, L! divided out of both exactly (each
+    numerator is then sum_l E_l (k!/l!) s^(L-l)).  The row covers what the
+    terms row covers."""
+    nums, den = _DERANGE_TERMS.row(key, n)
+    f = factorial(len(nums) - 1)
+    return [factorial(k) * t // f for k, t in enumerate(accumulate(nums))], den // f
 
 
 _DERANGE = _Memo(_grow_derange)
@@ -379,31 +403,6 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     return Poly(as_fractions(acc, den * q**n))
 
 
-def _grow_derange_terms(key, row, n):
-    """The terms T_l = falling(x-1, l, lam)/l! of the order-r sums, shared by
-    every r.  At lam = p/q, x = u/v and s = q v, T_l = E_l / (s^l l!) with
-    E_l = prod_{i<l} ((u-v) q - i p v); a row covering 0..L keeps them over
-    L! s^L, numerator l being E_l prod_{j=l+1..L} (j s).  The last numerator
-    is the last E_l, so the product continues from it, and growing to n
-    widens the old numerators by prod_{j=L+1..n} (j s)."""
-    (p, q), (u, v) = key
-    s = q * v
-    nums, den = row or ([1], 1)
-    start = len(nums)
-    e, new = nums[-1], []
-    for l in range(start, n + 1):
-        e *= (u - v) * q - (l - 1) * p * v
-        new.append(e)
-    f = 1  # prod_{j=l+1..n} (j s) for the entry l being scaled
-    for l in range(n, start - 1, -1):
-        new[l - start] *= f
-        f *= l * s
-    return [c * f for c in nums] + new, den * f
-
-
-_DERANGE_TERMS = _Memo(_grow_derange_terms)
-
-
 def _grow_order_weights(r, row, n):
     """The weights binom(r-1+k, k), k = 0..n, of the order-r sums (weight k
     multiplies the term T_{n-k}), under the key r."""
@@ -430,15 +429,13 @@ def _check_order(r: int) -> None:
 
 
 def derange_order_row(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> list[Fraction]:
-    """[derange_deg_order(k, r, lam, x) for k = 0..n], as a new list: every
-    explicit sum read from one terms row."""
+    """[derange_deg_order(k, r, lam, x) for k = 0..n], as a new list: each
+    value the scalar's dot product over the terms row."""
     _check_index(n)
     _check_order(r)
     key = (_key(lam), _key(x))
-    nums, den = _DERANGE_TERMS.row(key, n)
-    sums = convolve(_ORDER_WEIGHTS.ints(r, n)[0], nums[: n + 1], n)
     return _dual(
-        [Fraction(factorial(k) * v, den) for k, v in enumerate(sums)],
+        [_derange_order(k, r, *key) for k in range(n + 1)],
         lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, r), n)),
     )
 

@@ -265,6 +265,22 @@ def test_jobs_below_one_is_config_error():
         assert "--jobs" in out.stderr
 
 
+@pytest.mark.parametrize("n_max", ["-1", "257"])
+def test_n_max_out_of_range_is_config_error(n_max, capsys):
+    from degderange import cli
+
+    for argv in (
+        ("table", "derangement", "--lambda", "1/2"),
+        ("verify", "--identities", "THM3"),
+        ("certify", "--identities", "THM3"),
+        ("gamma-check", "thm11", "--lambda", "1/4"),
+        ("gamma-check", "expansion", "--lambda", "1/4"),
+    ):
+        assert cli.main([*argv, "--n-max", n_max]) == 2, argv
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: --n-max must lie in [0, 256]\n"), argv
+
+
 def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
     from degderange import cli, identities
 

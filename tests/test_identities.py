@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from degderange import identities
+from degderange import identities, sequences
 from degderange.exactcore import binomial, factorial
 from degderange.identities import (
     MAX_N,
@@ -72,6 +72,26 @@ def test_x_independence_of_shifted_convolution():
                 assert ok
                 vals.add(rhs)
             assert vals == {F(factorial(n))}
+
+
+def test_thm2_rec_sees_a_wrong_term_of_the_terms_row():
+    # The derangement values are prefix sums of the terms row: term n raised
+    # by 1 moves D(n) by n! and leaves D(n-1), so
+    # D(n) - n D(n-1) = falling(x-1, n) must fail at n.
+    lam, x, n = F(3, 11), F(5, 13), 6
+    key = (sequences._key(lam), sequences._key(x))
+    terms, derange = sequences._DERANGE_TERMS, sequences._DERANGE
+    try:
+        terms.rows.pop(key, None)
+        derange.rows.pop(key, None)
+        nums, den = terms.row(key, n)
+        nums = list(nums)
+        nums[n] += den
+        terms.rows[key] = (nums, den)
+        assert not verify(_case(IdentityId.THM2_REC, n, lam, x))[2]
+    finally:
+        terms.rows.pop(key, None)
+        derange.rows.pop(key, None)
 
 
 def test_every_mutation_detected():

@@ -48,10 +48,10 @@ from degderange.sequences import (
     stirling2_row,
 )
 
-# (memo, key) pairs: the recurrences (falling factorials, derangement partial
-# sums, both Stirling triangles), the terms and weights of the order-r sums,
-# the sums over second-kind Stirling rows, and every series memo, each grown
-# online from its generating function.
+# (memo, key) pairs: the recurrences (falling factorials, both Stirling
+# triangles), the derangement values and the terms and weights of the
+# explicit sums, the sums over second-kind Stirling rows, and every series
+# memo, each grown online from its generating function.
 LAM, X = (-2, 7), (3, 4)
 SERIES_MEMOS = [
     (sequences._S2_SERIES, (LAM, 3)),
@@ -146,14 +146,17 @@ def test_growing_after_a_smaller_n_keeps_the_prefix():
 
 
 def test_readers_never_pair_new_numerators_with_an_old_denominator():
-    # At (-2/7, 3/4) the derangement row's denominator is 28^n and that of
-    # the order-r terms row n! 28^n, so every growth widens it (and rescales
-    # every numerator of the terms row): the writers publish rows for
-    # n = 10 ... 40 while the readers read n = 3 and n = 9 outside the lock.
+    # At (-2/7, 3/4) the terms row's denominator is n! 28^n, so every growth
+    # widens it and rescales every numerator; the derangement row takes the
+    # terms row's denominator: the writers publish rows for n = 10 ... 40
+    # while the readers read n = 3 and n = 9 outside the lock.
     key = (LAM, X)
     for memo in (sequences._DERANGE, sequences._DERANGE_TERMS):
         serial = values(fresh(memo), key, 40)
         for _ in range(5):
+            # the derangement row is read from the module's terms row: a
+            # fresh one makes it grow, and widen, along with the writers
+            sequences._DERANGE_TERMS.rows.pop(key, None)
             shared = fresh(memo)
             shared.row(key, 9)
             reads, dens, wrong = [0], set(), []

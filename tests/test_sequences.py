@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degderange import sequences
 from degderange.exactcore import Poly, binomial, factorial
 from degderange.sequences import (
+    _key,
     bell_deg,
     bell_deg_series,
     bell_row,
@@ -361,6 +363,36 @@ def test_cross_check_mode_runs_clean():
         bell_row(7, F(-1, 3), F(1))
     finally:
         set_cross_check(False)
+
+
+def test_cross_check_catches_a_wrong_series_product(monkeypatch):
+    # The series path takes its falling products from _products; the
+    # derangement row is read from the terms row, which builds its own.  So
+    # one product off by one must show as a mismatch of the two paths.
+    lam, x = F(5, 11), F(7, 13)
+    key = (_key(lam), _key(x))
+    touched = [
+        (sequences._DERANGE, key),
+        (sequences._DERANGE_TERMS, key),
+        (sequences._DERANGE_ORDER_SERIES, (*key, 1)),
+    ]
+    real = sequences._products
+
+    def off_by_one(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if len(out) > 3:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(sequences, "_products", off_by_one)
+    set_cross_check(True)
+    try:
+        with pytest.raises(AssertionError, match="dual-path mismatch"):
+            derange_row(6, lam, x)
+    finally:
+        set_cross_check(False)
+        for memo, k in touched:
+            memo.rows.pop(k, None)
 
 
 def test_negative_index_rejected():
