@@ -16,7 +16,7 @@ row as far as the terms row it is read from).  A key holds one
 (numerator, denominator) int pair per rational parameter (the deformation
 parameter, with the argument where there is one), so a lookup hashes ints
 only.  A row keeps integer numerators over shared denominators, the layout
-of FLINT's ``fmpq_poly``, in one of four forms:
+of FLINT's ``fmpq_poly``, in one of three forms:
 
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
                                                          derangements, the
@@ -26,7 +26,6 @@ of FLINT's ``fmpq_poly``, in one of four forms:
                  with the last weighted-triangle row     sums
   _TriangleMemo  (rows, q): row k is (nums, q^k)         both Stirling triangles
   _SeriesMemo    (nums, s): value k is nums[k]/s^k       the series paths
-  _OrdinaryMemo  (nums, den): value k is k! nums[k]/den  the Fubini series
 
 ``ints(key, n)`` gives the values 0..n (row n of a triangle) as one
 (nums, den) pair, the form that the kernel's ``dot`` and ``binomial_conv``
@@ -35,8 +34,8 @@ scalar accessors build ``Fraction`` values, at the API boundary.  A grow step
 returns a new row and never changes a published one, so a reader outside
 the lock, holding one reference to a row, never pairs new numerators with an
 old denominator.  Each step continues from the integers at the end of the
-row it extends, or, for the derangement row, rebuilds it from the row it
-reads.
+row it extends; the derangement row, whose denominator follows the terms
+row it reads, first rescales its old numerators to that row's new scale.
 
 The fast paths grow by recurrences (falling factorials, both Stirling
 triangles), by sums over one row of explicit-sum terms (the derangement and
@@ -46,16 +45,21 @@ order-r values) and by sums over the rows of a weighted second-kind triangle
 (``stirling1_column``, ``stirling2_column``: the step capped to columns
 0..m, with no memo) and the weighted triangles of Fubini and Bell, in which
 the weights' ratio w_m / w_{m-1}, one linear factor in m, is folded into the
-diagonal step so that each value is the plain sum of one row.  The series
-paths (order-r derangements, whose r = 1 case is the derangement series,
-both series triangles, Fubini, Bell) grow online: value k, k! times
-coefficient k of the generating function F, comes from the values below k
-through F's own coefficient equation, an exponential convolution
-sum_j binom(k, j) w_j v_{k-j} whose weights w_j are k! times the
-coefficients of the series F is built from:
+diagonal step so that each value is the plain sum of one row; Fubini and
+Bell take the same step factors on the same scale (q v)^k and differ only in
+the diagonal leads.  The series paths (order-r derangements, whose r = 1
+case is the derangement series, both series triangles, Fubini, Bell) grow
+online: value k, k! times coefficient k of the generating function F, comes
+from the values below k through an equation that F satisfies, an
+exponential convolution sum_j binom(k, j) w_j v_{k-j} whose weights w_j are
+k! times the coefficients of a series built from lam and x, or, for Fubini,
+the values of F itself:
 
   order-r derangement  F (1-t)^r = deg_exp(x-1)        (F * denominator
-  Fubini               F (1 - y(deg_exp(1)-1)) = 1      = numerator)
+                                                        = numerator)
+  Fubini               (1 + lam t) F' = (1 + y) F^2 - F, from
+                       deg_exp(1)' = deg_exp(1)/(1 + lam t) and
+                       y deg_exp(1) = 1 + y - 1/F for F = 1/(1 - y(deg_exp(1)-1))
   series triangles     m F_m = base F_{m-1}, F_m = base^m/m!, with base
                        deg_exp(1)-1 (second kind) or deg_log (first kind);
                        one memo row per column m, so entry (n, m) costs
@@ -66,26 +70,29 @@ coefficients of the series F is built from:
                        G' = h' G
 
 Each step runs on integers, the values scaled by powers of one fixed
-integer with at most one exact division; Fubini runs on the ordinary
-coefficients v_k/k! over their least common denominator instead, since
-there the exponential form is slower.  Each builds its weights itself from
-lam and x, reading no memo but its own.  So a series path shares with its
-fast path only the exact-core primitives: it steps along the power of t of
-one generating-function product, where a triangle steps a Stirling row by a
-linear factor and an explicit sum adds falling factorials.
+integer with at most one exact division (Fubini's with none).  Each builds
+its weights itself from lam and x, reading no memo but its own.  So a series
+path shares with its fast path only the exact-core primitives: it steps
+along the power of t of one generating-function product, where a triangle
+steps a Stirling row by a linear factor and an explicit sum adds falling
+factorials.  The Fubini series reads no deg_exp coefficient and no Stirling
+row, so it shares no integer step with the weighted triangle of ``_FUBINI``.
 
 Derangement values come from the explicit sum
 n! * sum_{l<=n} T_l, T_l = falling(x-1, l, lam)/l!, read from one terms row
 (over L! s^L for a row covering 0..L) that the order-r sums share: value n
 is n! times the plain prefix sum of the row's numerators 0..n, over the
-row's denominator, with L! divided out of both, and the derangement row is
-rebuilt from the terms row whenever that grows.  They are never grown by
-D(n) = n D(n-1) + falling(x-1, n, lam), nor by its integer Horner form
-acc s k + E_k: that recurrence is the identity THM2_REC, which must stay a
-check, and its integer form is the series path's step at r = 1,
-d_k = e_k + k d_{k-1}, the coefficient equation of F (1-t) = deg_exp(x-1)
-with e_k from its own falling product.  ``derange_row``'s cross-check,
-``theorem11_check`` and THM2_CONV set the series path against these values.
+row's denominator, with L! divided out of both.  When the terms row has
+grown from L to L', every old derangement numerator and the row's
+denominator s^L scale by s^(L'-L), so the old entries are rescaled and only
+the entries past L are summed, still as prefix sums of the terms row.  They
+are never grown by D(n) = n D(n-1) + falling(x-1, n, lam), nor by its
+integer Horner form acc s k + E_k: that recurrence is the identity
+THM2_REC, which must stay a check, and its integer form is the series
+path's step at r = 1, d_k = e_k + k d_{k-1}, the coefficient equation of
+F (1-t) = deg_exp(x-1) with e_k from its own falling product.
+``derange_row``'s cross-check, ``theorem11_check`` and THM2_CONV set the
+series path against these values.
 
 Order-r values come from the same terms row with n! taken out,
 D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) T_l, each one dot product of the
@@ -103,8 +110,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
-from math import comb, gcd, perm
+from itertools import accumulate, islice, repeat
+from math import comb, perm
 from operator import mul
 
 from .exactcore import ExactScalar, Poly, as_fractions, factorial, widen
@@ -188,20 +195,6 @@ class _SeriesMemo(_Memo):
     def value(self, key, n: int) -> Fraction:
         nums, s = self.row(key, n)
         return Fraction(nums[n], s**n)
-
-
-class _OrdinaryMemo(_Memo):
-    """Rows (nums, den) of ordinary coefficients: value k is k! nums[k] / den."""
-
-    __slots__ = ()
-
-    def ints(self, key, n: int) -> tuple[list[int], int]:
-        nums, den = self.row(key, n)
-        return [v * factorial(k) for k, v in enumerate(nums[: n + 1])], den
-
-    def value(self, key, n: int) -> Fraction:
-        nums, den = self.row(key, n)
-        return Fraction(nums[n] * factorial(n), den)
 
 
 def _over_power(nums: list[int], s: int, first: int = 0) -> tuple[list[int], int]:
@@ -347,11 +340,18 @@ def _grow_derange(key, row, n):
     """Derangement values D(k) = k! sum_{l<=k} T_l, the order-r sum at r = 1:
     the plain prefix sums of the terms row's numerators, each times k!, over
     the terms row's denominator L! s^L, L! divided out of both exactly (each
-    numerator is then sum_l E_l (k!/l!) s^(L-l)).  The row covers what the
-    terms row covers."""
-    nums, den = _DERANGE_TERMS.row(key, n)
-    f = factorial(len(nums) - 1)
-    return [factorial(k) * t // f for k, t in enumerate(accumulate(nums))], den // f
+    numerator is then sum_l E_l (k!/l!) s^(L-l), over s^L).  The row covers
+    what the terms row covers.  When that has grown from L to L', an old
+    numerator is the same sum times s^(L'-L), so the old entries are rescaled
+    and only the entries k > L are summed."""
+    (_, q), (_, v) = key
+    terms, den = _DERANGE_TERMS.row(key, n)
+    top = len(terms) - 1
+    f = factorial(top)
+    nums = row[0] if row else []
+    g = (q * v) ** (top + 1 - len(nums))
+    sums = islice(enumerate(accumulate(terms)), len(nums), None)
+    return [d * g for d in nums] + [factorial(k) * t // f for k, t in sums], den // f
 
 
 _DERANGE = _Memo(_grow_derange)
@@ -434,6 +434,7 @@ def derange_order_row(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> l
     _check_index(n)
     _check_order(r)
     key = (_key(lam), _key(x))
+    _DERANGE_TERMS.row(key, n)
     return _dual(
         [_derange_order(k, r, *key) for k in range(n + 1)],
         lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, r), n)),
@@ -664,24 +665,24 @@ def stirling1_classical(n: int, m: int) -> int:
 def _grow_weighted_sums(bell: bool, key, row, n):
     """Values sum_m w_m S2(k, m; lam), k = 0..n, at lam = p/q and argument
     u/v: Fubini w_m = m! y^m, Bell w_m = falling(1, m, lam) x^m.  The weight
-    ratio w_m / w_{m-1} = c_m / d is one linear factor in m (Fubini c_m = m u,
-    d = v; Bell c_m = (q - (m-1) p) u, d = q v), folded into the diagonal step
-    of the second-kind triangle: X(k, m) = (q d)^k w_m S2(k, m; lam) are the
-    integers X(k,m) = q c_m X(k-1,m-1) + d (m q - (k-1) p) X(k-1,m), and
-    value k is the plain sum of row k over (q d)^k.  A row is
-    (nums, den, top): the values over den = (q d)^(len - 1), and the last
-    X row, from which a grow continues."""
+    ratio w_m / w_{m-1} = c_m / (q v) is one linear factor in m (Fubini
+    c_m = q m u, Bell c_m = (q - (m-1) p) u), folded into the diagonal step of
+    the second-kind triangle: X(k, m) = (q v)^k w_m S2(k, m; lam) are the
+    integers X(k,m) = c_m X(k-1,m-1) + v (m q - (k-1) p) X(k-1,m), and value
+    k is the plain sum of row k over (q v)^k.  A row is (nums, den, top): the
+    values over den = (q v)^(len - 1), and the last X row, from which a grow
+    continues."""
     (p, q), (u, v) = key
     if bell:
-        d, leads = q * v, [q * (q - (m - 1) * p) * u for m in range(n + 1)]
+        leads = [(q - (m - 1) * p) * u for m in range(n + 1)]
     else:
-        d, leads = v, [q * m * u for m in range(n + 1)]
+        leads = [q * m * u for m in range(n + 1)]
     nums, den, top = row or ([1], 1, [1])
     start, new = len(nums), []
     for k in range(start, n + 1):
-        top = _triangle_step(top, leads, d * q, (k - 1) * d * p)
+        top = _triangle_step(top, leads, q * v, (k - 1) * p * v)
         new.append(sum(top))
-    return (*_join((nums, den), _over_power(new, q * d, start)), top)
+    return (*_join((nums, den), _over_power(new, q * v, start)), top)
 
 
 _FUBINI = _Memo(partial(_grow_weighted_sums, False))
@@ -703,30 +704,28 @@ def fubini_deg(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
 
 
 def _grow_fubini_series(key, row, n):
-    """f_k = k! [t^k] F for F (1 - y(deg_exp(1)-1)) = 1, from its coefficient
-    equation on the ordinary coefficients F_k = f_k/k!:
-    F_k = y sum_{j=1..k} h_j F_{k-j} with h_j = falling(1, j, lam)/j!.  At
-    lam = p/q, y = u/v the h_j are H_j / (q^n n!), and the row keeps the F_k
-    over their least common denominator: each new F_k is reduced by one gcd,
-    and the row is widened when its denominator lacks a factor of F_k's.
-    The exponential form of ``_grow_online`` is slower here: its terms carry
-    k!-sized factors."""
+    """f_k = k! [t^k] F for F = 1/(1 - y(deg_exp(1)-1)), from the equation
+    (1 + lam t) F' = (1 + y) F^2 - F that F satisfies, since
+    deg_exp(1)' = deg_exp(1)/(1 + lam t) and y deg_exp(1) = 1 + y - 1/F:
+    f_{k+1} = (1+y) sum_j binom(k,j) f_j f_{k-j} - (1 + lam k) f_k.  At
+    lam = p/q, y = u/v it runs on N_k = (q v)^k f_k:
+    N_{k+1} = q(u+v) sum_j binom(k,j) N_j N_{k-j} - v(q + p k) N_k,
+    with no division; the sum is symmetric in j, so it takes j < k/2 twice
+    and the middle term once."""
     (p, q), (u, v) = key
-    c = _products(q, p, n)  # q^j falling(1, j, lam)
-    h = [c[j] * q ** (n - j) * perm(n, n - j) for j in range(n + 1)]
-    hd = v * q**n * factorial(n)
-    nums, den = row or ([1], 1)
-    nums = list(nums)
-    for k in range(len(nums), n + 1):
-        num, d = u * sum(map(mul, h[k:0:-1], nums)), hd * den
-        g = gcd(num, d)
-        num, d = num // g, d // g
-        nums, den = widen(nums, den, d)
-        nums.append(num * (den // d))
-    return nums, den
+    c = q * (u + v)
+
+    def step(k, nums):
+        k -= 1  # N_{k+1} from N_0..N_k
+        tot = 2 * sum(comb(k, j) * nums[j] * nums[k - j] for j in range((k + 1) // 2))
+        if k % 2 == 0:
+            tot += comb(k, k // 2) * nums[k // 2] ** 2
+        return c * tot - v * (q + p * k) * nums[k]
+
+    return _grow_online(row, n, q * v, step)
 
 
-_FUBINI_SERIES = _OrdinaryMemo(_grow_fubini_series)
+_FUBINI_SERIES = _SeriesMemo(_grow_fubini_series)
 
 
 def fubini_series_row(n: int, lam: ExactScalar, y: ExactScalar) -> list[Fraction]:

@@ -281,25 +281,31 @@ def test_derange_order_row_matches_reference(history):
     # Every r reads one terms row per (lam, x); its numerators are rescaled
     # each time it grows, so the values are checked after three growth
     # histories of a fresh row: one n at a time, one bulk call, and a bulk
-    # call after a smaller one.
+    # call after a smaller one.  The derangement row (r = 1) is read from the
+    # same terms row; when that has grown past it, its old numerators are
+    # rescaled, so it is read before and after the order-r reads grow it.
     for lam in ORDER_LAMBDAS:
         for x in ORDER_XS:
             key = (_key(lam), _key(x))
             refs = order_refs(lam, x)
             sequences._DERANGE_TERMS.rows.pop(key, None)
+            sequences._DERANGE.rows.pop(key, None)
             if history == "ascending":
                 for n in range(N_MAX + 1):
                     for r in ORDERS:
                         assert derange_deg_order(n, r, lam, x) == refs[r][n]
                         assert derange_order_row(n, r, lam, x) == refs[r][: n + 1]
                     assert len(sequences._DERANGE_TERMS.rows[key][0]) == n + 1
+                    assert sequences.derange_row(n, lam, x) == refs[1][: n + 1]
                 continue
             if history == "bulk_after_smaller":
                 assert derange_order_row(7, 2, lam, x) == refs[2][:8]
+                assert sequences.derange_row(7, lam, x) == refs[1][:8]
             for r in ORDERS:
                 assert derange_order_row(N_MAX, r, lam, x) == refs[r]
                 assert [derange_deg_order(n, r, lam, x) for n in range(N_MAX + 1)] == refs[r]
             assert len(sequences._DERANGE_TERMS.rows[key][0]) == N_MAX + 1
+            assert sequences.derange_row(N_MAX, lam, x) == refs[1]
 
 
 @functools.cache
@@ -310,27 +316,34 @@ def s2_ref_rows(lam):
 @functools.cache
 def weighted_sum_refs(lam, x):
     """The Fubini and Bell values 0..N_MAX: sums over the rows of the
-    reference second-kind triangle with weights m! x^m and falling(1, m) x^m."""
+    reference second-kind triangle with weights m! x^m and falling(1, m) x^m.
+    The Fubini series memo holds the same values."""
     rows = s2_ref_rows(lam)
     fub = [sum(factorial(m) * x**m * v for m, v in enumerate(row)) for row in rows]
     bell = [sum(ref_falling(F(1), m, lam) * x**m * v for m, v in enumerate(row)) for row in rows]
-    return {sequences._FUBINI: fub, sequences._BELL: bell}
+    return {sequences._FUBINI: fub, sequences._BELL: bell, sequences._FUBINI_SERIES: fub}
 
 
 WEIGHTED_READS = {
     sequences._FUBINI: (fubini_deg, sequences.fubini_row),
     sequences._BELL: (bell_deg, sequences.bell_row),
+    sequences._FUBINI_SERIES: (fubini_deg_series, sequences.fubini_series_row),
 }
+# at x = -1 the quadratic term (1 + y) F^2 of the Fubini series equation is 0
+WEIGHTED_XS = (*ORDER_XS, F(-1))
 
 
 @pytest.mark.parametrize("history", ["ascending", "bulk", "bulk_after_smaller"])
 def test_fubini_and_bell_rows_match_reference(history):
-    # Each row is grown on a weighted second-kind triangle and continues from
-    # its last weighted row, so the values are checked after three growth
-    # histories of a fresh row: one n at a time, one bulk call, and a bulk
-    # call after a smaller one.
+    # The Fubini and Bell rows are grown on a weighted second-kind triangle
+    # and continue from its last row; the Fubini series continues from its
+    # last values by (1 + lam t) F' = (1 + y) F^2 - F.  So the values are
+    # checked after three growth histories of a fresh row: one n at a time,
+    # one bulk call, and a bulk call after a smaller one.  Every row is over
+    # a divisor of (q v)^n at lam = p/q, x = u/v: the triangles are scaled by
+    # (q v)^k, a scale on which the Bell steps are already integers.
     for lam in ORDER_LAMBDAS:
-        for x in ORDER_XS:
+        for x in WEIGHTED_XS:
             key = (_key(lam), _key(x))
             for memo, ref in weighted_sum_refs(lam, x).items():
                 scalar, row = WEIGHTED_READS[memo]
@@ -346,6 +359,7 @@ def test_fubini_and_bell_rows_match_reference(history):
                 assert row(N_MAX, lam, x) == ref
                 assert [scalar(n, lam, x) for n in range(N_MAX + 1)] == ref
                 assert len(memo.rows[key][0]) == N_MAX + 1
+                assert (lam.denominator * x.denominator) ** N_MAX % memo.ints(key, N_MAX)[1] == 0
 
 
 COLUMN_NS = (0, 1, 7, N_MAX)
