@@ -1,4 +1,6 @@
-# The functions below follow scipy/stats/_ksstats.py of scipy 1.17:
+# The functions below follow scipy 1.17: scipy/stats/_ksstats.py, the
+# kolmogorov and kolmogi of scipy.special (Cephes, kolmogorov.h) and
+# scipy/optimize/Zeros/brentq.c:
 #
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 # All rights reserved.
@@ -35,11 +37,14 @@ inverse, the critical value of the sampler's KS check.
 
 A port of the path that scipy 1.17 takes for ``scipy.stats.kstwo.cdf`` and
 ``kstwo.ppf`` (``scipy/stats/_ksstats.py``, BSD-3-Clause, notice above), so
-that the check needs no ``scipy.stats`` import.  It uses numpy and the public
-``scipy.special.smirnov``, ``loggamma``, ``kolmogi`` and
-``scipy.optimize.brentq``, all loaded by ``scipy.integrate`` already.  The
-CDF takes the branches of Simard & L'Ecuyer (J. Stat. Softw. 39(11), 2011),
-as scipy does:
+that the check needs no ``scipy.stats`` import.  It uses numpy, and it ports
+the scipy functions that path calls: ``brentq`` (Brent's root finder), the
+inverse ``_kolmogi`` of Kolmogorov's limit law with the ``_kolmogorov`` it
+inverts, and ``loggamma`` at the integers (Cephes ``lgam``).  The one piece
+still taken from scipy is ``scipy.special.smirnov``, imported by the one CDF
+branch that uses it (x >= 1/2, or n <= 140 with n*x^2 > 4), so only a KS
+check on a small sample loads scipy.  The CDF takes the branches of Simard &
+L'Ecuyer (J. Stat. Softw. 39(11), 2011), as scipy does:
 
 - the Ruben-Gambino closed forms for n*x <= 1 and n*x >= n - 1;
 - 2*smirnov(n, x) for x >= 0.5, and for n <= 140 with n*x^2 > 4;
@@ -53,12 +58,15 @@ Durbin/MTW and Pomeranz rescale by 2^128 as scipy does, and the numpy
 operations, their order and their types are scipy's: where scipy's rescale
 turns a float64 into a longdouble, the rest of that product runs in
 longdouble here too.  So the CDF agrees with scipy's bit for bit, and the
-root find of ``kstwo_ppf`` visits the same points and lands on the same
-root; ``tests/test_ks.py`` checks the critical value against
-``scipy.stats.kstwo.ppf`` to 1e-12 relative over n = 1 ... 10^6.
+root find of ``kstwo_ppf`` starts from scipy's bracket, visits the same
+points and lands on the same root: ``tests/test_quadpack.py`` checks the
+critical value against ``scipy.stats.kstwo.ppf`` for equality, and
+``tests/test_ks.py`` to 1e-12 relative over n = 1 ... 10^6.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -284,8 +292,6 @@ def _pelz_good(n: int, x: float):
 
 def kstwo_cdf(n: int, x: float):
     """P(D_n <= x) for an integer n >= 1; a numpy float64 or longdouble."""
-    from scipy import special
-
     t = n * x
     if x >= 1.0:
         prob = 1.0
@@ -299,6 +305,8 @@ def kstwo_cdf(n: int, x: float):
     elif t >= n - 1:  # Ruben-Gambino
         prob = 1 - 2 * (1.0 - x) ** n
     elif x >= 0.5 or (n <= 140 and t * x > 4):  # exact, or Miller's approximation
+        from scipy import special  # the one branch that needs scipy
+
         prob = 1.0 - 2 * special.smirnov(n, x)
     elif n <= 140:
         prob = _durbin(n, x) if t * x <= 0.754693 else _pomeranz(n, x)
@@ -311,25 +319,234 @@ def kstwo_cdf(n: int, x: float):
     return np.clip(prob, 0.0, 1.0)
 
 
+_DBL_EPSILON = 2.0**-52
+_LOGSQRT2PI = math.log(math.sqrt(2 * math.pi))  # scipy's value: 1 ulp below ln(sqrt(2 pi))
+_KOLMOG_CUTOFF = 0.82  # the series in u up to here, the series in v above
+
+
+def _kolmogorov(x: float) -> tuple[float, float, float]:
+    """(sf, cdf, pdf) of Kolmogorov's limit law at x, as scipy.special's
+    ``kolmogorov``, ``_kolmogc`` and ``-_kolmogp`` compute them: the first
+    terms of the Jacobi theta series in u = exp(-pi^2/(8 x^2)) for small x,
+    of the alternating series in v = exp(-2 x^2) for large x."""
+    if x <= math.pi / math.sqrt(746 * 8):  # exp(-746) underflows
+        return 1.0, 0.0, 0.0
+    P = 1.0
+    D = 0.0
+    if x <= _KOLMOG_CUTOFF:
+        # P = w*u*(1 + u^8 + u^24 + u^48), w = sqrt(2 pi)/x
+        w = math.sqrt(2 * math.pi) / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u = math.exp(logu8 / 8)
+        if u == 0:
+            P = math.exp(logu8 / 8 + math.log(w))
+        else:
+            u8 = math.exp(logu8)
+            u8cub = u8**3
+            P = 1 + u8cub * P
+            D = 5 * 5 + u8cub * D
+            P = 1 + u8 * u8 * P
+            D = 3 * 3 + u8 * u8 * D
+            P = 1 + u8 * P
+            D = 1 * 1 + u8 * D
+            D = math.pi * math.pi / 4 / (x * x) * D - P
+            D *= w * u / x
+            P = w * u * P
+        cdf = P
+        sf = 1 - P
+        pdf = D
+    else:
+        # P = 2v(1 - v^3 (1 - v^5 (1 - v^7)))
+        v = math.exp(-2 * x * x)
+        vsq = v * v
+        v3 = v**3
+        vpwr = v3 * v3 * v
+        P = 1 - vpwr * P
+        D = 3 * 3 - vpwr * D
+        vpwr = v3 * vsq
+        P = 1 - vpwr * P
+        D = 2 * 2 - vpwr * D
+        vpwr = v3
+        P = 1 - vpwr * P
+        D = 1 * 1 - vpwr * D
+        P = 2 * v * P
+        D = 8 * v * x * D
+        sf = P
+        cdf = 1 - sf
+        pdf = D
+    return min(max(sf, 0.0), 1.0), min(max(cdf, 0.0), 1.0), max(0.0, pdf)
+
+
+def _kolmogi(psf: float, pcdf: float) -> float:
+    """The x with P(K > x) = psf and P(K <= x) = pcdf for Kolmogorov's limit
+    law K, as scipy.special's ``_kolmogi`` computes it (``kolmogi(q)`` is
+    ``_kolmogi(q, 1 - q)``, ``_kolmogci(p)`` is ``_kolmogi(1 - p, p)``):
+    Newton steps on the bracketed root, from a start given by the leading
+    term of the series, on the smaller of the two probabilities."""
+    if not (psf >= 0 and pcdf >= 0 and pcdf <= 1 and psf <= 1):
+        return math.nan
+    if abs(1.0 - pcdf - psf) > 4 * _DBL_EPSILON:
+        return math.nan
+    if pcdf == 0.0:
+        return 0.0
+    if psf == 0.0:
+        return math.inf
+    if pcdf <= 0.5:
+        # p ~ (sqrt(2 pi)/x) exp(-pi^2/(8 x^2)): two fixed-point steps from
+        # a lower and an upper bound
+        logpcdf = math.log(pcdf)
+        sqrt2 = math.sqrt(2)
+        a = math.pi / (2 * sqrt2 * math.sqrt(-(logpcdf + logpcdf / 2 - _LOGSQRT2PI)))
+        b = math.pi / (2 * sqrt2 * math.sqrt(-(logpcdf + 0 - _LOGSQRT2PI)))
+        a = math.pi / (2 * sqrt2 * math.sqrt(-(logpcdf + math.log(a) - _LOGSQRT2PI)))
+        b = math.pi / (2 * sqrt2 * math.sqrt(-(logpcdf + math.log(b) - _LOGSQRT2PI)))
+        x = (a + b) / 2.0
+    else:
+        # p ~ 2 exp(-2 x^2), and q = exp(-2 x^2) from the inverted series
+        # p/2 = q - q^4 + q^9 - ...
+        jiggerb = 256 * _DBL_EPSILON
+        pba = psf / (1.0 - math.exp(-4)) / 2
+        pbb = psf * (1 - jiggerb) / 2
+        a = math.sqrt(-0.5 * math.log(pba))
+        b = math.sqrt(-0.5 * math.log(pbb))
+        p = psf / 2.0
+        p2 = p * p
+        p3 = p * p * p
+        q0 = 1 + p3 * (1 + p3 * (4 + p2 * (-1 + p * (22 + p2 * (-13 + 140 * p)))))
+        q0 *= p
+        x = math.sqrt(-math.log(q0) / 2)
+        if x < a or x > b:
+            x = (a + b) / 2
+    for _ in range(500):
+        x0 = x
+        sf, cdf, pdf = _kolmogorov(x0)
+        df = (pcdf - cdf) if pcdf < 0.5 else (sf - psf)
+        if abs(df) == 0:
+            break
+        if df > 0 and x > a:
+            a = x
+        elif df < 0 and x < b:
+            b = x
+        dfdx = -pdf
+        if abs(dfdx) <= 0.0:
+            x = (a + b) / 2
+        else:
+            x = x0 - df / dfdx
+        if a <= x <= b:
+            if abs(x - x0) <= _DBL_EPSILON + 2 * _DBL_EPSILON * abs(x0):
+                break
+            if x == a or x == b:
+                x = (a + b) / 2.0
+                if x == a or x == b:
+                    break
+        else:
+            x = (a + b) / 2.0
+            if abs(x - x0) <= _DBL_EPSILON + 2 * _DBL_EPSILON * abs(x0):
+                break
+    return x
+
+
+def brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973), as scipy's ``optimize.brentq`` finds it with
+    its default rtol and maxiter: the steps of scipy/optimize/Zeros/brentq.c,
+    with f's value rounded to a float as scipy rounds it."""
+    rtol, maxiter = 4 * _DBL_EPSILON, 100
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre))
+    fcur = float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre = scur
+                scur = stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# Stirling's series for log(Gamma(x)) - ((x - 1/2) log x - x + log(sqrt(2 pi))),
+# as polynomial coefficients in 1/x^2, highest power first (Cephes lgam)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(n: int) -> float:
+    """log(n!) for an integer n >= 1, as ``scipy.special.loggamma(n + 1)``
+    computes it (Cephes ``lgam``): the log of the exact product while n + 1
+    < 13, Stirling's series above.  ``math.lgamma`` differs from it in the
+    last bit at about half the integers."""
+    x = float(n + 1)
+    if x < 13.0:
+        return math.log(float(math.factorial(n)))
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    a = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        a = a * p + c
+    return q + a / x
+
+
 def kstwo_ppf(n: int, p: float) -> float:
     """The x with P(D_n <= x) = p, for an integer n >= 1 and 0 < p < 1.
 
     The ends have closed forms; between them ``brentq`` (xtol 1e-14) finds
-    the root on [1/n, x1], x1 from the inverse of Kolmogorov's limit law.
-    ``kolmogi(q)`` stands in for scipy's private ``_kolmogci(p)``: both
-    evaluate the same inverse at (p, q) whenever p >= 1/2, because q = 1 - p
-    and 1 - q are then exact.
+    the root on [1/n, x1], x1 from the inverse of Kolmogorov's limit law at
+    (q, p), scipy's ``_kolmogci(p)``.
     """
-    from scipy import optimize, special
-
     q = 1 - p
     if q <= 0:
         return 1.0
-    delta = np.exp((np.log(p) - special.loggamma(n + 1)) / n)
+    delta = np.exp((np.log(p) - _log_factorial(n)) / n)
     if delta <= 1.0 / n:
         return float((delta + 1.0 / n) / 2)
     x = -np.expm1(np.log(q / 2.0) / n)
     if x >= 1 - 1.0 / n:
         return float(x)
-    x1 = min(special.kolmogi(q) / np.sqrt(n), 1.0 - 1.0 / n)
-    return optimize.brentq(lambda v: kstwo_cdf(n, v) - p, 1.0 / n, x1, xtol=1e-14)
+    x1 = min(_kolmogi(q, p) / np.sqrt(n), 1.0 - 1.0 / n)
+    return brentq(lambda v: kstwo_cdf(n, v) - p, 1.0 / n, x1, xtol=1e-14)

@@ -12,17 +12,26 @@ stays available through :class:`QuadratureSpec`.
 The normaliser of the degenerate gamma density is computed once per
 :class:`DegGammaParams` (its ``norm`` property), not once per density
 evaluation: an outer quadrature over the density then costs one inner
-quadrature in all, not one per node.  Importing the package loads no scipy:
-the first quadrature imports ``scipy.integrate``, which loads
-``scipy.special`` and ``scipy.optimize``, the two that the KS check needs.
+quadrature in all, not one per node.  The expansion check integrates each
+E[X^m/(1+lam X)] once per (m, lam, spec), not once per n.
+
+Quadrature runs on ``_quadpack``, a port of the QUADPACK routines behind
+``scipy.integrate.quad`` (``dqagie`` on [0, inf), ``dqagse`` on a truncated
+[0, T]) that returns scipy's value, error and ``ier`` bit for bit; a
+nonzero ``ier`` raises :class:`QuadratureError` with scipy's message.  So
+the moment checks import no scipy, and importing the package loads neither
+scipy nor numpy: numpy is imported by the sampling and KS functions on
+first use.
 
 The sampler's KS check needs no ``scipy.stats``.  Its statistic is computed
 with numpy as ``scipy.stats.kstest`` computes it, and its critical value comes
 from ``_ks``, a port of the path of scipy's ``kstwo`` (Simard & L'Ecuyer
 2011: Durbin/MTW and Pomeranz for n <= 140, Pelz-Good for large n) inverted
-with ``scipy.optimize.brentq``.  Both equal scipy's bit for bit over the
-tested grid of n = 1 ... 10^6 and levels 0.2 ... 0.001, and the tests hold
-the critical value to 1e-12 relative of scipy's.
+with a port of scipy's ``brentq`` from a bracket given by a port of the
+inverse of Kolmogorov's limit law (scipy.special's ``kolmogi``).  The
+critical value equals ``scipy.stats.kstwo.ppf`` bit for bit, and only small
+samples reach the one CDF branch that still imports ``scipy.special``
+(``smirnov``).
 """
 
 from __future__ import annotations
@@ -30,11 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
+from . import _quadpack
 from .exactcore import ExactScalar, binomial_conv, factorial
 from .sequences import (
     _DERANGE,
@@ -46,6 +54,9 @@ from .sequences import (
     falling_deg,
     stirling1_classical,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -138,14 +149,13 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
     """Integrate f over [0, inf) to the requested tolerances.
 
     "substitution" delegates the infinite interval to QUADPACK's internal
-    variable transform; "truncation" integrates [0, T] for an adaptively
-    doubled cutoff T (suited to polynomially damped tails).
+    variable transform (``dqagie``); "truncation" integrates [0, T]
+    (``dqagse``) for an adaptively doubled cutoff T (suited to polynomially
+    damped tails).
     """
-    from scipy import integrate  # on first use: importing degderange loads no scipy
-
     spec = spec or QuadratureSpec()
     if spec.tail_cutoff_strategy == "substitution":
-        upper = np.inf
+        upper = math.inf
     else:
         upper = 64.0
         while abs(f(upper)) * upper > spec.abs_tol * 1e-2:
@@ -153,17 +163,11 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
             if upper > 2**60:
                 raise QuadratureError("no usable truncation cutoff", 0.0)
         upper *= 4
-    value, err, info, *rest = integrate.quad(
-        f,
-        0.0,
-        upper,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=True,
+    value, _, _, ier = _quadpack.quad(
+        f, 0.0, upper, spec.abs_tol, spec.rel_tol, spec.max_subdivisions
     )
-    if rest:  # QUADPACK appended a warning message: not converged
-        raise QuadratureError(rest[0], value)
+    if ier:  # not converged
+        raise QuadratureError(_quadpack.message(ier, spec.max_subdivisions), value)
     if not math.isfinite(value):
         raise QuadratureError("integral evaluated to a non-finite value", value)
     return value
@@ -301,6 +305,13 @@ def moment_ratio_expectation(m: int, lam: float, spec: QuadratureSpec | None = N
     return improper_quadrature(_exp_damped(g, lam), spec)
 
 
+@lru_cache(maxsize=256)
+def _moment_ratio(m: int, lam: float, spec: QuadratureSpec | None) -> float:
+    """moment_ratio_expectation, once per (m, lam, spec): the expansion check
+    asks for the same m at every n."""
+    return moment_ratio_expectation(m, lam, spec)
+
+
 def stirling_log_expansion_check(
     n: int,
     m_cap: int,
@@ -338,7 +349,7 @@ def stirling_log_expansion_check(
     truncated_by_window = m_limit < m_cap
     for m in range(n, m_limit + 1):
         coef = Fraction(factorial(n)) / lam**n * stirling1_classical(m, n) * lam**m / factorial(m)
-        term = float(coef) * moment_ratio_expectation(m, lamf, spec)
+        term = float(coef) * _moment_ratio(m, lamf, spec)
         partial += term
         err = abs(partial - tf)
         if err < best_err:
@@ -380,6 +391,8 @@ def deg_gamma11_cdf(lam: float, x):
     """Exact CDF of the unit-parameter family: 1 - (1+lam*x)^((lam-1)/lam)."""
     if not 0 < lam < 1:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     out = -np.expm1((lam - 1) / lam * np.log1p(lam * np.maximum(x, 0.0)))
     return out if out.ndim else float(out)
@@ -391,6 +404,8 @@ def deg_gamma11_ppf(lam: float, u):
     Maps u = 0 to 0; accepts scalars or arrays with u in [0, 1)."""
     if not 0 < lam < 1:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     out = np.expm1(lam / (lam - 1) * np.log1p(-u)) / lam
     return out if out.ndim else float(out)
@@ -400,6 +415,8 @@ def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> np.ndarray:
     """Inverse-CDF sampler: X = ((1-U)^(lam/(lam-1)) - 1)/lam, U uniform(0,1)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    import numpy as np
+
     rng = np.random.default_rng(rng_seed)
     return deg_gamma11_ppf(lam, rng.random(count))
 
@@ -412,10 +429,12 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
     The statistic is D = max(D+, D-) over the sorted samples, D+ = max(i/n -
     F(x_i)) and D- = max(F(x_i) - (i-1)/n), computed as ``scipy.stats.kstest``
     computes it; the critical value is ``kstwo.ppf(1 - level, count)`` by the
-    port in ``_ks``, equal to scipy's on the tested grid and held to 1e-12
-    relative of it by the tests.  Requires count >= 1 and 0 < level < 1.
+    port in ``_ks``, equal to scipy's bit for bit.  Requires count >= 1 and
+    0 < level < 1.
     """
-    from . import _ks  # with scipy, on first use
+    import numpy as np
+
+    from . import _ks
 
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

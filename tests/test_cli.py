@@ -476,27 +476,40 @@ def test_table_errors_are_unchanged(argv, message, capsys):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported on first quadrature or KS use, not with the package.
-    code = "import sys, degderange, degderange.cli; print('scipy' in sys.modules)"
+    # scipy and numpy are imported on first use by the probability layer, so
+    # neither the package nor the exact commands load them
+    code = (
+        "import sys, degderange, degderange.cli\n"
+        "from degderange import cli\n"
+        "for argv in (['table', 'derangement', '--lambda=1/3', '--n-max', '6'],\n"
+        "             ['verify', '--n-max', '4'],\n"
+        "             ['certify', '--n-max', '3']):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_quadrature_and_ks_check_load_no_scipy_stats():
-    # The first quadrature loads scipy.integrate alone; the KS check's
-    # critical value is ported, so scipy.stats is never imported.
+    # QUADPACK, brentq and kolmogi are ported, so neither a quadrature nor
+    # the KS check at this size imports any part of scipy
     code = (
         "import sys\n"
         "from degderange import cli\n"
         "from degderange.probability import sampler_ks_check\n"
-        "cli.main(['gamma-check', 'normalization', '--lambda=1/5', '--alpha', '1.5'])\n"
+        "for check in (['thm11', '--lambda=1/5', '--n-max', '3'], ['gammafn', '--lambda=1/5', '--k', '2'],\n"
+        "              ['normalization', '--lambda=1/5', '--alpha', '1.5'],\n"
+        "              ['expansion', '--lambda=1/80', '--n-max', '1']):\n"
+        "    assert cli.main(['gamma-check', *check]) == 0\n"
+        "assert cli.main(['sample', '--lambda=1/4', '--count', '10']) == 0\n"
         "assert sampler_ks_check(0.25, 10**5, 42)[2]\n"
-        "print('scipy.integrate' in sys.modules, 'scipy.stats' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "True False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 # SHA-256 of stdout for the density normalization check, at non-integer alpha

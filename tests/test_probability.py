@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from degderange import _quadpack, probability
 from degderange.exactcore import factorial
 from degderange.probability import (
     DegGammaParams,
@@ -153,13 +154,13 @@ def test_normalization_check_quadrature_count(alpha, quads, monkeypatch, capsys)
     from degderange import cli
 
     calls = []
-    quad = integrate.quad
+    quad = _quadpack.quad
 
     def counted(*args, **kwargs):
         calls.append(args)
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(integrate, "quad", counted)
+    monkeypatch.setattr(_quadpack, "quad", counted)
     argv = ["gamma-check", "normalization", "--lambda", "1/5", "--alpha", str(alpha)]
     assert cli.main(argv) == 0
     capsys.readouterr()
@@ -265,6 +266,33 @@ def test_expansion_converges_for_small_lam():
         res = stirling_log_expansion_check(n, 40, F(1, 64))
         assert res.passed, res.detail
         assert not res.inconclusive
+
+
+def test_expansion_runs_one_quadrature_per_m(monkeypatch, capsys):
+    # every n of an expansion command asks for E[X^m/(1+lam X)] at the m
+    # from n up; each distinct (m, lam) is integrated once
+    from degderange import cli
+
+    requested, quads = [], []
+    moment_ratio, quad = probability._moment_ratio, _quadpack.quad
+
+    def record(m, lam, spec):
+        requested.append(m)
+        return moment_ratio(m, lam, spec)
+
+    def counted(*args):
+        quads.append(args)
+        return quad(*args)
+
+    monkeypatch.setattr(probability, "_moment_ratio", record)
+    monkeypatch.setattr(_quadpack, "quad", counted)
+    moment_ratio.cache_clear()
+    argv = ["gamma-check", "expansion", "--lambda=1/80", "--n-max", "2", "--m-cap", "40"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # n = 0 converges at m = 0, n = 1 at m = 4 and n = 2 at m = 6
+    assert requested == [0, 1, 2, 3, 4, 2, 3, 4, 5, 6]
+    assert len(quads) == len(set(requested)) == 7
 
 
 def test_expansion_inconclusive_at_large_lam():
