@@ -10,7 +10,8 @@ Layers:
 * :mod:`degderange.identities` — exact verifiers and polynomial certification
   for the identity catalog.
 * :mod:`degderange.probability` — degenerate gamma function/distribution:
-  quadrature, sampling, and moment checks against exact targets.
+  quadrature, sampling, and moment checks against exact targets; imported
+  on first use, by the first read of one of its names from the package.
 * :mod:`degderange.cli` — the ``degderange`` command.
 """
 
@@ -29,25 +30,6 @@ from .identities import (
     certify_range,
     verify,
     verify_grid,
-)
-from .probability import (
-    DegGammaParams,
-    MomentCheckResult,
-    QuadratureError,
-    QuadratureSpec,
-    deg_gamma11_cdf,
-    deg_gamma11_ppf,
-    deg_gamma_fn,
-    deg_gamma_fn_exact,
-    deg_gamma_fn_quadrature,
-    deg_gamma_pdf,
-    erlang_bridge_check,
-    erlang_moment,
-    improper_quadrature,
-    sample_deg_gamma11,
-    sampler_ks_check,
-    stirling_log_expansion_check,
-    theorem11_check,
 )
 from .sequences import (
     bell_deg,
@@ -151,3 +133,14 @@ __all__ = [
     "erlang_moment",
     "erlang_bridge_check",
 ]
+
+
+def __getattr__(name):
+    # The names of __all__ not bound above are the probability layer's.
+    # "from . import probability" would look the name up here again: recursion.
+    if name != "probability" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    probability = import_module(".probability", __name__)
+    return probability if name == "probability" else getattr(probability, name)

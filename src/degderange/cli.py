@@ -19,10 +19,14 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import repeat
+from typing import TYPE_CHECKING
 
-from . import identities, probability, sequences
+from . import identities, sequences
+
+if TYPE_CHECKING:
+    from . import probability
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +84,7 @@ def _jobs(requested: int) -> int:
     """Worker count for --jobs: at least 1, capped at the number of CPUs."""
     if requested < 1:
         raise CliError(f"--jobs must be >= 1, got {requested}")
-    return min(requested, os.cpu_count() or 1)
+    return identities._workers(requested)
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -303,24 +307,9 @@ def _result_dict(res: probability.MomentCheckResult, **context) -> dict:
     return out
 
 
-def _map_batch(fn, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))  # order-preserving: deterministic
-    return [fn(item) for item in items]
-
-
-def _thm11_item(arg):
-    n, lam = arg
-    return probability.theorem11_check(n, lam)
-
-
-def _expansion_item(arg):
-    n, m_cap, lam = arg
-    return probability.stirling_log_expansion_check(n, m_cap, lam)
-
-
 def _cmd_gamma_check(args) -> int:
+    from . import probability
+
     lam = _parse_rational(args.lam)
     jobs = _jobs(args.jobs)
     results = []
@@ -329,8 +318,8 @@ def _cmd_gamma_check(args) -> int:
         if args.check == "thm11":
             _check_n_max(args.n_max)
             params["n_max"] = args.n_max
-            batch = _map_batch(
-                _thm11_item, [(n, lam) for n in range(args.n_max + 1)], jobs
+            batch = identities._pool_map(
+                probability.theorem11_check, range(args.n_max + 1), repeat(lam), jobs=jobs
             )
             for n, res in enumerate(batch):
                 results.append(_result_dict(res, n=n))
@@ -353,10 +342,12 @@ def _cmd_gamma_check(args) -> int:
             _check_n_max(args.n_max)
             params["n_max"] = args.n_max
             params["m_cap"] = args.m_cap
-            batch = _map_batch(
-                _expansion_item,
-                [(n, args.m_cap, lam) for n in range(args.n_max + 1)],
-                jobs,
+            batch = identities._pool_map(
+                probability.stirling_log_expansion_check,
+                range(args.n_max + 1),
+                repeat(args.m_cap),
+                repeat(lam),
+                jobs=jobs,
             )
             for n, res in enumerate(batch):
                 results.append(_result_dict(res, n=n))
@@ -364,11 +355,16 @@ def _cmd_gamma_check(args) -> int:
             raise CliError(f"unknown check {args.check!r}")
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    except probability.QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit(_json_doc("gamma-check", params, results), _resolve_out(args.out))
     return 0 if all(r["passed"] for r in results) else 1
 
 
 def _cmd_sample(args) -> int:
+    from . import probability
+
     lam = _parse_rational(args.lam)
     if not 0 < lam < 1:
         raise CliError(f"--lambda must lie in (0, 1), got {lam}")
@@ -469,9 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except probability.QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -102,13 +102,13 @@ identity at r = 1 only.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactcore import ExactScalar, IntRow, binomial_conv, dot, factorial
 from .sequences import (
@@ -148,8 +148,7 @@ class IdentityId(str, Enum):
     EXP_MOMENT_BRIDGE = "EXP_MOMENT_BRIDGE"
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     identity_id: IdentityId
     n: int
     lam: Fraction
@@ -166,8 +165,7 @@ class IdentityCase:
         )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     cases_run: int
     failures: list[tuple[IdentityCase, Fraction, Fraction]]
 
@@ -378,8 +376,7 @@ def _deg_lam_x(n):
     return max(n - 1, 0), n
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     fn: Callable
     degrees: Callable[[int], tuple[int, int]]  # n -> declared (d_lam, d_x)
     uses_x: bool = False
@@ -474,8 +471,24 @@ def _expand_cases(
     return cases
 
 
-def _run_chunk(args) -> list[tuple[IdentityCase, Fraction, Fraction]]:
-    chunk, mutate = args
+def _workers(jobs: int) -> int:
+    """A worker count of ``jobs`` capped at the number of CPUs."""
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _pool_map(fn, items, *more, jobs: int) -> list:
+    """``list(map(fn, items, *more))``, in order, on ``jobs`` worker processes
+    when there are two or more workers and items; only then is the pool
+    module (and ``multiprocessing`` behind it) imported."""
+    if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items, *more))
+    return list(map(fn, items, *more))
+
+
+def _run_chunk(chunk, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
     failures = []
     for case in chunk:
         lhs, rhs, passed = verify(case, mutate=mutate)
@@ -496,12 +509,14 @@ def verify_grid(
 ) -> VerificationReport:
     """Evaluate every requested identity over the full parameter grid.
 
-    The default grid is the full certification grid.  The report is
+    The default grid is the full certification grid.  ``jobs`` worker
+    processes share the cases, at most one per CPU.  The report is
     deterministic regardless of scheduling: cases are expanded and merged in
     sorted order.
     """
     id_list = sorted(set(ids), key=lambda i: i.value) if ids is not None else list(IdentityId)
     cases = _expand_cases(id_list, n_max, lam_grid, x_grid, r_max)
+    jobs = _workers(jobs)
     if jobs > 1 and len(cases) > 1:
         # One contiguous run per worker in (|lam|, lam, x) order: each worker
         # builds the memo rows of its own keys only, lam next to -lam (THM8_A
@@ -509,13 +524,10 @@ def verify_grid(
         ordered = sorted(cases, key=lambda c: (abs(c.lam), c.lam, c.x or 0))
         size = -(-len(ordered) // jobs)
         chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
-        failures: list[tuple[IdentityCase, Fraction, Fraction]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_run_chunk, [(c, mutate) for c in chunks]):
-                failures.extend(part)
-        failures.sort(key=lambda t: t[0].sort_key())
+        parts = _pool_map(_run_chunk, chunks, repeat(mutate), jobs=jobs)
+        failures = sorted((f for part in parts for f in part), key=lambda t: t[0].sort_key())
     else:
-        failures = _run_chunk((cases, mutate))
+        failures = _run_chunk(cases, mutate)
     return VerificationReport(cases_run=len(cases), failures=failures)
 
 

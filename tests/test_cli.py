@@ -282,6 +282,8 @@ def test_n_max_out_of_range_is_config_error(n_max, capsys):
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
+    import multiprocessing.process
+
     from degderange import cli, identities
 
     sizes = []
@@ -299,17 +301,34 @@ def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def no_start(process):
+        raise AssertionError("a worker process was started")
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
     assert cli.main(["verify", "--identities", "THM3", "--n-max", "4", "--jobs", "64"]) == 0
     assert cli.main(["gamma-check", "thm11", "--lambda", "1/4", "--n-max", "2", "--jobs", "64"]) == 0
     assert cli.main(["verify", "--identities", "THM3", "--n-max", "4", "--jobs", "2"]) == 0
     assert sizes == [3, 3, 2]
     capsys.readouterr()
+    # the library caps its worker count as the CLI does
+    assert identities.verify_grid([identities.IdentityId.THM3], n_max=4, jobs=64).ok
+    assert sizes == [3, 3, 2, 3]
+
+
+def test_quadrature_failure_exits_1(monkeypatch, capsys):
+    from degderange import _quadpack, cli
+
+    monkeypatch.setattr(_quadpack, "quad", lambda *args: (0.5, 1.0, 21, 5))  # ier 5: divergent
+    assert cli.main(["gamma-check", "thm11", "--lambda", "1/4"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: The integral is probably divergent, or slowly convergent. (partial estimate 0.5)\n",
+    )
 
 
 # SHA-256 of stdout for every table selector in both formats, with the --x,
@@ -476,8 +495,9 @@ def test_table_errors_are_unchanged(argv, message, capsys):
 
 
 def test_import_does_not_load_scipy():
-    # scipy and numpy are imported on first use by the probability layer, so
-    # neither the package nor the exact commands load them
+    # scipy, numpy, the probability layer, the process pool and dataclasses
+    # are imported on first use, so neither the package nor the exact
+    # commands load them; the package still resolves every name it exports
     code = (
         "import sys, degderange, degderange.cli\n"
         "from degderange import cli\n"
@@ -485,7 +505,17 @@ def test_import_does_not_load_scipy():
         "             ['verify', '--n-max', '4'],\n"
         "             ['certify', '--n-max', '3']):\n"
         "    assert cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')\n"
+        "             or m.startswith(('concurrent', 'multiprocessing')) or m in ('dataclasses',\n"
+        "             'degderange.probability', 'degderange._quadpack')))\n"
+        "from degderange import exactcore, identities, probability, sequences, series\n"
+        "layers = (exactcore, identities, probability, sequences, series)\n"
+        "for name in degderange.__all__:\n"
+        "    assert any(vars(m).get(name, m) is getattr(degderange, name) for m in layers), name\n"
+        "assert degderange.probability is probability\n"
+        "namespace = {}\n"
+        "exec('from degderange import *', namespace)\n"
+        "assert all(namespace[name] is getattr(degderange, name) for name in degderange.__all__)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
