@@ -54,6 +54,14 @@ weights (``_s2_sums``).
 The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
 
+Evaluation order.  A memo row grows to the largest n asked of it and the
+smaller n read its prefix, so both grid runners evaluate a key top n first:
+``verify_grid`` runs its cases in reverse (each identity from n_max down),
+``_certify_grids`` each (lam, x) key in descending n.  Every memo row then
+grows once per process, to its final length: once in a serial run, once per
+worker that reads it under ``--jobs``.  The order never reaches the output:
+failures are reported in ``IdentityCase.sort_key`` order.
+
 Degree bounds.  At fixed n every side is a polynomial in lam and x, and each
 identity declares a bound (d_lam, d_x) on its degrees (``_Spec.degrees``).
 The bounds are derived, not measured, from the per-sequence bounds:
@@ -497,6 +505,23 @@ def _run_chunk(chunk, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
     return failures
 
 
+def _chunks(cases: list[IdentityCase], jobs: int) -> list[list[IdentityCase]]:
+    """The cases of a grid in reverse, top n first (see the module
+    docstring), cut into at most ``jobs`` contiguous chunks.
+
+    For two or more chunks the cases are first stable-sorted by
+    (|lam|, lam, x): each worker builds the rows of its own keys only, lam
+    next to -lam (THM8_A and THM10 read both), and each identity of a key
+    still runs top n first.  A chunk that starts inside a key's run may
+    regrow the rows that run shares with the key's next identities.
+    """
+    todo = cases[::-1]
+    if jobs > 1:
+        todo.sort(key=lambda c: (abs(c.lam), c.lam, c.x or 0))
+    size = -(-len(todo) // jobs) or 1
+    return [todo[i : i + size] for i in range(0, len(todo), size)]
+
+
 def verify_grid(
     ids: Iterable[IdentityId] | None = None,
     n_max: int = 32,
@@ -509,25 +534,18 @@ def verify_grid(
 ) -> VerificationReport:
     """Evaluate every requested identity over the full parameter grid.
 
-    The default grid is the full certification grid.  ``jobs`` worker
-    processes share the cases, at most one per CPU.  The report is
-    deterministic regardless of scheduling: cases are expanded and merged in
-    sorted order.
+    The default grid is the full certification grid.  Each identity runs
+    top n first, so in each process every memo row grows once, to its final
+    length.  ``jobs`` worker processes, at most one per CPU, share the cases
+    in contiguous chunks (``_chunks``); the serial run is the one-chunk case
+    and starts no pool.  The report is deterministic regardless of order and
+    scheduling: the failures are listed in ``IdentityCase.sort_key`` order.
     """
     id_list = sorted(set(ids), key=lambda i: i.value) if ids is not None else list(IdentityId)
     cases = _expand_cases(id_list, n_max, lam_grid, x_grid, r_max)
     jobs = _workers(jobs)
-    if jobs > 1 and len(cases) > 1:
-        # One contiguous run per worker in (|lam|, lam, x) order: each worker
-        # builds the memo rows of its own keys only, lam next to -lam (THM8_A
-        # and THM10 read both).
-        ordered = sorted(cases, key=lambda c: (abs(c.lam), c.lam, c.x or 0))
-        size = -(-len(ordered) // jobs)
-        chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
-        parts = _pool_map(_run_chunk, chunks, repeat(mutate), jobs=jobs)
-        failures = sorted((f for part in parts for f in part), key=lambda t: t[0].sort_key())
-    else:
-        failures = _run_chunk(cases, mutate)
+    parts = _pool_map(_run_chunk, _chunks(cases, jobs), repeat(mutate), jobs=jobs)
+    failures = sorted((f for part in parts for f in part), key=lambda t: t[0].sort_key())
     return VerificationReport(cases_run=len(cases), failures=failures)
 
 

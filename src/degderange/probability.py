@@ -79,11 +79,19 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the integrator does not converge; carries the partial value."""
+    """Raised when the integrator does not converge; carries the partial value.
+
+    ``args`` is (message, partial_estimate), so the error survives pickling,
+    as from a process-pool worker.
+    """
 
     def __init__(self, message: str, partial_estimate: float):
-        super().__init__(f"{message} (partial estimate {partial_estimate!r})")
+        super().__init__(message, partial_estimate)
         self.partial_estimate = partial_estimate
+
+    def __str__(self) -> str:
+        message, partial_estimate = self.args
+        return f"{message} (partial estimate {partial_estimate!r})"
 
 
 @dataclass(frozen=True)

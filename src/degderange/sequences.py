@@ -297,15 +297,6 @@ def falling_deg(x: ExactScalar, n: int, lam: ExactScalar) -> Fraction:
     return _FALLING.value((_key(x), _key(lam)), n)
 
 
-def falling_poly(n: int, lam: ExactScalar) -> Poly:
-    """The falling factorial of length n as a polynomial in its argument."""
-    lam = Fraction(lam)
-    p = Poly((1,))
-    for i in range(n):
-        p = p * Poly((-i * lam, 1))
-    return p
-
-
 # ---------------------------------------------------------------------------
 # degenerate derangement polynomials and numbers
 
@@ -387,8 +378,8 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     _check_index(n)
     lam = _key(lam)
     p, q = lam
-    # falls[k]: integer coefficients of q^k * falling_poly(k, lam), grown one
-    # linear factor (q*x - k*p) at a time
+    # falls[k]: integer coefficients, in x, of q^k * falling(x, k; lam), grown
+    # one linear factor (q*x - k*p) at a time
     falls = [[1]]
     for k in range(n):
         prev = falls[-1]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -221,8 +223,6 @@ def test_out_file_and_env_dir(tmp_path):
     assert out.returncode == 0
     assert json.loads(target.read_text())["command"] == "table"
 
-    import os
-
     env = dict(os.environ, DEGDERANGE_OUT_DIR=str(tmp_path))
     out = run_cli(
         "table", "derangement", "--lambda", "0", "--n-max", "2",
@@ -326,6 +326,26 @@ def test_quadrature_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(_quadpack, "quad", lambda *args: (0.5, 1.0, 21, 5))  # ier 5: divergent
     assert cli.main(["gamma-check", "thm11", "--lambda", "1/4"]) == 1
     assert capsys.readouterr() == (
+        "",
+        "error: The integral is probably divergent, or slowly convergent. (partial estimate 0.5)\n",
+    )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+    reason="the patched quadrature reaches the workers only through fork, on 2+ CPUs",
+)
+def test_quadrature_failure_in_a_worker_exits_1(monkeypatch, capsys):
+    """The error crosses the process boundary: the pooled run reports it as
+    the serial run does, not as a broken pool."""
+    from degderange import _quadpack, cli
+
+    monkeypatch.setattr(_quadpack, "quad", lambda *args: (0.5, 1.0, 21, 5))  # ier 5: divergent
+    argv = ["gamma-check", "thm11", "--lambda", "1/4", "--n-max", "2"]
+    assert cli.main(argv + ["--jobs", "2"]) == 1
+    pooled = capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert pooled == capsys.readouterr() == (
         "",
         "error: The integral is probably divergent, or slowly convergent. (partial estimate 0.5)\n",
     )
@@ -630,3 +650,51 @@ def test_mutated_certify_bytes_are_unchanged(ident, capsys):
     assert err == ""
     assert not all(json.loads(out)["results"][0]["certified"].values())
     assert hashlib.sha256(out.encode()).hexdigest() == MUTATED_CERTIFY_DIGESTS[ident]
+
+
+# SHA-256 of verify's stdout on the default grid, serial and pooled: the
+# case order of a run must never reach its output.
+VERIFY_DIGEST = "bad4d42b8fa1ce8a4ff4e9e910c51657a5f150f2fda1c512f5b5fd0e3d4c12ca"
+# SHA-256 of verify --mutate's stdout on a small grid, per identity: the
+# failures are listed in IdentityCase.sort_key order.
+MUTATED_VERIFY_ARGV = "--n-max 8 --lambda-grid=0,1/2,-1/3 --x-grid=0,1,3/4 --r-max 2 --mutate"
+MUTATED_VERIFY_DIGESTS = {
+    "THM2_CONV": "c04a7647f9c0049bddad67184da0a63e5935981e4029fd7801788d7748c76f2d",
+    "THM2_REC": "73d7e8dfbbd29d2099c7a230a4ee4b1619825d139d8411fff1a1b6302ec41284",
+    "THM2_REC_X0": "b3166e15d6f84e9ed979d989bd6206e3a4b16a92cbddf5c65689e662c88d2cbd",
+    "THM3": "dd102add1bf49f9c67aecf8924c7276d120bc3232617e8663fe7243112af842a",
+    "THM4": "0159fa8db8c826cdc449c3c2764f20fda335cce13e6a557e40f3b522edfaf197",
+    "THM5": "126ad252b2110a2ea9ce585505a564c4a1cf4e5d03bf68594bdd423d914ae8ac",
+    "LEMMA6": "1b50c8fa2588126176b730ba23a35bd342e08e91a29136e5d2eb8b2faa5ed05d",
+    "THM7_A": "5ecb3e71c466ac99a4835b1d06bcda348a7cb389ed261de6a7103e6dd5345ae9",
+    "THM7_B": "aa9d0d7d86348e894220d71a0afafdc9ba02d41562663d0c332c844b8ed07307",
+    "THM8_A": "5fbde6ac461d6b464d5551b6caf79fb0d1b67c11ee026ef1985026359a6abdd1",
+    "THM8_B": "73803e8bb6bd2a6ba827bc531d0db8b8375456f15e9b1c8d664ff93c8dd9fc5d",
+    "EQ24_25": "1ab2adc54e47bc622ae7186091276e84affe8fa4eafb18bae69b963f74e6151c",
+    "THM9_VS_SERIES": "d2292e4cce2f9c9048316f3fd74066c40b47eb361f76c7d95e4ed49ee4d0d0f2",
+    "THM10": "5d15f79d48d6a9df20c5f58dffaea2b19cb6b49a4de44eff05acdb2030e05fdf",
+    "EXP_MOMENT_BRIDGE": "f8a3e3d827488ff5f30baa33760ddd7eaa3d23c947b35408f0a6704a1e775eba",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_bytes_are_unchanged(jobs, capsys):
+    from degderange import cli
+
+    assert cli.main(["verify", "--jobs", jobs]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("ident", list(MUTATED_VERIFY_DIGESTS))
+def test_mutated_verify_bytes_are_unchanged(ident, jobs, capsys):
+    from degderange import cli
+
+    argv = ["verify", f"--identities={ident}", "--jobs", jobs] + MUTATED_VERIFY_ARGV.split()
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["results"]["failures"]
+    assert hashlib.sha256(out.encode()).hexdigest() == MUTATED_VERIFY_DIGESTS[ident]

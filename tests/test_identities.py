@@ -313,3 +313,41 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
         runs[-1][1].append(case.n)
     assert len({key for key, _ in runs}) == len(runs)
     assert all(ns == sorted(ns, reverse=True) for _, ns in runs)
+
+
+
+def test_grid_grows_each_memo_row_once(monkeypatch):
+    """Top n first: every (memo, key) row grows once, to its final length,
+    in the serial run and in a pool chunk."""
+    from collections import Counter
+
+    memos = []
+    for module in (sequences, identities):
+        for value in vars(module).values():
+            if isinstance(value, sequences._Memo) and value not in memos:
+                memos.append(value)
+    assert len(memos) == 16
+    grows = Counter()
+    for i, memo in enumerate(memos):
+
+        def counted(key, row, n, grow=memo.grow, i=i):
+            grows[i, key] += 1
+            return grow(key, row, n)
+
+        monkeypatch.setattr(memo, "rows", {})
+        monkeypatch.setattr(memo, "grow", counted)
+
+    assert verify_grid(n_max=12).ok
+    assert grows and set(grows.values()) == {1}
+    keys = set(grows)
+
+    for memo in memos:
+        memo.rows.clear()
+    grows.clear()
+    lam_grid, x_grid = verify_grid.__defaults__[2:4]
+    cases = _expand_cases(list(IdentityId), 12, lam_grid, x_grid, 4)
+    chunk = identities._chunks(cases, 2)[0]
+    assert len(chunk) < len(cases)
+    assert identities._run_chunk(chunk, False) == []
+    assert grows and set(grows.values()) == {1}
+    assert set(grows) < keys

@@ -18,7 +18,6 @@ from degderange.sequences import (
     derange_deg_series,
     derange_row,
     falling_deg,
-    falling_poly,
     fubini_deg,
     fubini_deg_series,
     fubini_row,
@@ -61,13 +60,6 @@ def test_falling_matches_series_coefficients(lam):
     s = deg_exp(x, lam, 12)
     for n in range(13):
         assert falling_deg(x, n, lam) == s.coeff(n) * factorial(n)
-
-
-def test_falling_poly_evaluates_to_product():
-    lam = F(2, 7)
-    p = falling_poly(4, lam)
-    for x in (F(0), F(1), F(-3, 5)):
-        assert p(x) == falling_deg(x, 4, lam)
 
 
 # ---------------------------------------------------------------------------
