@@ -33,29 +33,24 @@
 # THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 # (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
 # OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-"""Adaptive Gauss-Kronrod quadrature on [a, b] and [a, inf): the QUADPACK
-routines behind ``scipy.integrate.quad`` without points or weights, in pure
-Python, so that a quadrature loads no scipy.
+"""Adaptive Gauss-Kronrod quadrature on [a, inf): QUADPACK's ``dqagie``, the
+routine behind ``scipy.integrate.quad`` for an infinite upper limit without
+points or weights, in pure Python, so that a quadrature loads no scipy.
 
-One adaptive loop serves both of QUADPACK's general-purpose integrators:
-
-- ``dqagse`` on a finite [a, b], with the 21-point Kronrod rule ``dqk21``;
-- ``dqagie`` on [a, inf), with the 15-point rule ``dqk15i`` on (0, 1] after
-  the map x = a + (1 - t)/t.
-
-The loop bisects the interval of largest error estimate, keeps the error
-list in descending order as ``dqpsrt`` does, and accelerates the sequence of
-approximations with Wynn's epsilon algorithm (``dqelg``).  Every arithmetic
-step, its order and each constant are QUADPACK's, and QUADPACK's own
-double-precision machine constants are Python's float limits, so
-``quad(f, a, b, epsabs, epsrel, limit)`` returns scipy's (value, abserr,
-neval, ier) bit for bit; ``tests/test_quadpack.py`` checks this against the
-installed scipy.  The integrand must return a float.
+The map x = a + (1 - t)/t takes [a, inf) to (0, 1], where the 15-point
+Kronrod rule ``dqk15i`` integrates.  The adaptive loop bisects the interval
+of largest error estimate, keeps the error list in descending order as
+``dqpsrt`` does, and accelerates the sequence of approximations with Wynn's
+epsilon algorithm (``dqelg``).  Every arithmetic step, its order and each
+constant are QUADPACK's, and QUADPACK's own double-precision machine
+constants are Python's float limits, so ``quad(f, a, epsabs, epsrel, limit)``
+returns scipy's (value, abserr, neval, ier) bit for bit;
+``tests/test_quadpack.py`` checks this against the installed scipy.  The
+integrand must return a float.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Callable
 
@@ -97,43 +92,6 @@ _WG15 = (
     0.417959183673469387755102040816327,
 )
 
-# Gauss-Kronrod 10-21 rule: the Gauss nodes are xgk[1], xgk[3], ..., xgk[9]
-# (weights wg), the centre is xgk[10] = 0 (weight wgk[10]).
-_XGK21 = (
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-)
-_WGK21 = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077208067605093,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG21 = (
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-# dqk21 sums the Gauss-node pairs first, then the Kronrod-only pairs
-_K21_GAUSS = tuple(zip(_XGK21[1::2], _WGK21[1:10:2], _WG21))
-_K21_KRONROD = tuple(zip(_XGK21[0::2], _WGK21[0:10:2]))
 _K15_NODES = tuple(zip(_XGK15, _WGK15, _WG15))
 
 # scipy.integrate.quad's text for each ier
@@ -163,66 +121,13 @@ def message(ier: int, limit: int) -> str:
     return _MESSAGES[ier].format(limit=limit)
 
 
-def _estimate(
-    fc: float, wc: float, fv: list, resg: float, resk: float, resabs: float, hlgth: float
-):
-    """What dqk21 and dqk15i share after the sums: the integral of |f - mean|
-    (resasc) from the centre value fc with its Kronrod weight wc and the
-    (weight, f(left), f(right)) pairs in node order, and QUADPACK's error
-    estimate from |Kronrod - Gauss|.  Returns (result, abserr, resabs, resasc)."""
-    reskh = resk * 0.5
-    resasc = wc * abs(fc - reskh)
-    for wk, fval1, fval2 in fv:
-        resasc = resasc + wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
-    dhlgth = abs(hlgth)
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return resk * hlgth, abserr, resabs, resasc
-
-
-def _qk21(f: Callable[[float], float], a: float, b: float):
-    """dqk21: the 21-point Kronrod rule on [a, b] and its error estimate.
-
-    Returns (result, abserr, resabs, resasc)."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    resg = 0.0
-    fc = f(centr)
-    resk = _WGK21[10] * fc
-    resabs = abs(resk)
-    fv = []
-    for x, wk, wg in _K21_GAUSS:
-        absc = hlgth * x
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv.append((wk, fval1, fval2))
-        fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    for x, wk in _K21_KRONROD:
-        absc = hlgth * x
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv.append((wk, fval1, fval2))
-        fsum = fval1 + fval2
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    # back to node order: Kronrod-only and Gauss nodes alternate, outermost first
-    fv = [v for pair in zip(fv[5:], fv[:5]) for v in pair]
-    return _estimate(fc, _WGK21[10], fv, resg, resk, resabs, hlgth)
-
-
 def _qk15i(f: Callable[[float], float], boun: float, a: float, b: float):
     """dqk15i for inf = 1: the 15-point Kronrod rule on a sub-interval
-    [a, b] of (0, 1] of the integral of f(boun + (1 - t)/t)/t^2.
+    [a, b] of (0, 1] of the integral of f(boun + (1 - t)/t)/t^2, with
+    QUADPACK's error estimate from |Kronrod - Gauss|.
 
-    Returns (result, abserr, resabs, resasc)."""
+    Returns (result, abserr, resabs, resasc): resabs and resasc are the
+    integrals of |f| and of |f - mean| over [a, b]."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     fc = (f(boun + (1.0 - centr) / centr) / centr) / centr
@@ -241,7 +146,19 @@ def _qk15i(f: Callable[[float], float], boun: float, a: float, b: float):
         resg = resg + wg * fsum
         resk = resk + wk * fsum
         resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    return _estimate(fc, _WGK15[7], fv, resg, resk, resabs, hlgth)
+    reskh = resk * 0.5
+    resasc = _WGK15[7] * abs(fc - reskh)
+    for wk, fval1, fval2 in fv:
+        resasc = resasc + wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
+    dhlgth = abs(hlgth)
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
 
 
 def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
@@ -387,11 +304,11 @@ class _Epsilon:
         return result, max(abserr, 5.0 * _EPMACH * abs(result))
 
 
-def _adapt(rule, a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """The adaptive loop of dqagse (rule dqk21 on [a, b]) and of dqagie (rule
-    dqk15i on [0, 1]); returns (result, abserr, last, ier), ier already
-    renumbered as QUADPACK returns it."""
-    result, abserr, defabs, resabs = rule(a, b)
+def _adapt(f: Callable[[float], float], boun: float, epsabs: float, epsrel: float, limit: int):
+    """The adaptive loop of dqagie: dqk15i on [0, 1] and on its bisections;
+    returns (result, abserr, last, ier), ier already renumbered as QUADPACK
+    returns it."""
+    result, abserr, defabs, resabs = _qk15i(f, boun, 0.0, 1.0)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     ier = 0
@@ -403,8 +320,8 @@ def _adapt(rule, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         return result, abserr, 1, ier
 
     # 1-based lists, as in QUADPACK
-    alist = [0.0, a] + [0.0] * (limit - 1)
-    blist = [0.0, b] + [0.0] * (limit - 1)
+    alist = [0.0] * (limit + 1)
+    blist = [0.0, 1.0] + [0.0] * (limit - 1)
     rlist = [0.0, result] + [0.0] * (limit - 1)
     elist = [0.0, abserr] + [0.0] * (limit - 1)
     iord = [0, 1] + [0] * (limit - 1)
@@ -431,8 +348,8 @@ def _adapt(rule, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
+        area1, error1, _, defab1 = _qk15i(f, boun, a1, b1)
+        area2, error2, _, defab2 = _qk15i(f, boun, a2, b2)
 
         area12 = area1 + area2
         erro12 = error1 + error2
@@ -482,7 +399,7 @@ def _adapt(rule, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         if ier != 0:
             break
         if last == 2:
-            small = abs(b - a) * 0.375
+            small = 0.375
             erlarg = errsum
             ertest = errbnd
             table = _Epsilon(result, area)
@@ -569,11 +486,10 @@ def _sum(rlist: list, last: int) -> float:
     return total
 
 
-def quad(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """The integral of f over [a, b], a < b, b finite or math.inf, as
-    ``scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
-    limit=limit, full_output=True)`` computes it: dqagse for finite b,
-    dqagie otherwise.
+def quad(f: Callable[[float], float], a: float, epsabs: float, epsrel: float, limit: int):
+    """The integral of f over [a, inf) as ``scipy.integrate.quad(f, a,
+    math.inf, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=True)``
+    computes it, with dqagie.
 
     Returns (value, abserr, neval, ier); ier 1 to 5 means not converged, and
     ``message(ier, limit)`` explains it.  Invalid input (scipy's ier 6)
@@ -584,10 +500,5 @@ def quad(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
         raise ValueError(
             "If 'epsabs'<=0, 'epsrel' must be greater than both 5e-29 and 50*(machine epsilon)."
         )
-    if b == math.inf:
-        value, abserr, last, ier = _adapt(
-            lambda lo, hi: _qk15i(f, a, lo, hi), 0.0, 1.0, epsabs, epsrel, limit
-        )
-        return value, abserr, 30 * last - 15, ier
-    value, abserr, last, ier = _adapt(lambda lo, hi: _qk21(f, lo, hi), a, b, epsabs, epsrel, limit)
-    return value, abserr, 42 * last - 21, ier
+    value, abserr, last, ier = _adapt(f, a, epsabs, epsrel, limit)
+    return value, abserr, 30 * last - 15, ier

@@ -6,8 +6,7 @@ by the exact layer, converted at the last moment.
 
 Integrands containing powers of the deformed exponential are integrated after
 the change of variables u = (1/lam)*log(1 + lam*x), which maps them to
-exponentially damped integrands on [0, inf); the generic truncation fallback
-stays available through :class:`QuadratureSpec`.
+exponentially damped integrands on [0, inf).
 
 The normaliser of the degenerate gamma density is computed once per
 :class:`DegGammaParams` (its ``norm`` property), not once per density
@@ -15,13 +14,13 @@ evaluation: an outer quadrature over the density then costs one inner
 quadrature in all, not one per node.  The expansion check integrates each
 E[X^m/(1+lam X)] once per (m, lam, spec), not once per n.
 
-Quadrature runs on ``_quadpack``, a port of the QUADPACK routines behind
-``scipy.integrate.quad`` (``dqagie`` on [0, inf), ``dqagse`` on a truncated
-[0, T]) that returns scipy's value, error and ``ier`` bit for bit; a
-nonzero ``ier`` raises :class:`QuadratureError` with scipy's message.  So
-the moment checks import no scipy.  The package imports this module on first
-use, as the CLI's gamma commands do, and numpy is imported by the sampling
-and KS functions on first use: the exact layer loads neither.
+Quadrature runs on ``_quadpack``, a port of the QUADPACK routine behind
+``scipy.integrate.quad`` on [0, inf) (``dqagie``) that returns scipy's
+value, error and ``ier`` bit for bit; a nonzero ``ier`` raises
+:class:`QuadratureError` with scipy's message.  So the moment checks import
+no scipy.  The package imports this module on first use, as the CLI's gamma
+commands do, and numpy is imported by the sampling and KS functions on first
+use: the exact layer loads neither.
 
 The sampler's KS check needs no ``scipy.stats``.  Its statistic is computed
 with numpy as ``scipy.stats.kstest`` computes it, and its critical value comes
@@ -66,16 +65,17 @@ DEFAULT_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """QUADPACK's tolerances epsabs and epsrel and its subdivision limit."""
+
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
     max_subdivisions: int = 200
-    tail_cutoff_strategy: str = "substitution"  # or "truncation"
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if self.tail_cutoff_strategy not in ("substitution", "truncation"):
-            raise ValueError(f"unknown strategy {self.tail_cutoff_strategy!r}")
+        if self.max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
 class QuadratureError(RuntimeError):
@@ -98,8 +98,8 @@ class QuadratureError(RuntimeError):
 class DegGammaParams:
     """Parameters of the degenerate gamma distribution.
 
-    Requires 0 < lam < 1, beta > 0 and 0 < alpha < 1/lam (the density is not
-    normalizable otherwise).
+    Requires 0 < lam < 1, finite beta > 0 and 0 < alpha < 1/lam (the density
+    is not normalizable otherwise).
     """
 
     alpha: float
@@ -111,6 +111,8 @@ class DegGammaParams:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if not 0 < self.alpha < 1 / self.lam:
             raise ValueError(
                 f"alpha must lie in (0, 1/lam) = (0, {1 / self.lam}), got {self.alpha}"
@@ -154,27 +156,13 @@ def _compare(numeric: float, target: Fraction, tol: float, **extra) -> MomentChe
 
 
 def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
-    """Integrate f over [0, inf) to the requested tolerances.
+    """Integrate f over [0, inf) to the requested tolerances, with QUADPACK's
+    ``dqagie``: the map x = (1 - t)/t takes the infinite interval to (0, 1].
 
-    "substitution" delegates the infinite interval to QUADPACK's internal
-    variable transform (``dqagie``); "truncation" integrates [0, T]
-    (``dqagse``) for an adaptively doubled cutoff T.  Use substitution for
-    polynomial tails such as the degenerate gamma density's x^(-1/lam): there
-    truncation fails (alpha = 1.5: ier 4 at lam = 0.2, ier 5 at lam = 0.36).
-    """
+    Raises :class:`QuadratureError` when QUADPACK does not converge or the
+    value is not finite."""
     spec = spec or QuadratureSpec()
-    if spec.tail_cutoff_strategy == "substitution":
-        upper = math.inf
-    else:
-        upper = 64.0
-        while abs(f(upper)) * upper > spec.abs_tol * 1e-2:
-            upper *= 2
-            if upper > 2**60:
-                raise QuadratureError("no usable truncation cutoff", 0.0)
-        upper *= 4
-    value, _, _, ier = _quadpack.quad(
-        f, 0.0, upper, spec.abs_tol, spec.rel_tol, spec.max_subdivisions
-    )
+    value, _, _, ier = _quadpack.quad(f, 0.0, spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
     if ier:  # not converged
         raise QuadratureError(_quadpack.message(ier, spec.max_subdivisions), value)
     if not math.isfinite(value):

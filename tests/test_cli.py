@@ -157,6 +157,18 @@ def test_gamma_check_normalization():
     assert out.returncode == 0
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_gamma_check_non_finite_beta_is_a_domain_error(beta, capsys):
+    # exit 2 with a domain error, as --beta 0 does, not a quadrature failure
+    from degderange import cli
+
+    argv = ["gamma-check", "normalization", "--lambda=1/4", "--alpha", "1.5", "--beta"]
+    assert cli.main(argv + [beta]) == 2
+    assert capsys.readouterr() == ("", f"error: beta must be finite, got {beta}\n")
+    assert cli.main(argv + ["0"]) == 2
+    assert capsys.readouterr() == ("", "error: beta must be positive, got 0.0\n")
+
+
 def test_sample_deterministic_bytes():
     a = run_cli("sample", "--lambda", "1/4", "--seed", "42", "--count", "50")
     b = run_cli("sample", "--lambda", "1/4", "--seed", "42", "--count", "50")
@@ -580,6 +592,29 @@ def test_normalization_bytes_are_unchanged(argv, digest, capsys):
     from degderange import cli
 
     assert cli.main(["gamma-check", "normalization"] + argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of stdout for the other three checks, one run each as the gamma
+# benchmark workload runs them: the moment identity, the gamma function at an
+# integer and the log-power expansion.
+GAMMA_CHECK_DIGESTS = [
+    ("thm11 --lambda=1/5 --n-max 8", "b4063f5327655fe7e8d503fa3e7ad0f33f9de5f2470e3c76beeda6519b572e3a"),
+    ("gammafn --k 2 --lambda=9/25", "dc654325d1fe61bdb7f7654a00fcd2485967146ed4fb2612a452c1eba3fe91f0"),
+    ("expansion --lambda=1/80 --n-max 2 --m-cap 40",
+     "00a881a8fdca99af862d6c07b6ab457750e71b680ccfc7500d6327d6d57cecf0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GAMMA_CHECK_DIGESTS, ids=[a for a, _ in GAMMA_CHECK_DIGESTS]
+)
+def test_gamma_check_bytes_are_unchanged(argv, digest, capsys):
+    from degderange import cli
+
+    assert cli.main(["gamma-check"] + argv.split()) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

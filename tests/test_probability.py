@@ -38,11 +38,6 @@ def test_quadrature_exponential():
     assert abs(improper_quadrature(lambda x: math.exp(-x)) - 1.0) < 1e-10
 
 
-def test_quadrature_truncation_strategy():
-    spec = QuadratureSpec(tail_cutoff_strategy="truncation")
-    assert abs(improper_quadrature(lambda x: math.exp(-x), spec) - 1.0) < 1e-9
-
-
 def test_quadrature_density_mass():
     lam = 0.25
 
@@ -70,10 +65,16 @@ def test_quadrature_first_moment():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tail_cutoff_strategy="magic")
+    for bad in (
+        {"abs_tol": 0},
+        {"rel_tol": -1e-9},
+        {"abs_tol": math.nan},
+        {"rel_tol": math.nan},
+        {"max_subdivisions": 0},
+        {"max_subdivisions": -3},
+    ):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
 
 
 def test_quadrature_failure_carries_partial():
@@ -193,6 +194,9 @@ def test_params_validation():
         DegGammaParams(1.0, -1.0, 0.25)
     with pytest.raises(ValueError):
         DegGammaParams(1.0, 1.0, 1.5)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            DegGammaParams(1.5, beta, 0.25)
 
 
 # ---------------------------------------------------------------------------
