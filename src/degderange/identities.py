@@ -55,12 +55,14 @@ The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
 
 Evaluation order.  A memo row grows to the largest n asked of it and the
-smaller n read its prefix, so both grid runners evaluate a key top n first:
-``verify_grid`` runs its cases in reverse (each identity from n_max down),
-``_certify_grids`` each (lam, x) key in descending n.  Every memo row then
-grows once per process, to its final length: once in a serial run, once per
-worker that reads it under ``--jobs``.  The order never reaches the output:
-failures are reported in ``IdentityCase.sort_key`` order.
+smaller n read its prefix, so ``verify_grid`` and ``certify`` share one
+runner that evaluates a key top n first: ``_runs`` makes one run per
+identity and distinct (lam, x) point, holding the point's n in descending
+order, and ``_run_chunk`` evaluates each distinct case of a run once.  Every
+memo row then grows once per process, to its final length: once in a serial
+run, once per worker that reads it under ``--jobs``.  The order never
+reaches the output: failures are reported in ``IdentityCase.sort_key``
+order, a case repeated in a grid once per copy.
 
 Degree bounds.  At fixed n every side is a polynomial in lam and x, and each
 identity declares a bound (d_lam, d_x) on its degrees (``_Spec.degrees``).
@@ -111,7 +113,6 @@ identity at r = 1 only.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
@@ -411,18 +412,6 @@ _REGISTRY: dict[IdentityId, _Spec] = {
 }
 
 
-def identity_uses_x(identity_id: IdentityId) -> bool:
-    return _REGISTRY[identity_id].uses_x
-
-
-def identity_uses_r(identity_id: IdentityId) -> bool:
-    return _REGISTRY[identity_id].uses_r
-
-
-def identity_min_n(identity_id: IdentityId) -> int:
-    return _REGISTRY[identity_id].min_n
-
-
 def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction, bool]:
     """Evaluate both sides of one identity case exactly.
 
@@ -451,34 +440,6 @@ def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction
     return lhs, rhs, lhs == rhs
 
 
-def _expand_cases(
-    ids: Iterable[IdentityId],
-    n_max: int,
-    lam_grid: Sequence[ExactScalar],
-    x_grid: Sequence[ExactScalar],
-    r_max: int,
-) -> list[IdentityCase]:
-    """The cases of the grid, emitted in ``IdentityCase.sort_key`` order.
-
-    A value repeated in a grid gives equal cases, which that order keeps
-    together: each case is emitted (copies of lam) * (copies of x) times in
-    a row.
-    """
-    lams = sorted(Counter(Fraction(v) for v in lam_grid).items())
-    x_all = sorted(Counter(Fraction(v) for v in x_grid).items())
-    cases = []
-    for ident in sorted(ids, key=lambda i: i.value):
-        spec = _REGISTRY[ident]
-        xs = x_all if spec.uses_x else [(None, 1)]
-        rs = range(1, r_max + 1) if spec.uses_r else [None]
-        for n in range(spec.min_n, n_max + 1):
-            for lam, lam_copies in lams:
-                for x, x_copies in xs:
-                    for r in rs:
-                        cases += [IdentityCase(ident, n, lam, x, r)] * (lam_copies * x_copies)
-    return cases
-
-
 def _workers(jobs: int) -> int:
     """A worker count of ``jobs`` capped at the number of CPUs."""
     return min(jobs, os.cpu_count() or 1)
@@ -496,28 +457,57 @@ def _pool_map(fn, items, *more, jobs: int) -> list:
     return list(map(fn, items, *more))
 
 
-def _run_chunk(chunk, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
+def _axis(values) -> dict:
+    """{key: (value, copies)} of one grid axis, in first-seen order: key is
+    the value's int pair, as in the memos (None for the x axis of an identity
+    free of x), and copies counts the value's repeats."""
+    axis: dict = {}
+    for v in values:
+        key = None if v is None else (v.numerator, v.denominator)
+        axis[key] = v, axis.get(key, (v, 0))[1] + 1
+    return axis
+
+
+def _runs(ident: IdentityId, grids: dict, r_max: int) -> list:
+    """One run (ident, lam, x, rs, copies, ns) per distinct (lam, x) point of
+    ``grids`` (n -> (lam axis, x axis), each built by ``_axis``): ns lists
+    the n whose grid holds the point, in descending order, rs the r values
+    of each n and copies the product of the point's multiplicities on the
+    two axes."""
+    rs = range(1, r_max + 1) if _REGISTRY[ident].uses_r else (None,)
+    runs: dict = {}
+    for n in sorted(grids, reverse=True):
+        lams, xs = grids[n]
+        for lam_key, (lam, lam_copies) in lams.items():
+            for x_key, (x, x_copies) in xs.items():
+                run = runs.get((lam_key, x_key))
+                if run is None:
+                    run = runs[lam_key, x_key] = (ident, lam, x, rs, lam_copies * x_copies, [])
+                run[5].append(n)
+    return list(runs.values())
+
+
+def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
+    """The failures of the runs' cases, each listed once per copy; each
+    distinct case is evaluated once, top n first."""
     failures = []
-    for case in chunk:
-        lhs, rhs, passed = verify(case, mutate=mutate)
-        if not passed:
-            failures.append((case, lhs, rhs))
+    for ident, lam, x, rs, copies, ns in runs:
+        for n in ns:
+            for r in rs:
+                case = IdentityCase(ident, n, lam, x, r)
+                lhs, rhs, passed = verify(case, mutate=mutate)
+                if not passed:
+                    failures += [(case, lhs, rhs)] * copies
     return failures
 
 
-def _chunks(cases: list[IdentityCase], jobs: int) -> list[list[IdentityCase]]:
-    """The cases of a grid in reverse, top n first (see the module
-    docstring), cut into at most ``jobs`` contiguous chunks.
-
-    For two or more chunks the cases are first stable-sorted by
-    (|lam|, lam, x): each worker builds the rows of its own keys only, lam
-    next to -lam (THM8_A and THM10 read both), and each identity of a key
-    still runs top n first.  A chunk that starts inside a key's run may
-    regrow the rows that run shares with the key's next identities.
-    """
-    todo = cases[::-1]
-    if jobs > 1:
-        todo.sort(key=lambda c: (abs(c.lam), c.lam, c.x or 0))
+def _chunks(runs: list, jobs: int) -> list[list]:
+    """The runs sorted by (|lam|, lam, x), cut into at most ``jobs``
+    contiguous chunks: each worker builds the rows of its own keys only,
+    lam next to -lam (THM8_A and THM10 read both), and the identities of a
+    key stay together.  A cut between two runs of one key makes both chunks
+    grow the rows those runs share.  The serial run sorts too: one chunk."""
+    todo = sorted(runs, key=lambda run: (abs(run[1]), run[1], run[2] or 0))
     size = -(-len(todo) // jobs) or 1
     return [todo[i : i + size] for i in range(0, len(todo), size)]
 
@@ -534,19 +524,28 @@ def verify_grid(
 ) -> VerificationReport:
     """Evaluate every requested identity over the full parameter grid.
 
-    The default grid is the full certification grid.  Each identity runs
-    top n first, so in each process every memo row grows once, to its final
-    length.  ``jobs`` worker processes, at most one per CPU, share the cases
+    The default grid is the full certification grid.  Each distinct case
+    is evaluated once, a value repeated in a grid counting its copies in
+    ``cases_run`` and in the failures, and each (lam, x) key runs top n
+    first, so in each process every memo row grows once, to its final
+    length.  ``jobs`` worker processes, at most one per CPU, share the runs
     in contiguous chunks (``_chunks``); the serial run is the one-chunk case
     and starts no pool.  The report is deterministic regardless of order and
     scheduling: the failures are listed in ``IdentityCase.sort_key`` order.
     """
     id_list = sorted(set(ids), key=lambda i: i.value) if ids is not None else list(IdentityId)
-    cases = _expand_cases(id_list, n_max, lam_grid, x_grid, r_max)
+    lams = _axis([Fraction(v) for v in lam_grid])
+    xs, no_x = _axis([Fraction(v) for v in x_grid]), _axis([None])
+    runs = []
+    for ident in id_list:
+        spec = _REGISTRY[ident]
+        axes = lams, (xs if spec.uses_x else no_x)
+        runs += _runs(ident, dict.fromkeys(range(spec.min_n, n_max + 1), axes), r_max)
     jobs = _workers(jobs)
-    parts = _pool_map(_run_chunk, _chunks(cases, jobs), repeat(mutate), jobs=jobs)
+    parts = _pool_map(_run_chunk, _chunks(runs, jobs), repeat(mutate), jobs=jobs)
     failures = sorted((f for part in parts for f in part), key=lambda t: t[0].sort_key())
-    return VerificationReport(cases_run=len(cases), failures=failures)
+    cases_run = sum(copies * len(ns) * len(rs) for _, _, _, rs, copies, ns in runs)
+    return VerificationReport(cases_run=cases_run, failures=failures)
 
 
 def _certify_grids(identity_id: IdentityId, grids: dict, mutate: bool) -> dict[int, bool]:
@@ -554,32 +553,24 @@ def _certify_grids(identity_id: IdentityId, grids: dict, mutate: bool) -> dict[i
     for identities free of x), whether both sides agree on every point.
 
     Each n needs d_lam + 1 and d_x + 1 distinct points, from its declared
-    degree bounds.  The points are grouped by (lam, x) key, int pairs as in
-    the memos, and each key is evaluated for every n whose grid holds it, in
-    descending n: a memo row grows once, to its final length, and the smaller
-    n read its prefix.  An n is evaluated no further after its first failing
-    point.
+    degree bounds.  The points run as ``verify_grid``'s do (``_runs``): each
+    distinct (lam, x) point once for every n whose grid holds it, in
+    descending n, so a memo row grows once, to its final length, and the
+    smaller n read its prefix.
     """
     spec = _REGISTRY[identity_id]
-    by_key: dict = {}
+    axes = {}
     for n in sorted(grids, reverse=True):
-        lam_points, x_points = grids[n]
+        lams, xs = (_axis(points) for points in grids[n])
         d_lam, d_x = spec.degrees(n)
-        lams = {(v.numerator, v.denominator): v for v in lam_points}
-        xs = {(v.numerator, v.denominator): v for v in x_points} if spec.uses_x else {None: None}
         if len(lams) < d_lam + 1:
             raise ValueError(f"need at least {d_lam + 1} distinct deformation points")
         if len(xs) < d_x + 1:
             raise ValueError(f"need at least {d_x + 1} distinct x points")
-        for lam_key, lam in lams.items():
-            for x_key, x in xs.items():
-                by_key.setdefault((lam_key, x_key), (lam, x, []))[2].append(n)
-    r = 1 if spec.uses_r else None
+        axes[n] = lams, xs
     certified = dict.fromkeys(grids, True)
-    for lam, x, ns in by_key.values():
-        for n in ns:
-            if certified[n]:
-                certified[n] = verify(IdentityCase(identity_id, n, lam, x, r), mutate=mutate)[2]
+    for case, _, _ in _run_chunk(_runs(identity_id, axes, 1), mutate):
+        certified[case.n] = False
     return certified
 
 

@@ -36,6 +36,7 @@ samples reach the one CDF branch that still imports ``scipy.special``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -74,8 +75,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
+        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
+            raise ValueError(
+                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}"
+            )
 
 
 class QuadratureError(RuntimeError):

@@ -627,26 +627,14 @@ def stirling1_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
     return _series_entry(_S1_SERIES, n, m, lam)
 
 
-def _grow_s1_classical(key, tri, n):
-    rows = list(tri[0]) if tri else [([1], 1)]
-    top = rows[-1][0]
-    for k in range(len(rows), n + 1):
-        top = [left - (k - 1) * up for left, up in zip([0] + top, top + [0])]
-        rows.append((top, 1))
-    return rows, 1
-
-
-_S1_CLASSICAL = _TriangleMemo(_grow_s1_classical)
-
-
 def stirling1_classical(n: int, m: int) -> int:
     """Classical signed Stirling numbers of the first kind,
-    s(n+1,k) = s(n,k-1) - n*s(n,k)."""
+    s(n+1,k) = s(n,k-1) - n*s(n,k): the first-kind triangle at lam = 0."""
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     if m > n:
         return 0
-    return _S1_CLASSICAL.ints(None, n)[0][m]
+    return _S1.ints((0, 1), n)[0][m]
 
 
 # ---------------------------------------------------------------------------

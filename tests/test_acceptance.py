@@ -9,7 +9,7 @@ import time
 from fractions import Fraction as F
 
 from degderange.exactcore import binomial, factorial
-from degderange.identities import IdentityId, certify, identity_min_n, verify_grid
+from degderange.identities import _REGISTRY, IdentityId, certify, verify_grid
 from degderange.probability import (
     deg_gamma_fn_exact,
     deg_gamma_fn_quadrature,
@@ -78,7 +78,7 @@ def test_criterion_3_polynomial_certification():
     t0 = time.perf_counter()
     ok = True
     for ident in (IdentityId.THM2_REC, IdentityId.THM5):
-        for n in range(identity_min_n(ident), 17):
+        for n in range(_REGISTRY[ident].min_n, 17):
             pts = [F(2 * i - n, 2 * (n + 2)) for i in range(n + 1)]
             ok = ok and certify(ident, n, pts, pts)
     elapsed = time.perf_counter() - t0

@@ -712,6 +712,31 @@ MUTATED_VERIFY_DIGESTS = {
 }
 
 
+# SHA-256 of verify's stdout on a grid with repeated values (2/4 is 1/2, 3/4
+# twice), without and with --mutate: a repeated value counts its copies in
+# cases_run and lists each failure once per copy.
+REPEATED_VERIFY_ARGV = (
+    "--lambda-grid=1/2,0,-1/3,2/4,-1,2/7 --x-grid=3/4,-2,0,3/4,1 --n-max 6 --r-max 3"
+)
+REPEATED_VERIFY_DIGESTS = {
+    (): "1f0c30a06fb2dc1ae35cb883faeeb175b3ee79fab002346fc0512c5e2a980c14",
+    ("--mutate",): "8b7b1a36e1378a3a6af62215c76683238d33ee6859f1e8e682b083b5591ced21",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("extra", list(REPEATED_VERIFY_DIGESTS), ids=["plain", "mutate"])
+def test_repeated_value_verify_bytes_are_unchanged(extra, jobs, capsys):
+    from degderange import cli
+
+    argv = ["verify", "--jobs", jobs, *REPEATED_VERIFY_ARGV.split(), *extra]
+    assert cli.main(argv) == (1 if extra else 0)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["results"]["cases_run"] == 2496
+    assert hashlib.sha256(out.encode()).hexdigest() == REPEATED_VERIFY_DIGESTS[extra]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_bytes_are_unchanged(jobs, capsys):
     from degderange import cli

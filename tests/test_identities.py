@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,25 +9,24 @@ from degderange.identities import (
     MAX_N,
     IdentityCase,
     IdentityId,
-    _expand_cases,
     _REGISTRY,
     certify,
     certify_range,
-    identity_min_n,
-    identity_uses_r,
-    identity_uses_x,
     verify,
     verify_grid,
 )
 
 SMALL_LAM = [F(0), F(1, 2), F(-1, 3)]
 SMALL_X = [F(0), F(1), F(3, 4)]
+# duplicates (2/4 is 1/2) and negatives on both axes
+REPEATED_LAM = [F(1, 2), 0, F(-1, 3), F(2, 4), -1, F(2, 7)]
+REPEATED_X = [F(3, 4), -2, 0, F(3, 4), 1]
 
 
 def _case(ident, n, lam, x=None, r=None):
-    if identity_uses_x(ident) and x is None:
+    if _REGISTRY[ident].uses_x and x is None:
         x = F(0)
-    if identity_uses_r(ident) and r is None:
+    if _REGISTRY[ident].uses_r and r is None:
         r = 1
     return IdentityCase(ident, n, F(lam), x, r)
 
@@ -154,35 +154,46 @@ def test_verify_parameter_validation():
         verify(IdentityCase(IdentityId.THM5, 300, F(1, 2), F(0)))  # beyond hard cap
 
 
-def test_report_is_deterministically_sorted():
-    report = verify_grid(
-        ids=[IdentityId.THM2_CONV, IdentityId.THM7_A],
-        n_max=5,
-        lam_grid=SMALL_LAM,
-        x_grid=SMALL_X,
-        r_max=1,
-        mutate=True,
+def _grid_size(lam_grid, x_grid, n_max, r_max):
+    """The number of cases of a grid, counted per identity."""
+    return sum(
+        (n_max + 1 - spec.min_n)
+        * len(lam_grid)
+        * (len(x_grid) if spec.uses_x else 1)
+        * (r_max if spec.uses_r else 1)
+        for spec in _REGISTRY.values()
     )
+
+
+def test_report_is_deterministically_sorted():
+    # identities in enum order, which is not their sort order (THM10 sorts
+    # before THM2_CONV), on a grid with repeated values: each failing case
+    # is listed once per copy, and the copies stay together
+    report = verify_grid(list(IdentityId), 6, REPEATED_LAM, REPEATED_X, 3, mutate=True)
+    assert report.cases_run == _grid_size(REPEATED_LAM, REPEATED_X, 6, 3) == 2496
     keys = [case.sort_key() for case, _, _ in report.failures]
     assert keys == sorted(keys)
+    copies = Counter(case for case, _, _ in report.failures)
+    assert {case.identity_id for case in copies} == set(IdentityId)
+    for case, count in copies.items():
+        x_copies = REPEATED_X.count(case.x) if case.x is not None else 1
+        assert count == REPEATED_LAM.count(case.lam) * x_copies, case
 
 
-def test_cases_are_generated_in_sort_key_order():
-    # duplicates (2/4 is 1/2) and negatives on both axes, identities in enum
-    # order, which is not their sort order (THM10 sorts before THM2_CONV)
-    lam_grid = [F(1, 2), 0, F(-1, 3), F(2, 4), -1, F(2, 7)]
-    x_grid = [F(3, 4), -2, 0, F(3, 4), 1]
-    ids = list(IdentityId)
-    cases = _expand_cases(ids, 6, lam_grid, x_grid, 3)
-    unsorted = [
-        IdentityCase(ident, n, F(lam), F(x) if identity_uses_x(ident) else None, r)
-        for ident in ids
-        for lam in lam_grid
-        for x in (x_grid if identity_uses_x(ident) else [None])
-        for r in (range(1, 4) if identity_uses_r(ident) else [None])
-        for n in range(identity_min_n(ident), 7)
-    ]
-    assert cases == sorted(unsorted, key=IdentityCase.sort_key)
+def test_repeated_grid_values_are_evaluated_once(monkeypatch):
+    calls = Counter()
+    real = identities.verify
+
+    def counted(case, mutate=False):
+        calls[case] += 1
+        return real(case, mutate=mutate)
+
+    monkeypatch.setattr(identities, "verify", counted)
+    report = verify_grid(list(IdentityId), 6, REPEATED_LAM, REPEATED_X, 3)
+    assert report.ok
+    assert report.cases_run == _grid_size(REPEATED_LAM, REPEATED_X, 6, 3)
+    assert set(calls.values()) == {1}
+    assert len(calls) == _grid_size(set(REPEATED_LAM), set(REPEATED_X), 6, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +223,7 @@ def test_declared_bounds_never_exceed_n():
         for n in range(MAX_N + 1):
             d_lam, d_x = _REGISTRY[ident].degrees(n)
             assert 0 <= d_lam <= n and 0 <= d_x <= n
-            if not identity_uses_x(ident):
+            if not _REGISTRY[ident].uses_x:
                 assert d_x == 0
 
 
@@ -273,7 +284,7 @@ def test_certify_range_matches_certify_per_n(mutate):
     for ident in IdentityId:
         per_n = {
             n: certify(ident, n, pts[: n + 1], pts[: n + 1], mutate=mutate)
-            for n in range(identity_min_n(ident), 4)
+            for n in range(_REGISTRY[ident].min_n, 4)
         }
         assert certify_range(ident, 3, mutate=mutate) == per_n
         assert all(per_n.values()) is not mutate
@@ -292,16 +303,16 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
     expected = set()
     for ident in IdentityId:
         assert all(certify_range(ident, n_max).values())
-        xs = identity_uses_x(ident)
-        r = 1 if identity_uses_r(ident) else None
-        for n in range(identity_min_n(ident), n_max + 1):
+        spec = _REGISTRY[ident]
+        r = 1 if spec.uses_r else None
+        for n in range(spec.min_n, n_max + 1):
             for lam in pts[: n + 1]:
-                for x in pts[: n + 1] if xs else [None]:
+                for x in pts[: n + 1] if spec.uses_x else [None]:
                     expected.add(IdentityCase(ident, n, lam, x, r))
     assert len(calls) == sum(
-        (n + 1) ** (2 if identity_uses_x(ident) else 1)
-        for ident in IdentityId
-        for n in range(identity_min_n(ident), n_max + 1)
+        (n + 1) ** (2 if spec.uses_x else 1)
+        for spec in _REGISTRY.values()
+        for n in range(spec.min_n, n_max + 1)
     )
     assert set(calls) == expected
     # grouped by (identity, lam, x) key, each key once, in descending n
@@ -319,14 +330,12 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
 def test_grid_grows_each_memo_row_once(monkeypatch):
     """Top n first: every (memo, key) row grows once, to its final length,
     in the serial run and in a pool chunk."""
-    from collections import Counter
-
     memos = []
     for module in (sequences, identities):
         for value in vars(module).values():
             if isinstance(value, sequences._Memo) and value not in memos:
                 memos.append(value)
-    assert len(memos) == 16
+    assert len(memos) == 15
     grows = Counter()
     for i, memo in enumerate(memos):
 
@@ -345,9 +354,13 @@ def test_grid_grows_each_memo_row_once(monkeypatch):
         memo.rows.clear()
     grows.clear()
     lam_grid, x_grid = verify_grid.__defaults__[2:4]
-    cases = _expand_cases(list(IdentityId), 12, lam_grid, x_grid, 4)
-    chunk = identities._chunks(cases, 2)[0]
-    assert len(chunk) < len(cases)
+    lams, xs = identities._axis(map(F, lam_grid)), identities._axis(map(F, x_grid))
+    runs = []
+    for ident, spec in _REGISTRY.items():
+        axes = lams, (xs if spec.uses_x else identities._axis([None]))
+        runs += identities._runs(ident, dict.fromkeys(range(spec.min_n, 13), axes), 4)
+    chunk = identities._chunks(runs, 2)[0]
+    assert len(chunk) < len(runs)
     assert identities._run_chunk(chunk, False) == []
     assert grows and set(grows.values()) == {1}
     assert set(grows) < keys

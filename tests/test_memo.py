@@ -244,10 +244,10 @@ def _leaves(key):
 def test_memo_keys_hold_ints_only():
     identities.verify_grid(n_max=8)
     memos = {id(m): m for mod in (sequences, identities) for m in vars(mod).values() if isinstance(m, _Memo)}
-    assert len(memos) == 16
+    assert len(memos) == 15
     for memo in memos.values():
         for key in memo.rows:
-            assert all(v is None or type(v) is int for v in _leaves(key)), (memo.grow, key)
+            assert all(type(v) is int for v in _leaves(key)), (memo.grow, key)
 
 
 lambdas = st.one_of(

@@ -72,6 +72,7 @@ def test_quadrature_spec_validation():
         {"rel_tol": math.nan},
         {"max_subdivisions": 0},
         {"max_subdivisions": -3},
+        {"max_subdivisions": 2.5},
     ):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)

@@ -208,16 +208,10 @@ def test_stirling1_examples():
     assert stirling1_deg(2, 1, F(1, 2)) == F(-1, 2)
 
 
-def test_stirling1_classical_matches_lam_zero():
-    for n in range(10):
-        for m in range(n + 1):
-            assert stirling1_deg(n, m, 0) == stirling1_classical(n, m)
-
-
 def test_stirling1_classical_oracle():
     # recurrence oracle s(n+1,k) = s(n,k-1) - n s(n,k), built independently
     rows = [[1]]
-    for n in range(1, 6):
+    for n in range(1, 10):
         prev = rows[-1]
         row = [0] * (n + 1)
         for k in range(n + 1):
@@ -226,12 +220,11 @@ def test_stirling1_classical_oracle():
                 acc -= (n - 1) * prev[k]
             row[k] = acc
         rows.append(row)
-    assert stirling1_classical(3, 1) == rows[3][1] == 2
-    assert stirling1_classical(2, 1) == -1
-    for n in range(6):
-        assert stirling1_classical(n, n) == 1
-    for n in range(1, 6):
-        assert stirling1_classical(n, 0) == 0
+    for n, row in enumerate(rows):
+        assert [stirling1_classical(n, m) for m in range(n + 1)] == row
+    assert rows[3][1] == 2 and rows[2][1] == -1
+    assert all(row[-1] == 1 for row in rows)
+    assert all(row[0] == 0 for row in rows[1:])
 
 
 def test_stirling_zero_above_diagonal():
