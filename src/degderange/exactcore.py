@@ -11,7 +11,12 @@ Coefficient-list arithmetic runs on the integer-numerator form of a list,
 FLINT's ``fmpq_poly``).  Products and sums then cost plain integer
 operations, and each result entry is reduced to a ``Fraction`` once, at the
 end.  ``dot`` and ``binomial_conv`` take their operands in this form, which
-is the form the sequence memos store.
+is the form the sequence memos store, and return their sum unreduced, as an
+int pair (num, den): a caller that only compares two sums does so by
+cross-multiplication, with no gcd, and a caller that needs the value builds
+one ``Fraction`` from the pair.  ``binomial_conv`` reads its weights from a
+row of binomial coefficients per n, kept for n up to
+``FACTORIAL_CACHE_CAP``.
 """
 
 from __future__ import annotations
@@ -20,18 +25,20 @@ import math
 import threading
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 from typing import Sequence, Union
 
 ExactScalar = Union[int, Fraction]
 IntRow = tuple[list[int], int]  # (nums, den): entry i is nums[i] / den
+IntPair = tuple[int, int]  # (num, den): the value num / den, not reduced
 
-# Factorials below this are kept in a lazily grown table; larger ones fall
-# through to math.factorial.
+# Factorials and binomial rows up to this n are kept in lazily grown tables;
+# larger ones are computed on each call.
 FACTORIAL_CACHE_CAP = 256
 
 _fact_table = [1]
-_fact_lock = threading.Lock()
+_comb_rows = [[1]]  # row n: binom(n, l) for l = 0..n
+_table_lock = threading.Lock()
 
 
 def as_ints(values: Sequence[ExactScalar]) -> IntRow:
@@ -67,19 +74,33 @@ def convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def dot(u: IntRow, v: IntRow) -> Fraction:
+def dot(u: IntRow, v: IntRow) -> IntPair:
     """Exact sum of u[i] * v[i] over the shorter of two lists in
-    integer-numerator form (nums, den), reduced once."""
+    integer-numerator form (nums, den), as the unreduced pair (num, du * dv)."""
     (nu, du), (nv, dv) = u, v
-    return Fraction(sum(map(mul, nu, nv)), du * dv)
+    return sum(map(mul, nu, nv)), du * dv
 
 
-def binomial_conv(a: IntRow, b: IntRow, n: int) -> Fraction:
+def binomial_conv(a: IntRow, b: IntRow, n: int) -> IntPair:
     """Exact sum of binom(n, l) * a[l] * b[n-l] over l = 0..n, for two lists
-    in integer-numerator form (nums, den) of at least n + 1 entries."""
+    in integer-numerator form (nums, den) of at least n + 1 entries, as the
+    unreduced pair (num, da * db)."""
     (na, da), (nb, db) = a, b
-    weights = map(mul, map(math.comb, repeat(n), range(n + 1)), na)
-    return Fraction(sum(map(mul, weights, nb[n::-1])), da * db)
+    weights = map(mul, _binomial_row(n), na)
+    return sum(map(mul, weights, nb[n::-1])), da * db
+
+
+def _binomial_row(n: int) -> list[int]:
+    """[binom(n, l) for l = 0..n]; rows up to FACTORIAL_CACHE_CAP are grown
+    once, by Pascal's rule, and kept."""
+    if n <= FACTORIAL_CACHE_CAP:
+        if n >= len(_comb_rows):
+            with _table_lock:
+                while len(_comb_rows) <= n:
+                    top = _comb_rows[-1]
+                    _comb_rows.append([1, *map(add, top, top[1:]), 1])
+        return _comb_rows[n]
+    return list(map(math.comb, repeat(n), range(n + 1)))
 
 
 def factorial(n: int) -> int:
@@ -88,7 +109,7 @@ def factorial(n: int) -> int:
         raise ValueError(f"factorial of negative {n}")
     if n <= FACTORIAL_CACHE_CAP:
         if n >= len(_fact_table):
-            with _fact_lock:
+            with _table_lock:
                 while len(_fact_table) <= n:
                     _fact_table.append(_fact_table[-1] * len(_fact_table))
         return _fact_table[n]

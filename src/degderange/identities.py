@@ -4,9 +4,12 @@ Each identity is evaluated at concrete rational parameters; the two sides are
 computed by structurally independent code paths, sharing only the exact-core
 primitives (factorials, binomials, falling-factorial products).  The
 verifiers read the memo rows of ``sequences`` as integers over one
-denominator and sum them with the kernel's ``dot`` and ``binomial_conv``, so
-a case builds only the ``Fraction`` values of its sides.  The path mapping,
-per identity:
+denominator and sum them with the kernel's ``dot`` and ``binomial_conv``,
+and each returns its two sides as unreduced int pairs (num, den).  ``verify``
+compares a/b with c/d as a*d == c*b, with no gcd (Knuth, TAOCP vol. 2,
+4.5.1), and only then builds ``Fraction`` values: one, reduced once, for a
+case whose sides agree, returned as both sides, and two for a case whose
+sides differ.  The path mapping, per identity:
 
   THM2_CONV          lhs: series extraction of the derangement generating
                      function; rhs: convolution sum over derangement numbers
@@ -186,7 +189,7 @@ class VerificationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # verifiers; each takes lam and x as (numerator, denominator) int pairs, the
 # memo keys, reads the memo rows as integers over one denominator and
-# returns (lhs, rhs)
+# returns (lhs, rhs), each side an unreduced int pair (num, den)
 
 _ZERO, _ONE, _MINUS_ONE = (0, 1), (1, 1), (-1, 1)
 
@@ -200,8 +203,9 @@ def _shift(a, c: int):
     return a[0] + c * a[1], a[1]
 
 
-def _at(row: IntRow, i: int) -> Fraction:
-    return Fraction(row[0][i], row[1])
+def _equal(a, b) -> bool:
+    """a == b for two int pairs, by cross-multiplication."""
+    return a[0] * b[1] == b[0] * a[1]
 
 
 def _alternating(row: IntRow) -> IntRow:
@@ -211,19 +215,19 @@ def _alternating(row: IntRow) -> IntRow:
 
 
 def _thm2_conv(n, lam, x, r, mutate):
-    lhs = _DERANGE_ORDER_SERIES.value((lam, x, 1), n)
+    lhs = _DERANGE_ORDER_SERIES.pair((lam, x, 1), n)
     d, f = _DERANGE.ints((lam, _ZERO), n), _FALLING.ints((x, lam), n)
-    rhs = binomial_conv(d, f, n)
+    num, den = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand
-        rhs -= 2 * _at(d, n) * _at(f, 0)
-    return lhs, rhs
+        num -= 2 * d[0][n] * f[0][0]
+    return lhs, (num, den)
 
 
 def _thm2_rec(n, lam, x, r, mutate):
-    lhs = _FALLING.value((_shift(x, -1), lam), n)
+    lhs = _FALLING.pair((_shift(x, -1), lam), n)
     d, den = _DERANGE.row((lam, x), n)
     sign = 1 if mutate else -1
-    return lhs, Fraction(d[n] + sign * n * d[n - 1], den)
+    return lhs, (d[n] + sign * n * d[n - 1], den)
 
 
 def _thm2_rec_x0(n, lam, x, r, mutate):
@@ -261,7 +265,7 @@ def _thm3(n, lam, x, r, mutate):
     lhs = binomial_conv(_ALTERNATING_INNER.ints((lam, x, lam), n), _FALLING.ints((_ONE, lam), n), n)
     rhs = dot(_alternating(_FALLING.ints((_shift(x, -1), lam), n)), _S2.ints(lam, n))
     if mutate:
-        rhs = -rhs
+        rhs = _neg(rhs)
     return lhs, rhs
 
 
@@ -278,7 +282,7 @@ def _thm4(n, lam, x, r, mutate):
     lhs = dot(_S2.ints(lam, n), _DERANGE.ints((lam, x), n))
     rhs = binomial_conv(_THM4_INNER.ints((lam, x), n), _FUBINI_SERIES.ints((lam, _ONE), n), n)
     if mutate:  # negate every Fubini value
-        rhs = -rhs
+        rhs = _neg(rhs)
     return lhs, rhs
 
 
@@ -286,58 +290,60 @@ def _thm5(n, lam, x, r, mutate):
     expr_a = dot(_FUBINI.ints((lam, _ONE), n), _S1.ints(lam, n))
     expr_b = binomial_conv(_DERANGE.ints((lam, _ZERO), n), _FALLING.ints((_ONE, lam), n), n)
     d, f = _DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n)
-    expr_c = binomial_conv(d, f, n)
+    num, den = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand of the x-shifted form
-        expr_c -= 2 * _at(d, n) * _at(f, 0)
-    nfact = Fraction(factorial(n))
-    if expr_a == expr_b == nfact:
-        return expr_a, expr_c
-    # surface whichever pair differs
-    return expr_a, expr_b if expr_a != expr_b else nfact
+        num -= 2 * d[0][n] * f[0][0]
+    # surface whichever pair differs first
+    if not _equal(expr_a, expr_b):
+        return expr_a, expr_b
+    nfact = factorial(n), 1
+    if not _equal(expr_a, nfact):
+        return expr_a, nfact
+    return expr_a, (num, den)
 
 
 def _lemma6(n, lam, x, r, mutate):
     (f, fd), (s, sd) = _FALLING.ints((_shift(x, -1), lam), n), _S2.ints(lam, n)
-    lhs = dot((f[1:], fd), (s[1:], sd))
+    num, den = dot((f[1:], fd), (s[1:], sd))
     if mutate:
-        lhs -= 2 * Fraction(f[1], fd) * Fraction(s[1], sd)
+        num -= 2 * f[1] * s[1]
     d, dd = _DERANGE.ints((lam, x), n)
     rhs = dot(([d[m] - m * d[m - 1] for m in range(1, n + 1)], dd), (s[1:], sd))
-    return lhs, rhs
+    return (num, den), rhs
 
 
 def _thm7_a(n, lam, x, r, mutate):
-    lhs = _FALLING.value((_ONE, lam), n)
+    lhs = _FALLING.pair((_ONE, lam), n)
     b, s = _BELL_SERIES.ints((lam, _ONE), n), _S1.ints(lam, n)
-    rhs = dot(b, s)
+    num, den = dot(b, s)
     if mutate:
-        rhs -= 2 * _at(b, n) * _at(s, n)
-    return lhs, rhs
+        num -= 2 * b[0][n] * s[0][n]
+    return lhs, (num, den)
 
 
 def _thm7_b(n, lam, x, r, mutate):
-    lhs = _BELL_SERIES.value((lam, _ONE), n)
+    lhs = _BELL_SERIES.pair((lam, _ONE), n)
     f, s = _FALLING.ints((_ONE, lam), n), _S2.ints(lam, n)
-    rhs = dot(f, s)
+    num, den = dot(f, s)
     if mutate:
-        rhs -= 2 * _at(f, n) * _at(s, n)
-    return lhs, rhs
+        num -= 2 * f[0][n] * s[0][n]
+    return lhs, (num, den)
 
 
 def _thm8_a(n, lam, x, r, mutate):
     lhs = dot(_alternating(_DERANGE.ints((lam, _ZERO), n)), _S2.ints(_neg(lam), n))
     b, f = _BELL_SERIES.ints((_neg(lam), _ONE), n), _FALLING.ints((_MINUS_ONE, _neg(lam)), n)
-    rhs = binomial_conv(b, f, n)
+    num, den = binomial_conv(b, f, n)
     if mutate:
-        rhs -= 2 * _at(b, n) * _at(f, 0)
-    return lhs, rhs
+        num -= 2 * b[0][n] * f[0][0]
+    return lhs, (num, den)
 
 
 def _thm8_b(n, lam, x, r, mutate):
     lhs = dot(_BELL.ints((lam, _ONE), n), _S1.ints(lam, n))
     f, den = _FALLING.row((_MINUS_ONE, _neg(lam)), n)
     sign = -1 if mutate else 1
-    return lhs, Fraction(sign * (-1) ** n * f[n], den)
+    return lhs, (sign * (-1) ** n * f[n], den)
 
 
 def _eq24_25(n, lam, x, r, mutate):
@@ -349,30 +355,31 @@ def _eq24_25(n, lam, x, r, mutate):
 
 
 def _thm9_vs_series(n, lam, x, r, mutate):
-    lhs = _derange_order(n, r, lam, x)
+    num, den = _derange_order(n, r, lam, x)
     if mutate:  # flip the sign of the top summand (l = n) of the explicit sum
-        lhs -= 2 * _FALLING.value((_shift(x, -1), lam), n)
-    rhs = _DERANGE_ORDER_SERIES.value((lam, x, r), n)
-    return lhs, rhs
+        f, fd = _FALLING.pair((_shift(x, -1), lam), n)
+        num, den = num * fd - 2 * f * den, den * fd
+    rhs = _DERANGE_ORDER_SERIES.pair((lam, x, r), n)
+    return (num, den), rhs
 
 
 def _thm10(n, lam, x, r, mutate):
-    lhs = _BELL_SERIES.value((_neg(lam), _ONE), n)
+    lhs = _BELL_SERIES.pair((_neg(lam), _ONE), n)
     inner = _ALTERNATING_INNER.ints((lam, _ZERO, _neg(lam)), n)
     f = _FALLING.ints((_ONE, _neg(lam)), n)
-    rhs = binomial_conv(inner, f, n)
+    num, den = binomial_conv(inner, f, n)
     if mutate:
-        rhs -= 2 * _at(f, n) * _at(inner, 0)
-    return lhs, rhs
+        num -= 2 * f[0][n] * inner[0][0]
+    return lhs, (num, den)
 
 
 def _exp_moment_bridge(n, lam, x, r, mutate):
     f = _FALLING.ints((_shift(x, -1), lam), n)
-    lhs = binomial_conv(([factorial(m) for m in range(n + 1)], 1), f, n)
+    num, den = binomial_conv(([factorial(m) for m in range(n + 1)], 1), f, n)
     if mutate:
-        lhs -= 2 * _at(f, 0) * factorial(n)
-    rhs = _DERANGE_ORDER_SERIES.value((lam, x, 1), n)
-    return lhs, rhs
+        num -= 2 * f[0][0] * factorial(n)
+    rhs = _DERANGE_ORDER_SERIES.pair((lam, x, 1), n)
+    return (num, den), rhs
 
 
 def _deg_lam(n):
@@ -415,7 +422,8 @@ _REGISTRY: dict[IdentityId, _Spec] = {
 def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction, bool]:
     """Evaluate both sides of one identity case exactly.
 
-    Returns (lhs, rhs, passed) with passed meaning exact equality.
+    Returns (lhs, rhs, passed) with passed meaning exact equality; lhs and
+    rhs are reduced ``Fraction`` values, one object when they agree.
     """
     try:
         spec = _REGISTRY[case.identity_id]
@@ -437,7 +445,10 @@ def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction
         raise ValueError(f"r must be >= 1, got {case.r}")
     x = None if case.x is None else _key(case.x)
     lhs, rhs = spec.fn(case.n, _key(case.lam), x, case.r, mutate)
-    return lhs, rhs, lhs == rhs
+    if _equal(lhs, rhs):
+        value = Fraction(*lhs)
+        return value, value, True
+    return Fraction(*lhs), Fraction(*rhs), False
 
 
 def _workers(jobs: int) -> int:
@@ -501,13 +512,27 @@ def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
     return failures
 
 
+def _ranks(keys: list, order) -> dict:
+    """{key: rank} for the distinct int pairs p/q among keys, ranked by
+    order(Fraction(p, q)): a sort on ints for many keys of few values."""
+    ranked = sorted(set(keys), key=lambda key: order(Fraction(*key)))
+    return {key: i for i, key in enumerate(ranked)}
+
+
 def _chunks(runs: list, jobs: int) -> list[list]:
     """The runs sorted by (|lam|, lam, x), cut into at most ``jobs``
     contiguous chunks: each worker builds the rows of its own keys only,
     lam next to -lam (THM8_A and THM10 read both), and the identities of a
     key stay together.  A cut between two runs of one key makes both chunks
-    grow the rows those runs share.  The serial run sorts too: one chunk."""
-    todo = sorted(runs, key=lambda run: (abs(run[1]), run[1], run[2] or 0))
+    grow the rows those runs share.  The serial run sorts too: one chunk.
+    The sort compares integer ranks of the distinct lam and x values, each
+    axis sorted once, not the values themselves."""
+    lams = [_key(run[1]) for run in runs]
+    xs = [_key(run[2] or 0) for run in runs]
+    lam_rank = _ranks(lams, lambda v: (abs(v), v))
+    x_rank = _ranks(xs, lambda v: v)
+    order = sorted(range(len(runs)), key=lambda i: (lam_rank[lams[i]], x_rank[xs[i]]))
+    todo = [runs[i] for i in order]
     size = -(-len(todo) // jobs) or 1
     return [todo[i : i + size] for i in range(0, len(todo), size)]
 
@@ -528,11 +553,14 @@ def verify_grid(
     is evaluated once, a value repeated in a grid counting its copies in
     ``cases_run`` and in the failures, and each (lam, x) key runs top n
     first, so in each process every memo row grows once, to its final
-    length.  ``jobs`` worker processes, at most one per CPU, share the runs
-    in contiguous chunks (``_chunks``); the serial run is the one-chunk case
-    and starts no pool.  The report is deterministic regardless of order and
-    scheduling: the failures are listed in ``IdentityCase.sort_key`` order.
+    length.  ``jobs`` worker processes, at least one and at most one per
+    CPU, share the runs in contiguous chunks (``_chunks``); the serial run is
+    the one-chunk case and starts no pool.  The report is deterministic
+    regardless of order and scheduling: the failures are listed in
+    ``IdentityCase.sort_key`` order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     id_list = sorted(set(ids), key=lambda i: i.value) if ids is not None else list(IdentityId)
     lams = _axis([Fraction(v) for v in lam_grid])
     xs, no_x = _axis([Fraction(v) for v in x_grid]), _axis([None])

@@ -269,8 +269,10 @@ def theorem11_check(
     # in cross-check mode, the derangement numbers of the series path give
     # the same target
     target = _dual(
-        (1 - lam) * binomial_conv(_DERANGE.ints(key, n), f, n),
-        lambda: (1 - lam) * binomial_conv(_DERANGE_ORDER_SERIES.ints((*key, 1), n), f, n),
+        (1 - lam) * Fraction(*binomial_conv(_DERANGE.ints(key, n), f, n)),
+        lambda: (1 - lam) * Fraction(
+            *binomial_conv(_DERANGE_ORDER_SERIES.ints((*key, 1), n), f, n)
+        ),
     )
     consistency = (1 - lam) * factorial(n)
     if target != consistency:
@@ -485,5 +487,5 @@ def erlang_bridge_check(
     x = Fraction(x)
     lhs = derange_deg_order(n, r, lam, x)
     moments = [erlang_moment(l, r) for l in range(n + 1)]
-    rhs = binomial_conv((moments, 1), _FALLING.ints((_key(x - 1), _key(lam)), n), n)
+    rhs = Fraction(*binomial_conv((moments, 1), _FALLING.ints((_key(x - 1), _key(lam)), n), n))
     return lhs, rhs, lhs == rhs

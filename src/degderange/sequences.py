@@ -29,11 +29,12 @@ of FLINT's ``fmpq_poly``, in one of three forms:
 
 ``ints(key, n)`` gives the values 0..n (row n of a triangle) as one
 (nums, den) pair, the form that the kernel's ``dot`` and ``binomial_conv``
-take and that the identity verifiers read; only the public ``*_row`` and
-scalar accessors build ``Fraction`` values, at the API boundary.  A grow step
-returns a new row and never changes a published one, so a reader outside
-the lock, holding one reference to a row, never pairs new numerators with an
-old denominator.  Each step continues from the integers at the end of the
+take, and ``pair(key, n)`` gives value n as an unreduced int pair
+(num, den); the identity verifiers read these two, and only the public
+``*_row`` and scalar accessors build ``Fraction`` values, at the API
+boundary.  A grow step returns a new row and never changes a published one,
+so a reader outside the lock, holding one reference to a row, never pairs
+new numerators with an old denominator.  Each step continues from the integers at the end of the
 row it extends; the derangement row, whose denominator follows the terms
 row it reads, first rescales its old numerators to that row's new scale.
 
@@ -114,7 +115,7 @@ from itertools import accumulate, islice, repeat
 from math import comb, perm
 from operator import mul
 
-from .exactcore import ExactScalar, Poly, as_fractions, factorial, widen
+from .exactcore import ExactScalar, IntPair, Poly, as_fractions, factorial, widen
 
 _lock = threading.RLock()
 
@@ -168,9 +169,13 @@ class _Memo:
         row = self.row(key, n)
         return row[0][: n + 1], row[1]
 
-    def value(self, key, n: int) -> Fraction:
+    def pair(self, key, n: int) -> IntPair:
+        """Value n as an unreduced int pair (num, den)."""
         row = self.row(key, n)
-        return Fraction(row[0][n], row[1])
+        return row[0][n], row[1]
+
+    def value(self, key, n: int) -> Fraction:
+        return Fraction(*self.pair(key, n))
 
 
 class _TriangleMemo(_Memo):
@@ -192,9 +197,9 @@ class _SeriesMemo(_Memo):
         nums, s = self.row(key, n)
         return _over_power(nums[: n + 1], s)
 
-    def value(self, key, n: int) -> Fraction:
+    def pair(self, key, n: int) -> IntPair:
         nums, s = self.row(key, n)
-        return Fraction(nums[n], s**n)
+        return nums[n], s**n
 
 
 def _over_power(nums: list[int], s: int, first: int = 0) -> tuple[list[int], int]:
@@ -406,12 +411,13 @@ def _grow_order_weights(r, row, n):
 _ORDER_WEIGHTS = _Memo(_grow_order_weights)
 
 
-def _derange_order(n: int, r: int, lam: tuple[int, int], x: tuple[int, int]) -> Fraction:
+def _derange_order(n: int, r: int, lam: IntPair, x: IntPair) -> IntPair:
     """The explicit order-r sum at int-pair keys with n! taken out:
-    n! sum_l binom(r-1+n-l, n-l) T_l, one dot product over the terms row."""
+    n! sum_l binom(r-1+n-l, n-l) T_l, one dot product over the terms row, as
+    an unreduced int pair (num, den)."""
     nums, den = _DERANGE_TERMS.row((lam, x), n)
     w = _ORDER_WEIGHTS.row(r, n)[0]
-    return Fraction(factorial(n) * sum(map(mul, w[n::-1], nums)), den)
+    return factorial(n) * sum(map(mul, w[n::-1], nums)), den
 
 
 def _check_order(r: int) -> None:
@@ -427,7 +433,7 @@ def derange_order_row(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> l
     key = (_key(lam), _key(x))
     _DERANGE_TERMS.row(key, n)
     return _dual(
-        [_derange_order(k, r, *key) for k in range(n + 1)],
+        [Fraction(*_derange_order(k, r, *key)) for k in range(n + 1)],
         lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, r), n)),
     )
 
@@ -437,7 +443,7 @@ def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> F
     n! * sum_{l<=n} falling(x-1, l, lam)/l! * binom(r+n-l-1, n-l)."""
     _check_index(n)
     _check_order(r)
-    value = _derange_order(n, r, _key(lam), _key(x))
+    value = Fraction(*_derange_order(n, r, _key(lam), _key(x)))
     return _dual(value, derange_deg_order_series, n, r, lam, x)
 
 

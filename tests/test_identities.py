@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -54,6 +55,32 @@ def test_every_identity_on_small_grid():
     )
     assert report.cases_run > 0
     assert report.ok, report.failures[:3]
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_verify_returns_reduced_fractions(mutate):
+    # the sides are compared as int pairs; what verify returns is reduced,
+    # and passed is exactly the equality of the returned values
+    failed = 0
+    for ident, spec in _REGISTRY.items():
+        for n in range(spec.min_n, 7):
+            for lam in SMALL_LAM:
+                for x in SMALL_X if spec.uses_x else [None]:
+                    for r in (1, 2) if spec.uses_r else [None]:
+                        lhs, rhs, passed = verify(IdentityCase(ident, n, lam, x, r), mutate)
+                        for side in (lhs, rhs):
+                            assert type(side) is F
+                            assert side.denominator > 0
+                            assert gcd(side.numerator, side.denominator) == 1
+                        assert passed == (lhs == rhs)
+                        failed += not passed
+    assert bool(failed) is mutate
+
+
+def test_verify_grid_needs_a_worker():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            verify_grid(n_max=4, mutate=True, jobs=jobs)
 
 
 def test_empty_id_set():

@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degderange import sequences
+from degderange import exactcore, sequences
 from degderange.exactcore import (
+    FACTORIAL_CACHE_CAP,
     Poly,
     as_fractions,
     as_ints,
@@ -188,12 +189,26 @@ def int_row(values, scale, extra=()):
     st.lists(small_rationals, max_size=3),
 )
 def test_dot_and_binomial_conv_match_reference(ab, sa, sb, extra):
-    a, b = ab
+    _check_dot_and_binomial_conv(*ab, sa, sb, extra)
+
+
+def _check_dot_and_binomial_conv(a, b, sa, sb, extra):
+    """Both kernel sums, as (num, den) pairs, against plain-Fraction sums."""
     n = len(a) - 1
-    assert dot(int_row(a, sa), int_row(b, sb)) == sum((u * v for u, v in zip(a, b)), F(0))
+    assert F(*dot(int_row(a, sa), int_row(b, sb))) == sum((u * v for u, v in zip(a, b)), F(0))
     # entries past n are ignored, as in memo rows grown beyond n
     ref = sum((binomial(n, l) * a[l] * b[n - l] for l in range(n + 1)), F(0))
-    assert binomial_conv(int_row(a, sa, extra), int_row(b, sb, extra), n) == ref
+    assert F(*binomial_conv(int_row(a, sa, extra), int_row(b, sb, extra), n)) == ref
+
+
+@pytest.mark.parametrize("n", [0, *range(FACTORIAL_CACHE_CAP + 1, 301)])
+def test_binomial_conv_at_the_ends_of_the_binomial_row_cache(n):
+    # n = 0, and every n from just past the cap, where binomial rows are
+    # computed on each call and never kept
+    a = [F((-1) ** l * (l % 7 + 1), l % 5 + 1) for l in range(n + 1)]
+    b = [F(l % 11 - 5, 3) for l in range(n + 1)]
+    _check_dot_and_binomial_conv(a, b, 2, 3, [F(1, 2)])
+    assert len(exactcore._comb_rows) <= FACTORIAL_CACHE_CAP + 1
 
 
 # ---------------------------------------------------------------------------
