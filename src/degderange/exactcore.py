@@ -116,6 +116,16 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+def factorials(n: int) -> list[int]:
+    """[m! for m = 0..n], as a new list: a prefix of the cached table, with
+    running products past FACTORIAL_CACHE_CAP."""
+    factorial(min(n, FACTORIAL_CACHE_CAP))  # grows the table; rejects n < 0
+    out = _fact_table[: n + 1]
+    for m in range(len(out), n + 1):
+        out.append(out[-1] * m)
+    return out
+
+
 def binomial(n: int, k: int) -> int:
     """Generalized binomial coefficient n(n-1)...(n-k+1)/k! for integer n.
 

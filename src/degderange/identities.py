@@ -57,15 +57,16 @@ weights (``_s2_sums``).
 The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
 
-Evaluation order.  A memo row grows to the largest n asked of it and the
-smaller n read its prefix, so ``verify_grid`` and ``certify`` share one
-runner that evaluates a key top n first: ``_runs`` makes one run per
-identity and distinct (lam, x) point, holding the point's n in descending
-order, and ``_run_chunk`` evaluates each distinct case of a run once.  Every
-memo row then grows once per process, to its final length: once in a serial
-run, once per worker that reads it under ``--jobs``.  The order never
-reaches the output: failures are reported in ``IdentityCase.sort_key``
-order, a case repeated in a grid once per copy.
+Evaluation order.  A memo row is built whole, to the largest n asked of
+it, a larger n building a new row, and the smaller n read its prefix, so
+``verify_grid`` and ``certify`` share one runner that evaluates a key top n
+first: ``_runs`` makes one run per identity and distinct (lam, x) point,
+holding the point's n in descending order, and ``_run_chunk`` evaluates
+each distinct case of a run once.  Every memo row is then built once per
+process, to its final length: once in a serial run, once per worker that
+reads it under ``--jobs``.  The order never reaches the output: failures
+are reported in ``IdentityCase.sort_key`` order, a case repeated in a grid
+once per copy.
 
 Degree bounds.  At fixed n every side is a polynomial in lam and x, and each
 identity declares a bound (d_lam, d_x) on its degrees (``_Spec.degrees``).
@@ -122,7 +123,7 @@ from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactcore import ExactScalar, IntRow, binomial_conv, dot, factorial
+from .exactcore import ExactScalar, IntRow, binomial_conv, dot, factorial, factorials
 from .sequences import (
     _BELL,
     _BELL_SERIES,
@@ -134,7 +135,6 @@ from .sequences import (
     _S1,
     _S2,
     _derange_order,
-    _join,
     _key,
     _Memo,
 )
@@ -240,13 +240,11 @@ def _s2_sums(weights):
     int pair p/q.  The triangle is read once; sums[j] is an integer dot
     product over den q^j, put over den q^n."""
 
-    def grow(key, row, n):
+    def grow(key, n):
         (wn, wd), mu = weights(key, n)
         tri = _S2.row(mu, n)[0]
         q = mu[1]
-        start = len(row[0]) if row else 0
-        new = [sum(map(mul, wn, tri[j][0])) * q ** (n - j) for j in range(start, n + 1)]
-        return _join(row, (new, wd * q**n))
+        return [sum(map(mul, wn, tri[j][0])) * q ** (n - j) for j in range(n + 1)], wd * q**n
 
     return grow
 
@@ -375,9 +373,10 @@ def _thm10(n, lam, x, r, mutate):
 
 def _exp_moment_bridge(n, lam, x, r, mutate):
     f = _FALLING.ints((_shift(x, -1), lam), n)
-    num, den = binomial_conv(([factorial(m) for m in range(n + 1)], 1), f, n)
+    facts = factorials(n)
+    num, den = binomial_conv((facts, 1), f, n)
     if mutate:
-        num -= 2 * f[0][0] * factorial(n)
+        num -= 2 * f[0][0] * facts[n]
     rhs = _DERANGE_ORDER_SERIES.pair((lam, x, 1), n)
     return (num, den), rhs
 
@@ -524,7 +523,7 @@ def _chunks(runs: list, jobs: int) -> list[list]:
     contiguous chunks: each worker builds the rows of its own keys only,
     lam next to -lam (THM8_A and THM10 read both), and the identities of a
     key stay together.  A cut between two runs of one key makes both chunks
-    grow the rows those runs share.  The serial run sorts too: one chunk.
+    build the rows those runs share.  The serial run sorts too: one chunk.
     The sort compares integer ranks of the distinct lam and x values, each
     axis sorted once, not the values themselves."""
     lams = [_key(run[1]) for run in runs]
@@ -552,7 +551,7 @@ def verify_grid(
     The default grid is the full certification grid.  Each distinct case
     is evaluated once, a value repeated in a grid counting its copies in
     ``cases_run`` and in the failures, and each (lam, x) key runs top n
-    first, so in each process every memo row grows once, to its final
+    first, so in each process every memo row is built once, to its final
     length.  ``jobs`` worker processes, at least one and at most one per
     CPU, share the runs in contiguous chunks (``_chunks``); the serial run is
     the one-chunk case and starts no pool.  The report is deterministic
@@ -583,7 +582,7 @@ def _certify_grids(identity_id: IdentityId, grids: dict, mutate: bool) -> dict[i
     Each n needs d_lam + 1 and d_x + 1 distinct points, from its declared
     degree bounds.  The points run as ``verify_grid``'s do (``_runs``): each
     distinct (lam, x) point once for every n whose grid holds it, in
-    descending n, so a memo row grows once, to its final length, and the
+    descending n, so a memo row is built once, to its final length, and the
     smaller n read its prefix.
     """
     spec = _REGISTRY[identity_id]

@@ -52,7 +52,7 @@ from .sequences import (
     _key,
     derange_deg_order,
     falling_deg,
-    stirling1_classical,
+    stirling1_column,
 )
 
 if TYPE_CHECKING:
@@ -349,8 +349,9 @@ def stirling_log_expansion_check(
     prev_abs = math.inf
     growing = 0
     truncated_by_window = m_limit < m_cap
+    s1 = stirling1_column(m_limit, n, 0)  # s(m, n) for m = 0..m_limit
     for m in range(n, m_limit + 1):
-        coef = Fraction(factorial(n)) / lam**n * stirling1_classical(m, n) * lam**m / factorial(m)
+        coef = Fraction(factorial(n)) / lam**n * s1[m] * lam**m / factorial(m)
         term = float(coef) * _moment_ratio(m, lamf, spec)
         partial += term
         err = abs(partial - tf)

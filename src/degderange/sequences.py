@@ -11,7 +11,7 @@ All values are exact rationals.  Negative deformation parameters are fully
 supported (the sign-flipped identities need them).
 
 Every memoised sequence lives in one :class:`_Memo`: an integer row per key,
-grown on demand under one lock, exactly to the requested n (the derangement
+built on demand under one lock, exactly to the requested n (the derangement
 row as far as the terms row it is read from).  A key holds one
 (numerator, denominator) int pair per rational parameter (the deformation
 parameter, with the argument where there is one), so a lookup hashes ints
@@ -21,9 +21,8 @@ of FLINT's ``fmpq_poly``, in one of three forms:
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
                                                          derangements, the
                                                          order-r terms and
-                                                         weights
-                 (nums, den, top), the same values       the Fubini and Bell
-                 with the last weighted-triangle row     sums
+                                                         weights, the Fubini
+                                                         and Bell sums
   _TriangleMemo  (rows, q): row k is (nums, q^k)         both Stirling triangles
   _SeriesMemo    (nums, s): value k is nums[k]/s^k       the series paths
 
@@ -32,11 +31,13 @@ of FLINT's ``fmpq_poly``, in one of three forms:
 take, and ``pair(key, n)`` gives value n as an unreduced int pair
 (num, den); the identity verifiers read these two, and only the public
 ``*_row`` and scalar accessors build ``Fraction`` values, at the API
-boundary.  A grow step returns a new row and never changes a published one,
-so a reader outside the lock, holding one reference to a row, never pairs
-new numerators with an old denominator.  Each step continues from the integers at the end of the
-row it extends; the derangement row, whose denominator follows the terms
-row it reads, first rescales its old numerators to that row's new scale.
+boundary.  A grow step builds a key's row for 0..n from the key alone,
+reading no earlier row of that key, and the memo publishes it in place of
+the old one: a published row is never changed, so a reader outside the
+lock, holding one reference to a row, never pairs new numerators with an
+old denominator.  A row is built whole, so many values of n are read
+through one row or column accessor, top n first, not through scalar calls
+in ascending n, each of which would rebuild the row.
 
 The fast paths grow by recurrences (falling factorials, both Stirling
 triangles), by sums over one row of explicit-sum terms (the derangement and
@@ -83,15 +84,12 @@ Derangement values come from the explicit sum
 n! * sum_{l<=n} T_l, T_l = falling(x-1, l, lam)/l!, read from one terms row
 (over L! s^L for a row covering 0..L) that the order-r sums share: value n
 is n! times the plain prefix sum of the row's numerators 0..n, over the
-row's denominator, with L! divided out of both.  When the terms row has
-grown from L to L', every old derangement numerator and the row's
-denominator s^L scale by s^(L'-L), so the old entries are rescaled and only
-the entries past L are summed, still as prefix sums of the terms row.  They
-are never grown by D(n) = n D(n-1) + falling(x-1, n, lam), nor by its
-integer Horner form acc s k + E_k: that recurrence is the identity
-THM2_REC, which must stay a check, and its integer form is the series
-path's step at r = 1, d_k = e_k + k d_{k-1}, the coefficient equation of
-F (1-t) = deg_exp(x-1) with e_k from its own falling product.
+row's denominator, with L! divided out of both.  The values are never grown
+by D(n) = n D(n-1) + falling(x-1, n, lam), nor by its integer Horner form
+acc s k + E_k: that recurrence is the identity THM2_REC, which must stay a
+check, and its integer form is the series path's step at r = 1,
+d_k = e_k + k d_{k-1}, the coefficient equation of F (1-t) = deg_exp(x-1)
+with e_k from its own falling product.
 ``derange_row``'s cross-check, ``theorem11_check`` and THM2_CONV set the
 series path against these values.
 
@@ -103,7 +101,7 @@ independently weighted terms, never Horner in l nor r nested running sums:
 at r = 1 either would take the same integer steps as the series path's
 N_k = E_k + s k N_{k-1}, and THM9_VS_SERIES, which ``certify`` runs at
 r = 1, would compare a value with itself.  The order-r values are not
-memoised: such a row would be rescaled whole each time it grew by one n.
+memoised: each is one dot product over two memoised rows.
 """
 
 from __future__ import annotations
@@ -111,11 +109,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import comb, perm
 from operator import mul
 
-from .exactcore import ExactScalar, IntPair, Poly, as_fractions, factorial, widen
+from .exactcore import ExactScalar, IntPair, Poly, as_fractions, factorial
 
 _lock = threading.RLock()
 
@@ -137,15 +135,15 @@ def _key(v: ExactScalar) -> tuple[int, int]:
 
 
 class _Memo:
-    """Integer rows per key, grown on demand under one lock.  A key holds
+    """Integer rows per key, built on demand under one lock.  A key holds
     ints only: a (numerator, denominator) pair per rational parameter.  Rows
-    are (nums, den), value k being nums[k] / den; a row may carry one more
-    item, the integers from which its grow step continues.
+    are (nums, den), value k being nums[k] / den.
 
-    ``grow(key, row, n)`` receives the key's row (None for a new key) and
-    returns a new row covering indices 0..n; it never changes the row it is
-    given.  Every layout is a tuple whose first item is the list indexed by
-    k.  The lock is reentrant because growing one memo may read another.
+    ``grow(key, n)`` builds the row covering indices 0..n from the key
+    alone; ``row`` calls it when the key is missing or its row too short and
+    publishes the result in place of the old row, which it never changes.
+    Every layout is a tuple whose first item is the list indexed by k.  The
+    lock is reentrant because building one memo's row may read another.
     """
 
     __slots__ = ("grow", "rows")
@@ -161,7 +159,7 @@ class _Memo:
             with _lock:
                 row = self.rows.get(key)
                 if row is None or len(row[0]) <= n:
-                    row = self.rows[key] = self.grow(key, row, n)
+                    row = self.rows[key] = self.grow(key, n)
         return row
 
     def ints(self, key, n: int) -> tuple[list[int], int]:
@@ -202,25 +200,14 @@ class _SeriesMemo(_Memo):
         return nums[n], s**n
 
 
-def _over_power(nums: list[int], s: int, first: int = 0) -> tuple[list[int], int]:
-    """The values nums[i] / s^(first + i) over one denominator,
-    s^(first + len(nums) - 1)."""
+def _over_power(nums: list[int], s: int) -> tuple[list[int], int]:
+    """The values nums[i] / s^i over one denominator, s^(len(nums) - 1)."""
     out, f = [], 1
     for v in reversed(nums):
         out.append(v * f)
         f *= s
     out.reverse()
-    return out, s ** (first + len(nums) - 1)
-
-
-def _join(row, new: tuple[list[int], int]) -> tuple[list[int], int]:
-    """The (nums, den) row, None for no entries, followed by the (nums, den)
-    entries new: a new row over the least common denominator."""
-    if row is None:
-        return new
-    nums, den = widen(*row, new[1])
-    f = den // new[1]
-    return nums + [v * f for v in new[0]], den
+    return out, s ** (len(nums) - 1)
 
 
 def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> list[int]:
@@ -234,12 +221,12 @@ def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> li
     return out[: n + 1]
 
 
-def _grow_online(row, n: int, s: int, step, first: int = 1) -> tuple[list[int], int]:
-    """A series row (nums, s) extended to entries 0..n (a new row starts at
-    first).  Entry k is N_k / s^k, and step(k, nums) gives the integer N_k
-    from nums = [N_0, ..., N_{k-1}]."""
-    nums = list(row[0]) if row else [first]
-    for k in range(len(nums), n + 1):
+def _grow_online(n: int, s: int, step, first: int = 1) -> tuple[list[int], int]:
+    """A series row (nums, s) of entries 0..n, entry 0 being first.  Entry k
+    is N_k / s^k, and step(k, nums) gives the integer N_k from
+    nums = [N_0, ..., N_{k-1}]."""
+    nums = [first]
+    for k in range(1, n + 1):
         nums.append(step(k, nums))
     return nums, s
 
@@ -271,19 +258,14 @@ def _entry(memo: _TriangleMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
 # generalized falling factorials
 
 
-def _grow_falling(key, row, n):
+def _grow_falling(key, n):
     """Values falling(x, k, lam) = E_k / s^k at x = u/v, lam = p/q and s = q v,
-    with E_k = prod_{i<k} (u q - i p v).  The row's denominator is
-    s^(len - 1), so its last numerator is the last E_k: the product
-    continues from it."""
+    with E_k = prod_{i<k} (u q - i p v), over s^n."""
     (u, v), (p, q) = key
-    row = row or ([1], 1)
-    start = len(row[0])
-    e, new = row[0][-1], []
-    for k in range(start, n + 1):
-        e *= u * q - (k - 1) * p * v
-        new.append(e)
-    return _join(row, _over_power(new, q * v, start))
+    e = [1]
+    for k in range(1, n + 1):
+        e.append(e[-1] * (u * q - (k - 1) * p * v))
+    return _over_power(e, q * v)
 
 
 _FALLING = _Memo(_grow_falling)
@@ -306,48 +288,37 @@ def falling_deg(x: ExactScalar, n: int, lam: ExactScalar) -> Fraction:
 # degenerate derangement polynomials and numbers
 
 
-def _grow_derange_terms(key, row, n):
+def _grow_derange_terms(key, n):
     """The terms T_l = falling(x-1, l, lam)/l! of the explicit sums, shared
     by the derangement values and the order-r sums of every r.  At lam = p/q,
     x = u/v and s = q v, T_l = E_l / (s^l l!) with
-    E_l = prod_{i<l} ((u-v) q - i p v); a row covering 0..L keeps them over
-    L! s^L, numerator l being E_l prod_{j=l+1..L} (j s).  The last numerator
-    is the last E_l, so the product continues from it, and growing to n
-    widens the old numerators by prod_{j=L+1..n} (j s)."""
+    E_l = prod_{i<l} ((u-v) q - i p v); the row keeps them over n! s^n,
+    numerator l being E_l prod_{j=l+1..n} (j s)."""
     (p, q), (u, v) = key
     s = q * v
-    nums, den = row or ([1], 1)
-    start = len(nums)
-    e, new = nums[-1], []
-    for l in range(start, n + 1):
-        e *= (u - v) * q - (l - 1) * p * v
-        new.append(e)
+    e = [1]
+    for l in range(1, n + 1):
+        e.append(e[-1] * ((u - v) * q - (l - 1) * p * v))
     f = 1  # prod_{j=l+1..n} (j s) for the entry l being scaled
-    for l in range(n, start - 1, -1):
-        new[l - start] *= f
+    for l in range(n, 0, -1):
+        e[l] *= f
         f *= l * s
-    return [c * f for c in nums] + new, den * f
+    e[0] = f
+    return e, f
 
 
 _DERANGE_TERMS = _Memo(_grow_derange_terms)
 
 
-def _grow_derange(key, row, n):
+def _grow_derange(key, n):
     """Derangement values D(k) = k! sum_{l<=k} T_l, the order-r sum at r = 1:
     the plain prefix sums of the terms row's numerators, each times k!, over
     the terms row's denominator L! s^L, L! divided out of both exactly (each
     numerator is then sum_l E_l (k!/l!) s^(L-l), over s^L).  The row covers
-    what the terms row covers.  When that has grown from L to L', an old
-    numerator is the same sum times s^(L'-L), so the old entries are rescaled
-    and only the entries k > L are summed."""
-    (_, q), (_, v) = key
+    what the terms row covers."""
     terms, den = _DERANGE_TERMS.row(key, n)
-    top = len(terms) - 1
-    f = factorial(top)
-    nums = row[0] if row else []
-    g = (q * v) ** (top + 1 - len(nums))
-    sums = islice(enumerate(accumulate(terms)), len(nums), None)
-    return [d * g for d in nums] + [factorial(k) * t // f for k, t in sums], den // f
+    f = factorial(len(terms) - 1)
+    return [factorial(k) * t // f for k, t in enumerate(accumulate(terms))], den // f
 
 
 _DERANGE = _Memo(_grow_derange)
@@ -399,11 +370,11 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     return Poly(as_fractions(acc, den * q**n))
 
 
-def _grow_order_weights(r, row, n):
+def _grow_order_weights(r, n):
     """The weights binom(r-1+k, k), k = 0..n, of the order-r sums (weight k
     multiplies the term T_{n-k}), under the key r."""
-    w = list(row[0]) if row else [1]
-    for k in range(len(w), n + 1):
+    w = [1]
+    for k in range(1, n + 1):
         w.append(w[-1] * (r - 1 + k) // k)
     return w, 1
 
@@ -432,6 +403,7 @@ def derange_order_row(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> l
     _check_order(r)
     key = (_key(lam), _key(x))
     _DERANGE_TERMS.row(key, n)
+    _ORDER_WEIGHTS.row(r, n)
     return _dual(
         [Fraction(*_derange_order(k, r, *key)) for k in range(n + 1)],
         lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, r), n)),
@@ -447,7 +419,7 @@ def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> F
     return _dual(value, derange_deg_order_series, n, r, lam, x)
 
 
-def _grow_derange_order_series(key, row, n):
+def _grow_derange_order_series(key, n):
     """d_k = k! [t^k] F for F (1-t)^r = deg_exp(x-1), from its coefficient
     equation d_k = e_k - sum_{i=1..min(r,k)} binom(k,i) (-1)^i i! binom(r,i) d_{k-i}
     with e_k = falling(x-1, k, lam).  At lam = p/q, x = u/v and s = q v it
@@ -461,7 +433,7 @@ def _grow_derange_order_series(key, row, n):
     def step(k, nums):
         return e[k] - sum(w[i] * perm(k, i) * nums[k - i] for i in range(1, min(r, k) + 1))
 
-    return _grow_online(row, n, s, step)
+    return _grow_online(n, s, step)
 
 
 _DERANGE_ORDER_SERIES = _SeriesMemo(_grow_derange_order_series)
@@ -492,25 +464,25 @@ def _triangle_step(top: list[int], leads, a: int, b: int, width: int | None = No
     ]
 
 
-def _stirling_steps(second_kind: bool, lam, top: list[int], k: int, n: int, width=None):
-    """Rows k..n of a Stirling triangle at lam = p/q, stepped from row k-1,
-    top; row k holds the integers T(k, m) = q^k S(k, m):
+def _stirling_steps(second_kind: bool, lam, n: int, width=None):
+    """Rows 1..n of a Stirling triangle at lam = p/q, stepped from row 0,
+    [1]; row k holds the integers T(k, m) = q^k S(k, m):
     second kind T(k,m) = q T(k-1,m-1) + (m q - (k-1) p) T(k-1,m),
     first kind  T(k,m) = q T(k-1,m-1) + (m p - (k-1) q) T(k-1,m)."""
     p, q = lam
     a, b = (q, p) if second_kind else (p, q)
-    for j in range(k, n + 1):
+    top = [1]
+    for j in range(1, n + 1):
         top = _triangle_step(top, repeat(q), a, (j - 1) * b, width)
         yield top
 
 
-def _grow_triangle(second_kind: bool, lam, tri, n):
+def _grow_triangle(second_kind: bool, lam, n):
     """Rows 0..n of the triangle at lam = p/q, row k being the integers
     T(k, m) = q^k S(k, m) over q^k, each stepped from the last one's."""
     q = lam[1]
-    rows = list(tri[0]) if tri else [([1], 1)]
-    den = rows[-1][1]
-    for top in _stirling_steps(second_kind, lam, rows[-1][0], len(rows), n):
+    rows, den = [([1], 1)], 1
+    for top in _stirling_steps(second_kind, lam, n):
         den *= q
         rows.append((top, den))
     return rows, q
@@ -529,7 +501,7 @@ def _stirling_column(second_kind: bool, n: int, m: int, lam: ExactScalar) -> lis
         return [Fraction(0)] * (n + 1)
     lam = _key(lam)
     col, den = [Fraction(int(m == 0))], 1
-    for k, top in enumerate(_stirling_steps(second_kind, lam, [1], 1, n, m + 1), 1):
+    for k, top in enumerate(_stirling_steps(second_kind, lam, n, m + 1), 1):
         den *= lam[1]
         col.append(Fraction(top[m], den) if k >= m else Fraction(0))
     return col
@@ -539,7 +511,7 @@ def stirling2_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling2_deg(k, m, lam) for k = 0..n], as a new list."""
     return _dual(
         _stirling_column(True, n, m, lam),
-        lambda: [stirling2_deg_series(k, m, lam) for k in range(n + 1)],
+        lambda: [stirling2_deg_series(k, m, lam) for k in range(n, -1, -1)][::-1],
     )
 
 
@@ -547,7 +519,7 @@ def stirling1_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling1_deg(k, m, lam) for k = 0..n], as a new list."""
     return _dual(
         _stirling_column(False, n, m, lam),
-        lambda: [stirling1_deg_series(k, m, lam) for k in range(n + 1)],
+        lambda: [stirling1_deg_series(k, m, lam) for k in range(n, -1, -1)][::-1],
     )
 
 
@@ -581,7 +553,7 @@ def stirling1_deg(n: int, m: int, lam: ExactScalar) -> Fraction:
     return _dual(_entry(_S1, n, m, lam), stirling1_deg_series, n, m, lam)
 
 
-def _grow_series_column(second_kind: bool, key, col, n):
+def _grow_series_column(second_kind: bool, key, n):
     """Entries k = 0..n of column m of a series triangle,
     S(k, m) = k! [t^k] base^m/m!, from m F_m = base F_{m-1}:
     m S(k,m) = sum_{j=1..k-m+1} binom(k,j) beta_j S(k-j,m-1), with
@@ -593,7 +565,7 @@ def _grow_series_column(second_kind: bool, key, col, n):
     lam, m = key
     p, q = lam
     if m == 0:
-        return _grow_online(col, n, q, lambda k, nums: 0)
+        return _grow_online(n, q, lambda k, nums: 0)
     big = _products(q, p, n) if second_kind else _products(p, q, n, lead=q)
     memo = _S2_SERIES if second_kind else _S1_SERIES
     prev = memo.row((lam, m - 1), n - 1)[0]
@@ -601,7 +573,7 @@ def _grow_series_column(second_kind: bool, key, col, n):
     def step(k, nums):
         return sum(comb(k, j) * big[j] * prev[k - j] for j in range(1, k - m + 2)) // m
 
-    return _grow_online(col, n, q, step, 0)
+    return _grow_online(n, q, step, 0)
 
 
 _S2_SERIES = _SeriesMemo(partial(_grow_series_column, True))
@@ -610,7 +582,8 @@ _S1_SERIES = _SeriesMemo(partial(_grow_series_column, False))
 
 def _series_entry(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
     """Entry (n, m) of a series triangle; 0 above the diagonal.  Columns
-    1..m grow in turn, so that no grow step recurses into the one below."""
+    1..m are built in turn, so that no grow step recurses into the one
+    below."""
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     if m > n:
@@ -647,27 +620,25 @@ def stirling1_classical(n: int, m: int) -> int:
 # degenerate Fubini and fully degenerate Bell polynomials
 
 
-def _grow_weighted_sums(bell: bool, key, row, n):
+def _grow_weighted_sums(bell: bool, key, n):
     """Values sum_m w_m S2(k, m; lam), k = 0..n, at lam = p/q and argument
     u/v: Fubini w_m = m! y^m, Bell w_m = falling(1, m, lam) x^m.  The weight
     ratio w_m / w_{m-1} = c_m / (q v) is one linear factor in m (Fubini
     c_m = q m u, Bell c_m = (q - (m-1) p) u), folded into the diagonal step of
     the second-kind triangle: X(k, m) = (q v)^k w_m S2(k, m; lam) are the
     integers X(k,m) = c_m X(k-1,m-1) + v (m q - (k-1) p) X(k-1,m), and value
-    k is the plain sum of row k over (q v)^k.  A row is (nums, den, top): the
-    values over den = (q v)^(len - 1), and the last X row, from which a grow
-    continues."""
+    k is the plain sum of row k over (q v)^k, and the row's values are over
+    (q v)^n."""
     (p, q), (u, v) = key
     if bell:
         leads = [(q - (m - 1) * p) * u for m in range(n + 1)]
     else:
         leads = [q * m * u for m in range(n + 1)]
-    nums, den, top = row or ([1], 1, [1])
-    start, new = len(nums), []
-    for k in range(start, n + 1):
+    top, sums = [1], [1]
+    for k in range(1, n + 1):
         top = _triangle_step(top, leads, q * v, (k - 1) * p * v)
-        new.append(sum(top))
-    return (*_join((nums, den), _over_power(new, q * v, start)), top)
+        sums.append(sum(top))
+    return _over_power(sums, q * v)
 
 
 _FUBINI = _Memo(partial(_grow_weighted_sums, False))
@@ -688,7 +659,7 @@ def fubini_deg(n: int, lam: ExactScalar, y: ExactScalar) -> Fraction:
     return _dual(_FUBINI.value((_key(lam), _key(y)), n), fubini_deg_series, n, lam, y)
 
 
-def _grow_fubini_series(key, row, n):
+def _grow_fubini_series(key, n):
     """f_k = k! [t^k] F for F = 1/(1 - y(deg_exp(1)-1)), from the equation
     (1 + lam t) F' = (1 + y) F^2 - F that F satisfies, since
     deg_exp(1)' = deg_exp(1)/(1 + lam t) and y deg_exp(1) = 1 + y - 1/F:
@@ -707,7 +678,7 @@ def _grow_fubini_series(key, row, n):
             tot += comb(k, k // 2) * nums[k // 2] ** 2
         return c * tot - v * (q + p * k) * nums[k]
 
-    return _grow_online(row, n, q * v, step)
+    return _grow_online(n, q * v, step)
 
 
 _FUBINI_SERIES = _SeriesMemo(_grow_fubini_series)
@@ -740,7 +711,7 @@ def bell_deg(n: int, lam: ExactScalar, x: ExactScalar = 1) -> Fraction:
     return _dual(_BELL.value((_key(lam), _key(x)), n), bell_deg_series, n, lam, x)
 
 
-def _grow_bell_series(key, row, n):
+def _grow_bell_series(key, n):
     """g_k = k! [t^k] G for G = B^(1/lam), B = 1 + lam x(deg_exp(1)-1), from
     Miller's power recurrence B G' = (1/lam) B' G:
     k g_k = x sum_{j=1..k} binom(k,j) ((1+lam) j - lam k) falling(1,j,lam) g_{k-j}.
@@ -756,7 +727,7 @@ def _grow_bell_series(key, row, n):
         tot = sum(comb(k, j) * ((q + p) * j - p * k) * c[j] * nums[k - j] for j in range(1, k + 1))
         return u * tot // k
 
-    return _grow_online(row, n, q * q * v, step)
+    return _grow_online(n, q * q * v, step)
 
 
 _BELL_SERIES = _SeriesMemo(_grow_bell_series)

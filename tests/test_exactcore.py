@@ -118,3 +118,15 @@ polys = st.lists(small_rationals, min_size=1, max_size=6).map(Poly)
 def test_poly_eval_is_ring_homomorphism(p, q, a):
     assert (p * q)(a) == p(a) * q(a)
     assert (p + q)(a) == p(a) + q(a)
+
+
+def test_factorials_are_a_prefix_of_the_factorials():
+    from degderange.exactcore import FACTORIAL_CACHE_CAP, factorials
+
+    for n in (0, 1, 7, FACTORIAL_CACHE_CAP, FACTORIAL_CACHE_CAP + 3):
+        facts = factorials(n)
+        assert facts == [factorial(m) for m in range(n + 1)]
+        facts[0] = 5  # a new list: the cached table is unchanged
+        assert factorials(n)[0] == 1
+    with pytest.raises(ValueError):
+        factorials(-1)

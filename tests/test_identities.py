@@ -366,9 +366,9 @@ def test_grid_grows_each_memo_row_once(monkeypatch):
     grows = Counter()
     for i, memo in enumerate(memos):
 
-        def counted(key, row, n, grow=memo.grow, i=i):
+        def counted(key, n, grow=memo.grow, i=i):
             grows[i, key] += 1
-            return grow(key, row, n)
+            return grow(key, n)
 
         monkeypatch.setattr(memo, "rows", {})
         monkeypatch.setattr(memo, "grow", counted)

@@ -293,12 +293,12 @@ def order_refs(lam, x):
 
 @pytest.mark.parametrize("history", ["ascending", "bulk", "bulk_after_smaller"])
 def test_derange_order_row_matches_reference(history):
-    # Every r reads one terms row per (lam, x); its numerators are rescaled
-    # each time it grows, so the values are checked after three growth
-    # histories of a fresh row: one n at a time, one bulk call, and a bulk
+    # Every r reads one terms row per (lam, x), over n! s^n for a row built
+    # to n, so the values are checked after three read histories of a fresh
+    # row: one n at a time (a new row for each n), one bulk call, and a bulk
     # call after a smaller one.  The derangement row (r = 1) is read from the
-    # same terms row; when that has grown past it, its old numerators are
-    # rescaled, so it is read before and after the order-r reads grow it.
+    # same terms row and covers what it covers, so it is read before and
+    # after the order-r reads rebuild the terms row to a larger n.
     for lam in ORDER_LAMBDAS:
         for x in ORDER_XS:
             key = (_key(lam), _key(x))
@@ -350,10 +350,10 @@ WEIGHTED_XS = (*ORDER_XS, F(-1))
 
 @pytest.mark.parametrize("history", ["ascending", "bulk", "bulk_after_smaller"])
 def test_fubini_and_bell_rows_match_reference(history):
-    # The Fubini and Bell rows are grown on a weighted second-kind triangle
-    # and continue from its last row; the Fubini series continues from its
-    # last values by (1 + lam t) F' = (1 + y) F^2 - F.  So the values are
-    # checked after three growth histories of a fresh row: one n at a time,
+    # The Fubini and Bell rows are the row sums of a weighted second-kind
+    # triangle; the Fubini series steps its values by
+    # (1 + lam t) F' = (1 + y) F^2 - F.  The values are checked after three
+    # read histories of a fresh row: one n at a time (a new row for each n),
     # one bulk call, and a bulk call after a smaller one.  Every row is over
     # a divisor of (q v)^n at lam = p/q, x = u/v: the triangles are scaled by
     # (q v)^k, a scale on which the Bell steps are already integers.

@@ -2,9 +2,11 @@
 accessors.
 
 Every memoised sequence is a ``_Memo``: integer rows under int-pair keys,
-grown on demand under one lock, each growth publishing a new row.  These
-tests grow fresh memos with the library's own grow steps, from several
-threads and in several steps, and compare them with a serial build; they
+built on demand under one lock, each build publishing a new row in place of
+the old one.  These tests grow fresh memos with the library's own grow
+steps, from several threads and in several steps, and compare them with a
+serial build; they check that the library's batch reads build each row
+once; they
 check that a reader never pairs the numerators of one row with the
 denominator of another, that every spelling of a parameter reaches one memo
 entry and that keys hold ints only; then they check each row and column
@@ -15,6 +17,7 @@ import copy
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -105,7 +108,7 @@ def test_threads_growing_one_key_match_serial_build():
         serial = values(fresh(memo), key, max(targets))
         drop_lower_columns(memo, key)
         shared = fresh(memo)
-        shared.row(key, 1)  # the threads then extend one shared row
+        shared.row(key, 1)  # the threads then replace one shared row
         got = {}
         barrier = threading.Barrier(len(targets))
 
@@ -146,10 +149,11 @@ def test_growing_after_a_smaller_n_keeps_the_prefix():
 
 
 def test_readers_never_pair_new_numerators_with_an_old_denominator():
-    # At (-2/7, 3/4) the terms row's denominator is n! 28^n, so every growth
-    # widens it and rescales every numerator; the derangement row takes the
-    # terms row's denominator: the writers publish rows for n = 10 ... 40
-    # while the readers read n = 3 and n = 9 outside the lock.
+    # At (-2/7, 3/4) the terms row's denominator is n! 28^n, so every row
+    # built to a larger n has a wider denominator and other numerators; the
+    # derangement row takes the terms row's denominator: the writers publish
+    # rows for n = 10 ... 40 while the readers read n = 3 and n = 9 outside
+    # the lock.
     key = (LAM, X)
     for memo in (sequences._DERANGE, sequences._DERANGE_TERMS):
         serial = values(fresh(memo), key, 40)
@@ -214,6 +218,35 @@ def test_series_memos_grow_exactly_to_n():
     bell = fresh(sequences._BELL_SERIES)
     bell.row(((3, 7), (1, 1)), 96)
     assert len(bell.row(((3, 7), (1, 1)), 128)[0]) == 129
+
+
+def test_batch_reads_build_each_memo_row_once(monkeypatch):
+    """An order-r row and, under the cross-check, a Stirling column with its
+    series column read every value through rows built once, to their final
+    length: no key's row is rebuilt for a larger n."""
+    memos = [m for m in vars(sequences).values() if isinstance(m, _Memo)]
+    grows = Counter()
+    for i, memo in enumerate(memos):
+
+        def counted(key, n, grow=memo.grow, i=i):
+            grows[i, key] += 1
+            return grow(key, n)
+
+        monkeypatch.setattr(memo, "rows", {})
+        monkeypatch.setattr(memo, "grow", counted)
+
+    sequences.set_cross_check(True)
+    try:
+        for read in (
+            lambda: derange_order_row(64, 3, F(2, 7), F(3, 4)),
+            lambda: stirling2_column(40, 3, F(-1, 3)),
+            lambda: stirling1_column(40, 3, F(2, 7)),
+        ):
+            grows.clear()
+            read()
+            assert grows and set(grows.values()) == {1}
+    finally:
+        sequences.set_cross_check(False)
 
 
 def test_every_spelling_of_a_parameter_reaches_one_memo_entry():

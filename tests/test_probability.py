@@ -231,8 +231,8 @@ def test_theorem11_cross_check_reaches_the_series_path(monkeypatch):
         assert theorem11_check(4, F(1, 5)).passed
         real = sequences._DERANGE_ORDER_SERIES
 
-        def off_by_one(key, row, n):
-            nums, s = real.grow(key, row, n)
+        def off_by_one(key, n):
+            nums, s = real.grow(key, n)
             return nums[:-1] + [nums[-1] + s**n], s
 
         monkeypatch.setattr(probability, "_DERANGE_ORDER_SERIES", sequences._SeriesMemo(off_by_one))
