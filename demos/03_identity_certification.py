@@ -22,7 +22,7 @@ print()
 print("Polynomial certification: at fixed n both sides are polynomials of")
 print("degree <= n-1 in lam and <= n in x (bounds derived per identity), so")
 print("agreement on a grid with one more distinct point per variable is a proof.")
-print("Every n takes the first n+1 points of one nested sequence 0, h, -h, 2h, ...")
+print("Every n takes the first n+1 points of one nested sequence 0, 1, -1, 2, ...")
 for ident in (IdentityId.THM2_REC, IdentityId.THM5):
     certified = certify_range(ident, 12)
     print(f"  {ident.value}: certified for n={min(certified)}..12 -> {all(certified.values())}")

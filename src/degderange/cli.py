@@ -2,10 +2,11 @@
 moment checks, and sampling, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
-domain error.  Rationals are always emitted as "p/q" strings (never
-decimals); floats use shortest round-trip formatting.  The environment
-variable DEGDERANGE_OUT_DIR supplies a default directory for relative
---out paths.
+domain error, 141 (128 + SIGPIPE) stdout closed by its reader before the
+output was written, as by ``| head``.  Rationals are always emitted as
+"p/q" strings (never decimals); floats use shortest round-trip formatting.
+The environment variable DEGDERANGE_OUT_DIR supplies a default directory
+for relative --out paths.
 """
 
 from __future__ import annotations
@@ -318,10 +319,11 @@ def _cmd_gamma_check(args) -> int:
         if args.check == "thm11":
             _check_n_max(args.n_max)
             params["n_max"] = args.n_max
+            # top n first, so each memo row of lam is built once, to n_max
             batch = identities._pool_map(
-                probability.theorem11_check, range(args.n_max + 1), repeat(lam), jobs=jobs
+                probability.theorem11_check, range(args.n_max, -1, -1), repeat(lam), jobs=jobs
             )
-            for n, res in enumerate(batch):
+            for n, res in enumerate(reversed(batch)):
                 results.append(_result_dict(res, n=n))
         elif args.check == "gammafn":
             if args.k is None:
@@ -461,10 +463,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit writes nowhere instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

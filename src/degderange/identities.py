@@ -112,6 +112,13 @@ Per identity, with d(n) = max(n-1, 0):
 THM9_VS_SERIES has degree <= n in r as well (through
 binom(n-l+r-1, n-l)); ``certify`` fixes r = 1, so it certifies that
 identity at r = 1 only.
+
+Points.  The degree argument needs d + 1 distinct points per axis and
+nothing else of them, so ``certify_range`` uses the integers 0, 1, -1, 2,
+-2, ...  Any distinct points are sound because no point is a pole: every
+side is a polynomial in lam and x, and every grow step of the memo rows
+divides only by an index, exactly (``// m``, ``// k``, ``// f`` with
+f = L!), never by lam or x.
 """
 
 from __future__ import annotations
@@ -633,16 +640,18 @@ def certify(
 
 def certify_range(identity_id: IdentityId, n_max: int, mutate: bool = False) -> dict[int, bool]:
     """``certify`` at every n of the identity's range up to n_max, on nested
-    points: n uses the first n + 1 entries, on each referenced axis, of the
-    symmetric sequence 0, h, -h, 2h, -2h, ... with h = 1/(2(n_max + 2)).
+    integer points: n uses the first n + 1 entries, on each referenced axis,
+    of the symmetric sequence 0, 1, -1, 2, -2, ...
 
-    Every declared bound is <= n, so n + 1 points suffice.  The nested
-    points make the (lam, x) keys repeat across n, and the memo rows of a
-    key are built once.  Returns {n: certified} in ascending n.
+    Every declared bound is <= n, so n + 1 points suffice, and integers are
+    as good as any distinct points (no point is a pole; see the module
+    docstring).  Their memo keys have denominator 1, so no row carries a
+    power of a point's denominator.  The nested points make the (lam, x)
+    keys repeat across n, and the memo rows of a key are built once.
+    Returns {n: certified} in ascending n.
     """
     spec = _REGISTRY[identity_id]
-    h = Fraction(1, 2 * (n_max + 2))
-    points = [(i + 1) // 2 * (1 if i % 2 else -1) * h for i in range(n_max + 1)]
+    points = [Fraction((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(n_max + 1)]
     grids = {
         n: (points[: n + 1], points[: n + 1] if spec.uses_x else [None])
         for n in range(spec.min_n, n_max + 1)

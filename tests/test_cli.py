@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 import multiprocessing
 import os
 import re
@@ -361,6 +362,45 @@ def test_quadrature_failure_in_a_worker_exits_1(monkeypatch, capsys):
         "",
         "error: The integral is probably divergent, or slowly convergent. (partial estimate 0.5)\n",
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n-max", "4"], ["table", "derangement", "--n-max", "64", "--format", "csv"]]
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    """A reader that closes the pipe before the output is written (as
+    ``| head`` does) ends the command with 128 + SIGPIPE, not with the exit
+    code of a failed check, and with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            CMD + argv, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, "")
+
+
+def test_gamma_check_thm11_builds_each_memo_row_once(monkeypatch, capsys):
+    """Top n first: each (memo, key) row the moment checks read is built
+    once, to n_max, not again at every n."""
+    from degderange import cli, sequences
+
+    memos = {id(v): v for v in vars(sequences).values() if isinstance(v, sequences._Memo)}
+    grows = Counter()
+    for i, memo in enumerate(memos.values()):
+
+        def counted(key, n, grow=memo.grow, i=i):
+            grows[i, key] += 1
+            return grow(key, n)
+
+        monkeypatch.setattr(memo, "rows", {})
+        monkeypatch.setattr(memo, "grow", counted)
+
+    assert cli.main(["gamma-check", "thm11", "--lambda=1/5", "--n-max", "8"]) == 0
+    capsys.readouterr()
+    assert grows and set(grows.values()) == {1}
 
 
 # SHA-256 of stdout for every table selector in both formats, with the --x,

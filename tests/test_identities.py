@@ -291,8 +291,8 @@ def test_degree_check_catches_an_extra_lam_factor(ident):
 
 
 def _nested(n_max):
-    h = F(1, 2 * (n_max + 2))
-    return [F(0)] + [s * k * h for k in range(1, n_max + 1) for s in (1, -1)][:n_max]
+    """certify_range's points: 0, 1, -1, 2, -2, ..., n_max + 1 of them."""
+    return [F(0)] + [F(s * k) for k in range(1, n_max + 1) for s in (1, -1)][:n_max]
 
 
 def test_certify_needs_only_the_declared_points():
@@ -342,6 +342,8 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
         for n in range(spec.min_n, n_max + 1)
     )
     assert set(calls) == expected
+    points = {v for case in calls for v in (case.lam, case.x) if v is not None}
+    assert points == set(pts) == {0, 1, -1, 2, -2}
     # grouped by (identity, lam, x) key, each key once, in descending n
     runs = []
     for case in calls:
