@@ -41,6 +41,7 @@ from .sequences import (
     derange_deg_order_series,
     derange_deg_poly,
     derange_deg_series,
+    derange_poly_row,
     derange_order_row,
     derange_row,
     falling_deg,
@@ -87,6 +88,7 @@ __all__ = [
     "derange_row",
     "derange_deg_series",
     "derange_deg_poly",
+    "derange_poly_row",
     "derange_deg_order",
     "derange_deg_order_series",
     "derange_order_row",

@@ -47,6 +47,20 @@ constants are Python's float limits, so ``quad(f, a, epsabs, epsrel, limit)``
 returns scipy's (value, abserr, neval, ier) bit for bit;
 ``tests/test_quadpack.py`` checks this against the installed scipy.  The
 integrand must return a float.
+
+Each dqk15i call takes its 15 function values from a *rule*: ``rule(a, b)``
+returns the mapped integrand f((1 - t)/t)/t/t at ``nodes(a, b)``, in that
+order, as a list of floats.  An integrand may carry its own ``rule`` method
+for the lower limit 0, so that a family of integrands can share the work
+per node that its members have in common (``probability`` does so for its
+damped moment integrands); ``quad`` uses it when a = 0.  A plain callable,
+or any integrand at another lower limit, gets ``_point_rule``: one call
+f(a + (1 - t)/t) per node, divided by t twice, the per-node path dqk15i
+always had, so a scalar ``quad`` is unchanged.  Either way the Kronrod sums
+add the 15 floats one at a time in QUADPACK's order, so a rule that returns
+the very floats of the per-node calls leaves every value, error and neval
+unchanged, and scipy, which calls the integrand per node, still agrees bit
+for bit.
 """
 
 from __future__ import annotations
@@ -92,7 +106,9 @@ _WG15 = (
     0.417959183673469387755102040816327,
 )
 
-_K15_NODES = tuple(zip(_XGK15, _WGK15, _WG15))
+# per Kronrod node x: its weights wgk and wg, and the position in a rule's
+# list of the value at centr - hlgth*x (the value at centr + hlgth*x follows)
+_K15_PAIRS = tuple(zip(_WGK15, _WG15, range(1, 15, 2)))
 
 # scipy.integrate.quad's text for each ier
 _MESSAGES = {
@@ -121,35 +137,54 @@ def message(ier: int, limit: int) -> str:
     return _MESSAGES[ier].format(limit=limit)
 
 
-def _qk15i(f: Callable[[float], float], boun: float, a: float, b: float):
+def nodes(a: float, b: float) -> list[float]:
+    """The 15 abscissae of dqk15i on [a, b], in the order of its function
+    values: the centre, then centr - hlgth*x and centr + hlgth*x for each
+    Kronrod node x, outermost first."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    out = [centr]
+    for x in _XGK15:
+        absc = hlgth * x
+        out.append(centr - absc)
+        out.append(centr + absc)
+    return out
+
+
+def _point_rule(f: Callable[[float], float], boun: float) -> Callable[[float, float], list]:
+    """The rule of a plain integrand: f(boun + (1 - t)/t)/t^2 at each node t,
+    one call of f per node."""
+
+    def rule(a: float, b: float) -> list[float]:
+        return [(f(boun + (1.0 - t) / t) / t) / t for t in nodes(a, b)]
+
+    return rule
+
+
+def _qk15i(rule: Callable[[float, float], list], a: float, b: float):
     """dqk15i for inf = 1: the 15-point Kronrod rule on a sub-interval
-    [a, b] of (0, 1] of the integral of f(boun + (1 - t)/t)/t^2, with
-    QUADPACK's error estimate from |Kronrod - Gauss|.
+    [a, b] of (0, 1] of the mapped integrand, whose values at ``nodes(a, b)``
+    rule(a, b) gives, with QUADPACK's error estimate from |Kronrod - Gauss|.
 
     Returns (result, abserr, resabs, resasc): resabs and resasc are the
     integrals of |f| and of |f - mean| over [a, b]."""
-    centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = (f(boun + (1.0 - centr) / centr) / centr) / centr
+    fv = rule(a, b)
+    fc = fv[0]
     resg = _WG15[7] * fc
     resk = _WGK15[7] * fc
     resabs = abs(resk)
-    fv = []
-    for x, wk, wg in _K15_NODES:
-        absc = hlgth * x
-        absc1 = centr - absc
-        absc2 = centr + absc
-        fval1 = (f(boun + (1.0 - absc1) / absc1) / absc1) / absc1
-        fval2 = (f(boun + (1.0 - absc2) / absc2) / absc2) / absc2
-        fv.append((wk, fval1, fval2))
+    for wk, wg, j in _K15_PAIRS:
+        fval1 = fv[j]
+        fval2 = fv[j + 1]
         fsum = fval1 + fval2
         resg = resg + wg * fsum
         resk = resk + wk * fsum
         resabs = resabs + wk * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK15[7] * abs(fc - reskh)
-    for wk, fval1, fval2 in fv:
-        resasc = resasc + wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
+    for wk, _, j in _K15_PAIRS:
+        resasc = resasc + wk * (abs(fv[j] - reskh) + abs(fv[j + 1] - reskh))
     dhlgth = abs(hlgth)
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -304,11 +339,11 @@ class _Epsilon:
         return result, max(abserr, 5.0 * _EPMACH * abs(result))
 
 
-def _adapt(f: Callable[[float], float], boun: float, epsabs: float, epsrel: float, limit: int):
+def _adapt(rule: Callable[[float, float], list], epsabs: float, epsrel: float, limit: int):
     """The adaptive loop of dqagie: dqk15i on [0, 1] and on its bisections;
     returns (result, abserr, last, ier), ier already renumbered as QUADPACK
     returns it."""
-    result, abserr, defabs, resabs = _qk15i(f, boun, 0.0, 1.0)
+    result, abserr, defabs, resabs = _qk15i(rule, 0.0, 1.0)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     ier = 0
@@ -348,8 +383,8 @@ def _adapt(f: Callable[[float], float], boun: float, epsabs: float, epsrel: floa
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = _qk15i(f, boun, a1, b1)
-        area2, error2, _, defab2 = _qk15i(f, boun, a2, b2)
+        area1, error1, _, defab1 = _qk15i(rule, a1, b1)
+        area2, error2, _, defab2 = _qk15i(rule, a2, b2)
 
         area12 = area1 + area2
         erro12 = error1 + error2
@@ -491,6 +526,10 @@ def quad(f: Callable[[float], float], a: float, epsabs: float, epsrel: float, li
     math.inf, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=True)``
     computes it, with dqagie.
 
+    f is called per node, unless a = 0 and f has a ``rule(a, b)`` method,
+    which then gives the 15 mapped values of each rule call (see the module
+    docstring).
+
     Returns (value, abserr, neval, ier); ier 1 to 5 means not converged, and
     ``message(ier, limit)`` explains it.  Invalid input (scipy's ier 6)
     raises ValueError with scipy's text."""
@@ -500,5 +539,6 @@ def quad(f: Callable[[float], float], a: float, epsabs: float, epsrel: float, li
         raise ValueError(
             "If 'epsabs'<=0, 'epsrel' must be greater than both 5e-29 and 50*(machine epsilon)."
         )
-    value, abserr, last, ier = _adapt(f, a, epsabs, epsrel, limit)
+    rule = getattr(f, "rule", None) if a == 0.0 else None
+    value, abserr, last, ier = _adapt(rule or _point_rule(f, a), epsabs, epsrel, limit)
     return value, abserr, 30 * last - 15, ier

@@ -153,9 +153,8 @@ def _table(args) -> tuple[dict, list]:
     _check_n_max(n_max)
     sel = args.sequence
     params = {"sequence": sel, "lambda": str(lam), "n_max": n_max}
-    ns = range(n_max + 1)
     if sel == "derangement-poly":
-        return params, [sequences.derange_deg_poly(n, lam) for n in ns]
+        return params, sequences.derange_poly_row(n_max, lam)
     if sel in ("stirling1", "stirling2"):
         if args.m is None:
             raise CliError(f"{sel} needs --m (fixed second index)")

@@ -8,6 +8,29 @@ Integrands containing powers of the deformed exponential are integrated after
 the change of variables u = (1/lam)*log(1 + lam*x), which maps them to
 exponentially damped integrands on [0, inf).
 
+The damped integrands of one lam share their node transforms.  Those of
+``theorem11_check``, ``moment_ratio_expectation`` and
+``deg_gamma_fn_quadrature`` differ only in their own factor, and the
+adaptive bisection visits mostly the same Kronrod intervals for each of
+them: thm11 at one lam, n = 0..8, makes 121 rule calls on 21 intervals.
+So each :class:`_Damped` integrand gives ``_quadpack.quad`` a batch
+``rule(a, b)`` that reads the interval's per-node transforms (x, 1 + lam*x,
+(1 + lam*x)^(-1/lam), e^(lam*u), log1p(lam*x)/lam), computed once per
+process and kept in ``_family(lam)``, an LRU cache of four lam values, then
+applies the member's own step.  The cache lives at module level because the
+CLI runs each n of ``gamma-check thm11`` as its own call; each interval's
+transform is published whole and never changed, so a warm and a cold cache,
+and each pool worker's own, give the same floats.  Every value is the float
+the per-node integrand gives, each operation in the same order, so value,
+abserr and neval are unchanged and scipy, handed the same integrand (it is
+callable per node), agrees bit for bit.
+
+That agreement also rests on the Kronrod sums: ``_quadpack`` adds the 15
+values one at a time, in QUADPACK's order.  Never form such a sum with
+``sum()`` or ``math.fsum``: both round differently from Fortran's loop, and
+float ``sum`` itself changed in Python 3.12 to a compensated sum, so the
+same code would give other bits on 3.10 and 3.11 than on 3.12.
+
 The normaliser of the degenerate gamma density is computed once per
 :class:`DegGammaParams` (its ``norm`` property), not once per density
 evaluation: an outer quadrature over the density then costs one inner
@@ -48,11 +71,11 @@ from .sequences import (
     _DERANGE,
     _DERANGE_ORDER_SERIES,
     _FALLING,
+    _S1,
     _dual,
     _key,
     derange_deg_order,
     falling_deg,
-    stirling1_column,
 )
 
 if TYPE_CHECKING:
@@ -173,27 +196,79 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
     return value
 
 
-def _exp_damped(g: Callable[[float], float], lam: float) -> Callable[[float], float]:
-    """Transform integrand g(x) on [0, inf) by x = (e^(lam*u) - 1)/lam.
+def _node(lam: float, u: float, t: float):
+    """What every damped member reads at u, the node t of the map u = (1 - t)/t:
+    (t, x, 1 + lam*x, (1 + lam*x)^(-1/lam), e^(lam*u), log1p(lam*x)/lam) with
+    x = (e^(lam*u) - 1)/lam, or None where lam*u > 700 and every member is
+    clamped to zero."""
+    lu = lam * u
+    if lu > 700.0:
+        return None
+    x = math.expm1(lu) / lam
+    lx = lam * x
+    onep = 1 + lx
+    return t, x, onep, onep ** (-1 / lam), math.exp(lu), math.log1p(lx) / lam
 
-    Returns the u-space integrand g(x(u)) * dx/du, exponentially damped
-    whenever g carries a power of the deformed exponential.  Far in the tail
-    the damped value underflows to zero while intermediate powers of x(u)
-    overflow; those evaluations are clamped to zero (valid on the convergent
-    windows enforced by the callers).
-    """
 
-    def integrand(u: float) -> float:
-        if lam * u > 700.0:
+def _transform(lam: float, a: float, b: float) -> tuple:
+    """The nodes of one Kronrod interval [a, b] at lam, in the order of
+    ``_quadpack.nodes(a, b)``, and whether none of them is clamped."""
+    nodes = tuple(_node(lam, (1.0 - t) / t, t) for t in _quadpack.nodes(a, b))
+    return nodes, None not in nodes
+
+
+@lru_cache(maxsize=4)
+def _family(lam: float) -> dict:
+    """The interval transforms of one lam, keyed by (a, b): each published
+    whole, once, and never changed."""
+    return {}
+
+
+class _Damped:
+    """A u-space integrand g(x(u)) * dx/du of x = (e^(lam*u) - 1)/lam on
+    [0, inf), exponentially damped whenever g carries a power of the deformed
+    exponential.  ``values(nodes)`` is the member's own step: for each node
+    (t, x, onep, power, jac, log) of ``_node``, g(x) * jac / t / t, each
+    operation in the order of the per-node expression.
+
+    Far in the tail the damped value underflows to zero while intermediate
+    powers of x(u) overflow: a node with lam*u > 700 is zero, and so is a
+    node whose step raises OverflowError (valid on the convergent windows
+    enforced by the callers).  Calling the integrand evaluates one u at
+    t = 1, where both divisions are exact; ``rule(a, b)`` gives
+    ``_quadpack.quad`` the 15 mapped values of a Kronrod interval from the
+    interval's cached transform."""
+
+    __slots__ = ("lam", "values", "intervals")
+
+    def __init__(self, lam: float, values: Callable[[tuple], list]):
+        self.lam = lam
+        self.values = values
+        self.intervals = _family(lam)
+
+    def __call__(self, u: float) -> float:
+        return self._value(_node(self.lam, u, 1.0))
+
+    def _value(self, node) -> float:
+        if node is None:
             return 0.0
-        jac = math.exp(lam * u)
-        x = math.expm1(lam * u) / lam
         try:
-            return g(x) * jac
+            return self.values((node,))[0]
         except OverflowError:
             return 0.0
 
-    return integrand
+    def rule(self, a: float, b: float) -> list[float]:
+        entry = self.intervals.get((a, b))
+        if entry is None:
+            entry = self.intervals.setdefault((a, b), _transform(self.lam, a, b))
+        nodes, live = entry
+        if live:
+            try:
+                return self.values(nodes)
+            except OverflowError:
+                pass
+        # zero the clamped and overflowing nodes only
+        return [self._value(node) for node in nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +301,13 @@ def deg_gamma_fn_quadrature(s: float, lam: float, spec: QuadratureSpec | None = 
     if not 0 < s < 1 / lam:
         raise ValueError(f"s must lie in (0, 1/lam), got {s}")
 
-    def g(x: float) -> float:
-        return x ** (s - 1) * (1 + lam * x) ** (-1 / lam) if x > 0 else 0.0
+    e = s - 1
 
-    return improper_quadrature(_exp_damped(g, lam), spec)
+    def values(nodes):
+        return [(x**e * power if x > 0 else 0.0) * jac / t / t
+                for t, x, onep, power, jac, log in nodes]
+
+    return improper_quadrature(_Damped(lam, values), spec)
 
 
 def deg_gamma_pdf(params: DegGammaParams, x: float) -> float:
@@ -280,13 +358,13 @@ def theorem11_check(
             f"exact layer inconsistency at n={n}, lam={lam}: {target} != {consistency}"
         )
     lamf = float(lam)
+    c0 = 1 - lamf
 
-    def g(x: float) -> float:
-        logpart = math.log1p(lamf * x) / lamf
-        dens = (1 - lamf) * (1 + lamf * x) ** (-1 / lamf)
-        return logpart**n / (1 + lamf * x) * dens
+    def values(nodes):
+        return [log**n / onep * (c0 * power) * jac / t / t
+                for t, x, onep, power, jac, log in nodes]
 
-    numeric = improper_quadrature(_exp_damped(g, lamf), spec)
+    numeric = improper_quadrature(_Damped(lamf, values), spec)
     return _compare(numeric, target, tol)
 
 
@@ -300,11 +378,13 @@ def moment_ratio_expectation(m: int, lam: float, spec: QuadratureSpec | None = N
     if m >= 1 / lam:
         raise ValueError(f"E[X^{m}/(1+lam X)] diverges for m >= 1/lam = {1 / lam}")
 
-    def g(x: float) -> float:
-        dens = (1 - lam) * (1 + lam * x) ** (-1 / lam)
-        return x**m / (1 + lam * x) * dens
+    c0 = 1 - lam
 
-    return improper_quadrature(_exp_damped(g, lam), spec)
+    def values(nodes):
+        return [x**m / onep * (c0 * power) * jac / t / t
+                for t, x, onep, power, jac, log in nodes]
+
+    return improper_quadrature(_Damped(lam, values), spec)
 
 
 @lru_cache(maxsize=256)
@@ -349,10 +429,13 @@ def stirling_log_expansion_check(
     prev_abs = math.inf
     growing = 0
     truncated_by_window = m_limit < m_cap
-    s1 = stirling1_column(m_limit, n, 0)  # s(m, n) for m = 0..m_limit
+    # s(m, n) from the shared lam = 0 triangle: row m is (ints, 1)
+    s1 = _S1.row((0, 1), m_limit)[0]
+    p, q = lam.numerator, lam.denominator
     for m in range(n, m_limit + 1):
-        coef = Fraction(factorial(n)) / lam**n * s1[m] * lam**m / factorial(m)
-        term = float(coef) * _moment_ratio(m, lamf, spec)
+        # n! s(m, n) lam^(m-n) / m! as one correctly rounded int / int
+        coef = factorial(n) * s1[m][0][n] * p ** (m - n) / (q ** (m - n) * factorial(m))
+        term = coef * _moment_ratio(m, lamf, spec)
         partial += term
         err = abs(partial - tf)
         if err < best_err:

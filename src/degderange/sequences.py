@@ -348,9 +348,9 @@ def derange_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction
     return _DERANGE_ORDER_SERIES.value((_key(lam), _key(x), 1), n)
 
 
-def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
-    """The degree-<=n derangement polynomial in x, built from the convolution
-    with derangement numbers and falling-factorial polynomials."""
+def _derange_polys(n: int, lam: ExactScalar, ks) -> list[Poly]:
+    """The derangement polynomials of degree <= k for each k in ks, all
+    k <= n, over one build of the falling-factorial polynomials to n."""
     _check_index(n)
     lam = _key(lam)
     p, q = lam
@@ -360,14 +360,29 @@ def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
     for k in range(n):
         prev = falls[-1]
         falls.append([q * a - k * p * b for a, b in zip([0] + prev, prev + [0])])
-    # weights binom(n, l) D(l) / q^(n-l), over the denominator of D times q^n
     nums, den = _DERANGE.ints((lam, (0, 1)), n)
-    acc = [0] * (n + 1)
-    for l, (d, fall) in enumerate(zip(nums, reversed(falls))):
-        w = comb(n, l) * d * q**l
-        for j, c in enumerate(fall):
-            acc[j] += w * c
-    return Poly(as_fractions(acc, den * q**n))
+    polys = []
+    for k in ks:
+        # weights binom(k, l) D(l) / q^(k-l), over the denominator of D times q^k
+        acc = [0] * (k + 1)
+        for l, (d, fall) in enumerate(zip(nums, reversed(falls[: k + 1]))):
+            w = comb(k, l) * d * q**l
+            for j, c in enumerate(fall):
+                acc[j] += w * c
+        polys.append(Poly(as_fractions(acc, den * q**k)))
+    return polys
+
+
+def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
+    """The degree-<=n derangement polynomial in x, built from the convolution
+    with derangement numbers and falling-factorial polynomials."""
+    return _derange_polys(n, lam, [n])[0]
+
+
+def derange_poly_row(n: int, lam: ExactScalar) -> list[Poly]:
+    """[derange_deg_poly(k, lam) for k = 0..n], as a new list: the
+    falling-factorial polynomials are built once, to n, not once per k."""
+    return _derange_polys(n, lam, range(n + 1))
 
 
 def _grow_order_weights(r, n):

@@ -27,7 +27,7 @@ from degderange.probability import (
     stirling_log_expansion_check,
     theorem11_check,
 )
-from degderange.sequences import derange_deg
+from degderange.sequences import derange_deg, stirling1_column
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,113 @@ def test_quadrature_failure_carries_partial():
         improper_quadrature(lambda x: math.sin(x) if x < 1e6 else 0.0,
                             QuadratureSpec(max_subdivisions=10))
     assert hasattr(info.value, "partial_estimate")
+
+
+# ---------------------------------------------------------------------------
+# damped integrands: one cached transform per (lam, Kronrod interval)
+
+
+@pytest.fixture
+def fresh_family():
+    probability._family.cache_clear()
+    yield
+    probability._family.cache_clear()
+
+
+def _damped_members(monkeypatch, lam):
+    """The damped integrands the moment checks hand to the quadrature at lam:
+    thm11 for n = 0..8, E[X^m/(1+mu X)] at mu = lam/16 for m = 0..40, and
+    the gamma function at s = 1.5 and 2."""
+    members = []
+
+    def capture(f, spec=None):
+        members.append(f)
+        return 1.0
+
+    monkeypatch.setattr(probability, "improper_quadrature", capture)
+    for n in range(9):
+        theorem11_check(n, lam)
+    for m in range(41):
+        moment_ratio_expectation(m, lam / 16)
+    for s in (1.5, 2):
+        deg_gamma_fn_quadrature(s, lam)
+    monkeypatch.undo()
+    assert len(members) == 9 + 41 + 2
+    return members
+
+
+# [0, 1], a few inner intervals, and dyadic ones towards t = 0 (u -> inf),
+# where lam*u > 700 clamps nodes and x**m overflows at some nodes
+_INTERVALS = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)] + [
+    iv for k in range(1, 25) for iv in ((0.0, 2.0**-k), (2.0**-k, 2.0 ** (1 - k)))
+]
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.2, 0.36])
+def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_family):
+    # the batch rule, cold and then warm, gives the bits of the per-node
+    # path that scipy takes, on every interval, at every member
+    for f in _damped_members(monkeypatch, lam):
+        point_rule = _quadpack._point_rule(f, 0.0)
+        for a, b in _INTERVALS:
+            expected = _bits(point_rule(a, b))
+            assert _bits(f.rule(a, b)) == expected, (a, b)
+            assert _bits(f.rule(a, b)) == expected, (a, b)
+    # the sweep reaches the clamp and the overflow: some interval has a
+    # clamped node, and at m = 40 some interval has a node where x**40
+    # overflows beside one with a nonzero value
+    mu = lam / 16
+    assert any(not probability._transform(lam, a, b)[1] for a, b in _INTERVALS)
+    assert any(not probability._transform(mu, a, b)[1] for a, b in _INTERVALS)
+
+    def overflows(node):
+        try:
+            node[1] ** 40
+        except OverflowError:
+            return True
+        return False
+
+    top = _damped_members(monkeypatch, lam)[9 + 40]
+    mixed = 0
+    for a, b in _INTERVALS:
+        nodes, _ = probability._transform(mu, a, b)
+        values = top.rule(a, b)
+        over = [node is not None and overflows(node) for node in nodes]
+        mixed += any(over) and any(v != 0.0 for v, o in zip(values, over) if not o)
+        assert all(v == 0.0 for v, o in zip(values, over) if o)
+    assert mixed
+
+
+def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_family):
+    transforms, rules = [], []
+    transform, rule = probability._transform, probability._Damped.rule
+
+    def counted_transform(lam, a, b):
+        transforms.append((lam, a, b))
+        return transform(lam, a, b)
+
+    def counted_rule(self, a, b):
+        rules.append((a, b))
+        return rule(self, a, b)
+
+    monkeypatch.setattr(probability, "_transform", counted_transform)
+    monkeypatch.setattr(probability._Damped, "rule", counted_rule)
+    for n in range(9):
+        assert theorem11_check(n, F(1, 4)).passed
+    assert len(rules) == 121
+    assert len(transforms) == len(set(transforms)) == len(set(rules)) == 21
+
+
+def test_node_cache_is_bounded(fresh_family):
+    bound = probability._family.cache_info().maxsize
+    assert 1 <= bound <= 8
+    for k in range(bound + 3):
+        deg_gamma_fn_quadrature(2, 0.1 + 0.01 * k)
+        assert probability._family.cache_info().currsize == min(k + 1, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +405,28 @@ def test_expansion_runs_one_quadrature_per_m(monkeypatch, capsys):
     # n = 0 converges at m = 0, n = 1 at m = 4 and n = 2 at m = 6
     assert requested == [0, 1, 2, 3, 4, 2, 3, 4, 5, 6]
     assert len(quads) == len(set(requested)) == 7
+
+
+def test_expansion_coefficients_are_correctly_rounded(monkeypatch):
+    # each coefficient n! s(m, n) lam^(m-n) / m! is the float nearest the
+    # exact rational, with s(m, n) from the Fraction column as reference
+    coefs = []
+
+    class Recorder(float):  # E[...] = 0.0, so every m up to the window runs
+        def __rmul__(self, coef):
+            coefs.append(coef)
+            return 0.0
+
+    monkeypatch.setattr(probability, "_moment_ratio", lambda m, lam, spec: Recorder())
+    for lam in [F(k, d) for d in range(40, 400, 7) for k in (1, 3)]:
+        m_limit = min(40, math.ceil(1 / float(lam)) - 1)
+        for n in range(4):
+            coefs.clear()
+            stirling_log_expansion_check(n, 40, lam)
+            s = stirling1_column(m_limit, n, 0)
+            expected = [float(factorial(n) * s[m] * lam ** (m - n) / factorial(m))
+                        for m in range(n, m_limit + 1)]
+            assert [c.hex() for c in coefs] == [c.hex() for c in expected], (lam, n)
 
 
 def test_expansion_inconclusive_at_large_lam():

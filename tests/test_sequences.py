@@ -16,6 +16,7 @@ from degderange.sequences import (
     derange_deg_order_series,
     derange_deg_poly,
     derange_deg_series,
+    derange_poly_row,
     derange_row,
     falling_deg,
     fubini_deg,
@@ -119,6 +120,7 @@ def test_derange_poly_classical_oracle():
 
 @pytest.mark.parametrize("lam", LAM_GRID)
 def test_derange_poly_matches_values(lam):
+    assert derange_poly_row(6, lam) == [derange_deg_poly(n, lam) for n in range(7)]
     for n in range(7):
         p = derange_deg_poly(n, lam)
         assert p.degree <= n
