@@ -2,9 +2,11 @@
 moment checks, and sampling, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
-domain error, 141 (128 + SIGPIPE) stdout closed by its reader before the
-output was written, as by ``| head``.  Rationals are always emitted as
-"p/q" strings (never decimals); floats use shortest round-trip formatting.
+domain error (a negative ``sample --seed`` among them, which numpy would
+reject with a traceback), 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was written, as by ``| head``.  Rationals are always
+emitted as "p/q" strings (never decimals); floats use shortest round-trip
+formatting.
 The environment variable DEGDERANGE_OUT_DIR supplies a default directory
 for relative --out paths.
 """
@@ -371,6 +373,8 @@ def _cmd_sample(args) -> int:
         raise CliError(f"--lambda must lie in (0, 1), got {lam}")
     if args.count < 0:
         raise CliError("--count must be >= 0")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     samples = probability.sample_deg_gamma11(float(lam), args.seed, args.count)
     params = {
         "lambda": str(lam),

@@ -17,6 +17,10 @@ cross-multiplication, with no gcd, and a caller that needs the value builds
 one ``Fraction`` from the pair.  ``binomial_conv`` reads its weights from a
 row of binomial coefficients per n, kept for n up to
 ``FACTORIAL_CACHE_CAP``.
+
+Pascal's rule has one home, ``pascal_step``: the cached binomial rows are
+grown by it, and so are the rows that the sequence module's series grow
+steps roll along, one step per k, in place of a ``math.comb`` call per term.
 """
 
 from __future__ import annotations
@@ -90,15 +94,20 @@ def binomial_conv(a: IntRow, b: IntRow, n: int) -> IntPair:
     return sum(map(mul, weights, nb[n::-1])), da * db
 
 
+def pascal_step(top: list[int]) -> list[int]:
+    """Row k + 1 of Pascal's triangle from row k, top: binom(k+1, l) =
+    binom(k, l-1) + binom(k, l), as a new list."""
+    return [1, *map(add, top, top[1:]), 1]
+
+
 def _binomial_row(n: int) -> list[int]:
     """[binom(n, l) for l = 0..n]; rows up to FACTORIAL_CACHE_CAP are grown
-    once, by Pascal's rule, and kept."""
+    once, by ``pascal_step``, and kept."""
     if n <= FACTORIAL_CACHE_CAP:
         if n >= len(_comb_rows):
             with _table_lock:
                 while len(_comb_rows) <= n:
-                    top = _comb_rows[-1]
-                    _comb_rows.append([1, *map(add, top, top[1:]), 1])
+                    _comb_rows.append(pascal_step(_comb_rows[-1]))
         return _comb_rows[n]
     return list(map(math.comb, repeat(n), range(n + 1)))
 

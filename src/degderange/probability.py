@@ -497,10 +497,18 @@ def deg_gamma11_ppf(lam: float, u):
     return out if out.ndim else float(out)
 
 
+def _check_seed(rng_seed: int) -> None:
+    # numpy's generators reject a negative seed deep inside their seeding
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
+
+
 def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> np.ndarray:
-    """Inverse-CDF sampler: X = ((1-U)^(lam/(lam-1)) - 1)/lam, U uniform(0,1)."""
+    """Inverse-CDF sampler: X = ((1-U)^(lam/(lam-1)) - 1)/lam, U uniform(0,1).
+    Requires count >= 0 and rng_seed >= 0."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    _check_seed(rng_seed)
     import numpy as np
 
     rng = np.random.default_rng(rng_seed)
@@ -515,17 +523,18 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
     The statistic is D = max(D+, D-) over the sorted samples, D+ = max(i/n -
     F(x_i)) and D- = max(F(x_i) - (i-1)/n), computed as ``scipy.stats.kstest``
     computes it; the critical value is ``kstwo.ppf(1 - level, count)`` by the
-    port in ``_ks``, equal to scipy's bit for bit.  Requires count >= 1 and
-    0 < level < 1.
+    port in ``_ks``, equal to scipy's bit for bit.  Requires count >= 1,
+    rng_seed >= 0 and 0 < level < 1.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    _check_seed(rng_seed)
+    if not 0 < level < 1:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
     import numpy as np
 
     from . import _ks
 
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not 0 < level < 1:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
     cdf = deg_gamma11_cdf(lam, np.sort(sample_deg_gamma11(lam, rng_seed, count)))
     d_plus = (np.arange(1.0, count + 1) / count - cdf).max()
     d_minus = (cdf - np.arange(0.0, count) / count).max()

@@ -71,6 +71,12 @@ the values of F itself:
                        lam = 0, G = exp(x(e^t-1)) and the same sum is
                        G' = h' G
 
+The binomials binom(k, j) of the Fubini, Bell and series-triangle steps
+come from row k of Pascal's triangle, which each grow step keeps and
+advances once per k through the kernel's ``pascal_step``: no step calls
+``comb`` per term, and the rows are rolled, one held at a time, not cached.
+(The order-r step's sum has at most r terms, with binom(r, i) taken once.)
+
 Each step runs on integers, the values scaled by powers of one fixed
 integer with at most one exact division (Fubini's with none).  Each builds
 its weights itself from lam and x, reading no memo but its own.  So a series
@@ -109,11 +115,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from math import comb, perm
-from operator import mul
+from operator import add, mul
 
-from .exactcore import ExactScalar, IntPair, Poly, as_fractions, factorial
+from .exactcore import ExactScalar, IntPair, Poly, as_fractions, factorial, pascal_step
 
 _lock = threading.RLock()
 
@@ -219,16 +225,6 @@ def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> li
     for j in range(2, n + 1):
         out.append(out[-1] * (a - (j - 1) * b) * c)
     return out[: n + 1]
-
-
-def _grow_online(n: int, s: int, step, first: int = 1) -> tuple[list[int], int]:
-    """A series row (nums, s) of entries 0..n, entry 0 being first.  Entry k
-    is N_k / s^k, and step(k, nums) gives the integer N_k from
-    nums = [N_0, ..., N_{k-1}]."""
-    nums = [first]
-    for k in range(1, n + 1):
-        nums.append(step(k, nums))
-    return nums, s
 
 
 def _check_index(n: int) -> None:
@@ -444,11 +440,10 @@ def _grow_derange_order_series(key, n):
     s = q * v
     e = _products((u - v) * q, p * v, n)
     w = [(-1) ** i * comb(r, i) * s**i for i in range(min(r, n) + 1)]
-
-    def step(k, nums):
-        return e[k] - sum(w[i] * perm(k, i) * nums[k - i] for i in range(1, min(r, k) + 1))
-
-    return _grow_online(n, s, step)
+    nums = [1]
+    for k in range(1, n + 1):
+        nums.append(e[k] - sum(w[i] * perm(k, i) * nums[k - i] for i in range(1, min(r, k) + 1)))
+    return nums, s
 
 
 _DERANGE_ORDER_SERIES = _SeriesMemo(_grow_derange_order_series)
@@ -473,10 +468,7 @@ def _triangle_step(top: list[int], leads, a: int, b: int, width: int | None = No
     multiplies T(k-1, -1) = 0).  With a width, only the entries m < width are
     kept: no entry reads one to its right."""
     ups = top + [0] if width is None or len(top) < width else top
-    return [
-        lead * left + (m * a - b) * up
-        for m, (lead, left, up) in enumerate(zip(leads, [0] + top, ups))
-    ]
+    return list(map(add, map(mul, leads, [0] + top), map(mul, count(-b, a), ups)))
 
 
 def _stirling_steps(second_kind: bool, lam, n: int, width=None):
@@ -580,15 +572,17 @@ def _grow_series_column(second_kind: bool, key, n):
     lam, m = key
     p, q = lam
     if m == 0:
-        return _grow_online(n, q, lambda k, nums: 0)
+        return [1] + [0] * n, q
     big = _products(q, p, n) if second_kind else _products(p, q, n, lead=q)
     memo = _S2_SERIES if second_kind else _S1_SERIES
     prev = memo.row((lam, m - 1), n - 1)[0]
-
-    def step(k, nums):
-        return sum(comb(k, j) * big[j] * prev[k - j] for j in range(1, k - m + 2)) // m
-
-    return _grow_online(n, q, step, 0)
+    nums, binom = [0], [1]
+    for k in range(1, n + 1):
+        binom = pascal_step(binom)
+        top = k - m + 2  # the sum runs over j < top
+        terms = map(mul, map(mul, binom[1:top], big[1:top]), reversed(prev[m - 1 : k]))
+        nums.append(sum(terms) // m)
+    return nums, q
 
 
 _S2_SERIES = _SeriesMemo(partial(_grow_series_column, True))
@@ -685,15 +679,15 @@ def _grow_fubini_series(key, n):
     and the middle term once."""
     (p, q), (u, v) = key
     c = q * (u + v)
-
-    def step(k, nums):
-        k -= 1  # N_{k+1} from N_0..N_k
-        tot = 2 * sum(comb(k, j) * nums[j] * nums[k - j] for j in range((k + 1) // 2))
+    nums, binom = [1], [1]
+    for k in range(n):  # N_{k+1} from N_0..N_k and binom, row k
+        h = (k + 1) // 2
+        tot = 2 * sum(map(mul, map(mul, binom[:h], nums[:h]), nums[k : k - h : -1]))
         if k % 2 == 0:
-            tot += comb(k, k // 2) * nums[k // 2] ** 2
-        return c * tot - v * (q + p * k) * nums[k]
-
-    return _grow_online(n, q * v, step)
+            tot += binom[h] * nums[h] ** 2
+        nums.append(c * tot - v * (q + p * k) * nums[k])
+        binom = pascal_step(binom)
+    return nums, q * v
 
 
 _FUBINI_SERIES = _SeriesMemo(_grow_fubini_series)
@@ -737,12 +731,13 @@ def _grow_bell_series(key, n):
     an exact division by k."""
     (p, q), (u, v) = key
     c = _products(q, p, n, c=q * v)  # q^j falling(1, j, lam) (q v)^(j-1)
-
-    def step(k, nums):
-        tot = sum(comb(k, j) * ((q + p) * j - p * k) * c[j] * nums[k - j] for j in range(1, k + 1))
-        return u * tot // k
-
-    return _grow_online(n, q * q * v, step)
+    nums, binom = [1], [1]
+    for k in range(1, n + 1):
+        binom = pascal_step(binom)
+        lin = count(q - p * (k - 1), q + p)  # (q+p) j - p k for j = 1, 2, ...
+        terms = map(mul, map(mul, map(mul, binom[1:], lin), c[1 : k + 1]), reversed(nums))
+        nums.append(u * sum(terms) // k)
+    return nums, q * q * v
 
 
 _BELL_SERIES = _SeriesMemo(_grow_bell_series)

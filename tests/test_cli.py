@@ -228,6 +228,12 @@ def test_sample_domain():
     assert out.returncode == 2
 
 
+def test_sample_negative_seed_is_config_error():
+    # exit 2 with one error line, not numpy's traceback and exit 1
+    out = run_cli("sample", "--lambda", "1/4", "--seed", "-1", "--count", "3")
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: --seed must be >= 0\n")
+
+
 def test_out_file_and_env_dir(tmp_path):
     target = tmp_path / "t.json"
     out = run_cli(
@@ -534,6 +540,24 @@ TABLE_DIGESTS = [
      "b1b6503bda62c9c1f1a749e9b5180954424a60604324751753a220611ce4cf0b"),
     ("stirling2 --lambda 0 --m 300 --n-max 256 --format csv",
      "bd523c17712789f5e897295ec7087e26c9389fe68f22476b7325cbdccc84464a"),
+    # n = 256 at a nonzero lambda: the same commands and digests as the
+    # benchmark's high-order tables
+    ("fubini --lambda=2/7 --n-max 256",
+     "3e18b8c76219d86575f7cf1e12f9f6d4d433725e922371b35d64d2ec44a196aa"),
+    ("bell --lambda=2/7 --n-max 256",
+     "914c3187d81c2052a4d74fffd3c4b67cbc38ec3a2f821998ce2a7a0fecff3c36"),
+    ("stirling1 --lambda=2/7 --n-max 256 --m 3",
+     "1cccb3a8cc088fc56aa997bfb7ee6d12afa79a6594a035ec27510bd63c534ae8"),
+    ("stirling2 --lambda=2/7 --n-max 256 --m 3",
+     "e3efc97bb12a24d9028f56aa6b0d03e904b03ec73e0457fa6f24a2f0261e685a"),
+    ("fubini --lambda=-1/3 --n-max 256",
+     "ac5c4535a0ee4298a6d5bb945f140d88d55af354ee02b15967f7ea2e2eca97ca"),
+    ("bell --lambda=-1/3 --n-max 256",
+     "f387aef897c26d32272be6aa9aa686570cb38a363d6aea32fcc1bcf888f1d2c7"),
+    ("stirling1 --lambda=-1/3 --n-max 256 --m 3",
+     "1b94144d7e656d7e2c0a1ec0f3a746171d018c509c03d5bac71089289ad4540a"),
+    ("stirling2 --lambda=-1/3 --n-max 256 --m 3",
+     "c69ebc824bbe281c398402e58634b4082144a0a64fdf8f0c203702e58a99be70"),
 ]
 
 

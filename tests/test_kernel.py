@@ -17,6 +17,7 @@ reference values.
 """
 
 import functools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,7 @@ from degderange.exactcore import (
     binomial_conv,
     dot,
     factorial,
+    pascal_step,
 )
 from degderange.identities import verify_grid
 from degderange.sequences import (
@@ -209,6 +211,16 @@ def test_binomial_conv_at_the_ends_of_the_binomial_row_cache(n):
     b = [F(l % 11 - 5, 3) for l in range(n + 1)]
     _check_dot_and_binomial_conv(a, b, 2, 3, [F(1, 2)])
     assert len(exactcore._comb_rows) <= FACTORIAL_CACHE_CAP + 1
+
+
+def test_pascal_step_rows_match_math_comb():
+    # past the cap as well, where the series grow steps roll rows that no
+    # cache holds
+    row = [1]
+    for k in range(301):
+        assert row == [math.comb(k, l) for l in range(k + 1)], k
+        assert exactcore._binomial_row(k) == row
+        row = pascal_step(row)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +486,29 @@ def test_fubini_and_order_r_series_match_reference_division(lam, x, n, r):
     assert [derange_deg_series(k, lam, x) for k in range(n + 1)] == exponential(
         ref_div(numer, [F(1), F(-1)] + [F(0)] * n, n)
     )
+
+
+@pytest.mark.parametrize("lam", [F(2, 7), F(-1, 3)])
+def test_series_grow_steps_call_no_comb_per_term(monkeypatch, lam):
+    """The Fubini, Bell and both series-triangle steps roll one binomial row
+    per k through the kernel's Pascal step: with ``comb`` failing, fresh
+    memos still build to n = 40, equal to the explicit rows."""
+
+    def no_comb(*args):
+        raise AssertionError(f"comb{args} called in a series grow step")
+
+    monkeypatch.setattr(sequences, "comb", no_comb)
+    for memo in (sequences._FUBINI_SERIES, sequences._BELL_SERIES,
+                 sequences._S1_SERIES, sequences._S2_SERIES):
+        monkeypatch.setattr(memo, "rows", {})
+    for y in (F(1), F(3, 4)):
+        assert sequences.fubini_series_row(N_MAX, lam, y) == sequences.fubini_row(N_MAX, lam, y)
+        assert sequences.bell_series_row(N_MAX, lam, y) == sequences.bell_row(N_MAX, lam, y)
+    for m in (1, 3):
+        for series, column in ((stirling1_deg_series, stirling1_column),
+                               (stirling2_deg_series, stirling2_column)):
+            values = [series(k, m, lam) for k in range(N_MAX, -1, -1)][::-1]
+            assert values == column(N_MAX, m, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -508,6 +509,16 @@ def test_sampler_validation():
     for level in (0, 1, 1.5, -0.01, float("nan")):
         with pytest.raises(ValueError, match="level"):
             sampler_ks_check(0.25, 10, 42, level=level)
+
+
+def test_negative_seed_is_rejected_before_numpy(monkeypatch):
+    # numpy would reject the seed deep inside its seeding; with numpy
+    # blocked, only a check made before the import can raise ValueError
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        sample_deg_gamma11(0.25, -1, 10)
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        sampler_ks_check(0.25, 10, -1)
 
 
 def test_empirical_cdf_at_one():

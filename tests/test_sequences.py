@@ -24,9 +24,11 @@ from degderange.sequences import (
     fubini_row,
     set_cross_check,
     stirling1_classical,
+    stirling1_column,
     stirling1_deg,
     stirling1_deg_series,
     stirling1_row,
+    stirling2_column,
     stirling2_deg,
     stirling2_deg_series,
     stirling2_row,
@@ -312,6 +314,16 @@ def test_bell_dual_path(lam):
     for x in (F(1), F(-1), F(3, 4)):
         for n in range(16):
             assert bell_deg(n, lam, x) == bell_deg_series(n, lam, x)
+
+
+def test_series_paths_equal_explicit_rows_at_workload_orders():
+    # the orders at which the benchmark's high-order workload extracts them
+    lam = F(2, 7)
+    assert fubini_deg_series(256, lam, 1) == fubini_row(256, lam, 1)[256]
+    for column, series in ((stirling1_column, stirling1_deg_series),
+                           (stirling2_column, stirling2_deg_series)):
+        assert series(128, 3, lam) == column(128, 3, lam)[128]
+    assert bell_deg_series(96, lam, 1) == bell_row(96, lam, 1)[96]
 
 
 @pytest.mark.parametrize("lam", LAM_GRID)
