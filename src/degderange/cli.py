@@ -3,7 +3,8 @@ moment checks, and sampling, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
 domain error (a negative ``sample --seed`` among them, which numpy would
-reject with a traceback), 141 (128 + SIGPIPE) stdout closed by its reader
+reject with a traceback, and an ``--out`` path that cannot be opened for
+writing), 141 (128 + SIGPIPE) stdout closed by its reader
 before the output was written, as by ``| head``.  Rationals are always
 emitted as "p/q" strings (never decimals); floats use shortest round-trip
 formatting.
@@ -107,13 +108,22 @@ def _resolve_out(path: str | None):
     return path
 
 
+def _open_out(out_path: str):
+    # only the open maps to exit 2: an OSError while writing, BrokenPipeError
+    # among them, keeps its own handling
+    try:
+        return open(out_path, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text)
 
 
@@ -131,7 +141,7 @@ def _json_doc(command: str, params: dict, results) -> str:
 
 def _out_file(out_path: str | None):
     """stdout, left open on exit, or the out file opened for writing."""
-    return contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w")
+    return contextlib.nullcontext(sys.stdout) if out_path is None else _open_out(out_path)
 
 
 def _emit_csv(header: list[str], rows: Iterable[list[str]], out_path: str | None) -> None:

@@ -45,15 +45,15 @@ no scipy.  The package imports this module on first use, as the CLI's gamma
 commands do, and numpy is imported by the sampling and KS functions on first
 use: the exact layer loads neither.
 
-The sampler's KS check needs no ``scipy.stats``.  Its statistic is computed
-with numpy as ``scipy.stats.kstest`` computes it, and its critical value comes
-from ``_ks``, a port of the path of scipy's ``kstwo`` (Simard & L'Ecuyer
-2011: Durbin/MTW and Pomeranz for n <= 140, Pelz-Good for large n) inverted
-with a port of scipy's ``brentq`` from a bracket given by a port of the
-inverse of Kolmogorov's limit law (scipy.special's ``kolmogi``).  The
-critical value equals ``scipy.stats.kstwo.ppf`` bit for bit, and only small
-samples reach the one CDF branch that still imports ``scipy.special``
-(``smirnov``).
+The sampler's KS check needs no scipy.  Its statistic is computed with numpy
+as ``scipy.stats.kstest`` computes it, and its critical value is the
+Dvoretzky-Kiefer-Wolfowitz bound with Massart's tight constant,
+P(sup|F_n - F| > eps) <= 2 exp(-2 n eps^2) (Dvoretzky, Kiefer & Wolfowitz,
+Ann. Math. Statist. 27(3), 1956; Massart, Ann. Probab. 18(3), 1990), so
+sqrt(log(2/level)/(2n)).  The test keeps its level but is conservative: the
+bound is never below ``scipy.stats.kstwo.ppf(1 - level, n)``.  At the 1%
+level it lies 0.03% above it at n = 10^5, 1% at n = 141 and 7% at n = 7,
+and at n = 1 it exceeds 1, so that check can never reject.
 """
 
 from __future__ import annotations
@@ -518,13 +518,16 @@ def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> np.ndarray:
 def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01):
     """Kolmogorov-Smirnov statistic of the sampler against the exact CDF.
 
-    Returns (statistic, critical_value, passed) at the given level, using the
-    exact finite-sample two-sided KS distribution for the critical value.
-    The statistic is D = max(D+, D-) over the sorted samples, D+ = max(i/n -
+    Returns (statistic, critical_value, passed) at the given level.  The
+    statistic is D = max(D+, D-) over the sorted samples, D+ = max(i/n -
     F(x_i)) and D- = max(F(x_i) - (i-1)/n), computed as ``scipy.stats.kstest``
-    computes it; the critical value is ``kstwo.ppf(1 - level, count)`` by the
-    port in ``_ks``, equal to scipy's bit for bit.  Requires count >= 1,
-    rng_seed >= 0 and 0 < level < 1.
+    computes it.  The critical value is the Dvoretzky-Kiefer-Wolfowitz-Massart
+    bound sqrt(log(2/level)/(2 count)) (Dvoretzky, Kiefer & Wolfowitz, Ann.
+    Math. Statist. 27(3), 1956; Massart, Ann. Probab. 18(3), 1990): a
+    conservative level-``level`` test, never below the exact
+    ``kstwo.ppf(1 - level, count)``, and one that never rejects at count = 1,
+    where the bound exceeds 1.  Requires count >= 1, rng_seed >= 0 and
+    0 < level < 1.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -533,13 +536,11 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
         raise ValueError(f"level must lie in (0, 1), got {level}")
     import numpy as np
 
-    from . import _ks
-
     cdf = deg_gamma11_cdf(lam, np.sort(sample_deg_gamma11(lam, rng_seed, count)))
     d_plus = (np.arange(1.0, count + 1) / count - cdf).max()
     d_minus = (cdf - np.arange(0.0, count) / count).max()
     statistic = max(d_plus, d_minus)
-    critical = _ks.kstwo_ppf(count, 1 - level)
+    critical = math.sqrt(math.log(2 / level) / (2 * count))
     return statistic, critical, bool(statistic < critical)
 
 

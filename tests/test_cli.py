@@ -251,6 +251,26 @@ def test_out_file_and_env_dir(tmp_path):
     assert (tmp_path / "rel.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "derangement", "--n-max", "2"],
+        ["table", "derangement", "--n-max", "2", "--format", "csv"],
+        ["sample", "--lambda=1/4", "--count", "3"],
+        ["sample", "--lambda=1/4", "--count", "3", "--format", "csv"],
+    ],
+)
+def test_unwritable_out_is_config_error(argv, tmp_path, capsys):
+    # one error line and exit 2, not an OSError traceback and the exit 1 of
+    # a failed check
+    from degderange import cli
+
+    missing = tmp_path / "missing" / "x.out"
+    for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        assert cli.main(argv + ["--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
+
+
 def test_negative_rational_as_separate_token():
     # the README example: "-1/3" must not be taken for an option
     glued = run_cli(
@@ -619,8 +639,9 @@ def test_import_does_not_load_scipy():
 
 
 def test_quadrature_and_ks_check_load_no_scipy_stats():
-    # QUADPACK, brentq and kolmogi are ported, so neither a quadrature nor
-    # the KS check at this size imports any part of scipy
+    # QUADPACK is ported and the KS critical value is the DKW-Massart bound,
+    # so neither a quadrature nor the KS check at any size imports any part
+    # of scipy; the small counts also run with every scipy import failing
     code = (
         "import sys\n"
         "from degderange import cli\n"
@@ -631,7 +652,10 @@ def test_quadrature_and_ks_check_load_no_scipy_stats():
         "    assert cli.main(['gamma-check', *check]) == 0\n"
         "assert cli.main(['sample', '--lambda=1/4', '--count', '10']) == 0\n"
         "assert sampler_ks_check(0.25, 10**5, 42)[2]\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+        "for count in (1, 7, 141):\n"
+        "    sampler_ks_check(0.25, count, 42)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

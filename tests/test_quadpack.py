@@ -1,15 +1,13 @@
-"""The ported QUADPACK, brentq and kolmogi against the installed scipy, which
-the library itself no longer imports: every float must be scipy's, bit for
-bit."""
+"""The ported QUADPACK against the installed scipy, which the library itself
+no longer imports: every float must be scipy's, bit for bit."""
 
 import math
 import random
 
-import numpy as np
 import pytest
-from scipy import integrate, optimize, special, stats
+from scipy import integrate
 
-from degderange import _ks, _quadpack, probability
+from degderange import _quadpack, probability
 from degderange.probability import (
     DegGammaParams,
     QuadratureError,
@@ -33,10 +31,6 @@ def scipy_quad(f, a, epsabs, epsrel, limit):
 def ported_quad(f, a, epsabs, epsrel, limit, quad=_quadpack.quad):
     value, abserr, neval, ier = quad(f, a, epsabs, epsrel, limit)
     return value.hex(), abserr.hex(), neval, _quadpack.message(ier, limit) if ier else None
-
-
-# ---------------------------------------------------------------------------
-# QUADPACK
 
 
 def test_library_quadratures_are_scipys(monkeypatch):
@@ -162,92 +156,3 @@ def test_nonconvergence_raises_scipys_message(ier):
         improper_quadrature(f, spec)
     assert str(info.value) == f"{message} (partial estimate {value!r})"
     assert info.value.partial_estimate.hex() == value.hex()
-
-
-# ---------------------------------------------------------------------------
-# brentq
-
-
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
-def test_brentq_is_scipys():
-    rng = random.Random(7)
-    families = [
-        lambda c: lambda x: x**3 - c,
-        lambda c: lambda x: math.cos(x) - c * x,
-        lambda c: lambda x: math.expm1(x) - c,
-        lambda c: lambda x: math.atan(x - c),
-        lambda c: lambda x: (x - c) ** 5,  # often not converged in 100 steps
-    ]
-    for _ in range(300):
-        f = rng.choice(families)(rng.uniform(0.05, 3))
-        a, b = rng.uniform(-2, 0), rng.uniform(3, 6)
-        xtol = rng.choice([2e-12, 1e-14, 1e-6])
-        ours = _outcome(_ks.brentq, f, a, b, xtol=xtol)
-        assert ours == _outcome(optimize.brentq, f, a, b, xtol=xtol)
-
-
-def test_brentq_in_kstwo_ppf_is_scipys(monkeypatch):
-    # the root finds of the critical values: same steps, same root
-    brentq = _ks.brentq
-    finds = []
-
-    def both(f, a, b, xtol):
-        root = brentq(f, a, b, xtol=xtol)
-        assert root == optimize.brentq(f, a, b, xtol=xtol)
-        finds.append(root)
-        return root
-
-    monkeypatch.setattr(_ks, "brentq", both)
-    for n in (3, 10, 140, 141, 10**4, 10**5):
-        for p in (0.5, 0.8, 0.95, 0.99, 0.999):
-            _ks.kstwo_ppf(n, p)
-    assert len(finds) > 20
-
-
-def test_brentq_errors():
-    with pytest.raises(ValueError, match="different signs"):
-        _ks.brentq(lambda x: x * x + 1, 0.0, 1.0, xtol=1e-12)
-    with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
-        _ks.brentq(lambda x: (x - 1 / 3) ** 5, -1.0, 3.0, xtol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# kolmogi
-
-
-def test_kolmogorov_is_scipys():
-    xs = np.concatenate([np.linspace(0.01, 3.0, 3001), np.linspace(0.81, 0.83, 201)])
-    for x in map(float, xs):
-        sf, cdf, pdf = _ks._kolmogorov(x)
-        assert sf == special.kolmogorov(x)
-        assert cdf == stats.kstwobign.cdf(x)
-        assert pdf == stats.kstwobign.pdf(x)
-
-
-def test_kolmogi_is_scipys():
-    # both branches: the series in exp(-2 x^2) for q <= 1/2, the theta series
-    # for q > 1/2, whose start needs scipy's log(sqrt(2 pi)) to the last bit
-    rng = np.random.default_rng(3)
-    qs = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 2001), rng.random(1000), [1e-300, 0.5]])
-    for q in map(float, qs):
-        assert _ks._kolmogi(q, 1 - q) == special.kolmogi(q), q
-    assert (_ks._kolmogi(0.0, 1.0), _ks._kolmogi(1.0, 0.0)) == (math.inf, 0.0)
-
-
-def test_log_factorial_is_scipys():
-    ns = list(range(1, 3000)) + [10**4, 123_457, 10**6, 10**8, 10**9 + 7]
-    for n in ns:
-        assert _ks._log_factorial(n) == special.loggamma(n + 1), n
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40, 140, 141, 1000, 10**5])
-def test_kstwo_ppf_is_scipys(n):
-    # both closed-form ends and the root find, at every level
-    for p in np.concatenate([np.geomspace(1e-9, 0.5, 12), np.linspace(0.5, 0.999, 12)]):
-        assert _ks.kstwo_ppf(n, float(p)) == stats.kstwo.ppf(p, n), float(p)
