@@ -56,10 +56,12 @@ from .sequences import (
     stirling1_deg,
     stirling1_deg_series,
     stirling1_row,
+    stirling1_series_column,
     stirling2_column,
     stirling2_deg,
     stirling2_deg_series,
     stirling2_row,
+    stirling2_series_column,
 )
 from .series import (
     Series,
@@ -96,10 +98,12 @@ __all__ = [
     "stirling1_deg_series",
     "stirling1_row",
     "stirling1_column",
+    "stirling1_series_column",
     "stirling2_deg",
     "stirling2_deg_series",
     "stirling2_row",
     "stirling2_column",
+    "stirling2_series_column",
     "stirling1_classical",
     "fubini_deg",
     "fubini_deg_series",

@@ -3,11 +3,11 @@ moment checks, and sampling, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
 domain error (a negative ``sample --seed`` among them, which numpy would
-reject with a traceback, and an ``--out`` path that cannot be opened for
-writing), 141 (128 + SIGPIPE) stdout closed by its reader
-before the output was written, as by ``| head``.  Rationals are always
-emitted as "p/q" strings (never decimals); floats use shortest round-trip
-formatting.
+reject with a traceback, a ``certify --n-max`` above ``CERTIFY_MAX_N`` = 64,
+and an ``--out`` path that cannot be opened for writing), 141 (128 +
+SIGPIPE) stdout closed by its reader before the output was written, as by
+``| head``.  Rationals are always emitted as "p/q" strings (never
+decimals); floats use shortest round-trip formatting.
 The environment variable DEGDERANGE_OUT_DIR supplies a default directory
 for relative --out paths.
 """
@@ -24,7 +24,6 @@ import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from . import identities, sequences
@@ -38,6 +37,11 @@ DEFAULT_LAMBDA_GRID = "0,1/2,-1/2,1/3,-1/3,2/7"
 DEFAULT_X_GRID = "0,1,-2,3/4"
 
 SAMPLE_CHUNK = 8192  # samples per write in sample --format csv
+
+# certify's time and memory grow steeply with n: on a 2-CPU host a fresh
+# --n-max 48 took 9.5 s and 72 MB, --n-max 64 26.9 s and 169 MB (time like
+# n^3.6); the other subcommands keep identities.MAX_N
+CERTIFY_MAX_N = 64
 
 TABLE_SELECTORS = (
     "derangement",
@@ -79,16 +83,9 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _check_n_max(n_max: int) -> None:
-    if not 0 <= n_max <= identities.MAX_N:
-        raise CliError(f"--n-max must lie in [0, {identities.MAX_N}]")
-
-
-def _jobs(requested: int) -> int:
-    """Worker count for --jobs: at least 1, capped at the number of CPUs."""
-    if requested < 1:
-        raise CliError(f"--jobs must be >= 1, got {requested}")
-    return identities._workers(requested)
+def _check_n_max(n_max: int, top: int = identities.MAX_N) -> None:
+    if not 0 <= n_max <= top:
+        raise CliError(f"--n-max must lie in [0, {top}]")
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -237,7 +234,8 @@ def _cmd_verify(args) -> int:
     _check_n_max(args.n_max)
     if args.r_max < 1:
         raise CliError("--r-max must be >= 1")
-    jobs = _jobs(args.jobs)
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     lam_grid = _parse_grid(args.lambda_grid)
     x_grid = _parse_grid(args.x_grid)
     report = identities.verify_grid(
@@ -247,7 +245,7 @@ def _cmd_verify(args) -> int:
         x_grid=x_grid,
         r_max=args.r_max,
         mutate=args.mutate,
-        jobs=jobs,
+        jobs=args.jobs,
     )
     params = {
         "identities": [i.value for i in ids],
@@ -280,7 +278,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certify(args) -> int:
     ids = _parse_identities(args.identities)
-    _check_n_max(args.n_max)
+    _check_n_max(args.n_max, CERTIFY_MAX_N)
     all_ok = True
     results = []
     for ident in ids:
@@ -323,7 +321,6 @@ def _cmd_gamma_check(args) -> int:
     from . import probability
 
     lam = _parse_rational(args.lam)
-    jobs = _jobs(args.jobs)
     results = []
     params: dict = {"check": args.check, "lambda": str(lam)}
     try:
@@ -331,9 +328,7 @@ def _cmd_gamma_check(args) -> int:
             _check_n_max(args.n_max)
             params["n_max"] = args.n_max
             # top n first, so each memo row of lam is built once, to n_max
-            batch = identities._pool_map(
-                probability.theorem11_check, range(args.n_max, -1, -1), repeat(lam), jobs=jobs
-            )
+            batch = [probability.theorem11_check(n, lam) for n in range(args.n_max, -1, -1)]
             for n, res in enumerate(reversed(batch)):
                 results.append(_result_dict(res, n=n))
         elif args.check == "gammafn":
@@ -355,14 +350,8 @@ def _cmd_gamma_check(args) -> int:
             _check_n_max(args.n_max)
             params["n_max"] = args.n_max
             params["m_cap"] = args.m_cap
-            batch = identities._pool_map(
-                probability.stirling_log_expansion_check,
-                range(args.n_max + 1),
-                repeat(args.m_cap),
-                repeat(lam),
-                jobs=jobs,
-            )
-            for n, res in enumerate(batch):
+            for n in range(args.n_max + 1):
+                res = probability.stirling_log_expansion_check(n, args.m_cap, lam)
                 results.append(_result_dict(res, n=n))
         else:
             raise CliError(f"unknown check {args.check!r}")
@@ -458,7 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gamma.add_argument("--m-cap", type=int, default=40)
     p_gamma.add_argument("--alpha", type=float, default=1.0)
     p_gamma.add_argument("--beta", type=float, default=1.0)
-    p_gamma.add_argument("--jobs", type=int, default=1)
     p_gamma.add_argument("--out", **common_out)
     p_gamma.set_defaults(fn=_cmd_gamma_check)
 

@@ -457,23 +457,6 @@ def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction
     return Fraction(*lhs), Fraction(*rhs), False
 
 
-def _workers(jobs: int) -> int:
-    """A worker count of ``jobs`` capped at the number of CPUs."""
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _pool_map(fn, items, *more, jobs: int) -> list:
-    """``list(map(fn, items, *more))``, in order, on ``jobs`` worker processes
-    when there are two or more workers and items; only then is the pool
-    module (and ``multiprocessing`` behind it) imported."""
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items, *more))
-    return list(map(fn, items, *more))
-
-
 def _axis(values) -> dict:
     """{key: (value, copies)} of one grid axis, in first-seen order: key is
     the value's int pair, as in the memos (None for the x axis of an identity
@@ -561,9 +544,9 @@ def verify_grid(
     first, so in each process every memo row is built once, to its final
     length.  ``jobs`` worker processes, at least one and at most one per
     CPU, share the runs in contiguous chunks (``_chunks``); the serial run is
-    the one-chunk case and starts no pool.  The report is deterministic
-    regardless of order and scheduling: the failures are listed in
-    ``IdentityCase.sort_key`` order.
+    the one-chunk case and neither starts nor imports the process pool.  The
+    report is deterministic regardless of order and scheduling: the failures
+    are listed in ``IdentityCase.sort_key`` order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -575,8 +558,15 @@ def verify_grid(
         spec = _REGISTRY[ident]
         axes = lams, (xs if spec.uses_x else no_x)
         runs += _runs(ident, dict.fromkeys(range(spec.min_n, n_max + 1), axes), r_max)
-    jobs = _workers(jobs)
-    parts = _pool_map(_run_chunk, _chunks(runs, jobs), repeat(mutate), jobs=jobs)
+    jobs = min(jobs, os.cpu_count() or 1)
+    chunks = _chunks(runs, jobs)
+    if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_run_chunk, chunks, repeat(mutate)))
+    else:
+        parts = [_run_chunk(chunk, mutate) for chunk in chunks]
     failures = sorted((f for part in parts for f in part), key=lambda t: t[0].sort_key())
     cases_run = sum(copies * len(ns) * len(rs) for _, _, _, rs, copies, ns in runs)
     return VerificationReport(cases_run=cases_run, failures=failures)

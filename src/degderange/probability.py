@@ -19,11 +19,11 @@ So each :class:`_Damped` integrand gives ``_quadpack.quad`` a batch
 process and kept in ``_family(lam)``, an LRU cache of four lam values, then
 applies the member's own step.  The cache lives at module level because the
 CLI runs each n of ``gamma-check thm11`` as its own call; each interval's
-transform is published whole and never changed, so a warm and a cold cache,
-and each pool worker's own, give the same floats.  Every value is the float
-the per-node integrand gives, each operation in the same order, so value,
-abserr and neval are unchanged and scipy, handed the same integrand (it is
-callable per node), agrees bit for bit.
+transform is published whole and never changed, so a warm and a cold cache
+give the same floats.  Every value is the float the per-node integrand
+gives, each operation in the same order, so value, abserr and neval are
+unchanged and scipy, handed the same integrand (it is callable per node),
+agrees bit for bit.
 
 That agreement also rests on the Kronrod sums: ``_quadpack`` adds the 15
 values one at a time, in QUADPACK's order.  Never form such a sum with
@@ -107,8 +107,7 @@ class QuadratureSpec:
 class QuadratureError(RuntimeError):
     """Raised when the integrator does not converge; carries the partial value.
 
-    ``args`` is (message, partial_estimate), so the error survives pickling,
-    as from a process-pool worker.
+    ``args`` is (message, partial_estimate), so the error survives pickling.
     """
 
     def __init__(self, message: str, partial_estimate: float):

@@ -516,18 +516,12 @@ def _stirling_column(second_kind: bool, n: int, m: int, lam: ExactScalar) -> lis
 
 def stirling2_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling2_deg(k, m, lam) for k = 0..n], as a new list."""
-    return _dual(
-        _stirling_column(True, n, m, lam),
-        lambda: [stirling2_deg_series(k, m, lam) for k in range(n, -1, -1)][::-1],
-    )
+    return _dual(_stirling_column(True, n, m, lam), stirling2_series_column, n, m, lam)
 
 
 def stirling1_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling1_deg(k, m, lam) for k = 0..n], as a new list."""
-    return _dual(
-        _stirling_column(False, n, m, lam),
-        lambda: [stirling1_deg_series(k, m, lam) for k in range(n, -1, -1)][::-1],
-    )
+    return _dual(_stirling_column(False, n, m, lam), stirling1_series_column, n, m, lam)
 
 
 def stirling2_row(n: int, lam: ExactScalar) -> list[Fraction]:
@@ -589,18 +583,25 @@ _S2_SERIES = _SeriesMemo(partial(_grow_series_column, True))
 _S1_SERIES = _SeriesMemo(partial(_grow_series_column, False))
 
 
-def _series_entry(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
-    """Entry (n, m) of a series triangle; 0 above the diagonal.  Columns
-    1..m are built in turn, so that no grow step recurses into the one
-    below."""
+def _series_column(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar):
+    """Column m of a series triangle as a row (nums, s) covering k = 0..n,
+    entry (k, m) being nums[k] / s^k; all 0 above the diagonal.  Columns
+    1..m are built in turn, each once, to n, so that no grow step recurses
+    into the one below."""
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     if m > n:
-        return Fraction(0)
+        return [0] * (n + 1), 1
     lam = _key(lam)
     for i in range(1, m):
         memo.row((lam, i), n)
-    return memo.value((lam, m), n)
+    return memo.row((lam, m), n)
+
+
+def _series_entry(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
+    """Entry (n, m) of a series triangle; 0 above the diagonal."""
+    nums, s = _series_column(memo, n, m, lam)
+    return Fraction(nums[n], s**n)
 
 
 def stirling2_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
@@ -613,6 +614,20 @@ def stirling1_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
     """Definitional path: n! times coefficient n of deg_log^m / m!, grown
     column from column by m F_m = deg_log F_{m-1}."""
     return _series_entry(_S1_SERIES, n, m, lam)
+
+
+def stirling2_series_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
+    """[stirling2_deg_series(k, m, lam) for k = 0..n], as a new list; the
+    series columns are built once, to n."""
+    nums, s = _series_column(_S2_SERIES, n, m, lam)
+    return as_fractions(*_over_power(nums[: n + 1], s))
+
+
+def stirling1_series_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
+    """[stirling1_deg_series(k, m, lam) for k = 0..n], as a new list; the
+    series columns are built once, to n."""
+    nums, s = _series_column(_S1_SERIES, n, m, lam)
+    return as_fractions(*_over_power(nums[: n + 1], s))
 
 
 def stirling1_classical(n: int, m: int) -> int:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 from collections import Counter
-import multiprocessing
 import os
 import re
 import subprocess
@@ -112,13 +111,6 @@ def test_verify_unknown_identity():
 def test_verify_jobs_deterministic():
     base = run_cli("verify", "--identities", "THM3", "--n-max", "8")
     par = run_cli("verify", "--identities", "THM3", "--n-max", "8", "--jobs", "2")
-    assert base.stdout == par.stdout
-
-
-def test_gamma_check_jobs_deterministic():
-    base = run_cli("gamma-check", "thm11", "--lambda", "1/4", "--n-max", "3")
-    par = run_cli("gamma-check", "thm11", "--lambda", "1/4", "--n-max", "3", "--jobs", "2")
-    assert base.returncode == par.returncode == 0
     assert base.stdout == par.stdout
 
 
@@ -295,13 +287,19 @@ def test_negative_rational_as_separate_token():
 
 
 def test_jobs_below_one_is_config_error():
-    for argv in (
-        ("verify", "--identities", "THM3", "--n-max", "2", "--jobs", "0"),
-        ("gamma-check", "thm11", "--lambda", "1/4", "--n-max", "1", "--jobs", "-1"),
-    ):
-        out = run_cli(*argv)
-        assert out.returncode == 2
-        assert "--jobs" in out.stderr
+    out = run_cli("verify", "--identities", "THM3", "--n-max", "2", "--jobs", "0")
+    assert out.returncode == 2
+    assert "--jobs" in out.stderr
+
+
+@pytest.mark.parametrize("jobs", ["2", "-1"])
+def test_gamma_check_has_no_jobs_option(jobs):
+    """--jobs belongs to verify alone: gamma-check rejects it as an unknown
+    argument, before any check runs."""
+    out = run_cli("gamma-check", "thm11", "--lambda=1/4", "--n-max", "1", "--jobs", jobs)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"unrecognized arguments: --jobs {jobs}" in out.stderr
 
 
 @pytest.mark.parametrize("n_max", ["-1", "257"])
@@ -315,9 +313,22 @@ def test_n_max_out_of_range_is_config_error(n_max, capsys):
         ("gamma-check", "thm11", "--lambda", "1/4"),
         ("gamma-check", "expansion", "--lambda", "1/4"),
     ):
+        top = 64 if argv[0] == "certify" else 256
         assert cli.main([*argv, "--n-max", n_max]) == 2, argv
         out = capsys.readouterr()
-        assert (out.out, out.err) == ("", "error: --n-max must lie in [0, 256]\n"), argv
+        assert (out.out, out.err) == ("", f"error: --n-max must lie in [0, {top}]\n"), argv
+
+
+def test_certify_n_max_is_capped_at_64(capsys):
+    """certify's cost grows steeply with n, so its --n-max stops at 64, below
+    the bound of the other subcommands."""
+    from degderange import cli
+
+    argv = ["certify", "--identities", "THM2_REC_X0", "--n-max"]
+    assert cli.main(argv + ["65"]) == 2
+    assert capsys.readouterr() == ("", "error: --n-max must lie in [0, 64]\n")
+    assert cli.main(argv + ["64"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["certified"]["64"] is True
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
@@ -350,13 +361,12 @@ def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
     assert cli.main(["verify", "--identities", "THM3", "--n-max", "4", "--jobs", "64"]) == 0
-    assert cli.main(["gamma-check", "thm11", "--lambda", "1/4", "--n-max", "2", "--jobs", "64"]) == 0
     assert cli.main(["verify", "--identities", "THM3", "--n-max", "4", "--jobs", "2"]) == 0
-    assert sizes == [3, 3, 2]
+    assert sizes == [3, 2]
     capsys.readouterr()
     # the library caps its worker count as the CLI does
     assert identities.verify_grid([identities.IdentityId.THM3], n_max=4, jobs=64).ok
-    assert sizes == [3, 3, 2, 3]
+    assert sizes == [3, 2, 3]
 
 
 def test_quadrature_failure_exits_1(monkeypatch, capsys):
@@ -365,26 +375,6 @@ def test_quadrature_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(_quadpack, "quad", lambda *args: (0.5, 1.0, 21, 5))  # ier 5: divergent
     assert cli.main(["gamma-check", "thm11", "--lambda", "1/4"]) == 1
     assert capsys.readouterr() == (
-        "",
-        "error: The integral is probably divergent, or slowly convergent. (partial estimate 0.5)\n",
-    )
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
-    reason="the patched quadrature reaches the workers only through fork, on 2+ CPUs",
-)
-def test_quadrature_failure_in_a_worker_exits_1(monkeypatch, capsys):
-    """The error crosses the process boundary: the pooled run reports it as
-    the serial run does, not as a broken pool."""
-    from degderange import _quadpack, cli
-
-    monkeypatch.setattr(_quadpack, "quad", lambda *args: (0.5, 1.0, 21, 5))  # ier 5: divergent
-    argv = ["gamma-check", "thm11", "--lambda", "1/4", "--n-max", "2"]
-    assert cli.main(argv + ["--jobs", "2"]) == 1
-    pooled = capsys.readouterr()
-    assert cli.main(argv) == 1
-    assert pooled == capsys.readouterr() == (
         "",
         "error: The integral is probably divergent, or slowly convergent. (partial estimate 0.5)\n",
     )
@@ -641,7 +631,8 @@ def test_import_does_not_load_scipy():
 def test_quadrature_and_ks_check_load_no_scipy_stats():
     # QUADPACK is ported and the KS critical value is the DKW-Massart bound,
     # so neither a quadrature nor the KS check at any size imports any part
-    # of scipy; the small counts also run with every scipy import failing
+    # of scipy; the small counts also run with every scipy import failing.
+    # No gamma-check starts a process, so none loads the process pool.
     code = (
         "import sys\n"
         "from degderange import cli\n"
@@ -650,6 +641,8 @@ def test_quadrature_and_ks_check_load_no_scipy_stats():
         "              ['normalization', '--lambda=1/5', '--alpha', '1.5'],\n"
         "              ['expansion', '--lambda=1/80', '--n-max', '1']):\n"
         "    assert cli.main(['gamma-check', *check]) == 0\n"
+        "pool = [m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')]\n"
+        "assert not pool, pool\n"
         "assert cli.main(['sample', '--lambda=1/4', '--count', '10']) == 0\n"
         "assert sampler_ks_check(0.25, 10**5, 42)[2]\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

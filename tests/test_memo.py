@@ -20,6 +20,7 @@ import time
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,10 +46,14 @@ from degderange.sequences import (
     fubini_series_row,
     stirling1_column,
     stirling1_deg,
+    stirling1_deg_series,
     stirling1_row,
+    stirling1_series_column,
     stirling2_column,
     stirling2_deg,
+    stirling2_deg_series,
     stirling2_row,
+    stirling2_series_column,
 )
 
 # (memo, key) pairs: the recurrences (falling factorials, both Stirling
@@ -247,6 +252,35 @@ def test_batch_reads_build_each_memo_row_once(monkeypatch):
             assert grows and set(grows.values()) == {1}
     finally:
         sequences.set_cross_check(False)
+
+
+def test_series_columns_equal_top_down_scalar_reads_and_build_once(monkeypatch):
+    """A series column reads columns 0..m of its triangle, each built once,
+    to n, and equals the scalar series reads taken top n first, which then
+    build nothing more; above the diagonal it is all 0 and builds nothing."""
+    for memo, column, scalar in (
+        (sequences._S2_SERIES, stirling2_series_column, stirling2_deg_series),
+        (sequences._S1_SERIES, stirling1_series_column, stirling1_deg_series),
+    ):
+        grows = Counter()
+
+        def counted(key, n, grow=memo.grow):
+            grows[key] += 1
+            return grow(key, n)
+
+        monkeypatch.setattr(memo, "rows", {})
+        monkeypatch.setattr(memo, "grow", counted)
+        for n, m, lam in ((40, 3, F(2, 7)), (12, 5, F(-1, 3)), (6, 0, F(1, 2)), (4, 7, F(0))):
+            grows.clear()
+            got = column(n, m, lam)
+            built = {(_key(lam), i): 1 for i in range(m + 1)} if m <= n else {}
+            assert grows == built, (column, n, m)
+            assert got == [scalar(k, m, lam) for k in range(n, -1, -1)][::-1], (column, n, m)
+            assert grows == built, (column, n, m)
+            assert len(got) == n + 1 and all(type(v) is F for v in got)
+        for bad in ((-1, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                column(*bad, F(1, 2))
 
 
 def test_every_spelling_of_a_parameter_reaches_one_memo_entry():
