@@ -4,7 +4,10 @@ moment checks, and sampling, with machine-readable JSON/CSV output.
 Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
 domain error (a negative ``sample --seed`` among them, which numpy would
 reject with a traceback, a ``certify --n-max`` above ``CERTIFY_MAX_N`` = 64,
-and an ``--out`` path that cannot be opened for writing), 141 (128 +
+a ``gamma-check thm11`` or ``expansion`` ``--n-max`` above
+``probability.MAX_FLOAT_N`` = 170, where the target (1-lam) n! is past the
+float range, a ``verify --r-max`` above ``identities.MAX_N`` = 256, and an
+``--out`` path that cannot be opened for writing), 141 (128 +
 SIGPIPE) stdout closed by its reader before the output was written, as by
 ``| head``.  Rationals are always emitted as "p/q" strings (never
 decimals); floats use shortest round-trip formatting.
@@ -234,6 +237,8 @@ def _cmd_verify(args) -> int:
     _check_n_max(args.n_max)
     if args.r_max < 1:
         raise CliError("--r-max must be >= 1")
+    if args.r_max > identities.MAX_N:
+        raise CliError(f"--r-max must be <= {identities.MAX_N}")
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     lam_grid = _parse_grid(args.lambda_grid)
@@ -325,7 +330,7 @@ def _cmd_gamma_check(args) -> int:
     params: dict = {"check": args.check, "lambda": str(lam)}
     try:
         if args.check == "thm11":
-            _check_n_max(args.n_max)
+            _check_n_max(args.n_max, probability.MAX_FLOAT_N)
             params["n_max"] = args.n_max
             # top n first, so each memo row of lam is built once, to n_max
             batch = [probability.theorem11_check(n, lam) for n in range(args.n_max, -1, -1)]
@@ -347,7 +352,7 @@ def _cmd_gamma_check(args) -> int:
             res = probability._compare(mass, Fraction(1), probability.DEFAULT_CHECK_TOL)
             results.append(_result_dict(res, alpha=args.alpha, beta=args.beta))
         elif args.check == "expansion":
-            _check_n_max(args.n_max)
+            _check_n_max(args.n_max, probability.MAX_FLOAT_N)
             params["n_max"] = args.n_max
             params["m_cap"] = args.m_cap
             for n in range(args.n_max + 1):

@@ -85,6 +85,9 @@ DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
 # acceptance thresholds sit one order looser than the solver tolerances
 DEFAULT_CHECK_TOL = 1e-8
+# the largest n whose moment target (1-lam) n! is compared as a float:
+# 170! ~ 7.3e306 fits in one, 171! ~ 1.2e309 does not
+MAX_FLOAT_N = 170
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,13 @@ class MomentCheckResult:
     passed: bool
     inconclusive: bool = False
     detail: str | None = None
+
+
+def _check_moment_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > MAX_FLOAT_N:
+        raise ValueError(f"n must be <= {MAX_FLOAT_N}, got {n}: (1-lam) n! is past the float range")
 
 
 def _compare(numeric: float, target: Fraction, tol: float, **extra) -> MomentCheckResult:
@@ -333,10 +343,10 @@ def theorem11_check(
 
     Numeric side: E[(1+lam*X)^(-1) * ((1/lam) log(1+lam*X))^n] by quadrature.
     Exact side: (1-lam) * sum_l binom(n,l) d_l (1)_{n-l} which must also equal
-    (1-lam) * n! exactly; all three are required to agree.
+    (1-lam) * n! exactly; all three are required to agree.  n lies in
+    [0, MAX_FLOAT_N], where the target is a finite float.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_moment_n(n)
     lam = Fraction(lam)
     if not Fraction(0) < lam < Fraction(1, 2):
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
@@ -407,10 +417,9 @@ def stirling_log_expansion_check(
     individual expectations diverge for m >= 1/lam, so terms are restricted to
     that window and their decay is monitored.  If the terms stop decaying (or
     the window is exhausted) before the tolerance is met, the result is
-    flagged inconclusive rather than passed.
+    flagged inconclusive rather than passed.  n lies in [0, MAX_FLOAT_N].
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_moment_n(n)
     lam = Fraction(lam)
     if not Fraction(0) < lam < Fraction(1, 2):
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")

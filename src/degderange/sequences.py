@@ -99,6 +99,10 @@ with e_k from its own falling product.
 ``derange_row``'s cross-check, ``theorem11_check`` and THM2_CONV set the
 series path against these values.
 
+The derangement polynomials in x, unlike the values, grow by THM2_REC and
+read no values row: no identity verifier reads the polynomials, so none
+compares the recurrence with itself.  The values still never grow by it.
+
 Order-r values come from the same terms row with n! taken out,
 D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) T_l, each one dot product of the
 binomials (one weights row per r) against the terms row; ``derange_order_row``
@@ -346,38 +350,31 @@ def derange_deg_series(n: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction
 
 def _derange_polys(n: int, lam: ExactScalar, ks) -> list[Poly]:
     """The derangement polynomials of degree <= k for each k in ks, all
-    k <= n, over one build of the falling-factorial polynomials to n."""
+    k <= n, in one pass of THM2_REC on integer coefficients in x at lam = p/q:
+    E_k = q^k (x-1)_{k,lam} = E_{k-1} (q x - q - (k-1) p) and
+    A_k = q^k D_k(x) = k q A_{k-1} + E_k."""
     _check_index(n)
-    lam = _key(lam)
-    p, q = lam
-    # falls[k]: integer coefficients, in x, of q^k * falling(x, k; lam), grown
-    # one linear factor (q*x - k*p) at a time
-    falls = [[1]]
-    for k in range(n):
-        prev = falls[-1]
-        falls.append([q * a - k * p * b for a, b in zip([0] + prev, prev + [0])])
-    nums, den = _DERANGE.ints((lam, (0, 1)), n)
+    p, q = _key(lam)
+    e = a = [1]
     polys = []
-    for k in ks:
-        # weights binom(k, l) D(l) / q^(k-l), over the denominator of D times q^k
-        acc = [0] * (k + 1)
-        for l, (d, fall) in enumerate(zip(nums, reversed(falls[: k + 1]))):
-            w = comb(k, l) * d * q**l
-            for j, c in enumerate(fall):
-                acc[j] += w * c
-        polys.append(Poly(as_fractions(acc, den * q**k)))
+    for k in range(n + 1):
+        if k:
+            e = [q * up - (q + (k - 1) * p) * c for up, c in zip([0] + e, e + [0])]
+            a = [k * q * c + d for c, d in zip(a + [0], e)]
+        if k in ks:
+            polys.append(Poly(as_fractions(a, q**k)))
     return polys
 
 
 def derange_deg_poly(n: int, lam: ExactScalar) -> Poly:
-    """The degree-<=n derangement polynomial in x, built from the convolution
-    with derangement numbers and falling-factorial polynomials."""
+    """The degree-<=n derangement polynomial in x, stepped from degree 0 by
+    the recurrence D_k(x) = k D_{k-1}(x) + (x-1)_{k,lam}."""
     return _derange_polys(n, lam, [n])[0]
 
 
 def derange_poly_row(n: int, lam: ExactScalar) -> list[Poly]:
-    """[derange_deg_poly(k, lam) for k = 0..n], as a new list: the
-    falling-factorial polynomials are built once, to n, not once per k."""
+    """[derange_deg_poly(k, lam) for k = 0..n], as a new list: one pass of
+    the recurrence to n, not one per k."""
     return _derange_polys(n, lam, range(n + 1))
 
 

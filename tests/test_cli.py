@@ -313,7 +313,7 @@ def test_n_max_out_of_range_is_config_error(n_max, capsys):
         ("gamma-check", "thm11", "--lambda", "1/4"),
         ("gamma-check", "expansion", "--lambda", "1/4"),
     ):
-        top = 64 if argv[0] == "certify" else 256
+        top = {"certify": 64, "gamma-check": 170}.get(argv[0], 256)
         assert cli.main([*argv, "--n-max", n_max]) == 2, argv
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"error: --n-max must lie in [0, {top}]\n"), argv
@@ -329,6 +329,31 @@ def test_certify_n_max_is_capped_at_64(capsys):
     assert capsys.readouterr() == ("", "error: --n-max must lie in [0, 64]\n")
     assert cli.main(argv + ["64"]) == 0
     assert json.loads(capsys.readouterr().out)["results"][0]["certified"]["64"] is True
+
+
+@pytest.mark.parametrize("check", ["thm11", "expansion"])
+def test_gamma_check_n_max_stops_at_the_float_range(check, monkeypatch, capsys):
+    """(1-lam) n! is compared as a float, and 171! is past the largest one:
+    --n-max 171 is refused before any quadrature runs."""
+    from degderange import _quadpack, cli
+
+    def no_quad(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(_quadpack, "quad", no_quad)
+    argv = ["gamma-check", check, "--lambda=1/80", "--m-cap", "171", "--n-max", "171"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --n-max must lie in [0, 170]\n")
+
+
+def test_verify_r_max_is_capped_at_max_n(capsys):
+    """--r-max stops at identities.MAX_N = 256; below 1 keeps its message."""
+    from degderange import cli
+
+    argv = ["verify", "--identities", "THM9_VS_SERIES", "--n-max", "2", "--r-max"]
+    for r_max, message in (("257", "--r-max must be <= 256"), ("0", "--r-max must be >= 1")):
+        assert cli.main(argv + [r_max]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
@@ -568,6 +593,12 @@ TABLE_DIGESTS = [
      "1b94144d7e656d7e2c0a1ec0f3a746171d018c509c03d5bac71089289ad4540a"),
     ("stirling2 --lambda=-1/3 --n-max 256 --m 3",
      "c69ebc824bbe281c398402e58634b4082144a0a64fdf8f0c203702e58a99be70"),
+    # the derangement polynomials to n = 128, recorded when they were still
+    # built from the convolution with the derangement numbers
+    ("derangement-poly --lambda 2/7 --n-max 128 --format json",
+     "e77b2cf69ed38d1967ba544e9553a7ce9d99c03bc600b20e9220562ea7f82f78"),
+    ("derangement-poly --lambda -1/3 --n-max 128 --format json",
+     "6d05e48cf4cce511cbd077ebefaacf3abe07743487bdbad4e7f7012d385956f4"),
 ]
 
 

@@ -328,6 +328,22 @@ def test_theorem11_domain():
         theorem11_check(-1, F(1, 4))
 
 
+def test_moment_checks_stop_at_the_float_range(monkeypatch):
+    """(1-lam) n! is compared as a float: past MAX_FLOAT_N = 170 both checks
+    raise ValueError before any quadrature runs."""
+
+    def no_quad(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(_quadpack, "quad", no_quad)
+    assert probability.MAX_FLOAT_N == 170
+    assert math.isfinite(float(factorial(170))) and factorial(171) > sys.float_info.max
+    with pytest.raises(ValueError, match="n must be <= 170, got 171"):
+        theorem11_check(171, F(1, 5))
+    with pytest.raises(ValueError, match="n must be <= 170, got 171"):
+        stirling_log_expansion_check(171, 171, F(1, 80))
+
+
 def test_theorem11_cross_check_reaches_the_series_path(monkeypatch):
     # The exact side reads the integer derangement row; in cross-check mode
     # the series path's row must give the same target.  A series row off by

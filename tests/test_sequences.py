@@ -122,13 +122,28 @@ def test_derange_poly_classical_oracle():
 
 @pytest.mark.parametrize("lam", LAM_GRID)
 def test_derange_poly_matches_values(lam):
-    assert derange_poly_row(6, lam) == [derange_deg_poly(n, lam) for n in range(7)]
-    for n in range(7):
-        p = derange_deg_poly(n, lam)
-        assert p.degree <= n
-        assert p(F(0)) == derange_deg(n, lam, 0)
-        for x in (F(1), F(-2), F(3, 4)):
-            assert p(x) == derange_deg(n, lam, x)
+    polys = derange_poly_row(24, lam)
+    assert polys == [derange_deg_poly(n, lam) for n in range(25)]
+    assert [p.degree for p in polys] == list(range(25))
+    for x in (F(0), F(1), F(-2), F(3, 4)):
+        assert [p(x) for p in polys] == derange_row(24, lam, x)
+
+
+@pytest.mark.parametrize("lam", [F(2, 7), F(-1, 3)])
+def test_derange_polys_read_no_values_row_and_call_no_comb(monkeypatch, lam):
+    """The polynomials step by their own recurrence: with the derangement
+    values memo emptied and unable to grow, and ``comb`` failing, the row
+    still builds to n = 40, and its constant terms are the x = 0 values."""
+
+    def fail(*args):
+        raise AssertionError(f"called with {args} while building the polynomials")
+
+    monkeypatch.setattr(sequences._DERANGE, "rows", {})
+    monkeypatch.setattr(sequences._DERANGE, "grow", fail)
+    monkeypatch.setattr(sequences, "comb", fail)
+    polys = derange_poly_row(40, lam)
+    monkeypatch.undo()
+    assert [p(0) for p in polys] == derange_row(40, lam)
 
 
 # ---------------------------------------------------------------------------
