@@ -7,7 +7,7 @@ Run:  python demos/03_identity_certification.py
 import time
 from fractions import Fraction as F
 
-from degderange import IdentityId, certify_range, verify_grid
+from degderange import IdentityId, certify_ranges, verify_grid
 
 LAM = [F(0), F(1, 2), F(-1, 2), F(1, 3), F(-1, 3), F(2, 7)]
 X = [F(0), F(1), F(-2), F(3, 4)]
@@ -23,8 +23,7 @@ print("Polynomial certification: at fixed n both sides are polynomials of")
 print("degree <= n-1 in lam and <= n in x (bounds derived per identity), so")
 print("agreement on a grid with one more distinct point per variable is a proof.")
 print("Every n takes the first n+1 points of one nested sequence 0, 1, -1, 2, ...")
-for ident in (IdentityId.THM2_REC, IdentityId.THM5):
-    certified = certify_range(ident, 12)
+for ident, certified in certify_ranges([IdentityId.THM2_REC, IdentityId.THM5], 12).items():
     print(f"  {ident.value}: certified for n={min(certified)}..12 -> {all(certified.values())}")
 
 print()

@@ -28,6 +28,7 @@ from .identities import (
     VerificationReport,
     certify,
     certify_range,
+    certify_ranges,
     verify,
     verify_grid,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "verify_grid",
     "certify",
     "certify_range",
+    "certify_ranges",
     "DegGammaParams",
     "QuadratureSpec",
     "QuadratureError",
@@ -133,6 +135,7 @@ __all__ = [
     "deg_gamma11_cdf",
     "deg_gamma11_ppf",
     "sample_deg_gamma11",
+    "sample_deg_gamma11_blocks",
     "sampler_ks_check",
     "theorem11_check",
     "stirling_log_expansion_check",

@@ -62,11 +62,15 @@ it, a larger n building a new row, and the smaller n read its prefix, so
 ``verify_grid`` and ``certify`` share one runner that evaluates a key top n
 first: ``_runs`` makes one run per identity and distinct (lam, x) point,
 holding the point's n in descending order, and ``_run_chunk`` evaluates
-each distinct case of a run once.  Every memo row is then built once per
-process, to its final length: once in a serial run, once per worker that
-reads it under ``--jobs``.  The order never reaches the output: failures
-are reported in ``IdentityCase.sort_key`` order, a case repeated in a grid
-once per copy.
+each distinct case of a run once.  ``verify_grid`` keeps the rows it
+builds, each built once per process, to its final length: once in a serial
+run, once per worker that reads it under ``--jobs``.  ``certify_ranges``
+runs the runs of all its identities one |lam| group at a time and then
+empties every memo (``_Memo.clear``): each row is built once per group,
+and memory holds one group's rows, not every key's.
+The order never reaches the output: failures are reported in
+``IdentityCase.sort_key`` order, a case repeated in a grid once per copy,
+and certification per identity and n.
 
 Degree bounds.  At fixed n every side is a polynomial in lam and x, and each
 identity declares a bound (d_lam, d_x) on its degrees (``_Spec.degrees``).
@@ -114,7 +118,7 @@ binom(n-l+r-1, n-l)); ``certify`` fixes r = 1, so it certifies that
 identity at r = 1 only.
 
 Points.  The degree argument needs d + 1 distinct points per axis and
-nothing else of them, so ``certify_range`` uses the integers 0, 1, -1, 2,
+nothing else of them, so ``certify_ranges`` uses the integers 0, 1, -1, 2,
 -2, ...  Any distinct points are sound because no point is a pole: every
 side is a polynomial in lam and x, and every grow step of the memo rows
 divides only by an index, exactly (``// m``, ``// k``, ``// f`` with
@@ -139,6 +143,7 @@ from .sequences import (
     _FALLING,
     _FUBINI,
     _FUBINI_SERIES,
+    _MEMOS,
     _S1,
     _S2,
     _derange_order,
@@ -572,16 +577,11 @@ def verify_grid(
     return VerificationReport(cases_run=cases_run, failures=failures)
 
 
-def _certify_grids(identity_id: IdentityId, grids: dict, mutate: bool) -> dict[int, bool]:
-    """For each n of ``grids`` (n -> (lam_points, x_points), x_points [None]
-    for identities free of x), whether both sides agree on every point.
-
-    Each n needs d_lam + 1 and d_x + 1 distinct points, from its declared
-    degree bounds.  The points run as ``verify_grid``'s do (``_runs``): each
-    distinct (lam, x) point once for every n whose grid holds it, in
-    descending n, so a memo row is built once, to its final length, and the
-    smaller n read its prefix.
-    """
+def _certify_runs(identity_id: IdentityId, grids: dict) -> list:
+    """The runs (``_runs``) of ``grids`` (n -> (lam_points, x_points),
+    x_points [None] for identities free of x), at r = 1, after checking that
+    each n has d_lam + 1 and d_x + 1 distinct points, from its declared
+    degree bounds."""
     spec = _REGISTRY[identity_id]
     axes = {}
     for n in sorted(grids, reverse=True):
@@ -592,10 +592,7 @@ def _certify_grids(identity_id: IdentityId, grids: dict, mutate: bool) -> dict[i
         if len(xs) < d_x + 1:
             raise ValueError(f"need at least {d_x + 1} distinct x points")
         axes[n] = lams, xs
-    certified = dict.fromkeys(grids, True)
-    for case, _, _ in _run_chunk(_runs(identity_id, axes, 1), mutate):
-        certified[case.n] = False
-    return certified
+    return _runs(identity_id, axes, 1)
 
 
 def certify(
@@ -614,8 +611,9 @@ def certify(
     variable is zero, so exact agreement on lam_points x x_points proves the
     identity at n.  THM9_VS_SERIES is evaluated at r = 1 only.  Raises
     ValueError when fewer than d_lam + 1 (or d_x + 1) distinct points are
-    supplied for a referenced variable.  ``certify_range`` runs the same
-    evaluation for a range of n on one nested point set.
+    supplied for a referenced variable.  ``certify_ranges`` runs the same
+    evaluation for a range of n, on one nested point set, for a set of
+    identities.
     """
     spec = _REGISTRY[identity_id]
     lam_points = [Fraction(v) for v in lam_points]
@@ -625,25 +623,53 @@ def certify(
         x_points = [Fraction(v) for v in x_points]
     else:
         x_points = [None]
-    return _certify_grids(identity_id, {n: (lam_points, x_points)}, mutate)[n]
+    return not _run_chunk(_certify_runs(identity_id, {n: (lam_points, x_points)}), mutate)
 
 
-def certify_range(identity_id: IdentityId, n_max: int, mutate: bool = False) -> dict[int, bool]:
-    """``certify`` at every n of the identity's range up to n_max, on nested
+def certify_ranges(
+    ids: Iterable[IdentityId], n_max: int, mutate: bool = False
+) -> dict[IdentityId, dict[int, bool]]:
+    """``certify`` at every n of each identity's range up to n_max, on nested
     integer points: n uses the first n + 1 entries, on each referenced axis,
-    of the symmetric sequence 0, 1, -1, 2, -2, ...
+    of the symmetric sequence 0, 1, -1, 2, -2, ...  Returns
+    {identity: {n: certified}}, an identity listed twice certified once, in
+    the order of first listing, each in ascending n.
 
     Every declared bound is <= n, so n + 1 points suffice, and integers are
     as good as any distinct points (no point is a pole; see the module
     docstring).  Their memo keys have denominator 1, so no row carries a
-    power of a point's denominator.  The nested points make the (lam, x)
-    keys repeat across n, and the memo rows of a key are built once.
-    Returns {n: certified} in ascending n.
+    power of a point's denominator.  The runs of all identities are grouped
+    by |lam| (THM8_A and THM10 read lam and -lam): each group runs top n
+    first, so each memo row of its keys is built once, to its final length,
+    and then every memo is emptied, rows a caller built before included.
+    Memory holds one group's rows at a time.
     """
-    spec = _REGISTRY[identity_id]
     points = [Fraction((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(n_max + 1)]
-    grids = {
-        n: (points[: n + 1], points[: n + 1] if spec.uses_x else [None])
-        for n in range(spec.min_n, n_max + 1)
-    }
-    return _certify_grids(identity_id, grids, mutate)
+    certified: dict = {}
+    groups: dict = {}
+    for ident in ids:
+        if ident in certified:
+            continue
+        spec = _REGISTRY[ident]
+        grids = {
+            n: (points[: n + 1], points[: n + 1] if spec.uses_x else [None])
+            for n in range(spec.min_n, n_max + 1)
+        }
+        certified[ident] = dict.fromkeys(grids, True)
+        for run in _certify_runs(ident, grids):
+            lam = run[1]
+            groups.setdefault((abs(lam.numerator), lam.denominator), []).append(run)
+    for runs in groups.values():
+        for case, _, _ in _run_chunk(runs, mutate):
+            certified[case.identity_id][case.n] = False
+        for memo in _MEMOS:
+            memo.clear()
+    return certified
+
+
+def certify_range(identity_id: IdentityId, n_max: int, mutate: bool = False) -> dict[int, bool]:
+    """``certify_ranges`` for one identity: {n: certified} in ascending n.
+    It empties the memos when done, so a loop of calls over identities
+    builds anew the rows that they share; to certify several identities,
+    call ``certify_ranges`` once."""
+    return certify_ranges([identity_id], n_max, mutate)[identity_id]

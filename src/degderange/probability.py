@@ -63,7 +63,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import _quadpack
 from .exactcore import ExactScalar, binomial_conv, factorial
@@ -511,16 +511,35 @@ def _check_seed(rng_seed: int) -> None:
         raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
 
 
-def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> np.ndarray:
-    """Inverse-CDF sampler: X = ((1-U)^(lam/(lam-1)) - 1)/lam, U uniform(0,1).
-    Requires count >= 0 and rng_seed >= 0."""
+def sample_deg_gamma11_blocks(
+    lam: float, rng_seed: int, count: int, block: int
+) -> Iterator[np.ndarray]:
+    """Inverse-CDF sampler: X = ((1-U)^(lam/(lam-1)) - 1)/lam, U uniform(0,1),
+    count samples as consecutive arrays of at most ``block`` samples.  Each
+    block's uniforms are drawn in turn from one generator seeded with
+    rng_seed, so the blocks joined are the same samples whatever the block
+    size, and memory holds one block at a time.  Requires count >= 0,
+    rng_seed >= 0, 0 < lam < 1 and block >= 1."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     _check_seed(rng_seed)
+    if not 0 < lam < 1:
+        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     import numpy as np
 
     rng = np.random.default_rng(rng_seed)
-    return deg_gamma11_ppf(lam, rng.random(count))
+    return (deg_gamma11_ppf(lam, rng.random(min(block, count - i))) for i in range(0, count, block))
+
+
+def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> np.ndarray:
+    """``sample_deg_gamma11_blocks`` in one block: the count samples as one
+    array."""
+    blocks = sample_deg_gamma11_blocks(lam, rng_seed, count, max(count, 1))
+    import numpy as np
+
+    return next(blocks, np.empty(0))
 
 
 def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01):

@@ -15,8 +15,10 @@ built on demand under one lock, exactly to the requested n (the derangement
 row as far as the terms row it is read from).  A key holds one
 (numerator, denominator) int pair per rational parameter (the deformation
 parameter, with the argument where there is one), so a lookup hashes ints
-only.  A row keeps integer numerators over shared denominators, the layout
-of FLINT's ``fmpq_poly``, in one of three forms:
+only.  Every memo is listed in ``_MEMOS`` as it is made, so that
+``identities.certify_ranges`` can empty them all (``_Memo.clear``) after
+each |lam| group.  A row keeps integer numerators over shared denominators,
+the layout of FLINT's ``fmpq_poly``, in one of three forms:
 
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
                                                          derangements, the
@@ -126,6 +128,7 @@ from operator import add, mul
 from .exactcore import ExactScalar, IntPair, Poly, as_fractions, factorial, pascal_step
 
 _lock = threading.RLock()
+_MEMOS: list = []  # every _Memo, in the order made
 
 _cross_check = False
 
@@ -154,6 +157,9 @@ class _Memo:
     publishes the result in place of the old row, which it never changes.
     Every layout is a tuple whose first item is the list indexed by k.  The
     lock is reentrant because building one memo's row may read another.
+    ``clear`` drops rows, never changes one: a reader holding a row keeps
+    a whole row, and a later read builds it anew.  Each memo registers
+    itself in ``_MEMOS``.
     """
 
     __slots__ = ("grow", "rows")
@@ -161,6 +167,7 @@ class _Memo:
     def __init__(self, grow):
         self.grow = grow
         self.rows: dict = {}
+        _MEMOS.append(self)
 
     def row(self, key, n: int):
         """The row for key, covering indices 0..n at least."""
@@ -184,6 +191,11 @@ class _Memo:
 
     def value(self, key, n: int) -> Fraction:
         return Fraction(*self.pair(key, n))
+
+    def clear(self) -> None:
+        """Drop every row."""
+        with _lock:
+            self.rows.clear()
 
 
 class _TriangleMemo(_Memo):

@@ -215,6 +215,36 @@ def test_sample_csv_out_file_bytes_are_unchanged(tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+def test_sample_csv_draws_at_most_a_chunk_at_a_time(monkeypatch, capsys):
+    """The csv path draws its uniforms SAMPLE_CHUNK at a time from one
+    generator, so memory stays flat in --count; the json path keeps one
+    draw of the whole list."""
+    import numpy as np
+
+    from degderange import cli
+
+    real = np.random.default_rng
+    draws = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self, size):
+            draws.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    count = 3 * cli.SAMPLE_CHUNK + 5
+    assert cli.main(SAMPLE_ARGV + ["--count", str(count)]) == 0
+    assert draws == [cli.SAMPLE_CHUNK] * 3 + [5]
+    csv_rows = capsys.readouterr().out.splitlines()[1:]
+    draws.clear()
+    assert cli.main(SAMPLE_ARGV[:-2] + ["--count", str(count)]) == 0
+    assert draws == [count]
+    assert [repr(v) for v in json.loads(capsys.readouterr().out)["results"]["samples"]] == csv_rows
+
+
 def test_sample_domain():
     out = run_cli("sample", "--lambda", "3/2", "--seed", "1", "--count", "3")
     assert out.returncode == 2
@@ -786,6 +816,24 @@ def test_certify_bytes_are_unchanged(argv, rc, digest, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extra", [[], ["--mutate"]], ids=["plain", "mutate"])
+def test_certify_repeats_a_listed_identity_with_identical_bytes(extra, capsys):
+    """An identity listed twice is certified once and printed twice, each
+    entry as a run of that identity alone prints it."""
+    from degderange import cli
+
+    argv = ["certify", "--n-max", "4", *extra, "--identities"]
+    rc = cli.main(argv + ["THM3,THM7_B,THM3,THM10"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == (1 if extra else 0)
+    assert doc["params"]["identities"] == ["THM3", "THM7_B", "THM3", "THM10"]
+    entries = [json.dumps(entry) for entry in doc["results"]]
+    assert entries[0] == entries[2]
+    for ident, entry in zip(doc["params"]["identities"], entries):
+        assert cli.main(argv + [ident]) == rc
+        assert json.dumps(json.loads(capsys.readouterr().out)["results"][0]) == entry
 
 
 @pytest.mark.parametrize("ident", list(MUTATED_CERTIFY_DIGESTS))

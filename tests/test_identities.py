@@ -13,6 +13,7 @@ from degderange.identities import (
     _REGISTRY,
     certify,
     certify_range,
+    certify_ranges,
     verify,
     verify_grid,
 )
@@ -291,8 +292,22 @@ def test_degree_check_catches_an_extra_lam_factor(ident):
 
 
 def _nested(n_max):
-    """certify_range's points: 0, 1, -1, 2, -2, ..., n_max + 1 of them."""
+    """certify_ranges's points: 0, 1, -1, 2, -2, ..., n_max + 1 of them."""
     return [F(0)] + [F(s * k) for k in range(1, n_max + 1) for s in (1, -1)][:n_max]
+
+
+def _expected_cases(ids, n_max):
+    """The distinct cases that certifying ids up to n_max evaluates."""
+    pts = _nested(n_max)
+    expected = set()
+    for ident in ids:
+        spec = _REGISTRY[ident]
+        r = 1 if spec.uses_r else None
+        for n in range(spec.min_n, n_max + 1):
+            for lam in pts[: n + 1]:
+                for x in pts[: n + 1] if spec.uses_x else [None]:
+                    expected.add(IdentityCase(ident, n, lam, x, r))
+    return expected
 
 
 def test_certify_needs_only_the_declared_points():
@@ -327,15 +342,9 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
 
     monkeypatch.setattr(identities, "verify", counted)
     n_max, pts = 4, _nested(4)
-    expected = set()
     for ident in IdentityId:
         assert all(certify_range(ident, n_max).values())
-        spec = _REGISTRY[ident]
-        r = 1 if spec.uses_r else None
-        for n in range(spec.min_n, n_max + 1):
-            for lam in pts[: n + 1]:
-                for x in pts[: n + 1] if spec.uses_x else [None]:
-                    expected.add(IdentityCase(ident, n, lam, x, r))
+    expected = _expected_cases(IdentityId, n_max)
     assert len(calls) == sum(
         (n + 1) ** (2 if spec.uses_x else 1)
         for spec in _REGISTRY.values()
@@ -354,6 +363,69 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
     assert len({key for key, _ in runs}) == len(runs)
     assert all(ns == sorted(ns, reverse=True) for _, ns in runs)
 
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_certify_ranges_evaluates_every_case_once(monkeypatch, mutate):
+    """All identities from one run list, grouped by |lam|: each distinct case
+    once, an identity listed twice certified once, each (identity, lam, x)
+    key in one stretch of descending n, and the |lam| groups in turn; the
+    result is certify_range's, identity by identity."""
+    calls = []
+    real = identities.verify
+
+    def counted(case, mutate=False):
+        calls.append(case)
+        return real(case, mutate=mutate)
+
+    monkeypatch.setattr(identities, "verify", counted)
+    ids, n_max = list(IdentityId), 4
+    got = certify_ranges(ids + ids[::-1][:4], n_max, mutate=mutate)
+    assert list(got) == ids
+    expected = _expected_cases(ids, n_max)
+    assert len(calls) == len(expected)
+    assert set(calls) == expected
+    runs = []
+    for case in calls:
+        key = (case.identity_id, case.lam, case.x)
+        if not runs or runs[-1][0] != key:
+            runs.append((key, []))
+        runs[-1][1].append(case.n)
+    assert len({key for key, _ in runs}) == len(runs)
+    assert all(ns == sorted(ns, reverse=True) for _, ns in runs)
+    magnitudes = [abs(case.lam) for case in calls]
+    assert magnitudes == sorted(magnitudes)
+    for ident, per_n in got.items():
+        assert per_n == certify_range(ident, n_max, mutate=mutate)
+        assert list(per_n) == list(range(_REGISTRY[ident].min_n, n_max + 1))
+        assert all(per_n.values()) is not mutate
+
+
+def test_certify_builds_each_row_once_and_empties_the_memos(monkeypatch):
+    """certify_range and certify_ranges build each memo row once and leave
+    every memo empty, the rows a caller built before included.  The order-r
+    weights, keyed by r alone, are built once per |lam| group that reads
+    them."""
+    weights = sequences._ORDER_WEIGHTS
+    grows = Counter()
+    for memo in sequences._MEMOS:
+
+        def counted(key, n, grow=memo.grow, memo=memo):
+            grows[memo, key] += 1
+            return grow(key, n)
+
+        monkeypatch.setattr(memo, "grow", counted)
+    for run in (
+        lambda: [certify_range(IdentityId.THM3, 6)],
+        lambda: certify_ranges(IdentityId, 6).values(),
+    ):
+        verify_grid(n_max=6, lam_grid=[F(2, 7)], x_grid=[F(3, 4)])
+        assert all(memo.rows for memo in (sequences._FALLING, sequences._S2))
+        grows.clear()
+        assert all(all(per_n.values()) for per_n in run())
+        assert grows
+        assert {count for (memo, _), count in grows.items() if memo is not weights} == {1}
+        assert not any(memo.rows for memo in sequences._MEMOS)
 
 
 def test_grid_grows_each_memo_row_once(monkeypatch):

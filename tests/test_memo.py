@@ -214,6 +214,48 @@ def test_readers_never_pair_new_numerators_with_an_old_denominator():
             assert values(shared, key, 40) == serial
 
 
+def test_clear_races_readers_and_growers():
+    """Threads that grow a key's row and clear the memo while readers read
+    it outside the lock: every read is one whole, right row."""
+    memo = fresh(sequences._FALLING)
+    key = (X, LAM)
+    serial = values(fresh(memo), key, 40)
+    memo.row(key, 9)
+    reads, wrong = [0], []
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            if as_fractions(*memo.ints(key, 9)) != serial[:10]:
+                wrong.append(9)
+            reads[0] += 1
+
+    def clearer(first):
+        for n in range(first, 41, 2):
+            memo.row(key, n)
+            memo.clear()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        clearers = [threading.Thread(target=clearer, args=(first,)) for first in (10, 11)]
+        for t in readers + clearers:
+            t.start()
+        for t in clearers:
+            t.join(timeout=120)
+        stop.set()
+        for t in readers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in readers + clearers)
+    assert reads[0] and not wrong
+    assert values(memo, key, 40) == serial
+    memo.clear()
+    assert not memo.rows
+
+
 def test_series_memos_grow_exactly_to_n():
     for memo, key in SERIES_MEMOS:
         step = fresh(memo)

@@ -24,6 +24,7 @@ from degderange.probability import (
     improper_quadrature,
     moment_ratio_expectation,
     sample_deg_gamma11,
+    sample_deg_gamma11_blocks,
     sampler_ks_check,
     stirling_log_expansion_check,
     theorem11_check,
@@ -506,6 +507,17 @@ def test_sampler_reproducible():
     b = sample_deg_gamma11(0.25, 7, 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_deg_gamma11(0.25, 8, 100))
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 100])
+def test_sampler_blocks_join_to_the_whole_draw(count):
+    whole = sample_deg_gamma11(0.25, 7, count)
+    for block in (1, 8, 1000):
+        blocks = list(sample_deg_gamma11_blocks(0.25, 7, count, block))
+        assert all(0 < len(b) <= block for b in blocks)
+        assert np.array_equal(np.concatenate([np.empty(0), *blocks]), whole)
+    with pytest.raises(ValueError, match="block"):
+        sample_deg_gamma11_blocks(0.25, 7, count, 0)
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.5 - 0.01])
