@@ -2,15 +2,16 @@
 moment checks, and sampling, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
-domain error (a negative ``sample --seed`` among them, which numpy would
-reject with a traceback, a ``certify --n-max`` above ``CERTIFY_MAX_N`` = 64,
-a ``gamma-check thm11`` or ``expansion`` ``--n-max`` above
-``probability.MAX_FLOAT_N`` = 170, where the target (1-lam) n! is past the
-float range, a ``verify --r-max`` above ``identities.MAX_N`` = 256, and an
-``--out`` path that cannot be opened for writing), 141 (128 +
-SIGPIPE) stdout closed by its reader before the output was written, as by
-``| head``.  Rationals are always emitted as "p/q" strings (never
-decimals); floats use shortest round-trip formatting.
+domain error (a negative ``sample --seed`` among them, which the generator
+would take for its absolute value, a ``sample --lambda`` that rounds to 0
+or 1 as a float, an option value ``--``, a ``certify --n-max`` above
+``CERTIFY_MAX_N`` = 64, a ``gamma-check thm11`` or ``expansion``
+``--n-max`` above ``probability.MAX_FLOAT_N`` = 170, where the target
+(1-lam) n! is past the float range, a ``verify --r-max`` above
+``identities.MAX_N`` = 256, and an ``--out`` path that cannot be opened
+for writing), 141 (128 + SIGPIPE) stdout closed by its reader before the
+output was written, as by ``| head``.  Rationals are always emitted as
+"p/q" strings (never decimals); floats use shortest round-trip formatting.
 The environment variable DEGDERANGE_OUT_DIR supplies a default directory
 for relative --out paths.
 """
@@ -378,6 +379,9 @@ def _cmd_sample(args) -> int:
     lam = _parse_rational(args.lam)
     if not 0 < lam < 1:
         raise CliError(f"--lambda must lie in (0, 1), got {lam}")
+    lamf = float(lam)
+    if not 0 < lamf < 1:  # as for 1e-400 or 1 - 1e-20
+        raise CliError(f"--lambda {args.lam.strip()} rounds to {lamf!r}, outside (0, 1)")
     if args.count < 0:
         raise CliError("--count must be >= 0")
     if args.seed < 0:
@@ -389,19 +393,17 @@ def _cmd_sample(args) -> int:
     }
     out_path = _resolve_out(args.out)
     if args.format == "json":
-        samples = probability.sample_deg_gamma11(float(lam), args.seed, args.count)
-        _emit(_json_doc("sample", params, {"samples": [float(s) for s in samples]}), out_path)
+        samples = probability.sample_deg_gamma11(lamf, args.seed, args.count)
+        _emit(_json_doc("sample", params, {"samples": samples}), out_path)
     else:
         # one float per line needs no CSV quoting: the samples are drawn,
         # transformed and written a chunk at a time, so memory stays flat
         # however large --count is
-        blocks = probability.sample_deg_gamma11_blocks(
-            float(lam), args.seed, args.count, SAMPLE_CHUNK
-        )
+        blocks = probability.sample_deg_gamma11_blocks(lamf, args.seed, args.count, SAMPLE_CHUNK)
         with _out_file(out_path) as fh:
             fh.write("sample\n")
             for block in blocks:
-                fh.write("\n".join(map(repr, block.tolist())) + "\n")
+                fh.write("\n".join(map(repr, block)) + "\n")
     return 0
 
 
@@ -476,6 +478,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        if [] in vars(args).values():
+            # argparse takes the value of "--n-max=--" for its separator,
+            # drops it and hands the option an empty list
+            raise CliError("an option value cannot be '--'")
         code = args.fn(args)
         sys.stdout.flush()
         return code

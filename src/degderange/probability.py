@@ -42,11 +42,16 @@ Quadrature runs on ``_quadpack``, a port of the QUADPACK routine behind
 value, error and ``ier`` bit for bit; a nonzero ``ier`` raises
 :class:`QuadratureError` with scipy's message.  So the moment checks import
 no scipy.  The package imports this module on first use, as the CLI's gamma
-commands do, and numpy is imported by the sampling and KS functions on first
-use: the exact layer loads neither.
+commands do: the exact layer does not load it.
 
-The sampler's KS check needs no scipy.  Its statistic is computed with numpy
-as ``scipy.stats.kstest`` computes it, and its critical value is the
+Sampling runs on the standard library alone.  The uniforms are
+``random.Random(seed).random()``, CPython's Mersenne Twister, whose stream
+for an int seed Python keeps the same across versions, and the transforms
+are ``math.expm1`` and ``math.log1p``.  So the samples of a seed depend only
+on the interpreter and the platform's libm, as the quadratures do.
+
+The sampler's KS check needs no scipy.  Its statistic is computed, float for
+float, as ``scipy.stats.kstest`` computes it, and its critical value is the
 Dvoretzky-Kiefer-Wolfowitz bound with Massart's tight constant,
 P(sup|F_n - F| > eps) <= 2 exp(-2 n eps^2) (Dvoretzky, Kiefer & Wolfowitz,
 Ann. Math. Statist. 27(3), 1956; Massart, Ann. Probab. 18(3), 1990), so
@@ -63,7 +68,10 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator
+from itertools import repeat
+from operator import sub, truediv
+from random import Random
+from typing import Callable, Iterator
 
 from . import _quadpack
 from .exactcore import ExactScalar, binomial_conv, factorial
@@ -77,9 +85,6 @@ from .sequences import (
     derange_deg_order,
     falling_deg,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -481,65 +486,62 @@ def stirling_log_expansion_check(
 # sampling (unit-parameter family only)
 
 
-def deg_gamma11_cdf(lam: float, x):
-    """Exact CDF of the unit-parameter family: 1 - (1+lam*x)^((lam-1)/lam)."""
+def _check_lam11(lam: float) -> None:
     if not 0 < lam < 1:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    out = -np.expm1((lam - 1) / lam * np.log1p(lam * np.maximum(x, 0.0)))
-    return out if out.ndim else float(out)
 
 
-def deg_gamma11_ppf(lam: float, u):
-    """Inverse CDF of the unit-parameter family: ((1-u)^(lam/(lam-1)) - 1)/lam.
+def deg_gamma11_cdf(lam: float, x: float) -> float:
+    """Exact CDF of the unit-parameter family: 1 - (1+lam*x)^((lam-1)/lam),
+    zero for x <= 0."""
+    _check_lam11(lam)
+    return -math.expm1((lam - 1) / lam * math.log1p(lam * max(x, 0.0)))
 
-    Maps u = 0 to 0; accepts scalars or arrays with u in [0, 1)."""
-    if not 0 < lam < 1:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
-    import numpy as np
 
-    u = np.asarray(u, dtype=float)
-    out = np.expm1(lam / (lam - 1) * np.log1p(-u)) / lam
-    return out if out.ndim else float(out)
+def deg_gamma11_ppf(lam: float, u: float) -> float:
+    """Inverse CDF of the unit-parameter family: ((1-u)^(lam/(lam-1)) - 1)/lam,
+    for u in [0, 1); maps u = 0 to 0."""
+    _check_lam11(lam)
+    if not 0 <= u < 1:
+        raise ValueError(f"u must lie in [0, 1), got {u}")
+    return math.expm1(lam / (lam - 1) * math.log1p(-u)) / lam
 
 
 def _check_seed(rng_seed: int) -> None:
-    # numpy's generators reject a negative seed deep inside their seeding
+    # random.Random seeds with abs(rng_seed), so -s would silently alias s
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
 
 
 def sample_deg_gamma11_blocks(
     lam: float, rng_seed: int, count: int, block: int
-) -> Iterator[np.ndarray]:
-    """Inverse-CDF sampler: X = ((1-U)^(lam/(lam-1)) - 1)/lam, U uniform(0,1),
-    count samples as consecutive arrays of at most ``block`` samples.  Each
-    block's uniforms are drawn in turn from one generator seeded with
-    rng_seed, so the blocks joined are the same samples whatever the block
-    size, and memory holds one block at a time.  Requires count >= 0,
-    rng_seed >= 0, 0 < lam < 1 and block >= 1."""
+) -> Iterator[list[float]]:
+    """Inverse-CDF sampler: X = ((1-U)^(lam/(lam-1)) - 1)/lam, U uniform on
+    [0, 1), count samples as consecutive lists of at most ``block`` samples.
+    The uniforms are ``random.Random(rng_seed).random()`` in turn, so the
+    blocks joined are the same samples whatever the block size, and memory
+    holds one block at a time.  Each sample is ``deg_gamma11_ppf(lam, U)``,
+    the same operations inlined.  Requires count >= 0, rng_seed >= 0,
+    0 < lam < 1 and block >= 1."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     _check_seed(rng_seed)
-    if not 0 < lam < 1:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    _check_lam11(lam)
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    import numpy as np
+    uniform = Random(rng_seed).random
+    c = lam / (lam - 1)
+    expm1, log1p = math.expm1, math.log1p
+    return (
+        [expm1(c * log1p(-uniform())) / lam for _ in range(min(block, count - i))]
+        for i in range(0, count, block)
+    )
 
-    rng = np.random.default_rng(rng_seed)
-    return (deg_gamma11_ppf(lam, rng.random(min(block, count - i))) for i in range(0, count, block))
 
-
-def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> np.ndarray:
+def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> list[float]:
     """``sample_deg_gamma11_blocks`` in one block: the count samples as one
-    array."""
-    blocks = sample_deg_gamma11_blocks(lam, rng_seed, count, max(count, 1))
-    import numpy as np
-
-    return next(blocks, np.empty(0))
+    list."""
+    return next(sample_deg_gamma11_blocks(lam, rng_seed, count, max(count, 1)), [])
 
 
 def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01):
@@ -548,27 +550,31 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
     Returns (statistic, critical_value, passed) at the given level.  The
     statistic is D = max(D+, D-) over the sorted samples, D+ = max(i/n -
     F(x_i)) and D- = max(F(x_i) - (i-1)/n), computed as ``scipy.stats.kstest``
-    computes it.  The critical value is the Dvoretzky-Kiefer-Wolfowitz-Massart
-    bound sqrt(log(2/level)/(2 count)) (Dvoretzky, Kiefer & Wolfowitz, Ann.
-    Math. Statist. 27(3), 1956; Massart, Ann. Probab. 18(3), 1990): a
-    conservative level-``level`` test, never below the exact
-    ``kstwo.ppf(1 - level, count)``, and one that never rejects at count = 1,
-    where the bound exceeds 1.  Requires count >= 1, rng_seed >= 0 and
-    0 < level < 1.
+    computes it, each difference the same float.  The critical value is the
+    Dvoretzky-Kiefer-Wolfowitz-Massart bound sqrt(log(2/level)/(2 count))
+    (Dvoretzky, Kiefer & Wolfowitz, Ann. Math. Statist. 27(3), 1956; Massart,
+    Ann. Probab. 18(3), 1990): a conservative level-``level`` test, never
+    below the exact ``kstwo.ppf(1 - level, count)``, and one that never
+    rejects at count = 1, where the bound exceeds 1.  Requires count >= 1,
+    rng_seed >= 0 and 0 < level < 1.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_seed(rng_seed)
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    import numpy as np
-
-    cdf = deg_gamma11_cdf(lam, np.sort(sample_deg_gamma11(lam, rng_seed, count)))
-    d_plus = (np.arange(1.0, count + 1) / count - cdf).max()
-    d_minus = (cdf - np.arange(0.0, count) / count).max()
+    xs = sample_deg_gamma11(lam, rng_seed, count)
+    xs.sort()
+    # F(x_i) in place of x_i: deg_gamma11_cdf inlined, x_i >= 0 already
+    e = (lam - 1) / lam
+    expm1, log1p = math.expm1, math.log1p
+    for i, x in enumerate(xs):
+        xs[i] = -expm1(e * log1p(lam * x))
+    d_plus = max(map(sub, map(truediv, range(1, count + 1), repeat(count)), xs))
+    d_minus = max(map(sub, xs, map(truediv, range(count), repeat(count))))
     statistic = max(d_plus, d_minus)
     critical = math.sqrt(math.log(2 / level) / (2 * count))
-    return statistic, critical, bool(statistic < critical)
+    return statistic, critical, statistic < critical
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 from collections import Counter
 import os
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 CMD = [sys.executable, "-m", "degderange"]
 
@@ -183,13 +187,15 @@ def test_sample_csv():
 # SHA-256 of sample --lambda 1/4 --seed 42 --format csv at counts on both
 # sides of the write chunk (8192 samples) and at 100,000 samples: the header
 # alone at count 0, and the bytes that csv.writer wrote one row at a time.
+# The samples are the ppf of random.Random(42)'s uniforms, so these bytes
+# depend only on CPython's Mersenne Twister and on libm's expm1 and log1p.
 SAMPLE_CSV_DIGESTS = [
     (0, "aaf9ff488e0767da5ea1d56118e6f65a16c5633b0cefc1fa089bd3ab1810613d"),
-    (1, "578ef68918c552d71ee270bb334df8206dc9964960a3f2fcfeca02478ac8a10e"),
-    (8191, "7eeea2e9a34f270c922186d51e00f6760cb310826e26e2f0dc897d1a473ce028"),
-    (8192, "c553cef29d63ef8a02ef76a9d1905b89a09c7e0cd2da56140c5883f930f8fb53"),
-    (8193, "5434f0edd72431c328adfd905a0d57ed80f4c664e0e1b7976fc2f796a0adfb4d"),
-    (100_000, "a7b6be1ee28aaf577de52c248e98f404139e0342186b153349a0e66b4133c3d5"),
+    (1, "0f2b0833062d0b2905586bab2f0bf2e64bda29da1c6639fd7dfba8b07e2cfb34"),
+    (8191, "0f6f88bea947bcf57431b22090efbdc9d53c4c5c0867c127d3677f990814871a"),
+    (8192, "5a65f15a0f6361415292a8fb72958d582141aeff3436eeccff21156dbae78478"),
+    (8193, "e3e6a357a681957501713746dd990e923e098856f25aa00c0ee44d334a4ae7e5"),
+    (100_000, "26daf324c3b54f97b5577a082991e072b47a06fe1e89dc39a825313d5d7e3903"),
 ]
 SAMPLE_ARGV = ["sample", "--lambda", "1/4", "--seed", "42", "--format", "csv"]
 
@@ -219,27 +225,34 @@ def test_sample_csv_draws_at_most_a_chunk_at_a_time(monkeypatch, capsys):
     """The csv path draws its uniforms SAMPLE_CHUNK at a time from one
     generator, so memory stays flat in --count; the json path keeps one
     draw of the whole list."""
-    import numpy as np
+    from degderange import cli, probability
 
-    from degderange import cli
-
-    real = np.random.default_rng
+    drawn = 0
     draws = []
 
-    class Recording:
-        def __init__(self, seed):
-            self.rng = real(seed)
+    class Counting(probability.Random):
+        def random(self):
+            nonlocal drawn
+            drawn += 1
+            return super().random()
 
-        def random(self, size):
-            draws.append(size)
-            return self.rng.random(size)
+    real_blocks = probability.sample_deg_gamma11_blocks
 
-    monkeypatch.setattr(np.random, "default_rng", Recording)
+    def recording(*args):
+        # the uniforms drawn since the last block was handed over
+        for block in real_blocks(*args):
+            draws.append(drawn - sum(draws))
+            assert len(block) == draws[-1]
+            yield block
+
+    monkeypatch.setattr(probability, "Random", Counting)
+    monkeypatch.setattr(probability, "sample_deg_gamma11_blocks", recording)
     count = 3 * cli.SAMPLE_CHUNK + 5
     assert cli.main(SAMPLE_ARGV + ["--count", str(count)]) == 0
     assert draws == [cli.SAMPLE_CHUNK] * 3 + [5]
     csv_rows = capsys.readouterr().out.splitlines()[1:]
     draws.clear()
+    drawn = 0
     assert cli.main(SAMPLE_ARGV[:-2] + ["--count", str(count)]) == 0
     assert draws == [count]
     assert [repr(v) for v in json.loads(capsys.readouterr().out)["results"]["samples"]] == csv_rows
@@ -251,9 +264,70 @@ def test_sample_domain():
 
 
 def test_sample_negative_seed_is_config_error():
-    # exit 2 with one error line, not numpy's traceback and exit 1
+    # exit 2 with one error line, not the samples of the seed's absolute value
     out = run_cli("sample", "--lambda", "1/4", "--seed", "-1", "--count", "3")
     assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: --seed must be >= 0\n")
+
+
+def _main_output(argv):
+    from degderange import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    lam=st.one_of(
+        st.sampled_from(["0", "1", "-1", "-1/4", "1/4", "0.25", "2/7", "1/0", "0/0", "-3/0",
+                         "", " ", "abc", "1//2", "1/4/2", "nan", "inf", "--", "--1"]),
+        st.builds("{}/{}".format, st.integers(-5, 5), st.integers(-2, 5)),
+        st.floats(0, 1).map(repr),
+        st.text(alphabet="0123456789/-. ae", max_size=6),
+    ),
+    seed=st.one_of(st.sampled_from([-1, 0, 2**200]), st.integers(0, 2**64)),
+    count=st.integers(-1, 1000),
+    fmt=st.sampled_from(["json", "csv"]),
+)
+@example(lam="1e-400", seed=0, count=3, fmt="csv")  # a float underflow to 0
+@example(lam="0.99999999999999999999", seed=0, count=3, fmt="json")  # rounds to 1
+def test_sample_exits_0_or_2_with_repeatable_bytes(lam, seed, count, fmt):
+    argv = ["sample", f"--lambda={lam}", f"--seed={seed}", f"--count={count}", f"--format={fmt}"]
+    code, out, err = _main_output(argv)
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    elif fmt == "csv":
+        assert err == ""
+        assert out.count("\n") == count + 1
+    else:
+        assert err == ""
+        assert len(json.loads(out)["results"]["samples"]) == count
+    assert _main_output(argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table derangement --lambda=--",
+        "table derangement --n-max=--",
+        "verify --x-grid=--",
+        "certify --identities=--",
+        "gamma-check thm11 --lambda=--",
+        "sample --lambda=1/4 --out=--",
+    ],
+)
+def test_double_dash_option_value_is_config_error(argv, capsys):
+    # argparse hands an option whose value is "--" an empty list: one error
+    # line and exit 2, not a TypeError or AttributeError traceback
+    from degderange import cli
+
+    assert cli.main(argv.split()) == 2
+    assert capsys.readouterr() == ("", "error: an option value cannot be '--'\n")
 
 
 def test_out_file_and_env_dir(tmp_path):
@@ -662,9 +736,10 @@ def test_table_errors_are_unchanged(argv, message, capsys):
 
 
 def test_import_does_not_load_scipy():
-    # scipy, numpy, the probability layer, the process pool and dataclasses
-    # are imported on first use, so neither the package nor the exact
-    # commands load them; the package still resolves every name it exports
+    # the probability layer, the process pool and dataclasses are imported
+    # on first use, so neither the package nor the exact commands load them,
+    # nor scipy or numpy; sample, in both formats, loads neither scipy nor
+    # numpy; the package still resolves every name it exports
     code = (
         "import sys, degderange, degderange.cli\n"
         "from degderange import cli\n"
@@ -672,9 +747,13 @@ def test_import_does_not_load_scipy():
         "             ['verify', '--n-max', '4'],\n"
         "             ['certify', '--n-max', '3']):\n"
         "    assert cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')\n"
-        "             or m.startswith(('concurrent', 'multiprocessing')) or m in ('dataclasses',\n"
-        "             'degderange.probability', 'degderange._quadpack')))\n"
+        "exact = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')\n"
+        "               or m.startswith(('concurrent', 'multiprocessing')) or m in ('dataclasses',\n"
+        "               'degderange.probability', 'degderange._quadpack'))\n"
+        "for fmt in ('json', 'csv'):\n"
+        "    assert cli.main(['sample', '--lambda=1/4', '--count', '10', '--format', fmt]) == 0\n"
+        "sampling = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "print(exact, sampling)\n"
         "from degderange import exactcore, identities, probability, sequences, series\n"
         "layers = (exactcore, identities, probability, sequences, series)\n"
         "for name in degderange.__all__:\n"
@@ -686,7 +765,28 @@ def test_import_does_not_load_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert out.stdout.splitlines()[-1] == "[] []"
+
+
+def test_sampling_bytes_and_ks_check_need_no_numpy():
+    # the sampler draws from random.Random and maps math.expm1/log1p, so the
+    # pinned bytes and a passing KS check come out with every numpy import
+    # failing: they do not depend on numpy's build or its CPU dispatch
+    code = (
+        "import hashlib, io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "sys.modules['numpy'] = None  # every numpy import now raises ImportError\n"
+        "from degderange import cli\n"
+        "from degderange.probability import sampler_ks_check\n"
+        "buf = io.StringIO()\n"
+        "with redirect_stdout(buf):\n"
+        f"    assert cli.main({SAMPLE_ARGV + ['--count', '8193']!r}) == 0\n"
+        "print(hashlib.sha256(buf.getvalue().encode()).hexdigest())\n"
+        "assert sampler_ks_check(0.25, 10**5, 42)[2]\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [dict(SAMPLE_CSV_DIGESTS)[8193]]
 
 
 def test_quadrature_and_ks_check_load_no_scipy_stats():

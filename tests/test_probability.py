@@ -1,8 +1,8 @@
 import math
 import sys
 from fractions import Fraction as F
+from random import Random
 
-import numpy as np
 import pytest
 from scipy import integrate
 
@@ -499,14 +499,15 @@ def test_sampler_mean():
     n = 200_000
     samples = sample_deg_gamma11(lam, 42, n)
     se = math.sqrt(12.0 / n)  # Var = E[X^2] - 4 = 16 - 4
-    assert abs(samples.mean() - 2.0) < 3 * se
+    assert abs(math.fsum(samples) / n - 2.0) < 3 * se
 
 
 def test_sampler_reproducible():
     a = sample_deg_gamma11(0.25, 7, 100)
     b = sample_deg_gamma11(0.25, 7, 100)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_deg_gamma11(0.25, 8, 100))
+    assert type(a) is list and len(a) == 100 and all(type(v) is float for v in a)
+    assert a == b
+    assert a != sample_deg_gamma11(0.25, 8, 100)
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 100])
@@ -515,7 +516,7 @@ def test_sampler_blocks_join_to_the_whole_draw(count):
     for block in (1, 8, 1000):
         blocks = list(sample_deg_gamma11_blocks(0.25, 7, count, block))
         assert all(0 < len(b) <= block for b in blocks)
-        assert np.array_equal(np.concatenate([np.empty(0), *blocks]), whole)
+        assert [v for b in blocks for v in b] == whole
     with pytest.raises(ValueError, match="block"):
         sample_deg_gamma11_blocks(0.25, 7, count, 0)
 
@@ -537,16 +538,31 @@ def test_sampler_validation():
     for level in (0, 1, 1.5, -0.01, float("nan")):
         with pytest.raises(ValueError, match="level"):
             sampler_ks_check(0.25, 10, 42, level=level)
+    for u in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+            deg_gamma11_ppf(0.25, u)
 
 
 def test_negative_seed_is_rejected_before_numpy(monkeypatch):
-    # numpy would reject the seed deep inside its seeding; with numpy
-    # blocked, only a check made before the import can raise ValueError
+    # random.Random seeds with abs(seed), so a negative seed would silently
+    # alias its absolute value; the check refuses it, and no sampling path
+    # imports numpy
     monkeypatch.setitem(sys.modules, "numpy", None)
+    assert Random(-1).random() == Random(1).random()
     with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
         sample_deg_gamma11(0.25, -1, 10)
     with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
         sampler_ks_check(0.25, 10, -1)
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.49, 1e-6])
+def test_sampler_is_the_ppf_of_the_mersenne_twister(lam):
+    # the sampler inlines deg_gamma11_ppf: each sample is the ppf of the
+    # next uniform of random.Random(seed), to the bit
+    for seed in (0, 42, 2**200):
+        uniform = Random(seed).random
+        expected = [deg_gamma11_ppf(lam, uniform()) for _ in range(1000)]
+        assert sample_deg_gamma11(lam, seed, 1000) == expected
 
 
 def test_empirical_cdf_at_one():
@@ -554,7 +570,7 @@ def test_empirical_cdf_at_one():
     n = 100_000
     samples = sample_deg_gamma11(lam, 42, n)
     target = deg_gamma11_cdf(lam, 1.0)
-    assert abs((samples <= 1.0).mean() - target) < 3 / math.sqrt(n)
+    assert abs(sum(v <= 1.0 for v in samples) / n - target) < 3 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
