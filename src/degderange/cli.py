@@ -7,11 +7,16 @@ would take for its absolute value, a ``sample --lambda`` that rounds to 0
 or 1 as a float, an option value ``--``, a ``certify --n-max`` above
 ``CERTIFY_MAX_N`` = 64, a ``gamma-check thm11`` or ``expansion``
 ``--n-max`` above ``probability.MAX_FLOAT_N`` = 170, where the target
-(1-lam) n! is past the float range, a ``verify --r-max`` above
+(1-lam) n! is past the float range, or ``--lambda`` that rounds to 0 or 1/2
+as a float, a ``verify --r-max`` above
 ``identities.MAX_N`` = 256, and an ``--out`` path that cannot be opened
 for writing), 141 (128 + SIGPIPE) stdout closed by its reader before the
 output was written, as by ``| head``.  Rationals are always emitted as
-"p/q" strings (never decimals); floats use shortest round-trip formatting.
+"p/q" strings (never decimals); floats use shortest round-trip formatting,
+and a sample past the float range is written ``inf`` (CSV) or ``Infinity``
+(JSON).  Every JSON document has the bytes of ``json.dumps(doc, indent=2)``;
+``table`` formats its rows itself (``_table_json``), since an indent puts
+json on its pure-Python encoder.
 The environment variable DEGDERANGE_OUT_DIR supplies a default directory
 for relative --out paths.
 """
@@ -200,6 +205,23 @@ def _table(args) -> tuple[dict, list]:
     return params, sequences.falling_row(x, n_max, lam)
 
 
+def _table_json(params: dict, field: str, cells: list) -> str:
+    """``_json_doc("table", params, rows)`` byte for byte, with each row
+    formatted by one f-string in json's indent=2 layout.  With an indent,
+    ``json.dumps`` runs its pure-Python encoder, and the rows are nearly all
+    of a table's bytes; the head (schema, command, params echo) still comes
+    from ``json.dumps``.  Every cell is the str() of an int or a Fraction,
+    made of digits, "-" and "/", which json quotes without escapes."""
+    if field == "coeffs":  # a list of strings, one per line at indent 8
+        sep = '",\n        "'
+        cells = [f'[\n        "{sep.join(c)}"\n      ]' if c else "[]" for c in cells]
+    else:
+        cells = [f'"{c}"' for c in cells]
+    rows = [f'    {{\n      "n": {n},\n      "{field}": {c}\n    }}' for n, c in enumerate(cells)]
+    head = _json_doc("table", params, [])  # ends in '"results": []\n}'
+    return head[:-4] + "[\n" + ",\n".join(rows) + "\n  ]\n}"
+
+
 def _cmd_table(args) -> int:
     params, values = _table(args)
     if args.sequence == "derangement-poly":
@@ -208,7 +230,7 @@ def _cmd_table(args) -> int:
         field, cells = "value", [str(v) for v in values]
     out_path = _resolve_out(args.out)
     if args.format == "json":
-        _emit(_json_doc("table", params, [{"n": n, field: c} for n, c in enumerate(cells)]), out_path)
+        _emit(_table_json(params, field, cells), out_path)
     else:
         rows = [[str(n), c if isinstance(c, str) else " ".join(c)] for n, c in enumerate(cells)]
         _emit_csv(["n", field], rows, out_path)

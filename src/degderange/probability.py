@@ -2,7 +2,9 @@
 
 Floating point is confined to this module.  Every check compares a float
 produced by quadrature or sampling against an exact rational target computed
-by the exact layer, converted at the last moment.
+by the exact layer, converted at the last moment.  The moment checks take
+an exact lam and divide by float(lam), so they refuse a lam that rounds out
+of (0, 1/2) as a float, as 1e-400 rounds to 0.0.
 
 Integrands containing powers of the deformed exponential are integrated after
 the change of variables u = (1/lam)*log(1 + lam*x), which maps them to
@@ -48,7 +50,11 @@ Sampling runs on the standard library alone.  The uniforms are
 ``random.Random(seed).random()``, CPython's Mersenne Twister, whose stream
 for an int seed Python keeps the same across versions, and the transforms
 are ``math.expm1`` and ``math.log1p``.  So the samples of a seed depend only
-on the interpreter and the platform's libm, as the quadratures do.
+on the interpreter and the platform's libm, as the quadratures do.  A sample
+past the float range, which u near 1 reaches for lam above about 0.951, is
+``math.inf``: a block whose ``expm1`` overflows is drawn again from the same
+uniforms through ``deg_gamma11_ppf``, so the common path pays one
+``Random.getstate()`` per block.
 
 The sampler's KS check needs no scipy.  Its statistic is computed, float for
 float, as ``scipy.stats.kstest`` computes it, and its critical value is the
@@ -181,6 +187,15 @@ def _check_moment_n(n: int) -> None:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > MAX_FLOAT_N:
         raise ValueError(f"n must be <= {MAX_FLOAT_N}, got {n}: (1-lam) n! is past the float range")
+
+
+def _check_float_lam(lam: Fraction) -> float:
+    """float(lam) for a lam in (0, 1/2), which the quadratures divide by:
+    refused if it rounds out of (0, 1/2), as 1e-400 rounds to 0.0."""
+    lamf = float(lam)
+    if not 0 < lamf < 0.5:
+        raise ValueError(f"lam rounds to {lamf!r} as a float, outside (0, 1/2)")
+    return lamf
 
 
 def _compare(numeric: float, target: Fraction, tol: float, **extra) -> MomentCheckResult:
@@ -355,6 +370,7 @@ def theorem11_check(
     lam = Fraction(lam)
     if not Fraction(0) < lam < Fraction(1, 2):
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
+    lamf = _check_float_lam(lam)
     lam_key = _key(lam)
     key = (lam_key, (0, 1))  # the derangement numbers: x = 0
     f = _FALLING.ints(((1, 1), lam_key), n)
@@ -371,7 +387,6 @@ def theorem11_check(
         raise AssertionError(
             f"exact layer inconsistency at n={n}, lam={lam}: {target} != {consistency}"
         )
-    lamf = float(lam)
     c0 = 1 - lamf
 
     def values(nodes):
@@ -428,9 +443,9 @@ def stirling_log_expansion_check(
     lam = Fraction(lam)
     if not Fraction(0) < lam < Fraction(1, 2):
         raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
+    lamf = _check_float_lam(lam)
     if m_cap < n:
         raise ValueError(f"m_cap must be >= n, got {m_cap} < {n}")
-    lamf = float(lam)
     target = (1 - lam) * factorial(n)
     tf = float(target)
     # largest m with a convergent expectation: m < 1/lam
@@ -500,11 +515,15 @@ def deg_gamma11_cdf(lam: float, x: float) -> float:
 
 def deg_gamma11_ppf(lam: float, u: float) -> float:
     """Inverse CDF of the unit-parameter family: ((1-u)^(lam/(lam-1)) - 1)/lam,
-    for u in [0, 1); maps u = 0 to 0."""
+    for u in [0, 1); maps u = 0 to 0, and to ``math.inf`` a value past the
+    float range, which u near 1 reaches for lam above about 0.951."""
     _check_lam11(lam)
     if not 0 <= u < 1:
         raise ValueError(f"u must lie in [0, 1), got {u}")
-    return math.expm1(lam / (lam - 1) * math.log1p(-u)) / lam
+    try:
+        return math.expm1(lam / (lam - 1) * math.log1p(-u)) / lam
+    except OverflowError:
+        return math.inf
 
 
 def _check_seed(rng_seed: int) -> None:
@@ -521,21 +540,30 @@ def sample_deg_gamma11_blocks(
     The uniforms are ``random.Random(rng_seed).random()`` in turn, so the
     blocks joined are the same samples whatever the block size, and memory
     holds one block at a time.  Each sample is ``deg_gamma11_ppf(lam, U)``,
-    the same operations inlined.  Requires count >= 0, rng_seed >= 0,
-    0 < lam < 1 and block >= 1."""
+    the same operations inlined; a block in which one of them leaves the
+    float range is drawn again from the same uniforms through the ppf
+    itself, so that sample is ``math.inf``.  Requires count >= 0,
+    rng_seed >= 0, 0 < lam < 1 and block >= 1."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     _check_seed(rng_seed)
     _check_lam11(lam)
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    uniform = Random(rng_seed).random
+    rng = Random(rng_seed)
+    uniform = rng.random
     c = lam / (lam - 1)
     expm1, log1p = math.expm1, math.log1p
-    return (
-        [expm1(c * log1p(-uniform())) / lam for _ in range(min(block, count - i))]
-        for i in range(0, count, block)
-    )
+
+    def draw(k: int) -> list[float]:
+        state = rng.getstate()
+        try:
+            return [expm1(c * log1p(-uniform())) / lam for _ in range(k)]
+        except OverflowError:
+            rng.setstate(state)
+            return [deg_gamma11_ppf(lam, uniform()) for _ in range(k)]
+
+    return (draw(min(block, count - i)) for i in range(0, count, block))
 
 
 def sample_deg_gamma11(lam: float, rng_seed: int, count: int) -> list[float]:
@@ -555,8 +583,11 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
     (Dvoretzky, Kiefer & Wolfowitz, Ann. Math. Statist. 27(3), 1956; Massart,
     Ann. Probab. 18(3), 1990): a conservative level-``level`` test, never
     below the exact ``kstwo.ppf(1 - level, count)``, and one that never
-    rejects at count = 1, where the bound exceeds 1.  Requires count >= 1,
-    rng_seed >= 0 and 0 < level < 1.
+    rejects at count = 1, where the bound exceeds 1.  A sample of ``inf``
+    (past the float range) has F = 1; the statistic, made for a continuous
+    law, then sees an atom at the top, and at lam = 0.999, where about half
+    the samples are inf, it rejects.  Requires count >= 1, rng_seed >= 0 and
+    0 < level < 1.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -293,6 +293,8 @@ def _main_output(argv):
 )
 @example(lam="1e-400", seed=0, count=3, fmt="csv")  # a float underflow to 0
 @example(lam="0.99999999999999999999", seed=0, count=3, fmt="json")  # rounds to 1
+@example(lam="999/1000", seed=0, count=3, fmt="csv")  # samples past the float range
+@example(lam="999/1000", seed=0, count=3, fmt="json")
 def test_sample_exits_0_or_2_with_repeatable_bytes(lam, seed, count, fmt):
     argv = ["sample", f"--lambda={lam}", f"--seed={seed}", f"--count={count}", f"--format={fmt}"]
     code, out, err = _main_output(argv)
@@ -733,6 +735,124 @@ def test_table_errors_are_unchanged(argv, message, capsys):
 
     assert cli.main(["table"] + argv.split() + ["--lambda", "1/2", "--n-max", "4"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@settings(max_examples=120, deadline=2000)
+@given(
+    sel=st.sampled_from(["derangement", "derangement-poly", "derangement-order", "stirling1",
+                         "stirling2", "fubini", "bell", "falling"]),
+    lam=st.sampled_from(["0", "2/7", "-1/3", "1/2", "7/3", "-5/11"]),
+    n_max=st.integers(0, 12),
+    x=st.one_of(st.none(), st.sampled_from(["0", "1", "3/4", "-2", "-5/11"])),
+    r=st.one_of(st.none(), st.integers(0, 4)),
+    m=st.one_of(st.none(), st.integers(-1, 5)),
+)
+def test_table_json_is_json_dumps_output(sel, lam, n_max, x, r, m):
+    """The table writer formats its rows by hand; every document it writes
+    must be the one json.dumps(..., indent=2) writes for the same data."""
+    argv = ["table", sel, f"--lambda={lam}", f"--n-max={n_max}", "--format=json"]
+    for flag, value in (("--x", x), ("--r", r), ("--m", m)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    code, out, err = _main_output(argv)
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+        # json.dumps of the parsed document, plus stdout's newline: an oracle
+        # that shares nothing with the table writer
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert [row["n"] for row in json.loads(out)["results"]] == list(range(n_max + 1))
+
+
+ONE_ROW_TABLES = {
+    "fubini --lambda=2/7": """{
+  "schema_version": 1,
+  "command": "table",
+  "params": {
+    "sequence": "fubini",
+    "lambda": "2/7",
+    "n_max": 0,
+    "x": "1"
+  },
+  "results": [
+    {
+      "n": 0,
+      "value": "1"
+    }
+  ]
+}
+""",
+    "derangement-poly --lambda=-1/3": """{
+  "schema_version": 1,
+  "command": "table",
+  "params": {
+    "sequence": "derangement-poly",
+    "lambda": "-1/3",
+    "n_max": 0
+  },
+  "results": [
+    {
+      "n": 0,
+      "coeffs": [
+        "1"
+      ]
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(ONE_ROW_TABLES))
+def test_one_row_table_json(argv, capsys):
+    # --n-max 0: a results list of one row, the smallest document
+    from degderange import cli
+
+    assert cli.main(["table"] + argv.split() + ["--n-max", "0"]) == 0
+    assert capsys.readouterr() == (ONE_ROW_TABLES[argv], "")
+
+
+def test_table_writer_keeps_json_dumps_bytes_for_empty_lists():
+    # a Poly always has a coefficient, but the writer keeps json's "[]"
+    from degderange import cli
+
+    params = {"sequence": "derangement-poly", "lambda": "0", "n_max": 1}
+    cells = [[], ["1", "-1/2"]]
+    rows = [{"n": n, "coeffs": c} for n, c in enumerate(cells)]
+    assert cli._table_json(params, "coeffs", cells) == cli._json_doc("table", params, rows)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(
+    check=st.sampled_from(["thm11", "expansion", "gammafn", "normalization"]),
+    lam=st.sampled_from(["1/5", "1/80", "9/25", "0", "1/2", "-1/3", "1", "7/3", "1/0", "abc",
+                         "1e-400", "0.49999999999999999999", "nan", "inf", "1e308"]),
+    n_max=st.integers(-1, 3),
+    m_cap=st.integers(0, 40),
+    k=st.one_of(st.none(), st.integers(-1, 3)),
+    alpha=st.sampled_from(["0", "0.5", "1.5", "nan", "inf"]),
+)
+@example(check="thm11", lam="1e-400", n_max=2, m_cap=40, k=None, alpha="1")
+@example(check="expansion", lam="1e-400", n_max=2, m_cap=40, k=None, alpha="1")
+def test_gamma_check_ends_in_a_document_or_one_error_line(check, lam, n_max, m_cap, k, alpha):
+    argv = ["gamma-check", check, f"--lambda={lam}", f"--n-max={n_max}", f"--m-cap={m_cap}",
+            f"--alpha={alpha}"]
+    if k is not None:
+        argv.append(f"--k={k}")
+    code, out, err = _main_output(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    elif out:
+        assert json.loads(out)["command"] == "gamma-check"
+    else:  # a quadrature failure: one error line, exit 1
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_import_does_not_load_scipy():

@@ -345,6 +345,23 @@ def test_moment_checks_stop_at_the_float_range(monkeypatch):
         stirling_log_expansion_check(171, 171, F(1, 80))
 
 
+@pytest.mark.parametrize("lam", [F(1, 10**400), F(1, 2) - F(1, 10**20)])
+def test_moment_checks_refuse_a_lam_that_rounds_out_of_range(lam, monkeypatch):
+    """lam lies in (0, 1/2) exactly but rounds to 0.0 or 0.5 as a float, which
+    the quadratures divide by: both checks raise ValueError before any
+    quadrature runs, not ZeroDivisionError."""
+
+    def no_quad(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(_quadpack, "quad", no_quad)
+    rounded = repr(float(lam))
+    with pytest.raises(ValueError, match=f"lam rounds to {rounded} as a float, outside"):
+        theorem11_check(2, lam)
+    with pytest.raises(ValueError, match=f"lam rounds to {rounded} as a float, outside"):
+        stirling_log_expansion_check(2, 40, lam)
+
+
 def test_theorem11_cross_check_reaches_the_series_path(monkeypatch):
     # The exact side reads the integer derangement row; in cross-check mode
     # the series path's row must give the same target.  A series row off by
@@ -563,6 +580,26 @@ def test_sampler_is_the_ppf_of_the_mersenne_twister(lam):
         uniform = Random(seed).random
         expected = [deg_gamma11_ppf(lam, uniform()) for _ in range(1000)]
         assert sample_deg_gamma11(lam, seed, 1000) == expected
+
+
+def test_samples_past_the_float_range_are_inf():
+    """Above lam ~ 0.951, ((1-u)^(lam/(lam-1)) - 1)/lam passes the largest
+    float as u nears 1; at lam = 0.999 about half the draws do.  Such a
+    sample is inf, the rest of its block is still the ppf of its uniform,
+    and the CDF maps inf to 1, so the KS check runs to a result."""
+    assert deg_gamma11_ppf(0.999, 0.9) == math.inf
+    assert deg_gamma11_cdf(0.999, math.inf) == 1.0
+    uniform = Random(0).random
+    expected = [deg_gamma11_ppf(0.999, uniform()) for _ in range(1000)]
+    samples = sample_deg_gamma11(0.999, 0, 1000)
+    assert samples == expected
+    assert 400 < sum(map(math.isinf, samples)) < 600
+    assert all(0 <= x for x in samples)
+    # blocks that overflow and blocks that do not join to the same draw
+    assert [x for b in sample_deg_gamma11_blocks(0.999, 0, 1000, 3) for x in b] == samples
+    stat, critical, passed = sampler_ks_check(0.999, 1000, 1)
+    # the statistic assumes a continuous law and sees the atom at inf
+    assert 0 < critical < stat <= 1 and not passed
 
 
 def test_empirical_cdf_at_one():
