@@ -12,7 +12,9 @@ as a float, a ``verify --r-max`` above
 ``identities.MAX_N`` = 256, and an ``--out`` path that cannot be opened
 for writing), 141 (128 + SIGPIPE) stdout closed by its reader before the
 output was written, as by ``| head``.  Rationals are always emitted as
-"p/q" strings (never decimals); floats use shortest round-trip formatting,
+"p/q" strings (never decimals), whole at any length: a run lifts CPython's
+4300-digit int/str limit, which ended a long value in a ValueError
+traceback, exit 1; floats use shortest round-trip formatting,
 and a sample past the float range is written ``inf`` (CSV) or ``Infinity``
 (JSON).  Every JSON document has the bytes of ``json.dumps(doc, indent=2)``;
 ``table`` formats its rows itself (``_table_json``), since an indent puts
@@ -499,6 +501,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    # exact values are read and written whole, however many digits they
+    # have: lift CPython's int/str digit limit (3.11, and 3.10.7 on) for
+    # the run; the forked workers of verify --jobs inherit it
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         if [] in vars(args).values():
             # argparse takes the value of "--n-max=--" for its separator,
@@ -517,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -80,7 +80,9 @@ def convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 def dot(u: IntRow, v: IntRow) -> IntPair:
     """Exact sum of u[i] * v[i] over the shorter of two lists in
-    integer-numerator form (nums, den), as the unreduced pair (num, du * dv)."""
+    integer-numerator form (nums, den), as the unreduced pair (num, du * dv).
+    Either nums may be an iterator, such as a ``map`` chain over a row: it
+    is read once."""
     (nu, du), (nv, dv) = u, v
     return sum(map(mul, nu, nv)), du * dv
 

@@ -18,7 +18,9 @@ sides differ.  The path mapping, per identity:
                      over explicit-sum derangement values (prefix sums of
                      the shared terms row).
   THM3               lhs: double sum (explicit-sum derangements, recurrence
-                     Stirling triangle); rhs: alternating single sum.
+                     Stirling triangle); rhs: alternating single sum over
+                     the falling-factorial row at (1-x, -lam), since
+                     falling(1-x, m; -lam) = (-1)^m falling(x-1, m; lam).
   THM4               lhs: recurrence triangle + explicit-sum derangements;
                      rhs: double sum with series-extracted Fubini values.
   THM5               three expressions: Fubini values (row sums of the
@@ -56,6 +58,19 @@ weights (``_s2_sums``).
 
 The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
+
+Per case.  ``_run_chunk`` calls the public ``verify`` once per distinct
+(identity, n, lam, x, r) case, so a count of its calls is the number of
+cases run.  One call unpacks the case once, checks it against its
+``_Spec``, makes each parameter's memo key with one ``_key`` call and runs
+the verifier, whose work is a fixed handful of memo reads (a hit is one
+dict read, and a row of exactly the values asked for is handed out
+uncopied), one or two kernel sums over those rows (``dot``,
+``binomial_conv``; signs and differences enter as ``map`` chains, never as
+a list built per case), the cross-multiplied comparison and the reduced
+``Fraction`` returned.  Verifiers over whole runs, one call per (identity,
+lam, x) for all of its n, would remove most of these steps, but a call
+would then no longer be a case; they wait for a case counter of their own.
 
 Evaluation order.  A memo row is built whole, to the largest n asked of
 it, a larger n building a new row, and the smaller n read its prefix, so
@@ -130,8 +145,8 @@ from __future__ import annotations
 import os
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
+from itertools import chain, count, cycle, repeat
+from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactcore import ExactScalar, IntRow, binomial_conv, dot, factorial, factorials
@@ -273,7 +288,9 @@ _ALTERNATING_INNER = _Memo(_s2_sums(_alternating_weights))
 
 def _thm3(n, lam, x, r, mutate):
     lhs = binomial_conv(_ALTERNATING_INNER.ints((lam, x, lam), n), _FALLING.ints((_ONE, lam), n), n)
-    rhs = dot(_alternating(_FALLING.ints((_shift(x, -1), lam), n)), _S2.ints(lam, n))
+    # (-1)^m falling(x-1, m; lam) = falling(1-x, m; -lam), whose row holds
+    # the same integers up to sign, over the same denominator
+    rhs = dot(_FALLING.ints((_shift(_neg(x), 1), _neg(lam)), n), _S2.ints(lam, n))
     if mutate:
         rhs = _neg(rhs)
     return lhs, rhs
@@ -313,13 +330,15 @@ def _thm5(n, lam, x, r, mutate):
 
 
 def _lemma6(n, lam, x, r, mutate):
-    (f, fd), (s, sd) = _FALLING.ints((_shift(x, -1), lam), n), _S2.ints(lam, n)
-    num, den = dot((f[1:], fd), (s[1:], sd))
+    # both sums run over m = 1..n; their terms at m = 0 carry S2(n, 0; lam),
+    # which is 0 at n >= 1, so each is taken over the whole row
+    f, s = _FALLING.ints((_shift(x, -1), lam), n), _S2.ints(lam, n)
+    num, den = dot(f, s)
     if mutate:
-        num -= 2 * f[1] * s[1]
+        num -= 2 * f[0][1] * s[0][1]
     d, dd = _DERANGE.ints((lam, x), n)
-    rhs = dot(([d[m] - m * d[m - 1] for m in range(1, n + 1)], dd), (s[1:], sd))
-    return (num, den), rhs
+    differences = map(sub, d, map(mul, count(), chain((0,), d)))  # D(m) - m D(m-1)
+    return (num, den), dot((differences, dd), s)
 
 
 def _thm7_a(n, lam, x, r, mutate):
@@ -341,7 +360,8 @@ def _thm7_b(n, lam, x, r, mutate):
 
 
 def _thm8_a(n, lam, x, r, mutate):
-    lhs = dot(_alternating(_DERANGE.ints((lam, _ZERO), n)), _S2.ints(_neg(lam), n))
+    d, dd = _DERANGE.ints((lam, _ZERO), n)
+    lhs = dot((map(mul, cycle((1, -1)), d), dd), _S2.ints(_neg(lam), n))
     b, f = _BELL_SERIES.ints((_neg(lam), _ONE), n), _FALLING.ints((_MINUS_ONE, _neg(lam)), n)
     num, den = binomial_conv(b, f, n)
     if mutate:
@@ -357,9 +377,8 @@ def _thm8_b(n, lam, x, r, mutate):
 
 
 def _eq24_25(n, lam, x, r, mutate):
-    (f, fd), s = _FALLING.ints((_MINUS_ONE, lam), n), _S1.ints(lam, n)
-    sign = -1 if mutate else 1
-    lhs = dot(([sign * (-1) ** n * v for v in f], fd), s)
+    num, den = dot(_FALLING.ints((_MINUS_ONE, lam), n), _S1.ints(lam, n))
+    lhs = (-num if (n + mutate) % 2 else num), den  # (-1)^n, and the mutation's flip
     rhs = binomial_conv(_DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n), n)
     return lhs, rhs
 
@@ -436,26 +455,20 @@ def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction
     Returns (lhs, rhs, passed) with passed meaning exact equality; lhs and
     rhs are reduced ``Fraction`` values, one object when they agree.
     """
+    ident, n, lam, x, r = case
     try:
-        spec = _REGISTRY[case.identity_id]
+        fn, _, uses_x, uses_r, min_n = _REGISTRY[ident]
     except KeyError:
-        raise ValueError(f"unsupported identity {case.identity_id!r}") from None
-    if not spec.min_n <= case.n <= MAX_N:
-        raise ValueError(
-            f"{case.identity_id.value} needs {spec.min_n} <= n <= {MAX_N}, got {case.n}"
-        )
-    if spec.uses_x != (case.x is not None):
-        raise ValueError(
-            f"{case.identity_id.value} {'requires' if spec.uses_x else 'does not take'} x"
-        )
-    if spec.uses_r != (case.r is not None):
-        raise ValueError(
-            f"{case.identity_id.value} {'requires' if spec.uses_r else 'does not take'} r"
-        )
-    if spec.uses_r and case.r < 1:
-        raise ValueError(f"r must be >= 1, got {case.r}")
-    x = None if case.x is None else _key(case.x)
-    lhs, rhs = spec.fn(case.n, _key(case.lam), x, case.r, mutate)
+        raise ValueError(f"unsupported identity {ident!r}") from None
+    if not min_n <= n <= MAX_N:
+        raise ValueError(f"{ident.value} needs {min_n} <= n <= {MAX_N}, got {n}")
+    if uses_x != (x is not None):
+        raise ValueError(f"{ident.value} {'requires' if uses_x else 'does not take'} x")
+    if uses_r != (r is not None):
+        raise ValueError(f"{ident.value} {'requires' if uses_r else 'does not take'} r")
+    if uses_r and r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    lhs, rhs = fn(n, _key(lam), x if x is None else _key(x), r, mutate)
     if _equal(lhs, rhs):
         value = Fraction(*lhs)
         return value, value, True

@@ -71,6 +71,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -583,11 +585,13 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
     (Dvoretzky, Kiefer & Wolfowitz, Ann. Math. Statist. 27(3), 1956; Massart,
     Ann. Probab. 18(3), 1990): a conservative level-``level`` test, never
     below the exact ``kstwo.ppf(1 - level, count)``, and one that never
-    rejects at count = 1, where the bound exceeds 1.  A sample of ``inf``
-    (past the float range) has F = 1; the statistic, made for a continuous
-    law, then sees an atom at the top, and at lam = 0.999, where about half
-    the samples are inf, it rejects.  Requires count >= 1, rng_seed >= 0 and
-    0 < level < 1.
+    rejects at count = 1, where the bound exceeds 1.  A sample past the
+    float range is ``inf``: the law of the float samples has an atom there,
+    of mass 1 - c with c = F(``sys.float_info.max``).  So D+ and D- run over
+    the k finite samples, and D- also takes the gap c - k/count just below
+    the atom, where the empirical CDF still reads k/count; at inf both CDFs
+    read 1.  With no inf sample the gap c - 1 is negative, and D is
+    scipy's.  Requires count >= 1, rng_seed >= 0 and 0 < level < 1.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -596,14 +600,17 @@ def sampler_ks_check(lam: float, count: int, rng_seed: int, level: float = 0.01)
         raise ValueError(f"level must lie in (0, 1), got {level}")
     xs = sample_deg_gamma11(lam, rng_seed, count)
     xs.sort()
+    k = bisect_left(xs, math.inf)
+    del xs[k:]
     # F(x_i) in place of x_i: deg_gamma11_cdf inlined, x_i >= 0 already
     e = (lam - 1) / lam
     expm1, log1p = math.expm1, math.log1p
     for i, x in enumerate(xs):
         xs[i] = -expm1(e * log1p(lam * x))
-    d_plus = max(map(sub, map(truediv, range(1, count + 1), repeat(count)), xs))
-    d_minus = max(map(sub, xs, map(truediv, range(count), repeat(count))))
-    statistic = max(d_plus, d_minus)
+    d_plus = max(map(sub, map(truediv, range(1, k + 1), repeat(count)), xs), default=0.0)
+    d_minus = max(map(sub, xs, map(truediv, range(k), repeat(count))), default=0.0)
+    gap = -expm1(e * log1p(lam * sys.float_info.max)) - k / count
+    statistic = max(d_plus, d_minus, gap)
     critical = math.sqrt(math.log(2 / level) / (2 * count))
     return statistic, critical, statistic < critical
 

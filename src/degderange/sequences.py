@@ -33,7 +33,11 @@ the layout of FLINT's ``fmpq_poly``, in one of three forms:
 take, and ``pair(key, n)`` gives value n as an unreduced int pair
 (num, den); the identity verifiers read these two, and only the public
 ``*_row`` and scalar accessors build ``Fraction`` values, at the API
-boundary.  A grow step builds a key's row for 0..n from the key alone,
+boundary.  A read that hits serves its row with one dict read, and ``ints``
+may return the published list itself, not a copy (a whole row of n + 1
+values, row n of a triangle, or a series row at an integer point, whose
+values need no scaling to one denominator): no reader mutates what it is
+given.  A grow step builds a key's row for 0..n from the key alone,
 reading no earlier row of that key, and the memo publishes it in place of
 the old one: a published row is never changed, so a reader outside the
 lock, holding one reference to a row, never pairs new numerators with an
@@ -144,7 +148,7 @@ def _key(v: ExactScalar) -> tuple[int, int]:
     Anything else that ``Fraction`` accepts goes through it once."""
     if not isinstance(v, (int, Fraction)):
         v = Fraction(v)
-    return v.numerator, v.denominator
+    return v.as_integer_ratio()
 
 
 class _Memo:
@@ -180,13 +184,19 @@ class _Memo:
         return row
 
     def ints(self, key, n: int) -> tuple[list[int], int]:
-        """Values 0..n in integer-numerator form (nums, den)."""
-        row = self.row(key, n)
-        return row[0][: n + 1], row[1]
+        """Values 0..n in integer-numerator form (nums, den): the published
+        list itself when it holds exactly n + 1 entries, else a slice."""
+        row = self.rows.get(key)
+        if row is None or len(row[0]) <= n:
+            row = self.row(key, n)
+        nums = row[0]
+        return (nums if len(nums) == n + 1 else nums[: n + 1]), row[1]
 
     def pair(self, key, n: int) -> IntPair:
         """Value n as an unreduced int pair (num, den)."""
-        row = self.row(key, n)
+        row = self.rows.get(key)
+        if row is None or len(row[0]) <= n:
+            row = self.row(key, n)
         return row[0][n], row[1]
 
     def value(self, key, n: int) -> Fraction:
@@ -204,8 +214,11 @@ class _TriangleMemo(_Memo):
     __slots__ = ()
 
     def ints(self, key, n: int) -> tuple[list[int], int]:
-        """Row n, entries 0..n."""
-        return self.row(key, n)[0][n]
+        """Row n, entries 0..n: the published (nums, q^n) itself."""
+        row = self.rows.get(key)
+        if row is None or len(row[0]) <= n:
+            row = self.row(key, n)
+        return row[0][n]
 
 
 class _SeriesMemo(_Memo):
@@ -214,22 +227,30 @@ class _SeriesMemo(_Memo):
     __slots__ = ()
 
     def ints(self, key, n: int) -> tuple[list[int], int]:
-        nums, s = self.row(key, n)
-        return _over_power(nums[: n + 1], s)
+        row = self.rows.get(key)
+        if row is None or len(row[0]) <= n:
+            row = self.row(key, n)
+        return _over_power(row[0], row[1], n)
 
     def pair(self, key, n: int) -> IntPair:
-        nums, s = self.row(key, n)
-        return nums[n], s**n
+        row = self.rows.get(key)
+        if row is None or len(row[0]) <= n:
+            row = self.row(key, n)
+        return row[0][n], row[1] ** n
 
 
-def _over_power(nums: list[int], s: int) -> tuple[list[int], int]:
-    """The values nums[i] / s^i over one denominator, s^(len(nums) - 1)."""
+def _over_power(nums: list[int], s: int, n: int) -> tuple[list[int], int]:
+    """The values nums[i] / s^i, i = 0..n, over one denominator, s^n.  At
+    s = 1 (every integer point) they are nums[0..n] as they stand: the list
+    itself when it holds exactly n + 1 entries."""
+    if s == 1:
+        return (nums if len(nums) == n + 1 else nums[: n + 1]), 1
     out, f = [], 1
-    for v in reversed(nums):
+    for v in nums[n::-1]:
         out.append(v * f)
         f *= s
     out.reverse()
-    return out, s ** (len(nums) - 1)
+    return out, s**n
 
 
 def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> list[int]:
@@ -277,7 +298,7 @@ def _grow_falling(key, n):
     e = [1]
     for k in range(1, n + 1):
         e.append(e[-1] * (u * q - (k - 1) * p * v))
-    return _over_power(e, q * v)
+    return _over_power(e, q * v, n)
 
 
 _FALLING = _Memo(_grow_falling)
@@ -629,14 +650,14 @@ def stirling2_series_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling2_deg_series(k, m, lam) for k = 0..n], as a new list; the
     series columns are built once, to n."""
     nums, s = _series_column(_S2_SERIES, n, m, lam)
-    return as_fractions(*_over_power(nums[: n + 1], s))
+    return as_fractions(*_over_power(nums, s, n))
 
 
 def stirling1_series_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling1_deg_series(k, m, lam) for k = 0..n], as a new list; the
     series columns are built once, to n."""
     nums, s = _series_column(_S1_SERIES, n, m, lam)
-    return as_fractions(*_over_power(nums[: n + 1], s))
+    return as_fractions(*_over_power(nums, s, n))
 
 
 def stirling1_classical(n: int, m: int) -> int:
@@ -671,7 +692,7 @@ def _grow_weighted_sums(bell: bool, key, n):
     for k in range(1, n + 1):
         top = _triangle_step(top, leads, q * v, (k - 1) * p * v)
         sums.append(sum(top))
-    return _over_power(sums, q * v)
+    return _over_power(sums, q * v, n)
 
 
 _FUBINI = _Memo(partial(_grow_weighted_sums, False))

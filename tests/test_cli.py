@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from degderange.identities import IdentityId
+
 CMD = [sys.executable, "-m", "degderange"]
 
 
@@ -853,6 +855,98 @@ def test_gamma_check_ends_in_a_document_or_one_error_line(check, lam, n_max, m_c
         assert json.loads(out)["command"] == "gamma-check"
     else:  # a quadrature failure: one error line, exit 1
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
+identity_lists = st.one_of(
+    st.none(),
+    st.sampled_from(["all", " ALL ", "", ",", "THM99", "thm3", "all,THM3", "THM3,,THM3"]),
+    st.lists(st.sampled_from([i.value for i in IdentityId]), min_size=1, max_size=3).map(",".join),
+)
+# grids of at most 3 values, one in four holding rationals the parser
+# rejects
+grid_values = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-1/3", "2/7", "3/4", "-2", "2/4", "0.25", "1e308",
+                     "1e-400"]),
+    st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 5)),
+)
+bad_values = st.sampled_from(["1/0", "0/0", "1/-2", "", " ", "abc", "1//2", "nan", "inf", "--1"])
+good_grids = st.lists(grid_values, min_size=1, max_size=3)
+grids = st.one_of(
+    good_grids, good_grids, good_grids,
+    st.lists(st.one_of(grid_values, bad_values), min_size=1, max_size=3),
+).map(",".join)
+
+
+def _document_or_one_error_line(command, code, out, err):
+    """exit 0 or 1 with the command's document on stdout and nothing on
+    stderr, or exit 2 with nothing on stdout and one error line; returns the
+    document's results, None for an error."""
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        return None
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["command"] == command
+    return doc["results"]
+
+
+@settings(max_examples=100, deadline=10000)
+@given(
+    ids=identity_lists,
+    n_max=st.sampled_from([*range(9), -1]),
+    r_max=st.sampled_from([*range(1, 7), 0, -1]),
+    lams=grids,
+    xs=grids,
+    jobs=st.sampled_from([1, 1, 2, 2, 0, -1]),
+    mutate=st.booleans(),
+)
+@example(ids=None, n_max=8, r_max=6, lams="1e308,-1/3,2/4", xs="1e-400,3/4,-2", jobs=2,
+         mutate=True)
+@example(ids=",", n_max=3, r_max=1, lams="0", xs="0", jobs=1, mutate=False)  # empty list
+def test_verify_ends_in_a_document_or_one_error_line(ids, n_max, r_max, lams, xs, jobs, mutate):
+    argv = ["verify", f"--n-max={n_max}", f"--r-max={r_max}", f"--lambda-grid={lams}",
+            f"--x-grid={xs}", f"--jobs={jobs}"]
+    if ids is not None:
+        argv.append(f"--identities={ids}")
+    if mutate:
+        argv.append("--mutate")
+    code, out, err = _main_output(argv)
+    results = _document_or_one_error_line("verify", code, out, err)
+    if results is not None:
+        assert code == (0 if results["passed"] else 1)
+        assert results["passed"] is not bool(results["failures"])
+
+
+@settings(max_examples=60, deadline=10000)
+@given(ids=identity_lists, n_max=st.sampled_from([*range(7), -1]), mutate=st.booleans())
+@example(ids="THM2_REC", n_max=0, mutate=True)  # an identity with no n in range
+def test_certify_ends_in_a_document_or_one_error_line(ids, n_max, mutate):
+    argv = ["certify", f"--n-max={n_max}"]
+    if ids is not None:
+        argv.append(f"--identities={ids}")
+    if mutate:
+        argv.append("--mutate")
+    code, out, err = _main_output(argv)
+    results = _document_or_one_error_line("certify", code, out, err)
+    if results is not None:
+        certified = [ok for result in results for ok in result["certified"].values()]
+        assert code == (0 if all(certified) else 1)
+
+
+def test_values_past_the_int_str_digit_limit_are_written_whole():
+    # CPython (3.11, and 3.10.7 on) refuses str() of an int of more than
+    # 4300 digits by default; these values reach about 5,500 at n = 256, and
+    # each is written whole, with the process's limit restored afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["table", "derangement", "--lambda=1/1234567890", "--x=1/1234567891", "--n-max=256",
+            "--format=csv"]
+    code, out, err = _main_output(argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()[-1]) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_import_does_not_load_scipy():

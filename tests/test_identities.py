@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
@@ -17,6 +20,8 @@ from degderange.identities import (
     verify,
     verify_grid,
 )
+
+import reference_identities
 
 SMALL_LAM = [F(0), F(1, 2), F(-1, 3)]
 SMALL_X = [F(0), F(1), F(3, 4)]
@@ -228,9 +233,9 @@ def test_repeated_grid_values_are_evaluated_once(monkeypatch):
 # declared degree bounds
 
 
-def _sides(ident, n, lam, x):
+def _sides(ident, n, lam, x, r=1):
     spec = _REGISTRY[ident]
-    case = IdentityCase(ident, n, lam, x if spec.uses_x else None, 1 if spec.uses_r else None)
+    case = IdentityCase(ident, n, lam, x if spec.uses_x else None, r if spec.uses_r else None)
     return verify(case)[:2]
 
 
@@ -285,6 +290,56 @@ def test_degree_check_catches_an_extra_lam_factor(ident):
                 assert fails, n
             caught += fails
     assert caught
+
+
+# ---------------------------------------------------------------------------
+# the sides against the paper's formulas (reference_identities.py)
+
+REFERENCE_LAM = [F(0), F(1, 2), F(-1, 3), F(2)]
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
+def test_sides_equal_the_reference_formulas(ident):
+    spec, reference = _REGISTRY[ident], reference_identities.SIDES[ident.value]
+    for n in range(spec.min_n, 9):
+        for lam in REFERENCE_LAM:
+            for x in SMALL_X if spec.uses_x else [None]:
+                for r in (1, 2) if spec.uses_r else [None]:
+                    assert _sides(ident, n, lam, x, r) == reference(n, lam, x, r), (n, lam, x, r)
+
+
+def test_reference_formulas_read_no_engine_code():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "import reference_identities\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'degderange'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_reference_catches_a_wrong_second_kind_row_that_lemma6_passes(monkeypatch):
+    """Entry (3, 1) of each second-kind row raised by 1: both LEMMA6 sides
+    dot the same row, so the identity still holds; its value does not equal
+    the paper's formula."""
+    for memo in sequences._MEMOS:
+        monkeypatch.setattr(memo, "rows", {})
+    grow = sequences._S2.grow
+
+    def corrupted(key, n):
+        rows, q = grow(key, n)
+        if n >= 3:
+            nums, den = rows[3]
+            rows[3] = [nums[0], nums[1] + 1, *nums[2:]], den
+        return rows, q
+
+    monkeypatch.setattr(sequences._S2, "grow", corrupted)
+    lam, x = F(1, 2), F(3, 4)
+    lhs, rhs, passed = verify(_case(IdentityId.LEMMA6, 3, lam, x))
+    assert passed
+    assert (lhs, rhs) != reference_identities.lemma6(3, lam, x, None)
 
 
 # ---------------------------------------------------------------------------

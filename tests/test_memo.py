@@ -6,8 +6,8 @@ built on demand under one lock, each build publishing a new row in place of
 the old one.  These tests grow fresh memos with the library's own grow
 steps, from several threads and in several steps, and compare them with a
 serial build; they check that the library's batch reads build each row
-once; they
-check that a reader never pairs the numerators of one row with the
+once and that the verifiers, handed published rows uncopied, write into
+none; they check that a reader never pairs the numerators of one row with the
 denominator of another, that every spelling of a parameter reaches one memo
 entry and that keys hold ints only; then they check each row and column
 accessor against its scalar reads.
@@ -254,6 +254,31 @@ def test_clear_races_readers_and_growers():
     assert values(memo, key, 40) == serial
     memo.clear()
     assert not memo.rows
+
+
+def test_readers_leave_every_published_row_unchanged(monkeypatch):
+    """``ints`` hands out a published row itself when it holds exactly the
+    values asked for.  A grid run on empty memos builds every row to n = 8,
+    and a second, warm run reads them all: afterwards each row is the object
+    its grow step published, with the entries it had then."""
+    published = {}
+    for memo in sequences._MEMOS:
+
+        def recorded(key, n, grow=memo.grow, memo=memo):
+            row = grow(key, n)
+            published[memo, key] = row, copy.deepcopy(row)
+            return row
+
+        monkeypatch.setattr(memo, "rows", {})
+        monkeypatch.setattr(memo, "grow", recorded)
+    for _ in range(2):
+        assert identities.verify_grid(n_max=8).ok
+    key = ((-1, 4), (0, 1))  # falling(x - 1, .; 0) at x = 3/4
+    assert sequences._FALLING.ints(key, 8)[0] is sequences._FALLING.rows[key][0]
+    rows = {(memo, key): row for memo in sequences._MEMOS for key, row in memo.rows.items()}
+    assert rows.keys() == published.keys()
+    for item, row in rows.items():
+        assert row is published[item][0] and row == published[item][1], item
 
 
 def test_series_memos_grow_exactly_to_n():

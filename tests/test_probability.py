@@ -586,7 +586,8 @@ def test_samples_past_the_float_range_are_inf():
     """Above lam ~ 0.951, ((1-u)^(lam/(lam-1)) - 1)/lam passes the largest
     float as u nears 1; at lam = 0.999 about half the draws do.  Such a
     sample is inf, the rest of its block is still the ppf of its uniform,
-    and the CDF maps inf to 1, so the KS check runs to a result."""
+    and the KS check takes inf as the atom of the float law past the
+    largest float, so it passes."""
     assert deg_gamma11_ppf(0.999, 0.9) == math.inf
     assert deg_gamma11_cdf(0.999, math.inf) == 1.0
     uniform = Random(0).random
@@ -598,8 +599,13 @@ def test_samples_past_the_float_range_are_inf():
     # blocks that overflow and blocks that do not join to the same draw
     assert [x for b in sample_deg_gamma11_blocks(0.999, 0, 1000, 3) for x in b] == samples
     stat, critical, passed = sampler_ks_check(0.999, 1000, 1)
-    # the statistic assumes a continuous law and sees the atom at inf
-    assert 0 < critical < stat <= 1 and not passed
+    # D- takes the gap c - k/n below the atom, c = F(largest float), not the
+    # jump to F(inf) = 1 that rejected before
+    assert 0 < stat < critical and passed
+    assert abs(stat - 0.0305) < 1e-4
+    # every draw inf: the statistic is the gap c - 0 alone
+    assert sample_deg_gamma11(0.9999999, 0, 3) == [math.inf] * 3
+    assert sampler_ks_check(0.9999999, 3, 0)[0] < 1e-4
 
 
 def test_empirical_cdf_at_one():
