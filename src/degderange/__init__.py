@@ -27,7 +27,6 @@ from .identities import (
     IdentityId,
     VerificationReport,
     certify,
-    certify_range,
     certify_ranges,
     verify,
     verify_grid,
@@ -121,7 +120,6 @@ __all__ = [
     "verify",
     "verify_grid",
     "certify",
-    "certify_range",
     "certify_ranges",
     "DegGammaParams",
     "QuadratureSpec",

@@ -2,15 +2,17 @@
 moment checks, and sampling, with machine-readable JSON/CSV output.
 
 Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
-domain error (a negative ``sample --seed`` among them, which the generator
-would take for its absolute value, a ``sample --lambda`` that rounds to 0
-or 1 as a float, an option value ``--``, a ``certify --n-max`` above
-``CERTIFY_MAX_N`` = 64, a ``gamma-check thm11`` or ``expansion``
-``--n-max`` above ``probability.MAX_FLOAT_N`` = 170, where the target
-(1-lam) n! is past the float range, or ``--lambda`` that rounds to 0 or 1/2
-as a float, a ``verify --r-max`` above
-``identities.MAX_N`` = 256, and an ``--out`` path that cannot be opened
-for writing), 141 (128 + SIGPIPE) stdout closed by its reader before the
+domain error, with one ``error:`` line on stderr (an argument that argparse
+rejects among them: an unknown option, a value that is no int, a missing
+or invalid choice, no subcommand; and a negative ``sample --seed``, which
+the generator would take for its absolute value, a ``sample --lambda``
+that rounds to 0 or 1 as a float, an option value ``--``, a ``certify
+--n-max`` above ``CERTIFY_MAX_N`` = 64, a ``gamma-check thm11`` or
+``expansion`` ``--n-max`` above ``probability.MAX_FLOAT_N`` = 170, where
+the target (1-lam) n! is past the float range, or ``--lambda`` that rounds
+to 0 or 1/2 as a float, a ``verify --r-max`` above ``identities.MAX_N`` =
+256, and an ``--out`` path that cannot be opened for writing), 141 (128 +
+SIGPIPE) stdout closed by its reader before the
 output was written, as by ``| head``.  Rationals are always emitted as
 "p/q" strings (never decimals), whole at any length: a run lifts CPython's
 4300-digit int/str limit, which ended a long value in a ValueError
@@ -72,6 +74,15 @@ TABLE_SELECTORS = (
 
 class CliError(Exception):
     """Configuration/domain problem; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own rejections (an unknown option, a bad
+    int, a missing or invalid choice) raise ``CliError``, so they end in
+    one ``error:`` line like every other exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -439,7 +450,7 @@ def _cmd_sample(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; ``main`` parses each
     argument list with it afresh."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degderange",
         description="Exact degenerate-derangement sequence tables, identity "
         "certification, and degenerate-gamma moment checks.",
@@ -500,18 +511,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
-    # exact values are read and written whole, however many digits they
-    # have: lift CPython's int/str digit limit (3.11, and 3.10.7 on) for
-    # the run; the forked workers of verify --jobs inherit it
     digits = getattr(sys, "get_int_max_str_digits", int)()
-    if digits:
-        sys.set_int_max_str_digits(0)
     try:
+        argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
+        args = _build_parser().parse_args(argv)
         if [] in vars(args).values():
             # argparse takes the value of "--n-max=--" for its separator,
             # drops it and hands the option an empty list
             raise CliError("an option value cannot be '--'")
+        # exact values are read and written whole, however many digits they
+        # have: lift CPython's int/str digit limit (3.11, and 3.10.7 on) for
+        # the run; the forked workers of verify --jobs inherit it
+        if digits:
+            sys.set_int_max_str_digits(0)
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -74,13 +74,14 @@ would then no longer be a case; they wait for a case counter of their own.
 
 Evaluation order.  A memo row is built whole, to the largest n asked of
 it, a larger n building a new row, and the smaller n read its prefix, so
-``verify_grid`` and ``certify`` share one runner that evaluates a key top n
-first: ``_runs`` makes one run per identity and distinct (lam, x) point,
-holding the point's n in descending order, and ``_run_chunk`` evaluates
-each distinct case of a run once.  ``verify_grid`` keeps the rows it
-builds, each built once per process, to its final length: once in a serial
-run, once per worker that reads it under ``--jobs``.  ``certify_ranges``
-runs the runs of all its identities one |lam| group at a time and then
+``_run_chunk`` evaluates each run, one (identity, lam, x) key, top n first,
+each distinct case once, and each caller writes its runs in closed form.
+The grid of ``verify_grid`` is the same at every n: ``_grid_runs`` gives
+each point every n of the identity's range, lam-major in (|lam|, lam)
+order.  ``verify_grid`` keeps its rows, each built once per process (per
+worker under ``--jobs``), to its final length.  The points of
+``certify_ranges`` are nested: the point of indices (i, j) lies in the grid
+of every n >= max(i, j).  It runs one |lam| group at a time and then
 empties every memo (``_Memo.clear``): each row is built once per group,
 and memory holds one group's rows, not every key's.
 The order never reaches the output: failures are reported in
@@ -143,6 +144,7 @@ f = L!), never by lam or x.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, cycle, repeat
@@ -475,34 +477,21 @@ def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction
     return Fraction(*lhs), Fraction(*rhs), False
 
 
-def _axis(values) -> dict:
-    """{key: (value, copies)} of one grid axis, in first-seen order: key is
-    the value's int pair, as in the memos (None for the x axis of an identity
-    free of x), and copies counts the value's repeats."""
-    axis: dict = {}
-    for v in values:
-        key = None if v is None else (v.numerator, v.denominator)
-        axis[key] = v, axis.get(key, (v, 0))[1] + 1
-    return axis
+def _axis(values, order=lambda v: v) -> list:
+    """The distinct values of one grid axis as (value, copies) pairs, sorted
+    by order(value), ascending values by default; copies counts each value's
+    repeats."""
+    return sorted(Counter(values).items(), key=lambda item: order(item[0]))
 
 
-def _runs(ident: IdentityId, grids: dict, r_max: int) -> list:
-    """One run (ident, lam, x, rs, copies, ns) per distinct (lam, x) point of
-    ``grids`` (n -> (lam axis, x axis), each built by ``_axis``): ns lists
-    the n whose grid holds the point, in descending order, rs the r values
-    of each n and copies the product of the point's multiplicities on the
-    two axes."""
-    rs = range(1, r_max + 1) if _REGISTRY[ident].uses_r else (None,)
-    runs: dict = {}
-    for n in sorted(grids, reverse=True):
-        lams, xs = grids[n]
-        for lam_key, (lam, lam_copies) in lams.items():
-            for x_key, (x, x_copies) in xs.items():
-                run = runs.get((lam_key, x_key))
-                if run is None:
-                    run = runs[lam_key, x_key] = (ident, lam, x, rs, lam_copies * x_copies, [])
-                run[5].append(n)
-    return list(runs.values())
+def _check_points(spec: _Spec, n: int, n_lams: int, n_xs: int) -> None:
+    """Raise ValueError unless n_lams distinct deformation points and n_xs
+    distinct x points reach the identity's declared degrees at n, plus one."""
+    d_lam, d_x = spec.degrees(n)
+    if n_lams < d_lam + 1:
+        raise ValueError(f"need at least {d_lam + 1} distinct deformation points")
+    if n_xs < d_x + 1:
+        raise ValueError(f"need at least {d_x + 1} distinct x points")
 
 
 def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
@@ -519,29 +508,33 @@ def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
     return failures
 
 
-def _ranks(keys: list, order) -> dict:
-    """{key: rank} for the distinct int pairs p/q among keys, ranked by
-    order(Fraction(p, q)): a sort on ints for many keys of few values."""
-    ranked = sorted(set(keys), key=lambda key: order(Fraction(*key)))
-    return {key: i for i, key in enumerate(ranked)}
+def _grid_runs(ids, lam_grid, x_grid, n_max: int, r_max: int) -> list:
+    """The runs (ident, lam, x, rs, copies, ns) of a grid that is the same at
+    every n: one per identity and distinct (lam, x) point, lam-major in
+    (|lam|, lam) order, then by identity in the order of ids, then by x
+    ascending (None for an identity free of x).  ns runs from n_max down to
+    the identity's least n, rs over 1..r_max for THM9_VS_SERIES, and copies
+    is the product of the point's multiplicities on the two axes."""
+    lams = _axis(lam_grid, lambda v: (abs(v), v))
+    xs = _axis(x_grid)
+    specs = [(ident, _REGISTRY[ident]) for ident in ids if _REGISTRY[ident].min_n <= n_max]
+    return [
+        (ident, lam, x, range(1, r_max + 1) if spec.uses_r else (None,), lam_copies * x_copies,
+         range(n_max, spec.min_n - 1, -1))
+        for lam, lam_copies in lams
+        for ident, spec in specs
+        for x, x_copies in (xs if spec.uses_x else [(None, 1)])
+    ]
 
 
 def _chunks(runs: list, jobs: int) -> list[list]:
-    """The runs sorted by (|lam|, lam, x), cut into at most ``jobs``
-    contiguous chunks: each worker builds the rows of its own keys only,
-    lam next to -lam (THM8_A and THM10 read both), and the identities of a
-    key stay together.  A cut between two runs of one key makes both chunks
-    build the rows those runs share.  The serial run sorts too: one chunk.
-    The sort compares integer ranks of the distinct lam and x values, each
-    axis sorted once, not the values themselves."""
-    lams = [_key(run[1]) for run in runs]
-    xs = [_key(run[2] or 0) for run in runs]
-    lam_rank = _ranks(lams, lambda v: (abs(v), v))
-    x_rank = _ranks(xs, lambda v: v)
-    order = sorted(range(len(runs)), key=lambda i: (lam_rank[lams[i]], x_rank[xs[i]]))
-    todo = [runs[i] for i in order]
-    size = -(-len(todo) // jobs) or 1
-    return [todo[i : i + size] for i in range(0, len(todo), size)]
+    """The runs cut into at most ``jobs`` contiguous chunks.  In the
+    (|lam|, lam) order of ``_grid_runs`` each worker builds the rows of its
+    own keys only, lam next to -lam (THM8_A and THM10 read both); a cut
+    inside one lam makes both chunks build the rows its runs share.  The
+    serial run is the one-chunk case."""
+    size = -(-len(runs) // jobs) or 1
+    return [runs[i : i + size] for i in range(0, len(runs), size)]
 
 
 def verify_grid(
@@ -564,18 +557,17 @@ def verify_grid(
     CPU, share the runs in contiguous chunks (``_chunks``); the serial run is
     the one-chunk case and neither starts nor imports the process pool.  The
     report is deterministic regardless of order and scheduling: the failures
-    are listed in ``IdentityCase.sort_key`` order.
+    are listed in ``IdentityCase.sort_key`` order.  Raises ValueError unless
+    0 <= n_max <= MAX_N, 1 <= r_max <= MAX_N and jobs >= 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not 0 <= n_max <= MAX_N:
+        raise ValueError(f"n_max must lie in [0, {MAX_N}], got {n_max}")
+    if not 1 <= r_max <= MAX_N:
+        raise ValueError(f"r_max must lie in [1, {MAX_N}], got {r_max}")
     id_list = sorted(set(ids), key=lambda i: i.value) if ids is not None else list(IdentityId)
-    lams = _axis([Fraction(v) for v in lam_grid])
-    xs, no_x = _axis([Fraction(v) for v in x_grid]), _axis([None])
-    runs = []
-    for ident in id_list:
-        spec = _REGISTRY[ident]
-        axes = lams, (xs if spec.uses_x else no_x)
-        runs += _runs(ident, dict.fromkeys(range(spec.min_n, n_max + 1), axes), r_max)
+    runs = _grid_runs(id_list, map(Fraction, lam_grid), map(Fraction, x_grid), n_max, r_max)
     jobs = min(jobs, os.cpu_count() or 1)
     chunks = _chunks(runs, jobs)
     if len(chunks) > 1:
@@ -588,24 +580,6 @@ def verify_grid(
     failures = sorted((f for part in parts for f in part), key=lambda t: t[0].sort_key())
     cases_run = sum(copies * len(ns) * len(rs) for _, _, _, rs, copies, ns in runs)
     return VerificationReport(cases_run=cases_run, failures=failures)
-
-
-def _certify_runs(identity_id: IdentityId, grids: dict) -> list:
-    """The runs (``_runs``) of ``grids`` (n -> (lam_points, x_points),
-    x_points [None] for identities free of x), at r = 1, after checking that
-    each n has d_lam + 1 and d_x + 1 distinct points, from its declared
-    degree bounds."""
-    spec = _REGISTRY[identity_id]
-    axes = {}
-    for n in sorted(grids, reverse=True):
-        lams, xs = (_axis(points) for points in grids[n])
-        d_lam, d_x = spec.degrees(n)
-        if len(lams) < d_lam + 1:
-            raise ValueError(f"need at least {d_lam + 1} distinct deformation points")
-        if len(xs) < d_x + 1:
-            raise ValueError(f"need at least {d_x + 1} distinct x points")
-        axes[n] = lams, xs
-    return _runs(identity_id, axes, 1)
 
 
 def certify(
@@ -625,18 +599,21 @@ def certify(
     identity at n.  THM9_VS_SERIES is evaluated at r = 1 only.  Raises
     ValueError when fewer than d_lam + 1 (or d_x + 1) distinct points are
     supplied for a referenced variable.  ``certify_ranges`` runs the same
-    evaluation for a range of n, on one nested point set, for a set of
-    identities.
+    evaluation for every n up to a bound, on one nested point set, for a
+    set of identities.
     """
     spec = _REGISTRY[identity_id]
-    lam_points = [Fraction(v) for v in lam_points]
+    lams = _axis(map(Fraction, lam_points))
     if spec.uses_x:
         if x_points is None:
             raise ValueError(f"{identity_id.value} references x; supply x points")
-        x_points = [Fraction(v) for v in x_points]
+        xs = _axis(map(Fraction, x_points))
     else:
-        x_points = [None]
-    return not _run_chunk(_certify_runs(identity_id, {n: (lam_points, x_points)}), mutate)
+        xs = [(None, 1)]
+    _check_points(spec, n, len(lams), len(xs))
+    rs = (1,) if spec.uses_r else (None,)
+    runs = [(identity_id, lam, x, rs, 1, (n,)) for lam, _ in lams for x, _ in xs]
+    return not _run_chunk(runs, mutate)
 
 
 def certify_ranges(
@@ -646,43 +623,40 @@ def certify_ranges(
     integer points: n uses the first n + 1 entries, on each referenced axis,
     of the symmetric sequence 0, 1, -1, 2, -2, ...  Returns
     {identity: {n: certified}}, an identity listed twice certified once, in
-    the order of first listing, each in ascending n.
+    the order of first listing, each in ascending n.  Raises ValueError
+    unless 0 <= n_max <= MAX_N.
 
-    Every declared bound is <= n, so n + 1 points suffice, and integers are
-    as good as any distinct points (no point is a pole; see the module
-    docstring).  Their memo keys have denominator 1, so no row carries a
-    power of a point's denominator.  The runs of all identities are grouped
-    by |lam| (THM8_A and THM10 read lam and -lam): each group runs top n
-    first, so each memo row of its keys is built once, to its final length,
-    and then every memo is emptied, rows a caller built before included.
-    Memory holds one group's rows at a time.
+    Every declared bound is <= n, so n + 1 points suffice (``_check_points``
+    checks it), and integers are as good as any distinct points (no point is
+    a pole; see the module docstring).  Their memo keys have denominator 1,
+    so no row carries a power of a point's denominator.  The point of
+    indices (i, j) serves every n >= max(i, j), top n first.  The runs of
+    all identities go one |lam| group at a time (THM8_A and THM10 read lam
+    and -lam), so each memo row of the group's keys is built once, to its
+    final length, and then every memo is emptied, rows a caller built before
+    included.  Memory holds one group's rows at a time.
     """
+    if not 0 <= n_max <= MAX_N:
+        raise ValueError(f"n_max must lie in [0, {MAX_N}], got {n_max}")
     points = [Fraction((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(n_max + 1)]
     certified: dict = {}
-    groups: dict = {}
-    for ident in ids:
-        if ident in certified:
-            continue
+    for ident in dict.fromkeys(ids):
         spec = _REGISTRY[ident]
-        grids = {
-            n: (points[: n + 1], points[: n + 1] if spec.uses_x else [None])
-            for n in range(spec.min_n, n_max + 1)
-        }
-        certified[ident] = dict.fromkeys(grids, True)
-        for run in _certify_runs(ident, grids):
-            lam = run[1]
-            groups.setdefault((abs(lam.numerator), lam.denominator), []).append(run)
-    for runs in groups.values():
+        for n in range(spec.min_n, n_max + 1):
+            _check_points(spec, n, n + 1, n + 1 if spec.uses_x else 1)
+        certified[ident] = dict.fromkeys(range(spec.min_n, n_max + 1), True)
+    for k in range((n_max + 1) // 2 + 1):  # |lam| = k at the indices 2k - 1 and 2k
+        runs = []
+        for ident in certified:
+            spec = _REGISTRY[ident]
+            rs = (1,) if spec.uses_r else (None,)
+            xs = list(enumerate(points)) if spec.uses_x else [(0, None)]
+            for i in range(max(2 * k - 1, 0), min(2 * k, n_max) + 1):
+                for j, x in xs:
+                    ns = range(n_max, max(i, j, spec.min_n) - 1, -1)
+                    runs.append((ident, points[i], x, rs, 1, ns))
         for case, _, _ in _run_chunk(runs, mutate):
             certified[case.identity_id][case.n] = False
         for memo in _MEMOS:
             memo.clear()
     return certified
-
-
-def certify_range(identity_id: IdentityId, n_max: int, mutate: bool = False) -> dict[int, bool]:
-    """``certify_ranges`` for one identity: {n: certified} in ascending n.
-    It empties the memos when done, so a loop of calls over identities
-    builds anew the rows that they share; to certify several identities,
-    call ``certify_ranges`` once."""
-    return certify_ranges([identity_id], n_max, mutate)[identity_id]

@@ -334,6 +334,39 @@ def test_double_dash_option_value_is_config_error(argv, capsys):
     assert capsys.readouterr() == ("", "error: an option value cannot be '--'\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --bogus 1",
+        "verify --n-max abc",
+        "table",
+        "table nope",
+        "gamma-check thm11",
+        "",
+        "certify --n-max",
+    ],
+)
+def test_argparse_rejections_are_one_error_line(argv, capsys):
+    # an unknown option, a bad int, a missing or invalid choice, no
+    # subcommand and a missing value: argparse's own rejections end like
+    # every other exit 2, with no usage block
+    from degderange import cli
+
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_argparse_rejection_exits_2_and_help_exits_0():
+    out = run_cli("verify", "--bogus", "1")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: unrecognized arguments: --bogus 1\n"
+    out = run_cli("verify", "--help")
+    assert out.returncode == 0 and out.stdout.startswith("usage: degderange verify")
+    assert out.stderr == ""
+
+
 def test_out_file_and_env_dir(tmp_path):
     target = tmp_path / "t.json"
     out = run_cli(
@@ -876,6 +909,14 @@ grids = st.one_of(
     st.lists(st.one_of(grid_values, bad_values), min_size=1, max_size=3),
 ).map(",".join)
 
+# trailing tokens, in one draw of three, that argparse itself rejects: an
+# unknown option, a stray positional, an option missing its value
+argparse_rejected = st.one_of(
+    st.just([]), st.just([]),
+    st.lists(st.sampled_from(["--bogus", "stray", "--n-max", "--jobs=x", "-q"]), min_size=1,
+             max_size=2),
+)
+
 
 def _document_or_one_error_line(command, code, out, err):
     """exit 0 or 1 with the command's document on stdout and nothing on
@@ -896,23 +937,27 @@ def _document_or_one_error_line(command, code, out, err):
 @settings(max_examples=100, deadline=10000)
 @given(
     ids=identity_lists,
-    n_max=st.sampled_from([*range(9), -1]),
-    r_max=st.sampled_from([*range(1, 7), 0, -1]),
+    n_max=st.sampled_from([*range(9), -1, "abc"]),
+    r_max=st.sampled_from([*range(1, 7), 0, -1, "1.5"]),
     lams=grids,
     xs=grids,
-    jobs=st.sampled_from([1, 1, 2, 2, 0, -1]),
+    jobs=st.sampled_from([1, 1, 2, 2, 0, -1, ""]),
     mutate=st.booleans(),
+    extra=argparse_rejected,
 )
 @example(ids=None, n_max=8, r_max=6, lams="1e308,-1/3,2/4", xs="1e-400,3/4,-2", jobs=2,
-         mutate=True)
-@example(ids=",", n_max=3, r_max=1, lams="0", xs="0", jobs=1, mutate=False)  # empty list
-def test_verify_ends_in_a_document_or_one_error_line(ids, n_max, r_max, lams, xs, jobs, mutate):
+         mutate=True, extra=[])
+@example(ids=",", n_max=3, r_max=1, lams="0", xs="0", jobs=1, mutate=False,
+         extra=[])  # empty list
+def test_verify_ends_in_a_document_or_one_error_line(ids, n_max, r_max, lams, xs, jobs, mutate,
+                                                      extra):
     argv = ["verify", f"--n-max={n_max}", f"--r-max={r_max}", f"--lambda-grid={lams}",
             f"--x-grid={xs}", f"--jobs={jobs}"]
     if ids is not None:
         argv.append(f"--identities={ids}")
     if mutate:
         argv.append("--mutate")
+    argv += extra
     code, out, err = _main_output(argv)
     results = _document_or_one_error_line("verify", code, out, err)
     if results is not None:
@@ -921,14 +966,16 @@ def test_verify_ends_in_a_document_or_one_error_line(ids, n_max, r_max, lams, xs
 
 
 @settings(max_examples=60, deadline=10000)
-@given(ids=identity_lists, n_max=st.sampled_from([*range(7), -1]), mutate=st.booleans())
-@example(ids="THM2_REC", n_max=0, mutate=True)  # an identity with no n in range
-def test_certify_ends_in_a_document_or_one_error_line(ids, n_max, mutate):
+@given(ids=identity_lists, n_max=st.sampled_from([*range(7), -1, "abc"]), mutate=st.booleans(),
+       extra=argparse_rejected)
+@example(ids="THM2_REC", n_max=0, mutate=True, extra=[])  # an identity with no n in range
+def test_certify_ends_in_a_document_or_one_error_line(ids, n_max, mutate, extra):
     argv = ["certify", f"--n-max={n_max}"]
     if ids is not None:
         argv.append(f"--identities={ids}")
     if mutate:
         argv.append("--mutate")
+    argv += extra
     code, out, err = _main_output(argv)
     results = _document_or_one_error_line("certify", code, out, err)
     if results is not None:

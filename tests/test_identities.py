@@ -15,7 +15,6 @@ from degderange.identities import (
     IdentityId,
     _REGISTRY,
     certify,
-    certify_range,
     certify_ranges,
     verify,
     verify_grid,
@@ -87,6 +86,49 @@ def test_verify_grid_needs_a_worker():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             verify_grid(n_max=4, mutate=True, jobs=jobs)
+
+
+def test_verify_grid_rejects_a_range_that_runs_no_case():
+    # n_max below 0 or r_max below 1 would run nothing and pass
+    for n_max in (-1, MAX_N + 1):
+        with pytest.raises(ValueError, match=rf"n_max must lie in \[0, {MAX_N}\], got {n_max}"):
+            verify_grid(n_max=n_max)
+    for r_max in (0, -1, MAX_N + 1):
+        with pytest.raises(ValueError, match=rf"r_max must lie in \[1, {MAX_N}\], got {r_max}"):
+            verify_grid([IdentityId.THM9_VS_SERIES], n_max=4, r_max=r_max)
+
+
+def test_certify_ranges_rejects_n_max_out_of_range():
+    for n_max in (-2, -1, MAX_N + 1):
+        with pytest.raises(ValueError, match=rf"n_max must lie in \[0, {MAX_N}\], got {n_max}"):
+            certify_ranges([IdentityId.THM3], n_max)
+
+
+def test_grid_runs_keep_each_lam_together_in_magnitude_order():
+    """The pool's contiguous chunks and the memo rows rely on this order:
+    lam-major by (|lam|, lam), then identity in the order given, then x
+    ascending; each (identity, lam, x) once, with its copies and r values,
+    top n first."""
+    ids = sorted(IdentityId, key=lambda i: i.value)
+    runs = identities._grid_runs(ids, map(F, REPEATED_LAM), map(F, REPEATED_X), 6, 3)
+    lams = [run[1] for run in runs]
+    assert lams == sorted(lams, key=lambda v: (abs(v), v))
+    keys = [run[:3] for run in runs]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {
+        (ident, lam, x)
+        for ident in ids
+        for lam in set(REPEATED_LAM)
+        for x in (set(REPEATED_X) if _REGISTRY[ident].uses_x else [None])
+    }
+    for lam in set(lams):
+        block = [(ids.index(ident), x) for ident, v, x, *_ in runs if v == lam]
+        assert block == sorted(block, key=lambda t: (t[0], t[1] or 0))
+    for ident, lam, x, rs, copies, ns in runs:
+        spec = _REGISTRY[ident]
+        assert list(ns) == list(range(6, spec.min_n - 1, -1))
+        assert list(rs) == ([1, 2, 3] if spec.uses_r else [None])
+        assert copies == REPEATED_LAM.count(lam) * (REPEATED_X.count(x) if spec.uses_x else 1)
 
 
 def test_empty_id_set():
@@ -166,6 +208,19 @@ def test_certify_insufficient_points():
         certify(IdentityId.THM2_REC, 3, [F(0), F(1), F(2), F(2)], [F(0)])
     with pytest.raises(ValueError):
         certify(IdentityId.THM2_REC, 2, [F(0), F(1), F(2)], None)
+
+
+def test_certify_counts_distinct_points_only():
+    # THM2_REC at n = 3 needs 3 distinct lam and 4 distinct x; a repeated
+    # value (2/4 is 1/2) counts once
+    lams, xs = [0, 1, 2], [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="3 distinct deformation"):
+        certify(IdentityId.THM2_REC, 3, [0, 1, 1], xs)
+    with pytest.raises(ValueError, match="3 distinct deformation"):
+        certify(IdentityId.THM2_REC, 3, [F(1, 2), F(2, 4), 0], xs)
+    with pytest.raises(ValueError, match="4 distinct x"):
+        certify(IdentityId.THM2_REC, 3, lams, [0, 1, 2, 2])
+    assert certify(IdentityId.THM2_REC, 3, lams + [2], xs + [0])
 
 
 def test_certify_ignores_x_for_x_free_identities():
@@ -383,7 +438,7 @@ def test_certify_range_matches_certify_per_n(mutate):
             n: certify(ident, n, pts[: n + 1], pts[: n + 1], mutate=mutate)
             for n in range(_REGISTRY[ident].min_n, 4)
         }
-        assert certify_range(ident, 3, mutate=mutate) == per_n
+        assert certify_ranges([ident], 3, mutate=mutate)[ident] == per_n
         assert all(per_n.values()) is not mutate
 
 
@@ -398,7 +453,7 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
     monkeypatch.setattr(identities, "verify", counted)
     n_max, pts = 4, _nested(4)
     for ident in IdentityId:
-        assert all(certify_range(ident, n_max).values())
+        assert all(certify_ranges([ident], n_max)[ident].values())
     expected = _expected_cases(IdentityId, n_max)
     assert len(calls) == sum(
         (n + 1) ** (2 if spec.uses_x else 1)
@@ -425,7 +480,7 @@ def test_certify_ranges_evaluates_every_case_once(monkeypatch, mutate):
     """All identities from one run list, grouped by |lam|: each distinct case
     once, an identity listed twice certified once, each (identity, lam, x)
     key in one stretch of descending n, and the |lam| groups in turn; the
-    result is certify_range's, identity by identity."""
+    result is that of certifying each identity alone."""
     calls = []
     real = identities.verify
 
@@ -451,16 +506,16 @@ def test_certify_ranges_evaluates_every_case_once(monkeypatch, mutate):
     magnitudes = [abs(case.lam) for case in calls]
     assert magnitudes == sorted(magnitudes)
     for ident, per_n in got.items():
-        assert per_n == certify_range(ident, n_max, mutate=mutate)
+        assert per_n == certify_ranges([ident], n_max, mutate=mutate)[ident]
         assert list(per_n) == list(range(_REGISTRY[ident].min_n, n_max + 1))
         assert all(per_n.values()) is not mutate
 
 
 def test_certify_builds_each_row_once_and_empties_the_memos(monkeypatch):
-    """certify_range and certify_ranges build each memo row once and leave
-    every memo empty, the rows a caller built before included.  The order-r
-    weights, keyed by r alone, are built once per |lam| group that reads
-    them."""
+    """certify_ranges, of one identity or of all, builds each memo row once
+    and leaves every memo empty, the rows a caller built before included.
+    The order-r weights, keyed by r alone, are built once per |lam| group
+    that reads them."""
     weights = sequences._ORDER_WEIGHTS
     grows = Counter()
     for memo in sequences._MEMOS:
@@ -471,7 +526,7 @@ def test_certify_builds_each_row_once_and_empties_the_memos(monkeypatch):
 
         monkeypatch.setattr(memo, "grow", counted)
     for run in (
-        lambda: [certify_range(IdentityId.THM3, 6)],
+        lambda: certify_ranges([IdentityId.THM3], 6).values(),
         lambda: certify_ranges(IdentityId, 6).values(),
     ):
         verify_grid(n_max=6, lam_grid=[F(2, 7)], x_grid=[F(3, 4)])
@@ -510,11 +565,7 @@ def test_grid_grows_each_memo_row_once(monkeypatch):
         memo.rows.clear()
     grows.clear()
     lam_grid, x_grid = verify_grid.__defaults__[2:4]
-    lams, xs = identities._axis(map(F, lam_grid)), identities._axis(map(F, x_grid))
-    runs = []
-    for ident, spec in _REGISTRY.items():
-        axes = lams, (xs if spec.uses_x else identities._axis([None]))
-        runs += identities._runs(ident, dict.fromkeys(range(spec.min_n, 13), axes), 4)
+    runs = identities._grid_runs(list(IdentityId), map(F, lam_grid), map(F, x_grid), 12, 4)
     chunk = identities._chunks(runs, 2)[0]
     assert len(chunk) < len(runs)
     assert identities._run_chunk(chunk, False) == []
