@@ -1,22 +1,24 @@
 """Command-line front end: sequence tables, identity certification,
 moment checks, and sampling, with machine-readable JSON/CSV output.
 
-Exit codes: 0 success, 1 any check/identity failure, 2 configuration or
+Exit codes: 0 success (``--help`` included: ``main`` returns its status and
+raises no ``SystemExit``), 1 any check/identity failure, 2 configuration or
 domain error, with one ``error:`` line on stderr (an argument that argparse
 rejects among them: an unknown option, a value that is no int, a missing
-or invalid choice, no subcommand; and a negative ``sample --seed``, which
-the generator would take for its absolute value, a ``sample --lambda``
-that rounds to 0 or 1 as a float, an option value ``--``, a ``certify
---n-max`` above ``CERTIFY_MAX_N`` = 64, a ``gamma-check thm11`` or
-``expansion`` ``--n-max`` above ``probability.MAX_FLOAT_N`` = 170, where
-the target (1-lam) n! is past the float range, or ``--lambda`` that rounds
-to 0 or 1/2 as a float, a ``verify --r-max`` above ``identities.MAX_N`` =
-256, and an ``--out`` path that cannot be opened for writing), 141 (128 +
-SIGPIPE) stdout closed by its reader before the
-output was written, as by ``| head``.  Rationals are always emitted as
-"p/q" strings (never decimals), whole at any length: a run lifts CPython's
-4300-digit int/str limit, which ended a long value in a ValueError
-traceback, exit 1; floats use shortest round-trip formatting,
+or invalid choice, no subcommand; and a ``table`` option among ``--x``,
+``--r`` and ``--m`` that the selector does not read, a negative ``sample
+--seed``, which the generator would take for its absolute value, a
+``sample --lambda`` that rounds to 0 or 1 as a float, an option value
+``--``, a ``certify --n-max`` above ``CERTIFY_MAX_N`` = 64, a
+``gamma-check thm11`` or ``expansion`` ``--n-max`` above
+``probability.MAX_FLOAT_N`` = 170, where the target (1-lam) n! is past the
+float range, or ``--lambda`` that rounds to 0 or 1/2 as a float, a
+``verify --r-max`` above ``identities.MAX_N`` = 256, and an ``--out`` path
+that cannot be opened for writing), 141 (128 + SIGPIPE) stdout closed by
+its reader before the output was written, as by ``| head``.  Rationals are
+always emitted as "p/q" strings (never decimals), whole at any length: a
+run lifts CPython's 4300-digit int/str limit, which ended a long value in a
+ValueError traceback, exit 1; floats use shortest round-trip formatting,
 and a sample past the float range is written ``inf`` (CSV) or ``Infinity``
 (JSON).  Every JSON document has the bytes of ``json.dumps(doc, indent=2)``;
 ``table`` formats its rows itself (``_table_json``), since an indent puts
@@ -60,16 +62,18 @@ SAMPLE_CHUNK = 8192  # samples per draw and write in sample --format csv
 # subcommands keep identities.MAX_N
 CERTIFY_MAX_N = 64
 
-TABLE_SELECTORS = (
-    "derangement",
-    "derangement-poly",
-    "derangement-order",
-    "stirling1",
-    "stirling2",
-    "fubini",
-    "bell",
-    "falling",
-)
+# each table selector with the options, beyond --lambda and --n-max, that it
+# reads; any other of --x, --r and --m is refused
+TABLE_SELECTORS = {
+    "derangement": ("x",),
+    "derangement-poly": (),
+    "derangement-order": ("x", "r"),
+    "stirling1": ("m",),
+    "stirling2": ("m",),
+    "fubini": ("x",),
+    "bell": ("x",),
+    "falling": ("x",),
+}
 
 
 class CliError(Exception):
@@ -187,6 +191,9 @@ def _table(args) -> tuple[dict, list]:
     n_max = args.n_max
     _check_n_max(n_max)
     sel = args.sequence
+    for option in ("x", "r", "m"):
+        if getattr(args, option) is not None and option not in TABLE_SELECTORS[sel]:
+            raise CliError(f"{sel} takes no --{option}")
     params = {"sequence": sel, "lambda": str(lam), "n_max": n_max}
     if sel == "derangement-poly":
         return params, sequences.derange_poly_row(n_max, lam)
@@ -514,7 +521,10 @@ def main(argv: list[str] | None = None) -> int:
     digits = getattr(sys, "get_int_max_str_digits", int)()
     try:
         argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help alone: error() raises CliError
+            return exc.code
         if [] in vars(args).values():
             # argparse takes the value of "--n-max=--" for its separator,
             # drops it and hands the option an empty list

@@ -26,7 +26,9 @@ sides differ.  The path mapping, per identity:
   THM5               three expressions: Fubini values (row sums of the
                      weighted second-kind triangle) with the first-kind
                      triangle / derangement-number convolution / x-shifted
-                     convolution; all must also equal n!.
+                     convolution; all must also equal n!.  The first two
+                     are free of x and come from a per-lam row
+                     (``_THM5_FREE``); the x-shifted one is summed per case.
   LEMMA6             both sides weighted by the same second-kind triangle,
                      falling products vs derangement differences.
   THM7_A             lhs: falling product; rhs: composition-path Bell values
@@ -40,7 +42,9 @@ sides differ.  The path mapping, per identity:
                      second-kind triangle) with the first-kind triangle;
                      rhs: signed falling product at the flipped parameter.
   EQ24_25            lhs: signed falling products with the first-kind
-                     triangle; rhs: derangement-polynomial convolution.
+                     triangle, free of x: its unsigned sum comes from a
+                     per-lam row (``_EQ24_25_FREE``) and the sign per case;
+                     rhs: derangement-polynomial convolution, per case.
   THM9_VS_SERIES     lhs: explicit order-r sum, n! taken out, over the
                      shared terms row; rhs: the series path's
                      coefficient recurrence for F (1-t)^r = deg_exp(x-1).
@@ -68,7 +72,14 @@ dict read, and a row of exactly the values asked for is handed out
 uncopied), one or two kernel sums over those rows (``dot``,
 ``binomial_conv``; signs and differences enter as ``map`` chains, never as
 a list built per case), the cross-multiplied comparison and the reduced
-``Fraction`` returned.  Verifiers over whole runs, one call per (identity,
+``Fraction`` returned.  A side that does not involve x is not summed per
+case: the x-free THM5 expressions and the EQ24_25 lhs are read as entry n
+of a row keyed by lam alone, which holds the int pairs of that side for
+every n up to its length, each its own sum over the source rows, so one
+row serves every x point of a lam.  Each case still makes its own
+comparisons and its own mutation flip.  ``_run_chunk`` builds the case
+tuple with ``tuple.__new__``, skipping the argument handling of
+``IdentityCase(...)``.  Verifiers over whole runs, one call per (identity,
 lam, x) for all of its n, would remove most of these steps, but a call
 would then no longer be a case; they wait for a case counter of their own.
 
@@ -76,6 +87,11 @@ Evaluation order.  A memo row is built whole, to the largest n asked of
 it, a larger n building a new row, and the smaller n read its prefix, so
 ``_run_chunk`` evaluates each run, one (identity, lam, x) key, top n first,
 each distinct case once, and each caller writes its runs in closed form.
+The per-lam rows of the x-free sides follow the same rule: the first run
+of a lam starts at the largest n of every run, so each is built once, and
+its grow step reads each source row once, at its top n (a ``dot`` stops at
+the shorter row, and a convolution at k reads entries 0..k), never at an
+ascending k, which would rebuild the source row at every step.
 The grid of ``verify_grid`` is the same at every n: ``_grid_runs`` gives
 each point every n of the identity's range, lam-major in (|lam|, lam)
 order.  ``verify_grid`` keeps its rows, each built once per process (per
@@ -315,9 +331,24 @@ def _thm4(n, lam, x, r, mutate):
     return lhs, rhs
 
 
+def _thm5_free_sides(lam, n):
+    """Grow step for the x-free THM5 expressions at k = 0..n, the row
+    ([(expr_a, expr_b), ...],) read through ``_Memo.row``: the Fubini values
+    dotted with row k of the first-kind triangle, and the derangement-number
+    convolution.  Each source row is read once, at n (a dot stops at the
+    shorter row, a convolution at k reads k + 1 entries), and each k is its
+    own sum."""
+    fubini, tri = _FUBINI.ints((lam, _ONE), n), _S1.row(lam, n)[0]
+    d, f = _DERANGE.ints((lam, _ZERO), n), _FALLING.ints((_ONE, lam), n)
+    return [(dot(fubini, tri[k]), binomial_conv(d, f, k)) for k in range(n + 1)],
+
+
+# keyed by lam alone: the two sides of THM5 that do not involve x
+_THM5_FREE = _Memo(_thm5_free_sides)
+
+
 def _thm5(n, lam, x, r, mutate):
-    expr_a = dot(_FUBINI.ints((lam, _ONE), n), _S1.ints(lam, n))
-    expr_b = binomial_conv(_DERANGE.ints((lam, _ZERO), n), _FALLING.ints((_ONE, lam), n), n)
+    expr_a, expr_b = _THM5_FREE.row(lam, n)[0][n]
     d, f = _DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n)
     num, den = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand of the x-shifted form
@@ -378,8 +409,20 @@ def _thm8_b(n, lam, x, r, mutate):
     return lhs, (sign * (-1) ** n * f[n], den)
 
 
+def _eq24_25_free_sums(lam, n):
+    """Grow step for the unsigned lhs sum of EQ24_25 at k = 0..n, the row
+    ([pair, ...],): the falling products at -1 dotted with row k of the
+    first-kind triangle, each source row read once, at n."""
+    f, tri = _FALLING.ints((_MINUS_ONE, lam), n), _S1.row(lam, n)[0]
+    return [dot(f, tri[k]) for k in range(n + 1)],
+
+
+# keyed by lam alone: the lhs of EQ24_25, which does not involve x
+_EQ24_25_FREE = _Memo(_eq24_25_free_sums)
+
+
 def _eq24_25(n, lam, x, r, mutate):
-    num, den = dot(_FALLING.ints((_MINUS_ONE, lam), n), _S1.ints(lam, n))
+    num, den = _EQ24_25_FREE.row(lam, n)[0][n]
     lhs = (-num if (n + mutate) % 2 else num), den  # (-1)^n, and the mutation's flip
     rhs = binomial_conv(_DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n), n)
     return lhs, rhs
@@ -498,10 +541,11 @@ def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
     """The failures of the runs' cases, each listed once per copy; each
     distinct case is evaluated once, top n first."""
     failures = []
+    new = tuple.__new__  # an IdentityCase without the argument handling of its __new__
     for ident, lam, x, rs, copies, ns in runs:
         for n in ns:
             for r in rs:
-                case = IdentityCase(ident, n, lam, x, r)
+                case = new(IdentityCase, (ident, n, lam, x, r))
                 lhs, rhs, passed = verify(case, mutate=mutate)
                 if not passed:
                     failures += [(case, lhs, rhs)] * copies

@@ -227,24 +227,30 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
     return value
 
 
-def _node(lam: float, u: float, t: float):
-    """What every damped member reads at u, the node t of the map u = (1 - t)/t:
-    (t, x, 1 + lam*x, (1 + lam*x)^(-1/lam), e^(lam*u), log1p(lam*x)/lam) with
-    x = (e^(lam*u) - 1)/lam, or None where lam*u > 700 and every member is
-    clamped to zero."""
-    lu = lam * u
-    if lu > 700.0:
-        return None
-    x = math.expm1(lu) / lam
-    lx = lam * x
-    onep = 1 + lx
-    return t, x, onep, onep ** (-1 / lam), math.exp(lu), math.log1p(lx) / lam
+def _nodes(lam: float, points) -> tuple:
+    """What every damped member reads at each (u, t) of points, t the node
+    of the map u = (1 - t)/t: (t, x, 1 + lam*x, (1 + lam*x)^(-1/lam),
+    e^(lam*u), log1p(lam*x)/lam) with x = (e^(lam*u) - 1)/lam, or None
+    where lam*u > 700 and every member is clamped to zero."""
+    expm1, exp, log1p = math.expm1, math.exp, math.log1p
+    e = -1 / lam
+    out = []
+    for u, t in points:
+        lu = lam * u
+        if lu > 700.0:
+            out.append(None)
+        else:
+            x = expm1(lu) / lam
+            lx = lam * x
+            onep = 1 + lx
+            out.append((t, x, onep, onep**e, exp(lu), log1p(lx) / lam))
+    return tuple(out)
 
 
 def _transform(lam: float, a: float, b: float) -> tuple:
     """The nodes of one Kronrod interval [a, b] at lam, in the order of
     ``_quadpack.nodes(a, b)``, and whether none of them is clamped."""
-    nodes = tuple(_node(lam, (1.0 - t) / t, t) for t in _quadpack.nodes(a, b))
+    nodes = _nodes(lam, [((1.0 - t) / t, t) for t in _quadpack.nodes(a, b)])
     return nodes, None not in nodes
 
 
@@ -259,7 +265,7 @@ class _Damped:
     """A u-space integrand g(x(u)) * dx/du of x = (e^(lam*u) - 1)/lam on
     [0, inf), exponentially damped whenever g carries a power of the deformed
     exponential.  ``values(nodes)`` is the member's own step: for each node
-    (t, x, onep, power, jac, log) of ``_node``, g(x) * jac / t / t, each
+    (t, x, onep, power, jac, log) of ``_nodes``, g(x) * jac / t / t, each
     operation in the order of the per-node expression.
 
     Far in the tail the damped value underflows to zero while intermediate
@@ -278,7 +284,7 @@ class _Damped:
         self.intervals = _family(lam)
 
     def __call__(self, u: float) -> float:
-        return self._value(_node(self.lam, u, 1.0))
+        return self._value(_nodes(self.lam, ((u, 1.0),))[0])
 
     def _value(self, node) -> float:
         if node is None:

@@ -16,6 +16,10 @@ from degderange.identities import IdentityId
 
 CMD = [sys.executable, "-m", "degderange"]
 
+# the options, beyond --lambda and --n-max, that each table selector reads
+TABLE_READS = {"derangement": "x", "derangement-poly": "", "derangement-order": "xr",
+               "stirling1": "m", "stirling2": "m", "fubini": "x", "bell": "x", "falling": "x"}
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -365,6 +369,32 @@ def test_argparse_rejection_exits_2_and_help_exits_0():
     out = run_cli("verify", "--help")
     assert out.returncode == 0 and out.stdout.startswith("usage: degderange verify")
     assert out.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [["certify", "--help"], ["--help"], ["table", "-h"]])
+def test_help_in_process_returns_0_with_the_cli_text(argv, monkeypatch):
+    """main returns help's status instead of raising SystemExit, and prints
+    what the command line prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _main_output(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: degderange")
+    cmd = run_cli(*argv, env={**os.environ, "COLUMNS": "80"})
+    assert (cmd.returncode, cmd.stdout, cmd.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("sel", list(TABLE_READS))
+def test_table_refuses_the_options_its_selector_ignores(sel):
+    """Each of --x, --r and --m is taken by the selectors that read it and
+    refused by the others with one error line and exit 2."""
+    reads = TABLE_READS[sel]
+    given = {"x": "--x=3/4", "r": "--r=2", "m": "--m=3"}
+    base = ["table", sel, "--lambda=2/7", "--n-max=3", *(given[o] for o in reads)]
+    code, out, err = _main_output(base)
+    assert (code, err) == (0, ""), err
+    for option in sorted(set(given) - set(reads)):
+        code, out, err = _main_output(base + [given[option]])
+        assert (code, out, err) == (2, "", f"error: {sel} takes no --{option}\n")
 
 
 def test_out_file_and_env_dir(tmp_path):
@@ -774,21 +804,24 @@ def test_table_errors_are_unchanged(argv, message, capsys):
 
 @settings(max_examples=120, deadline=2000)
 @given(
-    sel=st.sampled_from(["derangement", "derangement-poly", "derangement-order", "stirling1",
-                         "stirling2", "fubini", "bell", "falling"]),
+    sel=st.sampled_from(list(TABLE_READS)),
     lam=st.sampled_from(["0", "2/7", "-1/3", "1/2", "7/3", "-5/11"]),
     n_max=st.integers(0, 12),
     x=st.one_of(st.none(), st.sampled_from(["0", "1", "3/4", "-2", "-5/11"])),
     r=st.one_of(st.none(), st.integers(0, 4)),
     m=st.one_of(st.none(), st.integers(-1, 5)),
+    stray=st.booleans(),
 )
-def test_table_json_is_json_dumps_output(sel, lam, n_max, x, r, m):
+def test_table_json_is_json_dumps_output(sel, lam, n_max, x, r, m, stray):
     """The table writer formats its rows by hand; every document it writes
-    must be the one json.dumps(..., indent=2) writes for the same data."""
+    must be the one json.dumps(..., indent=2) writes for the same data.
+    Without ``stray`` only the options that the selector reads are passed,
+    so that most examples reach the writer rather than the refusal of an
+    option the selector ignores."""
     argv = ["table", sel, f"--lambda={lam}", f"--n-max={n_max}", "--format=json"]
-    for flag, value in (("--x", x), ("--r", r), ("--m", m)):
-        if value is not None:
-            argv.append(f"{flag}={value}")
+    for option, value in (("x", x), ("r", r), ("m", m)):
+        if value is not None and (stray or option in TABLE_READS[sel]):
+            argv.append(f"--{option}={value}")
     code, out, err = _main_output(argv)
     assert code in (0, 2), (code, err)
     assert "Traceback" not in out + err

@@ -546,7 +546,7 @@ def test_grid_grows_each_memo_row_once(monkeypatch):
         for value in vars(module).values():
             if isinstance(value, sequences._Memo) and value not in memos:
                 memos.append(value)
-    assert len(memos) == 15
+    assert len(memos) == 17
     grows = Counter()
     for i, memo in enumerate(memos):
 
@@ -571,3 +571,53 @@ def test_grid_grows_each_memo_row_once(monkeypatch):
     assert identities._run_chunk(chunk, False) == []
     assert grows and set(grows.values()) == {1}
     assert set(grows) < keys
+
+
+# the x-free sides of THM5 and EQ24_25, one row per lam key
+FREE_MEMOS = {"THM5": identities._THM5_FREE, "EQ24_25": identities._EQ24_25_FREE}
+
+
+@pytest.mark.parametrize(
+    "run, lams",
+    [
+        (lambda: verify_grid(n_max=12).ok, verify_grid.__defaults__[2]),
+        (lambda: all(all(per_n.values()) for per_n in certify_ranges(IdentityId, 12).values()),
+         _nested(12)),
+    ],
+    ids=["verify_grid", "certify_ranges"],
+)
+def test_free_side_rows_grow_once_per_lam(monkeypatch, run, lams):
+    """verify_grid and certify_ranges build each x-free row once per lam key,
+    for every x and n that reads it."""
+    grows = Counter()
+    for name, memo in FREE_MEMOS.items():
+
+        def counted(key, n, grow=memo.grow, name=name):
+            grows[name, key] += 1
+            return grow(key, n)
+
+        monkeypatch.setattr(memo, "rows", {})
+        monkeypatch.setattr(memo, "grow", counted)
+    assert run()
+    keys = {sequences._key(F(lam)) for lam in lams}
+    assert grows == Counter({(name, key): 1 for name in FREE_MEMOS for key in keys})
+
+
+@pytest.mark.parametrize("lam", [F(0), F(2, 7), F(-1, 3)])
+def test_free_side_rows_equal_the_reference_formulas(monkeypatch, lam):
+    """Entry k of each fresh x-free row is the side that the paper's formula
+    gives at n = k: both x-free THM5 expressions (the derangement convolution
+    is the x-shifted one at x = 0) and the EQ24_25 lhs without its sign
+    (-1)^k."""
+    for memo in FREE_MEMOS.values():
+        monkeypatch.setattr(memo, "rows", {})
+    n = 10
+    thm5 = identities._THM5_FREE.row(sequences._key(lam), n)[0]
+    eq24_25 = identities._EQ24_25_FREE.row(sequences._key(lam), n)[0]
+    assert len(thm5) == len(eq24_25) == n + 1
+    for k in range(n + 1):
+        expr_a, expr_b = (F(*side) for side in thm5[k])
+        ref_a, ref_b = reference_identities.thm5(k, lam, F(0), None)
+        assert (expr_a, expr_b) == (ref_a, ref_b) == (factorial(k), factorial(k)), k
+        lhs = reference_identities.eq24_25(k, lam, F(0), None)[0]
+        assert F(*eq24_25[k]) == (-1) ** k * lhs, k

@@ -378,7 +378,7 @@ def _leaves(key):
 def test_memo_keys_hold_ints_only():
     identities.verify_grid(n_max=8)
     memos = {id(m): m for mod in (sequences, identities) for m in vars(mod).values() if isinstance(m, _Memo)}
-    assert len(memos) == 15
+    assert len(memos) == 17
     for memo in memos.values():
         for key in memo.rows:
             assert all(type(v) is int for v in _leaves(key)), (memo.grow, key)
