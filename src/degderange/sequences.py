@@ -110,14 +110,29 @@ read no values row: no identity verifier reads the polynomials, so none
 compares the recurrence with itself.  The values still never grow by it.
 
 Order-r values come from the same terms row with n! taken out,
-D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) T_l, each one dot product of the
-binomials (one weights row per r) against the terms row; ``derange_order_row``
-reads each of its values through that dot product.  The sum stays a sum of
-independently weighted terms, never Horner in l nor r nested running sums:
-at r = 1 either would take the same integer steps as the series path's
-N_k = E_k + s k N_{k-1}, and THM9_VS_SERIES, which ``certify`` runs at
-r = 1, would compare a value with itself.  The order-r values are not
-memoised: each is one dot product over two memoised rows.
+D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) T_l, by one of two paths:
+
+  prefix sums   dividing a series by 1 - t takes the partial sums of its
+                coefficients, so the values 0..n are r passes of prefix
+                sums over the terms row's numerators (``_order_sums``, r n
+                additions, whose r = 1 call is the derangement row):
+                ``derange_order_row`` for r <= n
+  dot product   each value one dot product of the binomials (one weights
+                row per r) against the terms row, O(n) products per value:
+                the scalar ``derange_deg_order``, the lhs of THM9_VS_SERIES
+                and ``derange_order_row`` for r > n, where r passes would
+                cost more than the n + 1 dot products
+
+No identity compares a value with itself.  THM9_VS_SERIES, which
+``certify`` runs at r = 1, reads the dot product, a sum of independently
+weighted terms, never Horner in l nor r nested running sums, and sets it
+against the series path's recurrence in k (N_k = E_k + s k N_{k-1} at
+r = 1): two structurally different sides.  The verifiers read prefix sums
+only as the derangement row, r = 1, which THM2_CONV and ``derange_row``'s
+cross-check set against that series path; an order-r row of r > 1 is read
+by no verifier, and its own cross-check sets it against the series path
+too.  The order-r values are not memoised: each read sums over memoised
+rows.
 """
 
 from __future__ import annotations
@@ -343,15 +358,28 @@ def _grow_derange_terms(key, n):
 _DERANGE_TERMS = _Memo(_grow_derange_terms)
 
 
-def _grow_derange(key, n):
-    """Derangement values D(k) = k! sum_{l<=k} T_l, the order-r sum at r = 1:
-    the plain prefix sums of the terms row's numerators, each times k!, over
-    the terms row's denominator L! s^L, L! divided out of both exactly (each
-    numerator is then sum_l E_l (k!/l!) s^(L-l), over s^L).  The row covers
-    what the terms row covers."""
+def _order_sums(key, n: int, r: int) -> tuple[list[int], int]:
+    """Order-r values D_r(k) = k! sum_{l<=k} binom(r-1+k-l, k-l) T_l,
+    k = 0..n, as (nums, den): dividing a series by 1 - t takes the partial
+    sums of its coefficients, so they are r passes of prefix sums over the
+    terms row's numerators 0..n, each times k!, over the terms row's
+    denominator L! s^L, L! divided out of both exactly (each numerator is
+    then a weighted sum of E_l (k!/l!) s^(L-l) over l <= k, over s^L).  The
+    passes take r n additions: for r > n they cost more than n + 1 dot
+    products, which ``derange_order_row`` takes there instead."""
     terms, den = _DERANGE_TERMS.row(key, n)
     f = factorial(len(terms) - 1)
-    return [factorial(k) * t // f for k, t in enumerate(accumulate(terms))], den // f
+    sums = terms[: n + 1]
+    for _ in range(r):
+        sums = list(accumulate(sums))
+    return [factorial(k) * t // f for k, t in enumerate(sums)], den // f
+
+
+def _grow_derange(key, n):
+    """Derangement values D(k) = k! sum_{l<=k} T_l, the order-r sums at
+    r = 1: one pass of prefix sums.  The row covers what the terms row
+    covers."""
+    return _order_sums(key, len(_DERANGE_TERMS.row(key, n)[0]) - 1, 1)
 
 
 _DERANGE = _Memo(_grow_derange)
@@ -438,17 +466,20 @@ def _check_order(r: int) -> None:
 
 
 def derange_order_row(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> list[Fraction]:
-    """[derange_deg_order(k, r, lam, x) for k = 0..n], as a new list: each
-    value the scalar's dot product over the terms row."""
+    """[derange_deg_order(k, r, lam, x) for k = 0..n], as a new list: for
+    r <= n, r passes of prefix sums over the terms row (``_order_sums``);
+    for r > n, where the passes would cost more, each value the scalar's dot
+    product over the terms row."""
     _check_index(n)
     _check_order(r)
     key = (_key(lam), _key(x))
-    _DERANGE_TERMS.row(key, n)
-    _ORDER_WEIGHTS.row(r, n)
-    return _dual(
-        [Fraction(*_derange_order(k, r, *key)) for k in range(n + 1)],
-        lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, r), n)),
-    )
+    if r <= n:
+        values = as_fractions(*_order_sums(key, n, r))
+    else:
+        _DERANGE_TERMS.row(key, n)
+        _ORDER_WEIGHTS.row(r, n)
+        values = [Fraction(*_derange_order(k, r, *key)) for k in range(n + 1)]
+    return _dual(values, lambda: as_fractions(*_DERANGE_ORDER_SERIES.ints((*key, r), n)))
 
 
 def derange_deg_order(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:

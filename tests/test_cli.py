@@ -770,6 +770,29 @@ TABLE_DIGESTS = [
      "e77b2cf69ed38d1967ba544e9553a7ce9d99c03bc600b20e9220562ea7f82f78"),
     ("derangement-poly --lambda -1/3 --n-max 128 --format json",
      "6d05e48cf4cce511cbd077ebefaacf3abe07743487bdbad4e7f7012d385956f4"),
+    # order-r tables to n = 256 on both sides of the row's choice (prefix
+    # sums for r <= n, a dot product per value for r > n), and an order far
+    # past n, recorded when every value was still its own dot product
+    ("derangement-order --lambda=2/7 --r 1 --n-max 256",
+     "486ee4d746a1eff34a7a01b8674f2d910abb99e6af4fbacbcf5987fbfc90c26d"),
+    ("derangement-order --lambda=2/7 --r 3 --n-max 256",
+     "17337e604f298a5d53c72c817ba2a592cae1ea2fc34eca5c1af0238c069d9ebd"),
+    ("derangement-order --lambda=2/7 --r 256 --n-max 256",
+     "80fed56da1df2605212f3ddb8854e26736b75b1cab7d0e7b4522d8a664f4ad2f"),
+    ("derangement-order --lambda=2/7 --r 257 --n-max 256",
+     "66128b08d35648791ed2ffc106f5cfb7b9f5d1c829772bb9c88f36cfcdbf7b8c"),
+    ("derangement-order --lambda=-1/3 --r 1 --n-max 256",
+     "ff933e6e198d074dcdb768667207f95b20a1ddec77ce1cd574ca363accd7d2cb"),
+    ("derangement-order --lambda=-1/3 --r 3 --n-max 256",
+     "72b5443231fb21c75de7741f4e62faecd067837bedee8d14e062a4d170e33e78"),
+    ("derangement-order --lambda=-1/3 --r 256 --n-max 256",
+     "0b63c6d0755f84e9626088e14138e2758c1da7f8144cbaf681ef487be3fdad84"),
+    ("derangement-order --lambda=-1/3 --r 257 --n-max 256",
+     "60768a6ba355ea452f105d77ade698dcf7965932a5b5a6add0f951ce29a430ab"),
+    ("derangement-order --lambda=2/7 --r 1000 --n-max 12",
+     "f2c5768e8dac737ed4145df91cbf8e0a53e40b3a6e4fd6de0be63d071058896f"),
+    ("derangement-order --lambda=-1/3 --r 1000 --n-max 12",
+     "ac30a926058530730f89396ca15781e583f1b7179959139d7b6f977453730087"),
 ]
 
 

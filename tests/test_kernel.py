@@ -295,7 +295,9 @@ def test_derange_order_matches_reference(lam, x, n, r):
 
 ORDER_LAMBDAS = (F(0), F(2, 7), F(-1, 3), F(1, 2))
 ORDER_XS = (F(0), F(1), F(-2), F(3, 4))
-ORDERS = range(1, 5)
+# small orders, and orders on both sides of the row's choice at n = N_MAX
+# (prefix sums for r <= n, one dot product per value for r > n)
+ORDERS = (*range(1, 5), N_MAX - 1, N_MAX, N_MAX + 1, 3 * N_MAX)
 
 
 @functools.cache
@@ -310,7 +312,8 @@ def test_derange_order_row_matches_reference(history):
     # row: one n at a time (a new row for each n), one bulk call, and a bulk
     # call after a smaller one.  The derangement row (r = 1) is read from the
     # same terms row and covers what it covers, so it is read before and
-    # after the order-r reads rebuild the terms row to a larger n.
+    # after the order-r reads rebuild the terms row to a larger n.  The
+    # ascending history meets every r of ORDERS on both sides of r <= n.
     for lam in ORDER_LAMBDAS:
         for x in ORDER_XS:
             key = (_key(lam), _key(x))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degderange import sequences
+from degderange import identities, sequences
 from degderange.exactcore import Poly, binomial, factorial
 from degderange.sequences import (
     _key,
@@ -181,6 +181,45 @@ def test_derange_order_dual_path(lam):
             assert derange_deg_order(n, r, lam, F(3, 4)) == derange_deg_order_series(
                 n, r, lam, F(3, 4)
             )
+
+
+class _RowSpy:
+    """Stands in for a memo and records each ``row`` read."""
+
+    def __init__(self, memo):
+        self.memo, self.reads = memo, []
+
+    def row(self, key, n):
+        self.reads.append((key, n))
+        return self.memo.row(key, n)
+
+
+def test_order_row_sums_up_to_n_and_the_identity_keeps_the_dot(monkeypatch):
+    """derange_order_row takes prefix sums for r <= n, reading neither the
+    scalar's dot product nor the weights, and the dot product for r > n;
+    THM9_VS_SERIES's lhs stays the dot product over the weights row."""
+    lam, x, n = F(2, 7), F(3, 4), 12
+    orders = (1, 3, n, n + 1, 3 * n)
+    scalars = {r: [derange_deg_order(k, r, lam, x) for k in range(n, -1, -1)][::-1] for r in orders}
+    weights = _RowSpy(sequences._ORDER_WEIGHTS)
+    monkeypatch.setattr(sequences, "_ORDER_WEIGHTS", weights)
+
+    def fail(*args):
+        raise AssertionError("dot product read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "_derange_order", fail)
+        for r in (1, 3, n):
+            assert sequences.derange_order_row(n, r, lam, x) == scalars[r]
+        assert weights.reads == []
+        for r in (n + 1, 3 * n):
+            with pytest.raises(AssertionError, match="dot product read"):
+                sequences.derange_order_row(n, r, lam, x)
+    del weights.reads[:]
+    for r in (1, 3):
+        lhs, rhs = identities._thm9_vs_series(n, _key(lam), _key(x), r, False)
+        assert F(*lhs) == F(*rhs) == scalars[r][n]
+    assert weights.reads == [(1, n), (3, n)]
 
 
 def test_derange_order_rejects_bad_r():
