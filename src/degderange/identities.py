@@ -9,7 +9,8 @@ and each returns its two sides as unreduced int pairs (num, den).  ``verify``
 compares a/b with c/d as a*d == c*b, with no gcd (Knuth, TAOCP vol. 2,
 4.5.1), and only then builds ``Fraction`` values: one, reduced once, for a
 case whose sides agree, returned as both sides, and two for a case whose
-sides differ.  The path mapping, per identity:
+sides differ.  The runs of ``verify_grid`` and ``certify`` build them for
+failing cases only (see "Per case").  The path mapping, per identity:
 
   THM2_CONV          lhs: series extraction of the derangement generating
                      function; rhs: convolution sum over derangement numbers
@@ -71,8 +72,15 @@ the verifier, whose work is a fixed handful of memo reads (a hit is one
 dict read, and a row of exactly the values asked for is handed out
 uncopied), one or two kernel sums over those rows (``dot``,
 ``binomial_conv``; signs and differences enter as ``map`` chains, never as
-a list built per case), the cross-multiplied comparison and the reduced
-``Fraction`` returned.  A side that does not involve x is not summed per
+a list built per case) and the cross-multiplied comparison of the two int
+pairs.  Runs compare int pairs and build ``Fraction`` values for failures
+only: ``_run_chunk`` reads just whether a case passed, and a failing
+case's sides, so it calls ``verify`` with ``values=False``, under which a
+passing case returns before any gcd and a failing one returns the two
+reduced ``Fraction`` values of the default call.  The keyword exists
+because the two callers need different things: the runner keeps one
+public ``verify`` call per case, the unit that counts cases, while library
+callers read the values.  A side that does not involve x is not summed per
 case: the x-free THM5 expressions and the EQ24_25 lhs are read as entry n
 of a row keyed by lam alone, which holds the int pairs of that side for
 every n up to its length, each its own sum over the source rows, so one
@@ -80,8 +88,9 @@ row serves every x point of a lam.  Each case still makes its own
 comparisons and its own mutation flip.  ``_run_chunk`` builds the case
 tuple with ``tuple.__new__``, skipping the argument handling of
 ``IdentityCase(...)``.  Verifiers over whole runs, one call per (identity,
-lam, x) for all of its n, would remove most of these steps, but a call
-would then no longer be a case; they wait for a case counter of their own.
+lam, x) for all of its n, would remove most of these steps, and the
+``values`` keyword with them, but a call would then no longer be a case;
+they wait for a case counter of their own.
 
 Evaluation order.  A memo row is built whole, to the largest n asked of
 it, a larger n building a new row, and the smaller n read its prefix, so
@@ -494,11 +503,21 @@ _REGISTRY: dict[IdentityId, _Spec] = {
 }
 
 
-def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction, bool]:
+def verify(
+    case: IdentityCase, mutate: bool = False, *, values: bool = True
+) -> tuple[Fraction | None, Fraction | None, bool]:
     """Evaluate both sides of one identity case exactly.
 
     Returns (lhs, rhs, passed) with passed meaning exact equality; lhs and
-    rhs are reduced ``Fraction`` values, one object when they agree.
+    rhs are reduced ``Fraction`` values, one object when they agree.  The
+    sides are compared as int pairs by cross-multiplication, before any
+    ``Fraction`` is built.  With ``values=False`` a passing case returns
+    (None, None, True) and builds no ``Fraction``; a failing case still
+    returns both sides.  The runner behind ``verify_grid``, ``certify`` and
+    ``certify_ranges`` passes it: it reads only ``passed`` of a passing
+    case, yet calls this function once per case, so that a count of its
+    calls stays the count of cases run.  Row verifiers, one call per run,
+    retire the keyword once a case counter of their own exists.
     """
     ident, n, lam, x, r = case
     try:
@@ -515,6 +534,8 @@ def verify(case: IdentityCase, mutate: bool = False) -> tuple[Fraction, Fraction
         raise ValueError(f"r must be >= 1, got {r}")
     lhs, rhs = fn(n, _key(lam), x if x is None else _key(x), r, mutate)
     if _equal(lhs, rhs):
+        if not values:
+            return None, None, True
         value = Fraction(*lhs)
         return value, value, True
     return Fraction(*lhs), Fraction(*rhs), False
@@ -546,7 +567,7 @@ def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
         for n in ns:
             for r in rs:
                 case = new(IdentityCase, (ident, n, lam, x, r))
-                lhs, rhs, passed = verify(case, mutate=mutate)
+                lhs, rhs, passed = verify(case, mutate=mutate, values=False)
                 if not passed:
                     failures += [(case, lhs, rhs)] * copies
     return failures
@@ -602,7 +623,9 @@ def verify_grid(
     the one-chunk case and neither starts nor imports the process pool.  The
     report is deterministic regardless of order and scheduling: the failures
     are listed in ``IdentityCase.sort_key`` order.  Raises ValueError unless
-    0 <= n_max <= MAX_N, 1 <= r_max <= MAX_N and jobs >= 1.
+    0 <= n_max <= MAX_N, 1 <= r_max <= MAX_N and jobs >= 1, and for an
+    empty ``ids`` or ``lam_grid``, or an empty ``x_grid`` when an identity
+    references x.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -611,7 +634,14 @@ def verify_grid(
     if not 1 <= r_max <= MAX_N:
         raise ValueError(f"r_max must lie in [1, {MAX_N}], got {r_max}")
     id_list = sorted(set(ids), key=lambda i: i.value) if ids is not None else list(IdentityId)
-    runs = _grid_runs(id_list, map(Fraction, lam_grid), map(Fraction, x_grid), n_max, r_max)
+    lams, xs = list(map(Fraction, lam_grid)), list(map(Fraction, x_grid))
+    if not id_list:
+        raise ValueError("empty identity list")
+    if not lams:
+        raise ValueError("empty lam grid")
+    if not xs and any(_REGISTRY[ident].uses_x for ident in id_list):
+        raise ValueError("empty x grid for an identity that references x")
+    runs = _grid_runs(id_list, lams, xs, n_max, r_max)
     jobs = min(jobs, os.cpu_count() or 1)
     chunks = _chunks(runs, jobs)
     if len(chunks) > 1:
@@ -642,7 +672,8 @@ def certify(
     variable is zero, so exact agreement on lam_points x x_points proves the
     identity at n.  THM9_VS_SERIES is evaluated at r = 1 only.  Raises
     ValueError when fewer than d_lam + 1 (or d_x + 1) distinct points are
-    supplied for a referenced variable.  ``certify_ranges`` runs the same
+    supplied for a referenced variable, and when x_points are given for an
+    identity that does not take x.  ``certify_ranges`` runs the same
     evaluation for every n up to a bound, on one nested point set, for a
     set of identities.
     """
@@ -652,6 +683,8 @@ def certify(
         if x_points is None:
             raise ValueError(f"{identity_id.value} references x; supply x points")
         xs = _axis(map(Fraction, x_points))
+    elif x_points is not None:
+        raise ValueError(f"{identity_id.value} does not take x")
     else:
         xs = [(None, 1)]
     _check_points(spec, n, len(lams), len(xs))
@@ -668,7 +701,7 @@ def certify_ranges(
     of the symmetric sequence 0, 1, -1, 2, -2, ...  Returns
     {identity: {n: certified}}, an identity listed twice certified once, in
     the order of first listing, each in ascending n.  Raises ValueError
-    unless 0 <= n_max <= MAX_N.
+    unless 0 <= n_max <= MAX_N, and for an empty ``ids``.
 
     Every declared bound is <= n, so n + 1 points suffice (``_check_points``
     checks it), and integers are as good as any distinct points (no point is
@@ -689,6 +722,8 @@ def certify_ranges(
         for n in range(spec.min_n, n_max + 1):
             _check_points(spec, n, n + 1, n + 1 if spec.uses_x else 1)
         certified[ident] = dict.fromkeys(range(spec.min_n, n_max + 1), True)
+    if not certified:
+        raise ValueError("empty identity list")
     for k in range((n_max + 1) // 2 + 1):  # |lam| = k at the indices 2k - 1 and 2k
         runs = []
         for ident in certified:

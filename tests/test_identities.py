@@ -65,19 +65,24 @@ def test_every_identity_on_small_grid():
 @pytest.mark.parametrize("mutate", [False, True])
 def test_verify_returns_reduced_fractions(mutate):
     # the sides are compared as int pairs; what verify returns is reduced,
-    # and passed is exactly the equality of the returned values
+    # and passed is exactly the equality of the returned values; with
+    # values=False a passing case returns no values, a failing one the same
     failed = 0
     for ident, spec in _REGISTRY.items():
         for n in range(spec.min_n, 7):
             for lam in SMALL_LAM:
                 for x in SMALL_X if spec.uses_x else [None]:
                     for r in (1, 2) if spec.uses_r else [None]:
-                        lhs, rhs, passed = verify(IdentityCase(ident, n, lam, x, r), mutate)
+                        case = IdentityCase(ident, n, lam, x, r)
+                        lhs, rhs, passed = verify(case, mutate)
                         for side in (lhs, rhs):
                             assert type(side) is F
                             assert side.denominator > 0
                             assert gcd(side.numerator, side.denominator) == 1
                         assert passed == (lhs == rhs)
+                        bare = verify(case, mutate, values=False)
+                        assert bare == ((None, None, True) if passed else (lhs, rhs, False))
+                        assert all(type(side) is F for side in bare[:2]) is not passed
                         failed += not passed
     assert bool(failed) is mutate
 
@@ -96,12 +101,27 @@ def test_verify_grid_rejects_a_range_that_runs_no_case():
     for r_max in (0, -1, MAX_N + 1):
         with pytest.raises(ValueError, match=rf"r_max must lie in \[1, {MAX_N}\], got {r_max}"):
             verify_grid([IdentityId.THM9_VS_SERIES], n_max=4, r_max=r_max)
+    # so would an empty grid axis that an identity reads
+    for kwargs in ({"lam_grid": []}, {"ids": [IdentityId.THM3], "x_grid": []},
+                   {"ids": [IdentityId.THM7_A, IdentityId.THM3], "x_grid": ()}):
+        with pytest.raises(ValueError, match="^empty "):
+            verify_grid(n_max=2, **kwargs)
+    # an identity free of x reads no x grid
+    assert verify_grid([IdentityId.THM7_A], n_max=2, x_grid=[]).cases_run == 3 * 6
 
 
 def test_certify_ranges_rejects_n_max_out_of_range():
     for n_max in (-2, -1, MAX_N + 1):
         with pytest.raises(ValueError, match=rf"n_max must lie in \[0, {MAX_N}\], got {n_max}"):
             certify_ranges([IdentityId.THM3], n_max)
+
+
+def test_certify_ranges_rejects_an_empty_identity_list():
+    # it would certify nothing and return {}
+    with pytest.raises(ValueError, match="empty identity list"):
+        certify_ranges([], 4)
+    with pytest.raises(ValueError, match="empty identity list"):
+        certify_ranges(iter(()), 4)
 
 
 def test_grid_runs_keep_each_lam_together_in_magnitude_order():
@@ -132,9 +152,9 @@ def test_grid_runs_keep_each_lam_together_in_magnitude_order():
 
 
 def test_empty_id_set():
-    report = verify_grid(ids=[], n_max=8, lam_grid=SMALL_LAM, x_grid=SMALL_X, r_max=2)
-    assert report.cases_run == 0
-    assert report.ok
+    # no case would run, and the report would pass
+    with pytest.raises(ValueError, match="empty identity list"):
+        verify_grid(ids=[], n_max=8, lam_grid=SMALL_LAM, x_grid=SMALL_X, r_max=2)
 
 
 def test_x_independence_of_shifted_convolution():
@@ -227,6 +247,16 @@ def test_certify_ignores_x_for_x_free_identities():
     assert certify(IdentityId.THM8_B, 2, [F(0), F(1, 5), F(2, 5)])
 
 
+def test_certify_rejects_x_points_for_an_x_free_identity():
+    # as verify rejects a spurious x, rather than certifying without it
+    lams = [F(0), F(1, 5), F(2, 5)]
+    for ident in (IdentityId.THM7_A, IdentityId.THM8_B):
+        with pytest.raises(ValueError, match=f"{ident.value} does not take x"):
+            certify(ident, 2, lams, [0, 1])
+    with pytest.raises(ValueError, match="THM7_A does not take x"):
+        certify(IdentityId.THM7_A, 2, [0, 1, 2], [])
+
+
 def test_verify_parameter_validation():
     with pytest.raises(ValueError):
         verify(IdentityCase(IdentityId.THM2_REC, 0, F(1, 2), F(0)))  # n below range
@@ -272,9 +302,9 @@ def test_repeated_grid_values_are_evaluated_once(monkeypatch):
     calls = Counter()
     real = identities.verify
 
-    def counted(case, mutate=False):
+    def counted(case, mutate=False, **kwargs):
         calls[case] += 1
-        return real(case, mutate=mutate)
+        return real(case, mutate=mutate, **kwargs)
 
     monkeypatch.setattr(identities, "verify", counted)
     report = verify_grid(list(IdentityId), 6, REPEATED_LAM, REPEATED_X, 3)
@@ -282,6 +312,48 @@ def test_repeated_grid_values_are_evaluated_once(monkeypatch):
     assert report.cases_run == _grid_size(REPEATED_LAM, REPEATED_X, 6, 3)
     assert set(calls.values()) == {1}
     assert len(calls) == _grid_size(set(REPEATED_LAM), set(REPEATED_X), 6, 3)
+
+
+def test_passing_runs_build_no_fraction_per_case(monkeypatch):
+    built = []
+
+    class Counted(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return F(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "Fraction", Counted)
+    report = verify_grid(n_max=8)
+    assert report.ok and report.cases_run > 2000
+    assert len(built) <= 6 + 4  # the grid's own points, each converted once
+    built.clear()
+    assert all(all(per_n.values()) for per_n in certify_ranges(IdentityId, 8).values())
+    assert len(built) <= 8 + 1  # the nested points
+    monkeypatch.undo()
+    # a failing case still reports the sides that verify returns by default
+    report = verify_grid(n_max=4, lam_grid=SMALL_LAM, x_grid=SMALL_X, r_max=2, mutate=True)
+    assert {case.identity_id for case, _, _ in report.failures} == set(IdentityId)
+    for case, lhs, rhs in report.failures:
+        assert type(lhs) is type(rhs) is F
+        assert (lhs, rhs, False) == verify(case, mutate=True)
+
+
+def test_case_counts_of_the_default_grid_and_certify_to_16(monkeypatch):
+    # a count of public verify calls is the number of cases run; the traced
+    # perfbench grid and certify workloads check these same two counts
+    calls = []
+    real = identities.verify
+
+    def counted(case, mutate=False, **kwargs):
+        calls.append(case)
+        return real(case, mutate=mutate, **kwargs)
+
+    monkeypatch.setattr(identities, "verify", counted)
+    report = verify_grid()
+    assert report.ok and report.cases_run == len(calls) == 10_638
+    calls.clear()
+    assert all(all(per_n.values()) for per_n in certify_ranges(IdentityId, 16).values())
+    assert len(calls) == 16_980
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +506,10 @@ def test_certify_needs_only_the_declared_points():
 def test_certify_range_matches_certify_per_n(mutate):
     pts = _nested(3)
     for ident in IdentityId:
+        spec = _REGISTRY[ident]
         per_n = {
-            n: certify(ident, n, pts[: n + 1], pts[: n + 1], mutate=mutate)
-            for n in range(_REGISTRY[ident].min_n, 4)
+            n: certify(ident, n, pts[: n + 1], pts[: n + 1] if spec.uses_x else None, mutate=mutate)
+            for n in range(spec.min_n, 4)
         }
         assert certify_ranges([ident], 3, mutate=mutate)[ident] == per_n
         assert all(per_n.values()) is not mutate
@@ -446,9 +519,9 @@ def test_certify_range_evaluates_every_grid_point_once(monkeypatch):
     calls = []
     real = identities.verify
 
-    def counted(case, mutate=False):
+    def counted(case, mutate=False, **kwargs):
         calls.append(case)
-        return real(case, mutate=mutate)
+        return real(case, mutate=mutate, **kwargs)
 
     monkeypatch.setattr(identities, "verify", counted)
     n_max, pts = 4, _nested(4)
@@ -484,9 +557,9 @@ def test_certify_ranges_evaluates_every_case_once(monkeypatch, mutate):
     calls = []
     real = identities.verify
 
-    def counted(case, mutate=False):
+    def counted(case, mutate=False, **kwargs):
         calls.append(case)
-        return real(case, mutate=mutate)
+        return real(case, mutate=mutate, **kwargs)
 
     monkeypatch.setattr(identities, "verify", counted)
     ids, n_max = list(IdentityId), 4
