@@ -161,9 +161,11 @@ identity at r = 1 only.
 Points.  The degree argument needs d + 1 distinct points per axis and
 nothing else of them, so ``certify_ranges`` uses the integers 0, 1, -1, 2,
 -2, ...  Any distinct points are sound because no point is a pole: every
-side is a polynomial in lam and x, and every grow step of the memo rows
-divides only by an index, exactly (``// m``, ``// k``, ``// f`` with
-f = L!), never by lam or x.
+side is a polynomial in lam and x, and every grow step that a verifier
+reads divides only by an index, exactly (``// m``, ``// k``, ``// f`` with
+f = L!), never by lam or x.  The one other division, the series-triangle
+step's exact division by a power of lam's denominator, feeds only
+``_S1_SERIES`` and ``_S2_SERIES``, which no verifier reads.
 """
 
 from __future__ import annotations

@@ -445,7 +445,8 @@ def stirling_log_expansion_check(
     individual expectations diverge for m >= 1/lam, so terms are restricted to
     that window and their decay is monitored.  If the terms stop decaying (or
     the window is exhausted) before the tolerance is met, the result is
-    flagged inconclusive rather than passed.  n lies in [0, MAX_FLOAT_N].
+    flagged inconclusive rather than passed, as is a window ending below n
+    (no term; the value is the empty sum 0).  n lies in [0, MAX_FLOAT_N].
     """
     _check_moment_n(n)
     lam = Fraction(lam)
@@ -488,7 +489,10 @@ def stirling_log_expansion_check(
         else:
             growing = 0
         prev_abs = abs(term)
-    if growing >= 2:
+    if m_limit < n:
+        detail = f"convergent window m < 1/lam ends at m={m_limit}, below n={n}: no term m >= n"
+        inconclusive = True
+    elif growing >= 2:
         detail = f"terms stopped decaying before tolerance; best truncation at m={m_used}"
         inconclusive = True
     elif truncated_by_window:

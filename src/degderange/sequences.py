@@ -18,15 +18,15 @@ parameter, with the argument where there is one), so a lookup hashes ints
 only.  Every memo is listed in ``_MEMOS`` as it is made, so that
 ``identities.certify_ranges`` can empty them all (``_Memo.clear``) after
 each |lam| group.  A row keeps integer numerators over shared denominators,
-the layout of FLINT's ``fmpq_poly``, in one of three forms:
+the layout of FLINT's ``fmpq_poly``, in one of two forms:
 
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
                                                          derangements, the
                                                          order-r terms and
                                                          weights, the Fubini
-                                                         and Bell sums
+                                                         and Bell sums, every
+                                                         series path
   _TriangleMemo  (rows, q): row k is (nums, q^k)         both Stirling triangles
-  _SeriesMemo    (nums, s): value k is nums[k]/s^k       the series paths
 
 ``ints(key, n)`` gives the values 0..n (row n of a triangle) as one
 (nums, den) pair, the form that the kernel's ``dot`` and ``binomial_conv``
@@ -35,13 +35,11 @@ take, and ``pair(key, n)`` gives value n as an unreduced int pair
 ``*_row`` and scalar accessors build ``Fraction`` values, at the API
 boundary.  A read that hits serves its row with one dict read, and ``ints``
 may return the published list itself, not a copy (a whole row of n + 1
-values, row n of a triangle, or a series row at an integer point, whose
-values need no scaling to one denominator): no reader mutates what it is
-given.  A grow step builds a key's row for 0..n from the key alone,
-reading no earlier row of that key, and the memo publishes it in place of
-the old one: a published row is never changed, so a reader outside the
-lock, holding one reference to a row, never pairs new numerators with an
-old denominator.  A row is built whole, so many values of n are read
+values, or row n of a triangle): no reader mutates what it is given.  A grow step builds a key's row for 0..n from the key alone, reading
+no earlier row of that key, and the memo publishes it in place of the old
+one: a published row is never changed, so a reader outside the lock,
+holding one reference to a row, never pairs new numerators with an old
+denominator.  A row is built whole, so many values of n are read
 through one row or column accessor, top n first, not through scalar calls
 in ascending n, each of which would rebuild the row.
 
@@ -83,9 +81,11 @@ advances once per k through the kernel's ``pascal_step``: no step calls
 ``comb`` per term, and the rows are rolled, one held at a time, not cached.
 (The order-r step's sum has at most r terms, with binom(r, i) taken once.)
 
-Each step runs on integers, the values scaled by powers of one fixed
-integer with at most one exact division (Fubini's with none).  Each builds
-its weights itself from lam and x, reading no memo but its own.  So a series
+Each step runs on integers, value k scaled by s^k for one fixed integer s,
+with at most one exact division (Fubini's with none; a series column also
+divides the column below back to its integers), and publishes its row over
+s^n (``_over_power``).  Each builds its weights itself from lam and x,
+reading no memo but its own.  So a series
 path shares with its fast path only the exact-core primitives: it steps
 along the power of t of one generating-function product, where a triangle
 steps a Stirling row by a linear factor and an explicit sum adds falling
@@ -169,7 +169,8 @@ def _key(v: ExactScalar) -> tuple[int, int]:
 class _Memo:
     """Integer rows per key, built on demand under one lock.  A key holds
     ints only: a (numerator, denominator) pair per rational parameter.  Rows
-    are (nums, den), value k being nums[k] / den.
+    are (nums, den), value k being nums[k] / den; only the two Stirling
+    triangles keep another layout (``_TriangleMemo``).
 
     ``grow(key, n)`` builds the row covering indices 0..n from the key
     alone; ``row`` calls it when the key is missing or its row too short and
@@ -236,36 +237,18 @@ class _TriangleMemo(_Memo):
         return row[0][n]
 
 
-class _SeriesMemo(_Memo):
-    """Rows (nums, s): value k is nums[k] / s^k."""
-
-    __slots__ = ()
-
-    def ints(self, key, n: int) -> tuple[list[int], int]:
-        row = self.rows.get(key)
-        if row is None or len(row[0]) <= n:
-            row = self.row(key, n)
-        return _over_power(row[0], row[1], n)
-
-    def pair(self, key, n: int) -> IntPair:
-        row = self.rows.get(key)
-        if row is None or len(row[0]) <= n:
-            row = self.row(key, n)
-        return row[0][n], row[1] ** n
-
-
-def _over_power(nums: list[int], s: int, n: int) -> tuple[list[int], int]:
-    """The values nums[i] / s^i, i = 0..n, over one denominator, s^n.  At
-    s = 1 (every integer point) they are nums[0..n] as they stand: the list
-    itself when it holds exactly n + 1 entries."""
+def _over_power(nums: list[int], s: int) -> tuple[list[int], int]:
+    """The values nums[i] / s^i, i = 0..len(nums)-1 = n, as one row over s^n,
+    the form in which a grow step publishes values it ran on scaled by s^i;
+    at s = 1 (every integer point) nums itself, over 1."""
     if s == 1:
-        return (nums if len(nums) == n + 1 else nums[: n + 1]), 1
+        return nums, 1
     out, f = [], 1
-    for v in nums[n::-1]:
+    for v in reversed(nums):
         out.append(v * f)
         f *= s
     out.reverse()
-    return out, s**n
+    return out, f // s
 
 
 def _products(a: int, b: int, n: int, lead: int | None = None, c: int = 1) -> list[int]:
@@ -313,7 +296,7 @@ def _grow_falling(key, n):
     e = [1]
     for k in range(1, n + 1):
         e.append(e[-1] * (u * q - (k - 1) * p * v))
-    return _over_power(e, q * v, n)
+    return _over_power(e, q * v)
 
 
 _FALLING = _Memo(_grow_falling)
@@ -496,7 +479,8 @@ def _grow_derange_order_series(key, n):
     equation d_k = e_k - sum_{i=1..min(r,k)} binom(k,i) (-1)^i i! binom(r,i) d_{k-i}
     with e_k = falling(x-1, k, lam).  At lam = p/q, x = u/v and s = q v it
     runs on N_k = s^k d_k and E_k = s^k e_k = prod_{i<k} ((u-v) q - i p v):
-    N_k = E_k - sum_i (-1)^i binom(r,i) s^i k!/(k-i)! N_{k-i}."""
+    N_k = E_k - sum_i (-1)^i binom(r,i) s^i k!/(k-i)! N_{k-i}, published
+    over s^n."""
     (p, q), (u, v), r = key
     s = q * v
     e = _products((u - v) * q, p * v, n)
@@ -504,10 +488,10 @@ def _grow_derange_order_series(key, n):
     nums = [1]
     for k in range(1, n + 1):
         nums.append(e[k] - sum(w[i] * perm(k, i) * nums[k - i] for i in range(1, min(r, k) + 1)))
-    return nums, s
+    return _over_power(nums, s)
 
 
-_DERANGE_ORDER_SERIES = _SeriesMemo(_grow_derange_order_series)
+_DERANGE_ORDER_SERIES = _Memo(_grow_derange_order_series)
 
 
 def derange_deg_order_series(n: int, r: int, lam: ExactScalar, x: ExactScalar = 0) -> Fraction:
@@ -622,33 +606,42 @@ def _grow_series_column(second_kind: bool, key, n):
     beta_j = j! [t^j] base: falling(1, j, lam) for base = deg_exp(1)-1 and
     (lam-1)(lam-2)...(lam-j+1) for base = deg_log.  At lam = p/q it runs on
     T(k, m) = q^k S(k, m) with B_j = q^j beta_j, both integers:
-    m T(k,m) = sum_j binom(k,j) B_j T(k-j,m-1), an exact division by m.
-    The integers of column m-1 are read to n-1 from the same memo."""
+    m T(k,m) = sum_j binom(k,j) B_j T(k-j,m-1), an exact division by m,
+    published over q^n.  Column m-1 is read to n-1 from the same memo: entry
+    k of its row over q^N is T(k, m-1) q^(N-k), an exact division away.
+    Column 0 is 1, 0, 0, ...; a column m > n is all 0."""
     lam, m = key
     p, q = lam
+    if m > n:
+        return [0] * (n + 1), 1
     if m == 0:
-        return [1] + [0] * n, q
+        return _over_power([1] + [0] * n, q)
     big = _products(q, p, n) if second_kind else _products(p, q, n, lead=q)
     memo = _S2_SERIES if second_kind else _S1_SERIES
-    prev = memo.row((lam, m - 1), n - 1)[0]
+    col = memo.row((lam, m - 1), n - 1)[0]
+    prev, f = [], q ** (len(col) - n)  # q^(N-k) at k = n-1
+    for v in col[n - 1 :: -1]:
+        prev.append(v // f)
+        f *= q
+    prev.reverse()
     nums, binom = [0], [1]
     for k in range(1, n + 1):
         binom = pascal_step(binom)
         top = k - m + 2  # the sum runs over j < top
         terms = map(mul, map(mul, binom[1:top], big[1:top]), reversed(prev[m - 1 : k]))
         nums.append(sum(terms) // m)
-    return nums, q
+    return _over_power(nums, q)
 
 
-_S2_SERIES = _SeriesMemo(partial(_grow_series_column, True))
-_S1_SERIES = _SeriesMemo(partial(_grow_series_column, False))
+_S2_SERIES = _Memo(partial(_grow_series_column, True))
+_S1_SERIES = _Memo(partial(_grow_series_column, False))
 
 
-def _series_column(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar):
-    """Column m of a series triangle as a row (nums, s) covering k = 0..n,
-    entry (k, m) being nums[k] / s^k; all 0 above the diagonal.  Columns
-    1..m are built in turn, each once, to n, so that no grow step recurses
-    into the one below."""
+def _series_column(memo: _Memo, n: int, m: int, lam: ExactScalar) -> tuple[list[int], int]:
+    """Column m of a series triangle as its memo row (nums, den), covering
+    k = 0..n at least, entry (k, m) being nums[k] / den; all 0 above the
+    diagonal.  Columns 1..m are built in turn, each once, to n, so that no
+    grow step recurses into the one below."""
     if n < 0 or m < 0:
         raise ValueError("indices must be >= 0")
     if m > n:
@@ -659,10 +652,10 @@ def _series_column(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar):
     return memo.row((lam, m), n)
 
 
-def _series_entry(memo: _SeriesMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
+def _series_entry(memo: _Memo, n: int, m: int, lam: ExactScalar) -> Fraction:
     """Entry (n, m) of a series triangle; 0 above the diagonal."""
-    nums, s = _series_column(memo, n, m, lam)
-    return Fraction(nums[n], s**n)
+    nums, den = _series_column(memo, n, m, lam)
+    return Fraction(nums[n], den)
 
 
 def stirling2_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
@@ -680,15 +673,15 @@ def stirling1_deg_series(n: int, m: int, lam: ExactScalar) -> Fraction:
 def stirling2_series_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling2_deg_series(k, m, lam) for k = 0..n], as a new list; the
     series columns are built once, to n."""
-    nums, s = _series_column(_S2_SERIES, n, m, lam)
-    return as_fractions(*_over_power(nums, s, n))
+    nums, den = _series_column(_S2_SERIES, n, m, lam)
+    return as_fractions(nums[: n + 1], den)
 
 
 def stirling1_series_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """[stirling1_deg_series(k, m, lam) for k = 0..n], as a new list; the
     series columns are built once, to n."""
-    nums, s = _series_column(_S1_SERIES, n, m, lam)
-    return as_fractions(*_over_power(nums, s, n))
+    nums, den = _series_column(_S1_SERIES, n, m, lam)
+    return as_fractions(nums[: n + 1], den)
 
 
 def stirling1_classical(n: int, m: int) -> int:
@@ -723,7 +716,7 @@ def _grow_weighted_sums(bell: bool, key, n):
     for k in range(1, n + 1):
         top = _triangle_step(top, leads, q * v, (k - 1) * p * v)
         sums.append(sum(top))
-    return _over_power(sums, q * v, n)
+    return _over_power(sums, q * v)
 
 
 _FUBINI = _Memo(partial(_grow_weighted_sums, False))
@@ -751,8 +744,8 @@ def _grow_fubini_series(key, n):
     f_{k+1} = (1+y) sum_j binom(k,j) f_j f_{k-j} - (1 + lam k) f_k.  At
     lam = p/q, y = u/v it runs on N_k = (q v)^k f_k:
     N_{k+1} = q(u+v) sum_j binom(k,j) N_j N_{k-j} - v(q + p k) N_k,
-    with no division; the sum is symmetric in j, so it takes j < k/2 twice
-    and the middle term once."""
+    with no division, published over (q v)^n; the sum is symmetric in j, so
+    it takes j < k/2 twice and the middle term once."""
     (p, q), (u, v) = key
     c = q * (u + v)
     nums, binom = [1], [1]
@@ -763,10 +756,10 @@ def _grow_fubini_series(key, n):
             tot += binom[h] * nums[h] ** 2
         nums.append(c * tot - v * (q + p * k) * nums[k])
         binom = pascal_step(binom)
-    return nums, q * v
+    return _over_power(nums, q * v)
 
 
-_FUBINI_SERIES = _SeriesMemo(_grow_fubini_series)
+_FUBINI_SERIES = _Memo(_grow_fubini_series)
 
 
 def fubini_series_row(n: int, lam: ExactScalar, y: ExactScalar) -> list[Fraction]:
@@ -804,7 +797,7 @@ def _grow_bell_series(key, n):
     G' = h' G of G = exp(h), h = x(e^t-1).  At lam = p/q, x = u/v it runs on
     N_k = (q^2 v)^k g_k:
     k N_k = u sum_j binom(k,j) ((q+p) j - p k) q^j falling(1,j,lam) (q v)^(j-1) N_{k-j},
-    an exact division by k."""
+    an exact division by k, published over (q^2 v)^n."""
     (p, q), (u, v) = key
     c = _products(q, p, n, c=q * v)  # q^j falling(1, j, lam) (q v)^(j-1)
     nums, binom = [1], [1]
@@ -813,10 +806,10 @@ def _grow_bell_series(key, n):
         lin = count(q - p * (k - 1), q + p)  # (q+p) j - p k for j = 1, 2, ...
         terms = map(mul, map(mul, map(mul, binom[1:], lin), c[1 : k + 1]), reversed(nums))
         nums.append(u * sum(terms) // k)
-    return nums, q * q * v
+    return _over_power(nums, q * q * v)
 
 
-_BELL_SERIES = _SeriesMemo(_grow_bell_series)
+_BELL_SERIES = _Memo(_grow_bell_series)
 
 
 def bell_series_row(n: int, lam: ExactScalar, x: ExactScalar = 1) -> list[Fraction]:

@@ -3,12 +3,14 @@
 Series and polynomial arithmetic, the Stirling triangles and their columns,
 the weighted triangles of the Fubini and Bell sums, the explicit sums and
 the online series memos run on integers over one common denominator.
-The reference implementations below are the textbook Fraction loops; they
-live here only, so that the library's two dual paths, which now share the
-kernel, are still checked against code that does not use it.  The series
-memos grow coefficient by coefficient from a recurrence; their references
-are products, long divisions and Horner compositions of truncated series
-instead, as is that of ``binomial_pow``.
+The reference implementations are the textbook Fraction loops: those below,
+and the falling factorials, Stirling rows and derangement and order-r sums
+of ``reference_identities``, which reads no part of the library; so the
+library's two dual paths, which now share the kernel, are still checked
+against code that does not use it.  The series memos grow coefficient by
+coefficient from a recurrence; their references are products, long
+divisions and Horner compositions of truncated series instead, as is that
+of ``binomial_pow``.
 
 The memos keep their rows as integers over shared denominators, and the
 kernel's ``dot`` and ``binomial_conv`` take that form; both are checked
@@ -57,6 +59,7 @@ from degderange.sequences import (
     stirling2_deg_series,
 )
 from degderange.series import Series, binomial_pow
+from reference_identities import derange, derange_order, falling, stirling_rows
 
 N_MAX = 40
 
@@ -108,35 +111,13 @@ def ref_poly_mul(a, b):
     return out
 
 
-def ref_falling(x, n, lam):
-    acc = F(1)
-    for i in range(n):
-        acc *= x - i * lam
-    return acc
-
-
-def ref_stirling_rows(lam, n, second_kind):
-    rows = [[F(1)]]
-    for k in range(1, n + 1):
-        prev = rows[-1]
-        row = []
-        for m in range(k + 1):
-            acc = prev[m - 1] if m >= 1 else F(0)
-            if m < k:
-                factor = m - (k - 1) * lam if second_kind else lam * m - (k - 1)
-                acc += factor * prev[m]
-            row.append(acc)
-        rows.append(row)
-    return rows
-
-
 def ref_binomial(q, k):
-    return ref_falling(q, k, 1) / factorial(k)
+    return falling(q, k, 1) / factorial(k)
 
 
 def ref_deg_exp(x, lam, n):
     """Coefficients 0..n of (1 + lam t)^(x/lam)."""
-    return [ref_falling(x, k, lam) / factorial(k) for k in range(n + 1)]
+    return [falling(x, k, lam) / factorial(k) for k in range(n + 1)]
 
 
 def ref_deg_log(lam, n):
@@ -149,18 +130,6 @@ def ref_deg_log(lam, n):
 def exponential(coeffs):
     """k! times coefficient k."""
     return [c * factorial(k) for k, c in enumerate(coeffs)]
-
-
-def ref_derange(n, lam):
-    return factorial(n) * sum(ref_falling(F(-1), l, lam) / factorial(l) for l in range(n + 1))
-
-
-def ref_derange_order_row(n, r, lam, x):
-    terms = [ref_falling(x - 1, l, lam) / factorial(l) for l in range(n + 1)]
-    return [
-        factorial(k) * sum(terms[l] * binomial(r + k - l - 1, k - l) for l in range(k + 1))
-        for k in range(n + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +242,24 @@ def test_series_scale_and_poly_mul_match_reference(a, b, c):
 @given(lambdas, orders)
 def test_stirling_triangles_match_reference(lam, n):
     for fn, second_kind in ((stirling2_deg, True), (stirling1_deg, False)):
-        ref = ref_stirling_rows(lam, n, second_kind)
+        ref = stirling_rows(n, lam, second_kind)
         assert [[fn(k, m, lam) for m in range(k + 1)] for k in range(n + 1)] == ref
 
 
 @settings(max_examples=25, deadline=None)
 @given(lambdas, small_rationals, orders)
 def test_fubini_and_bell_match_reference(lam, x, n):
-    row = ref_stirling_rows(lam, n, second_kind=True)[n]
+    row = stirling_rows(n, lam, second_kind=True)[n]
     assert fubini_deg(n, lam, x) == sum(factorial(m) * x**m * s for m, s in enumerate(row))
     assert bell_deg(n, lam, x) == sum(
-        ref_falling(F(1), m, lam) * x**m * s for m, s in enumerate(row)
+        falling(F(1), m, lam) * x**m * s for m, s in enumerate(row)
     )
 
 
 @settings(max_examples=25, deadline=None)
 @given(lambdas, small_rationals, orders, st.integers(min_value=1, max_value=5))
 def test_derange_order_matches_reference(lam, x, n, r):
-    assert derange_deg_order(n, r, lam, x) == ref_derange_order_row(n, r, lam, x)[n]
+    assert derange_deg_order(n, r, lam, x) == derange_order(n, r, lam, x)
 
 
 ORDER_LAMBDAS = (F(0), F(2, 7), F(-1, 3), F(1, 2))
@@ -302,7 +271,7 @@ ORDERS = (*range(1, 5), N_MAX - 1, N_MAX, N_MAX + 1, 3 * N_MAX)
 
 @functools.cache
 def order_refs(lam, x):
-    return {r: ref_derange_order_row(N_MAX, r, lam, x) for r in ORDERS}
+    return {r: [derange_order(n, r, lam, x) for n in range(N_MAX + 1)] for r in ORDERS}
 
 
 @pytest.mark.parametrize("history", ["ascending", "bulk", "bulk_after_smaller"])
@@ -340,7 +309,7 @@ def test_derange_order_row_matches_reference(history):
 
 @functools.cache
 def s2_ref_rows(lam):
-    return ref_stirling_rows(lam, N_MAX, second_kind=True)
+    return stirling_rows(N_MAX, lam, second_kind=True)
 
 
 @functools.cache
@@ -350,7 +319,7 @@ def weighted_sum_refs(lam, x):
     The Fubini series memo holds the same values."""
     rows = s2_ref_rows(lam)
     fub = [sum(factorial(m) * x**m * v for m, v in enumerate(row)) for row in rows]
-    bell = [sum(ref_falling(F(1), m, lam) * x**m * v for m, v in enumerate(row)) for row in rows]
+    bell = [sum(falling(F(1), m, lam) * x**m * v for m, v in enumerate(row)) for row in rows]
     return {sequences._FUBINI: fub, sequences._BELL: bell, sequences._FUBINI_SERIES: fub}
 
 
@@ -401,7 +370,7 @@ def test_stirling_columns_match_reference_triangle_and_series(second_kind):
     series = stirling2_deg_series if second_kind else stirling1_deg_series
     memo = sequences._S2 if second_kind else sequences._S1
     for lam in ORDER_LAMBDAS:
-        rows = ref_stirling_rows(lam, N_MAX, second_kind)
+        rows = stirling_rows(N_MAX, lam, second_kind)
         for n in COLUMN_NS:
             for m in sorted({0, 1, 3, n // 2, n, n + 1, n + 5}):
                 col = column(n, m, lam)
@@ -424,7 +393,7 @@ def test_derange_poly_matches_reference(lam, n):
         fall = [F(1)]  # falling factorial of length n - l, as a polynomial in x
         for i in range(n - l):
             fall = ref_poly_mul(fall, [-i * lam, F(1)])
-        w = binomial(n, l) * ref_derange(l, lam)
+        w = binomial(n, l) * derange(l, lam, 0)
         for j, c in enumerate(fall):
             acc[j] += w * c
     assert derange_deg_poly(n, lam) == Poly(acc)
@@ -531,12 +500,12 @@ def exact(row):
 def test_memo_int_rows_match_reference(lam, x, n):
     L, X = _key(lam), _key(x)
     ks = range(n + 1)
-    s2 = ref_stirling_rows(lam, n, second_kind=True)
-    s1 = ref_stirling_rows(lam, n, second_kind=False)
-    fall = [ref_falling(x, k, lam) for k in ks]
-    der = [factorial(k) * sum(ref_falling(x - 1, l, lam) / factorial(l) for l in range(k + 1)) for k in ks]
+    s2 = stirling_rows(n, lam, second_kind=True)
+    s1 = stirling_rows(n, lam, second_kind=False)
+    fall = [falling(x, k, lam) for k in ks]
+    der = [factorial(k) * sum(falling(x - 1, l, lam) / factorial(l) for l in range(k + 1)) for k in ks]
     fub = [sum(factorial(m) * x**m * v for m, v in enumerate(s2[k])) for k in ks]
-    bell = [sum(ref_falling(F(1), m, lam) * x**m * v for m, v in enumerate(s2[k])) for k in ks]
+    bell = [sum(falling(F(1), m, lam) * x**m * v for m, v in enumerate(s2[k])) for k in ks]
     assert exact(sequences._FALLING.ints((X, L), n)) == fall
     assert exact(sequences._DERANGE.ints((L, X), n)) == der
     assert exact(sequences._DERANGE_ORDER_SERIES.ints((L, X, 1), n)) == der

@@ -292,6 +292,21 @@ def test_series_memos_grow_exactly_to_n():
     assert len(bell.row(((3, 7), (1, 1)), 128)[0]) == 129
 
 
+def test_series_memos_serve_their_rows_as_published():
+    """Every series memo is a plain ``_Memo``: value k of a row (nums, den)
+    is nums[k] / den, and ``pair`` and ``ints`` serve the published row as
+    it stands, at keys whose rows are not over 1."""
+    for memo, key in SERIES_MEMOS:
+        assert type(memo) is _Memo
+        step = fresh(memo)
+        for n in (4, 12):
+            row = step.row(key, n)
+            assert len(row[0]) == n + 1 and row[1] != 1
+            assert step.ints(key, n)[0] is row[0], (memo.grow, n)
+            for k in range(n + 1):
+                assert step.pair(key, k) == (row[0][k], row[1]), (memo.grow, n, k)
+
+
 def test_batch_reads_build_each_memo_row_once(monkeypatch):
     """An order-r row and, under the cross-check, a Stirling column with its
     series column read every value through rows built once, to their final

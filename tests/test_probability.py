@@ -374,10 +374,10 @@ def test_theorem11_cross_check_reaches_the_series_path(monkeypatch):
         real = sequences._DERANGE_ORDER_SERIES
 
         def off_by_one(key, n):
-            nums, s = real.grow(key, n)
-            return nums[:-1] + [nums[-1] + s**n], s
+            nums, den = real.grow(key, n)
+            return nums[:-1] + [nums[-1] + den], den
 
-        monkeypatch.setattr(probability, "_DERANGE_ORDER_SERIES", sequences._SeriesMemo(off_by_one))
+        monkeypatch.setattr(probability, "_DERANGE_ORDER_SERIES", sequences._Memo(off_by_one))
         with pytest.raises(AssertionError, match="dual-path mismatch"):
             theorem11_check(4, F(1, 5))
     finally:
@@ -470,6 +470,20 @@ def test_expansion_inconclusive_at_large_lam():
     assert not res.passed
     assert res.inconclusive
     assert res.rel_error > 1e-6
+
+
+def test_expansion_window_ending_below_n_is_inconclusive(capsys):
+    # at lam = 9/20 the window m < 1/lam ends at m = 2: n = 3 has no term
+    from degderange import cli
+
+    res = stirling_log_expansion_check(3, 40, F(9, 20))
+    assert not res.passed and res.inconclusive
+    assert res.numeric_value == 0.0
+    assert res.detail == "convergent window m < 1/lam ends at m=2, below n=3: no term m >= n"
+    assert "None" not in stirling_log_expansion_check(2, 40, F(9, 20)).detail
+    assert cli.main(["gamma-check", "expansion", "--lambda=9/20", "--n-max", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "m=None" not in out and "below n=3" in out
 
 
 def test_expansion_argument_validation():
