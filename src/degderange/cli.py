@@ -13,14 +13,16 @@ or invalid choice, no subcommand; and a ``table`` option among ``--x``,
 ``gamma-check thm11`` or ``expansion`` ``--n-max`` above
 ``probability.MAX_FLOAT_N`` = 170, where the target (1-lam) n! is past the
 float range, or ``--lambda`` that rounds to 0 or 1/2 as a float, a
-``verify --r-max`` above ``identities.MAX_N`` = 256, and an ``--out`` path
-that cannot be opened for writing), 141 (128 + SIGPIPE) stdout closed by
-its reader before the output was written, as by ``| head``.  Rationals are
-always emitted as "p/q" strings (never decimals), whole at any length: a
-run lifts CPython's 4300-digit int/str limit, which ended a long value in a
-ValueError traceback, exit 1; floats use shortest round-trip formatting,
-and a sample past the float range is written ``inf`` (CSV) or ``Infinity``
-(JSON).  Every JSON document has the bytes of ``json.dumps(doc, indent=2)``;
+``verify --r-max`` above ``identities.MAX_N`` = 256, a ``verify`` or
+``certify`` selection with no case to run, every identity of it starting
+past ``--n-max``, and an ``--out`` path that cannot be opened for
+writing), 141 (128 + SIGPIPE) stdout closed by its reader before the
+output was written, as by ``| head``.  Rationals are always emitted as
+"p/q" strings (never decimals), whole at any length: a run lifts CPython's
+4300-digit int/str limit, which ended a long value in a ValueError
+traceback, exit 1; floats use shortest round-trip formatting, and a sample
+past the float range is written ``inf`` (CSV) or ``Infinity`` (JSON).
+Every JSON document has the bytes of ``json.dumps(doc, indent=2)``;
 ``table`` formats its rows itself (``_table_json``), since an indent puts
 json on its pure-Python encoder.
 The environment variable DEGDERANGE_OUT_DIR supplies a default directory
@@ -47,9 +49,6 @@ if TYPE_CHECKING:
     from . import probability
 
 SCHEMA_VERSION = 1
-
-DEFAULT_LAMBDA_GRID = "0,1/2,-1/2,1/3,-1/3,2/7"
-DEFAULT_X_GRID = "0,1,-2,3/4"
 
 SAMPLE_CHUNK = 8192  # samples per draw and write in sample --format csv
 
@@ -290,15 +289,18 @@ def _cmd_verify(args) -> int:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     lam_grid = _parse_grid(args.lambda_grid)
     x_grid = _parse_grid(args.x_grid)
-    report = identities.verify_grid(
-        ids,
-        n_max=args.n_max,
-        lam_grid=lam_grid,
-        x_grid=x_grid,
-        r_max=args.r_max,
-        mutate=args.mutate,
-        jobs=args.jobs,
-    )
+    try:
+        report = identities.verify_grid(
+            ids,
+            n_max=args.n_max,
+            lam_grid=lam_grid,
+            x_grid=x_grid,
+            r_max=args.r_max,
+            mutate=args.mutate,
+            jobs=args.jobs,
+        )
+    except ValueError as exc:  # no selected identity has an n in range
+        raise CliError(str(exc)) from None
     params = {
         "identities": [i.value for i in ids],
         "n_max": args.n_max,
@@ -331,7 +333,10 @@ def _cmd_verify(args) -> int:
 def _cmd_certify(args) -> int:
     ids = _parse_identities(args.identities)
     _check_n_max(args.n_max, CERTIFY_MAX_N)
-    certified = identities.certify_ranges(ids, args.n_max, mutate=args.mutate)
+    try:
+        certified = identities.certify_ranges(ids, args.n_max, mutate=args.mutate)
+    except ValueError as exc:  # no selected identity has an n in range
+        raise CliError(str(exc)) from None
     all_ok = all(all(per_n.values()) for per_n in certified.values())
     results = [
         {"identity": ident.value, "certified": {str(n): ok for n, ok in certified[ident].items()}}
@@ -480,8 +485,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity verifiers over a grid")
     p_verify.add_argument("--identities", default=None, help="comma list or 'all'")
     p_verify.add_argument("--n-max", type=int, default=32)
-    p_verify.add_argument("--lambda-grid", default=DEFAULT_LAMBDA_GRID)
-    p_verify.add_argument("--x-grid", default=DEFAULT_X_GRID)
+    p_verify.add_argument(
+        "--lambda-grid", default=",".join(map(str, identities.DEFAULT_LAMBDA_GRID))
+    )
+    p_verify.add_argument("--x-grid", default=",".join(map(str, identities.DEFAULT_X_GRID)))
     p_verify.add_argument("--r-max", type=int, default=4)
     p_verify.add_argument("--mutate", action="store_true", help="negative-control mode")
     p_verify.add_argument("--jobs", type=int, default=1)

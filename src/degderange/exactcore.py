@@ -169,7 +169,7 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[ExactScalar] = (0,)):
+    def __init__(self, coeffs: Sequence[ExactScalar]):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs] or [Fraction(0)]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()

@@ -57,9 +57,11 @@ failing cases only (see "Per case").  The path mapping, per identity:
 The Fubini and Bell values are the only ones read from a weighted
 triangle, and no identity sets them against the same triangle: THM5 and
 THM8_B compare them with n! and a falling product, and THM7_B's rhs dots
-the memoised second-kind triangle with falling products.  The inner sums of
-THM3, THM4 and THM10 dot the rows of that memoised triangle with their
-weights (``_s2_sums``).
+the memoised second-kind triangle with falling products.  Every row of sums
+sum_m w[m] T(j, m; mu) over a memoised Stirling triangle comes from one
+step, ``_triangle_sums``: the inner sums of THM3, THM4 and THM10 over the
+second-kind triangle, and the x-free THM5 Fubini expression and EQ24_25 lhs
+over the first-kind one.
 
 The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
@@ -113,9 +115,11 @@ The order never reaches the output: failures are reported in
 ``IdentityCase.sort_key`` order, a case repeated in a grid once per copy,
 and certification per identity and n.
 
-Degree bounds.  At fixed n every side is a polynomial in lam and x, and each
-identity declares a bound (d_lam, d_x) on its degrees (``_Spec.degrees``).
-The bounds are derived, not measured, from the per-sequence bounds:
+Degree bounds.  At fixed n every side is a polynomial in lam and x, of
+degree at most (d_lam, d_x) = (max(n-1, 0), n) for an identity that uses x
+and (max(n-1, 0), 0) for one that does not (``_degrees``, read from
+``_Spec.uses_x``).  The bounds are derived, not measured, from the
+per-sequence bounds:
 
   falling(x, k; lam) = prod_{i<k} (x - i lam)   x-degree k, lam-degree k-1
   S1(n, m; lam), S2(n, m; lam)                  lam-degree n-m (each step of
@@ -141,18 +145,10 @@ keep the bound n-1 in lam and n in x:
   deg_lam b_k <= k-1:   (l-1) + (n-l-1) <= n-1, the terms l = 0 and l = n
   (a constant a_0 or b_0) reaching n-1.
 
-Per identity, with d(n) = max(n-1, 0):
-
-  THM2_CONV, THM2_REC, THM3, THM4, LEMMA6, EQ24_25, EXP_MOMENT_BRIDGE,
-  THM9_VS_SERIES (at fixed r)          (d(n), n): D, falling(x-1, .) and the
-                                       inner sums over D or falling(x-1, .)
-                                       each have x-degree <= their index.
-  THM5                                 (d(n), n): the same bound for all
-                                       three expressions, although their
-                                       common value n! is constant.
-  THM2_REC_X0, THM7_A/B, THM8_A/B, THM10
-                                       (d(n), 0): x does not occur; -lam in
-                                       place of lam leaves each degree.
+Where x occurs, it does so through D, falling(x-1, .) and the inner sums
+over them, each of x-degree at most its index, so n bounds the x-degree;
+THM5's three expressions share that bound although their common value n! is
+constant.  Where it does not, -lam in place of lam leaves each degree.
 
 THM9_VS_SERIES has degree <= n in r as well (through
 binom(n-l+r-1, n-l)); ``certify`` fixes r = 1, so it certifies that
@@ -193,9 +189,16 @@ from .sequences import (
     _derange_order,
     _key,
     _Memo,
+    _TriangleMemo,
 )
 
 MAX_N = 256
+
+# the default grid of ``verify_grid`` and of the CLI's ``verify``: the full
+# certification grid
+DEFAULT_LAMBDA_GRID = (0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3),
+                       Fraction(2, 7))
+DEFAULT_X_GRID = (0, 1, -2, Fraction(3, 4))
 
 
 class IdentityId(str, Enum):
@@ -290,29 +293,21 @@ def _thm2_rec_x0(n, lam, x, r, mutate):
     return _thm2_rec(n, lam, _ZERO, r, mutate)
 
 
-def _s2_sums(weights):
-    """Grow step for the row sums[j] = sum_m w[m] S2(j, m; mu), j = 0..n,
-    where weights(key, n) gives (w, mu): w[0..n] as (nums, den) and mu an
-    int pair p/q.  The triangle is read once; sums[j] is an integer dot
-    product over den q^j, put over den q^n."""
-
-    def grow(key, n):
-        (wn, wd), mu = weights(key, n)
-        tri = _S2.row(mu, n)[0]
-        q = mu[1]
-        return [sum(map(mul, wn, tri[j][0])) * q ** (n - j) for j in range(n + 1)], wd * q**n
-
-    return grow
+def _triangle_sums(w: IntRow, tri: _TriangleMemo, mu, n: int) -> IntRow:
+    """The row sums[j] = sum_m w[m] T(j, m; mu), j = 0..n, over a Stirling
+    triangle memo at mu = p/q, for the weights w[0..n] as (nums, den): the
+    triangle is read once, at n, and sums[j], an integer dot product over
+    den q^j, is put over den q^n."""
+    wn, wd = w
+    rows, q = tri.row(mu, n)
+    return [sum(map(mul, wn, rows[j][0])) * q ** (n - j) for j in range(n + 1)], wd * q**n
 
 
-def _alternating_weights(key, n):
-    lam, x, mu = key
-    return _alternating(_DERANGE.ints((lam, x), n)), mu
-
-
-# inner[j] = sum_l (-1)^l D(l; lam, x) S2(j, l; mu), for THM3 (mu = lam) and
-# THM10 (x = 0, mu = -lam)
-_ALTERNATING_INNER = _Memo(_s2_sums(_alternating_weights))
+# inner[j] = sum_l (-1)^l D(l; lam, x) S2(j, l; mu) at the key (lam, x, mu),
+# for THM3 (mu = lam) and THM10 (x = 0, mu = -lam)
+_ALTERNATING_INNER = _Memo(
+    lambda key, n: _triangle_sums(_alternating(_DERANGE.ints(key[:2], n)), _S2, key[2], n)
+)
 
 
 def _thm3(n, lam, x, r, mutate):
@@ -325,13 +320,10 @@ def _thm3(n, lam, x, r, mutate):
     return lhs, rhs
 
 
-def _thm4_weights(key, n):
-    lam, x = key
-    return _FALLING.ints((_shift(x, -1), lam), n), lam
-
-
-# inner[l] = sum_m falling(x-1, m, lam) S2(l, m; lam)
-_THM4_INNER = _Memo(_s2_sums(_thm4_weights))
+# inner[l] = sum_m falling(x-1, m; lam) S2(l, m; lam) at the key (lam, x)
+_THM4_INNER = _Memo(
+    lambda key, n: _triangle_sums(_FALLING.ints((_shift(key[1], -1), key[0]), n), _S2, key[0], n)
+)
 
 
 def _thm4(n, lam, x, r, mutate):
@@ -345,13 +337,12 @@ def _thm4(n, lam, x, r, mutate):
 def _thm5_free_sides(lam, n):
     """Grow step for the x-free THM5 expressions at k = 0..n, the row
     ([(expr_a, expr_b), ...],) read through ``_Memo.row``: the Fubini values
-    dotted with row k of the first-kind triangle, and the derangement-number
-    convolution.  Each source row is read once, at n (a dot stops at the
-    shorter row, a convolution at k reads k + 1 entries), and each k is its
-    own sum."""
-    fubini, tri = _FUBINI.ints((lam, _ONE), n), _S1.row(lam, n)[0]
+    against the first-kind triangle, and the derangement-number
+    convolution.  Each source row is read once, at n (a convolution at k
+    reads k + 1 entries), and each k is its own sum."""
+    nums, den = _triangle_sums(_FUBINI.ints((lam, _ONE), n), _S1, lam, n)
     d, f = _DERANGE.ints((lam, _ZERO), n), _FALLING.ints((_ONE, lam), n)
-    return [(dot(fubini, tri[k]), binomial_conv(d, f, k)) for k in range(n + 1)],
+    return [((a, den), binomial_conv(d, f, k)) for k, a in enumerate(nums)],
 
 
 # keyed by lam alone: the two sides of THM5 that do not involve x
@@ -420,20 +411,15 @@ def _thm8_b(n, lam, x, r, mutate):
     return lhs, (sign * (-1) ** n * f[n], den)
 
 
-def _eq24_25_free_sums(lam, n):
-    """Grow step for the unsigned lhs sum of EQ24_25 at k = 0..n, the row
-    ([pair, ...],): the falling products at -1 dotted with row k of the
-    first-kind triangle, each source row read once, at n."""
-    f, tri = _FALLING.ints((_MINUS_ONE, lam), n), _S1.row(lam, n)[0]
-    return [dot(f, tri[k]) for k in range(n + 1)],
-
-
-# keyed by lam alone: the lhs of EQ24_25, which does not involve x
-_EQ24_25_FREE = _Memo(_eq24_25_free_sums)
+# keyed by lam alone: the unsigned lhs of EQ24_25, which does not involve x,
+# the falling products at -1 against the first-kind triangle
+_EQ24_25_FREE = _Memo(
+    lambda lam, n: _triangle_sums(_FALLING.ints((_MINUS_ONE, lam), n), _S1, lam, n)
+)
 
 
 def _eq24_25(n, lam, x, r, mutate):
-    num, den = _EQ24_25_FREE.row(lam, n)[0][n]
+    num, den = _EQ24_25_FREE.pair(lam, n)
     lhs = (-num if (n + mutate) % 2 else num), den  # (-1)^n, and the mutation's flip
     rhs = binomial_conv(_DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n), n)
     return lhs, rhs
@@ -468,40 +454,29 @@ def _exp_moment_bridge(n, lam, x, r, mutate):
     return (num, den), rhs
 
 
-def _deg_lam(n):
-    """(d_lam, d_x) of sides free of x (see the module docstring)."""
-    return max(n - 1, 0), 0
-
-
-def _deg_lam_x(n):
-    """(d_lam, d_x) of sides in lam and x (see the module docstring)."""
-    return max(n - 1, 0), n
-
-
 class _Spec(NamedTuple):
     fn: Callable
-    degrees: Callable[[int], tuple[int, int]]  # n -> declared (d_lam, d_x)
     uses_x: bool = False
     uses_r: bool = False
     min_n: int = 0
 
 
 _REGISTRY: dict[IdentityId, _Spec] = {
-    IdentityId.THM2_CONV: _Spec(_thm2_conv, _deg_lam_x, uses_x=True),
-    IdentityId.THM2_REC: _Spec(_thm2_rec, _deg_lam_x, uses_x=True, min_n=1),
-    IdentityId.THM2_REC_X0: _Spec(_thm2_rec_x0, _deg_lam, min_n=1),
-    IdentityId.THM3: _Spec(_thm3, _deg_lam_x, uses_x=True),
-    IdentityId.THM4: _Spec(_thm4, _deg_lam_x, uses_x=True),
-    IdentityId.THM5: _Spec(_thm5, _deg_lam_x, uses_x=True),
-    IdentityId.LEMMA6: _Spec(_lemma6, _deg_lam_x, uses_x=True, min_n=1),
-    IdentityId.THM7_A: _Spec(_thm7_a, _deg_lam),
-    IdentityId.THM7_B: _Spec(_thm7_b, _deg_lam),
-    IdentityId.THM8_A: _Spec(_thm8_a, _deg_lam),
-    IdentityId.THM8_B: _Spec(_thm8_b, _deg_lam),
-    IdentityId.EQ24_25: _Spec(_eq24_25, _deg_lam_x, uses_x=True),
-    IdentityId.THM9_VS_SERIES: _Spec(_thm9_vs_series, _deg_lam_x, uses_x=True, uses_r=True),
-    IdentityId.THM10: _Spec(_thm10, _deg_lam),
-    IdentityId.EXP_MOMENT_BRIDGE: _Spec(_exp_moment_bridge, _deg_lam_x, uses_x=True),
+    IdentityId.THM2_CONV: _Spec(_thm2_conv, uses_x=True),
+    IdentityId.THM2_REC: _Spec(_thm2_rec, uses_x=True, min_n=1),
+    IdentityId.THM2_REC_X0: _Spec(_thm2_rec_x0, min_n=1),
+    IdentityId.THM3: _Spec(_thm3, uses_x=True),
+    IdentityId.THM4: _Spec(_thm4, uses_x=True),
+    IdentityId.THM5: _Spec(_thm5, uses_x=True),
+    IdentityId.LEMMA6: _Spec(_lemma6, uses_x=True, min_n=1),
+    IdentityId.THM7_A: _Spec(_thm7_a),
+    IdentityId.THM7_B: _Spec(_thm7_b),
+    IdentityId.THM8_A: _Spec(_thm8_a),
+    IdentityId.THM8_B: _Spec(_thm8_b),
+    IdentityId.EQ24_25: _Spec(_eq24_25, uses_x=True),
+    IdentityId.THM9_VS_SERIES: _Spec(_thm9_vs_series, uses_x=True, uses_r=True),
+    IdentityId.THM10: _Spec(_thm10),
+    IdentityId.EXP_MOMENT_BRIDGE: _Spec(_exp_moment_bridge, uses_x=True),
 }
 
 
@@ -523,7 +498,7 @@ def verify(
     """
     ident, n, lam, x, r = case
     try:
-        fn, _, uses_x, uses_r, min_n = _REGISTRY[ident]
+        fn, uses_x, uses_r, min_n = _REGISTRY[ident]
     except KeyError:
         raise ValueError(f"unsupported identity {ident!r}") from None
     if not min_n <= n <= MAX_N:
@@ -550,10 +525,17 @@ def _axis(values, order=lambda v: v) -> list:
     return sorted(Counter(values).items(), key=lambda item: order(item[0]))
 
 
+def _degrees(spec: _Spec, n: int) -> tuple[int, int]:
+    """The bound (d_lam, d_x) on the degrees of an identity's sides at n,
+    derived in the module docstring: max(n - 1, 0) in lam, and n in x for an
+    identity that uses x, else 0."""
+    return max(n - 1, 0), n if spec.uses_x else 0
+
+
 def _check_points(spec: _Spec, n: int, n_lams: int, n_xs: int) -> None:
     """Raise ValueError unless n_lams distinct deformation points and n_xs
-    distinct x points reach the identity's declared degrees at n, plus one."""
-    d_lam, d_x = spec.degrees(n)
+    distinct x points reach the identity's degree bounds at n, plus one."""
+    d_lam, d_x = _degrees(spec, n)
     if n_lams < d_lam + 1:
         raise ValueError(f"need at least {d_lam + 1} distinct deformation points")
     if n_xs < d_x + 1:
@@ -607,27 +589,28 @@ def _chunks(runs: list, jobs: int) -> list[list]:
 def verify_grid(
     ids: Iterable[IdentityId] | None = None,
     n_max: int = 32,
-    lam_grid: Sequence[ExactScalar] = (0, Fraction(1, 2), Fraction(-1, 2),
-                                       Fraction(1, 3), Fraction(-1, 3), Fraction(2, 7)),
-    x_grid: Sequence[ExactScalar] = (0, 1, -2, Fraction(3, 4)),
+    lam_grid: Sequence[ExactScalar] = DEFAULT_LAMBDA_GRID,
+    x_grid: Sequence[ExactScalar] = DEFAULT_X_GRID,
     r_max: int = 4,
     mutate: bool = False,
     jobs: int = 1,
 ) -> VerificationReport:
     """Evaluate every requested identity over the full parameter grid.
 
-    The default grid is the full certification grid.  Each distinct case
-    is evaluated once, a value repeated in a grid counting its copies in
-    ``cases_run`` and in the failures, and each (lam, x) key runs top n
-    first, so in each process every memo row is built once, to its final
-    length.  ``jobs`` worker processes, at least one and at most one per
-    CPU, share the runs in contiguous chunks (``_chunks``); the serial run is
-    the one-chunk case and neither starts nor imports the process pool.  The
-    report is deterministic regardless of order and scheduling: the failures
-    are listed in ``IdentityCase.sort_key`` order.  Raises ValueError unless
-    0 <= n_max <= MAX_N, 1 <= r_max <= MAX_N and jobs >= 1, and for an
-    empty ``ids`` or ``lam_grid``, or an empty ``x_grid`` when an identity
-    references x.
+    The default grid, ``DEFAULT_LAMBDA_GRID`` x ``DEFAULT_X_GRID``, is the
+    full certification grid.  Each distinct case is evaluated once, a value
+    repeated in a grid counting its copies in ``cases_run`` and in the
+    failures, and each (lam, x) key runs top n first, so in each process
+    every memo row is built once, to its final length.  ``jobs`` worker
+    processes, at least one and at most one per CPU, share the runs in
+    contiguous chunks (``_chunks``); the serial run is the one-chunk case
+    and neither starts nor imports the process pool.  The report is
+    deterministic regardless of order and scheduling: the failures are
+    listed in ``IdentityCase.sort_key`` order.  Raises ValueError unless
+    0 <= n_max <= MAX_N, 1 <= r_max <= MAX_N and jobs >= 1, for an empty
+    ``ids`` or ``lam_grid``, or an empty ``x_grid`` when an identity
+    references x, and when no identity of ``ids`` has an n in range, so that
+    no case would run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -644,6 +627,8 @@ def verify_grid(
     if not xs and any(_REGISTRY[ident].uses_x for ident in id_list):
         raise ValueError("empty x grid for an identity that references x")
     runs = _grid_runs(id_list, lams, xs, n_max, r_max)
+    if not runs:
+        raise ValueError(f"no case to run: every identity starts past n_max = {n_max}")
     jobs = min(jobs, os.cpu_count() or 1)
     chunks = _chunks(runs, jobs)
     if len(chunks) > 1:
@@ -668,16 +653,15 @@ def certify(
     """Upgrade grid agreement at fixed n to a polynomial identity proof.
 
     At fixed n both sides are polynomials of degree <= d_lam in the
-    deformation parameter and <= d_x in x, the bounds each identity declares
-    (derived in the module docstring).  A polynomial of degree <= d in each
-    variable that vanishes on a tensor grid of d + 1 distinct points per
-    variable is zero, so exact agreement on lam_points x x_points proves the
-    identity at n.  THM9_VS_SERIES is evaluated at r = 1 only.  Raises
-    ValueError when fewer than d_lam + 1 (or d_x + 1) distinct points are
-    supplied for a referenced variable, and when x_points are given for an
-    identity that does not take x.  ``certify_ranges`` runs the same
-    evaluation for every n up to a bound, on one nested point set, for a
-    set of identities.
+    deformation parameter and <= d_x in x (derived in the module
+    docstring).  A polynomial of degree <= d in each variable that vanishes
+    on a tensor grid of d + 1 distinct points per variable is zero, so exact
+    agreement on lam_points x x_points proves the identity at n.
+    THM9_VS_SERIES is evaluated at r = 1 only.  Raises ValueError when fewer
+    than d_lam + 1 (or d_x + 1) distinct points are supplied for a referenced
+    variable, and when x_points are given for an identity that does not take
+    x.  ``certify_ranges`` runs the same evaluation for every n up to a
+    bound, on one nested point set, for a set of identities.
     """
     spec = _REGISTRY[identity_id]
     lams = _axis(map(Fraction, lam_points))
@@ -703,29 +687,30 @@ def certify_ranges(
     of the symmetric sequence 0, 1, -1, 2, -2, ...  Returns
     {identity: {n: certified}}, an identity listed twice certified once, in
     the order of first listing, each in ascending n.  Raises ValueError
-    unless 0 <= n_max <= MAX_N, and for an empty ``ids``.
+    unless 0 <= n_max <= MAX_N, for an empty ``ids``, and when no identity
+    of ``ids`` has an n in range (each needs n >= 1 > n_max).
 
-    Every declared bound is <= n, so n + 1 points suffice (``_check_points``
-    checks it), and integers are as good as any distinct points (no point is
-    a pole; see the module docstring).  Their memo keys have denominator 1,
-    so no row carries a power of a point's denominator.  The point of
-    indices (i, j) serves every n >= max(i, j), top n first.  The runs of
-    all identities go one |lam| group at a time (THM8_A and THM10 read lam
-    and -lam), so each memo row of the group's keys is built once, to its
-    final length, and then every memo is emptied, rows a caller built before
-    included.  Memory holds one group's rows at a time.
+    Every degree bound is <= n, so n + 1 points suffice, and integers are as
+    good as any distinct points (no point is a pole; see the module
+    docstring).  Their memo keys have denominator 1, so no row carries a
+    power of a point's denominator.  The point of indices (i, j) serves
+    every n >= max(i, j), top n first.  The runs of all identities go one
+    |lam| group at a time (THM8_A and THM10 read lam and -lam), so each memo
+    row of the group's keys is built once, to its final length, and then
+    every memo is emptied, rows a caller built before included.  Memory
+    holds one group's rows at a time.
     """
     if not 0 <= n_max <= MAX_N:
         raise ValueError(f"n_max must lie in [0, {MAX_N}], got {n_max}")
     points = [Fraction((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(n_max + 1)]
-    certified: dict = {}
-    for ident in dict.fromkeys(ids):
-        spec = _REGISTRY[ident]
-        for n in range(spec.min_n, n_max + 1):
-            _check_points(spec, n, n + 1, n + 1 if spec.uses_x else 1)
-        certified[ident] = dict.fromkeys(range(spec.min_n, n_max + 1), True)
+    certified = {
+        ident: dict.fromkeys(range(_REGISTRY[ident].min_n, n_max + 1), True)
+        for ident in dict.fromkeys(ids)
+    }
     if not certified:
         raise ValueError("empty identity list")
+    if not any(certified.values()):
+        raise ValueError(f"no case to run: every identity starts past n_max = {n_max}")
     for k in range((n_max + 1) // 2 + 1):  # |lam| = k at the indices 2k - 1 and 2k
         runs = []
         for ident in certified:

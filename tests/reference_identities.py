@@ -60,9 +60,21 @@ def derange(n, lam, x):
     return factorial(n) * sum(falling(x - 1, l, lam) / factorial(l) for l in range(n + 1))
 
 
+def _order_sum(terms, n, r):
+    """D_r(n) = n! sum_{l<=n} binom(r-1+n-l, n-l) terms[l]."""
+    return factorial(n) * sum(comb(r - 1 + n - l, n - l) * terms[l] for l in range(n + 1))
+
+
 def derange_order(n, r, lam, x):
-    terms = (falling(x - 1, l, lam) / factorial(l) for l in range(n + 1))
-    return factorial(n) * sum(comb(r - 1 + n - l, n - l) * t for l, t in enumerate(terms))
+    return _order_sum([falling(x - 1, l, lam) / factorial(l) for l in range(n + 1)], n, r)
+
+
+def derange_order_rows(n, orders, lam, x):
+    """{r: [D_r(k; lam, x) for k = 0..n] for r in orders}: each value the sum
+    of ``derange_order``, over the terms falling(x-1, l; lam)/l!, l = 0..n,
+    built once."""
+    terms = [falling(x - 1, l, lam) / factorial(l) for l in range(n + 1)]
+    return {r: [_order_sum(terms, k, r) for k in range(n + 1)] for r in orders}
 
 
 def derange_order_series(n, r, lam, x):

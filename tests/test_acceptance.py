@@ -4,12 +4,23 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import inspect
+import json
 import math
 import time
 from fractions import Fraction as F
 
+from degderange import cli
 from degderange.exactcore import binomial, factorial
-from degderange.identities import _REGISTRY, IdentityId, certify, certify_ranges, verify_grid
+from degderange.identities import (
+    _REGISTRY,
+    DEFAULT_LAMBDA_GRID,
+    DEFAULT_X_GRID,
+    IdentityId,
+    certify,
+    certify_ranges,
+    verify_grid,
+)
 from degderange.probability import (
     deg_gamma_fn_exact,
     deg_gamma_fn_quadrature,
@@ -72,6 +83,20 @@ def test_criterion_2_identity_certification_grid():
         report.ok and elapsed < 60.0,
         f"{report.cases_run} cases, {len(report.failures)} failures, {elapsed:.1f}s",
     )
+
+
+def test_default_grid_is_the_criterion_2_grid(capsys):
+    # verify_grid and the CLI's verify default to the one grid of
+    # identities; it is the grid above, and a verify run with no grid option
+    # echoes it
+    assert list(DEFAULT_LAMBDA_GRID) == ACCEPT_LAM_GRID
+    assert list(DEFAULT_X_GRID) == ACCEPT_X_GRID
+    defaults = {k: p.default for k, p in inspect.signature(verify_grid).parameters.items()}
+    assert (defaults["lam_grid"], defaults["x_grid"]) == (DEFAULT_LAMBDA_GRID, DEFAULT_X_GRID)
+    assert cli.main(["verify", "--identities", "THM7_A", "--n-max", "2"]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["lambda_grid"] == [str(v) for v in ACCEPT_LAM_GRID]
+    assert params["x_grid"] == [str(v) for v in ACCEPT_X_GRID]
 
 
 def test_criterion_3_polynomial_certification():

@@ -473,6 +473,25 @@ def test_gamma_check_has_no_jobs_option(jobs):
     assert f"unrecognized arguments: --jobs {jobs}" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--identities", "THM2_REC", "--n-max", "0"],
+        ["verify", "--identities", "THM2_REC,LEMMA6", "--n-max", "0", "--jobs", "2"],
+        ["certify", "--identities", "THM2_REC,LEMMA6", "--n-max", "0"],
+    ],
+)
+def test_a_selection_with_no_case_to_run_is_config_error(argv, capsys):
+    # each selected identity starts at n = 1: no document, one error line
+    from degderange import cli
+
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", "error: no case to run: every identity starts past n_max = 0\n"
+    )
+
+
 @pytest.mark.parametrize("n_max", ["-1", "257"])
 def test_n_max_out_of_range_is_config_error(n_max, capsys):
     from degderange import cli

@@ -93,6 +93,10 @@ def test_verify_grid_needs_a_worker():
             verify_grid(n_max=4, mutate=True, jobs=jobs)
 
 
+STARTS_AT_ONE = [IdentityId.THM2_REC, IdentityId.THM2_REC_X0, IdentityId.LEMMA6]
+NO_CASE = "no case to run: every identity starts past n_max = 0"
+
+
 def test_verify_grid_rejects_a_range_that_runs_no_case():
     # n_max below 0 or r_max below 1 would run nothing and pass
     for n_max in (-1, MAX_N + 1):
@@ -108,6 +112,12 @@ def test_verify_grid_rejects_a_range_that_runs_no_case():
             verify_grid(n_max=2, **kwargs)
     # an identity free of x reads no x grid
     assert verify_grid([IdentityId.THM7_A], n_max=2, x_grid=[]).cases_run == 3 * 6
+    # so would a selection whose identities all start at n = 1 > n_max; one
+    # identity with an n in range runs
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match=NO_CASE):
+            verify_grid(STARTS_AT_ONE, n_max=0, jobs=jobs)
+    assert verify_grid([IdentityId.THM2_REC, IdentityId.THM7_A], n_max=0).cases_run == 6
 
 
 def test_certify_ranges_rejects_n_max_out_of_range():
@@ -122,6 +132,12 @@ def test_certify_ranges_rejects_an_empty_identity_list():
         certify_ranges([], 4)
     with pytest.raises(ValueError, match="empty identity list"):
         certify_ranges(iter(()), 4)
+    # so would a list whose identities all start past n_max; one identity
+    # with an n in range is certified, the others listed with no n
+    with pytest.raises(ValueError, match=NO_CASE):
+        certify_ranges(STARTS_AT_ONE, 0)
+    certified = certify_ranges([IdentityId.THM2_REC, IdentityId.THM7_A], 0)
+    assert certified == {IdentityId.THM2_REC: {}, IdentityId.THM7_A: {0: True}}
 
 
 def test_grid_runs_keep_each_lam_together_in_magnitude_order():
@@ -381,7 +397,7 @@ def _along_lam(ident, n, count):
 def test_declared_bounds_never_exceed_n():
     for ident in IdentityId:
         for n in range(MAX_N + 1):
-            d_lam, d_x = _REGISTRY[ident].degrees(n)
+            d_lam, d_x = identities._degrees(_REGISTRY[ident], n)
             assert 0 <= d_lam <= n and 0 <= d_x <= n
             if not _REGISTRY[ident].uses_x:
                 assert d_x == 0
@@ -392,7 +408,7 @@ def test_declared_bounds_hold_for_each_side(ident):
     # the (d + 1)-th difference of each side vanishes along each axis
     spec = _REGISTRY[ident]
     for n in range(spec.min_n, 9):
-        d_lam, d_x = spec.degrees(n)
+        d_lam, d_x = identities._degrees(spec, n)
         _, sides = _along_lam(ident, n, d_lam + 2)
         assert all(_difference(values) == 0 for values in sides), n
         if spec.uses_x:
@@ -408,7 +424,7 @@ def test_degree_check_catches_an_extra_lam_factor(ident):
     spec = _REGISTRY[ident]
     caught = 0
     for n in range(spec.min_n, 9):
-        d_lam, _ = spec.degrees(n)
+        d_lam, _ = identities._degrees(spec, n)
         lams, sides = _along_lam(ident, n, d_lam + 2)
         for values in sides:
             multiplied = [v * (lam - F(1, 7)) for v, lam in zip(values, lams)]
@@ -686,11 +702,11 @@ def test_free_side_rows_equal_the_reference_formulas(monkeypatch, lam):
         monkeypatch.setattr(memo, "rows", {})
     n = 10
     thm5 = identities._THM5_FREE.row(sequences._key(lam), n)[0]
-    eq24_25 = identities._EQ24_25_FREE.row(sequences._key(lam), n)[0]
+    eq24_25, den = identities._EQ24_25_FREE.row(sequences._key(lam), n)
     assert len(thm5) == len(eq24_25) == n + 1
     for k in range(n + 1):
         expr_a, expr_b = (F(*side) for side in thm5[k])
         ref_a, ref_b = reference_identities.thm5(k, lam, F(0), None)
         assert (expr_a, expr_b) == (ref_a, ref_b) == (factorial(k), factorial(k)), k
         lhs = reference_identities.eq24_25(k, lam, F(0), None)[0]
-        assert F(*eq24_25[k]) == (-1) ** k * lhs, k
+        assert F(eq24_25[k], den) == (-1) ** k * lhs, k

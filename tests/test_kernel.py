@@ -59,7 +59,7 @@ from degderange.sequences import (
     stirling2_deg_series,
 )
 from degderange.series import Series, binomial_pow
-from reference_identities import derange, derange_order, falling, stirling_rows
+from reference_identities import derange, derange_order, derange_order_rows, falling, stirling_rows
 
 N_MAX = 40
 
@@ -271,7 +271,7 @@ ORDERS = (*range(1, 5), N_MAX - 1, N_MAX, N_MAX + 1, 3 * N_MAX)
 
 @functools.cache
 def order_refs(lam, x):
-    return {r: [derange_order(n, r, lam, x) for n in range(N_MAX + 1)] for r in ORDERS}
+    return derange_order_rows(N_MAX, ORDERS, lam, x)
 
 
 @pytest.mark.parametrize("history", ["ascending", "bulk", "bulk_after_smaller"])
