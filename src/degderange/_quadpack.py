@@ -33,34 +33,32 @@
 # THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 # (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
 # OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-"""Adaptive Gauss-Kronrod quadrature on [a, inf): QUADPACK's ``dqagie``, the
+"""Adaptive Gauss-Kronrod quadrature on [0, inf): QUADPACK's ``dqagie``, the
 routine behind ``scipy.integrate.quad`` for an infinite upper limit without
 points or weights, in pure Python, so that a quadrature loads no scipy.
 
-The map x = a + (1 - t)/t takes [a, inf) to (0, 1], where the 15-point
-Kronrod rule ``dqk15i`` integrates.  The adaptive loop bisects the interval
+The map x = (1 - t)/t takes [0, inf) to (0, 1], where the 15-point Kronrod
+rule ``dqk15i`` integrates.  The adaptive loop bisects the interval
 of largest error estimate, keeps the error list in descending order as
 ``dqpsrt`` does, and accelerates the sequence of approximations with Wynn's
 epsilon algorithm (``dqelg``).  Every arithmetic step, its order and each
 constant are QUADPACK's, and QUADPACK's own double-precision machine
-constants are Python's float limits, so ``quad(f, a, epsabs, epsrel, limit)``
-returns scipy's (value, abserr, neval, ier) bit for bit;
-``tests/test_quadpack.py`` checks this against the installed scipy.  The
-integrand must return a float.
+constants are Python's float limits, so ``quad(f, epsabs, epsrel, limit)``
+returns scipy's (value, abserr, neval, ier) for the lower limit 0 bit for
+bit; ``tests/test_quadpack.py`` checks this against the installed scipy.
+The integrand must return a float.
 
 Each dqk15i call takes its 15 function values from a *rule*: ``rule(a, b)``
 returns the mapped integrand f((1 - t)/t)/t/t at ``nodes(a, b)``, in that
-order, as a list of floats.  An integrand may carry its own ``rule`` method
-for the lower limit 0, so that a family of integrands can share the work
-per node that its members have in common (``probability`` does so for its
-damped moment integrands); ``quad`` uses it when a = 0.  A plain callable,
-or any integrand at another lower limit, gets ``_point_rule``: one call
-f(a + (1 - t)/t) per node, divided by t twice, the per-node path dqk15i
-always had, so a scalar ``quad`` is unchanged.  Either way the Kronrod sums
-add the 15 floats one at a time in QUADPACK's order, so a rule that returns
-the very floats of the per-node calls leaves every value, error and neval
-unchanged, and scipy, which calls the integrand per node, still agrees bit
-for bit.
+order, as a list of floats.  An integrand may carry its own ``rule`` method,
+so that a family of integrands can share the work per node that its members
+have in common (``probability`` does so for its damped moment integrands).
+A plain callable gets ``_point_rule``: one call f((1 - t)/t) per node,
+divided by t twice, the per-node path dqk15i always had, so a scalar
+``quad`` is unchanged.  Either way the Kronrod sums add the 15 floats one
+at a time in QUADPACK's order, so a rule that returns the very floats of
+the per-node calls leaves every value, error and neval unchanged, and
+scipy, which calls the integrand per node, still agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -151,12 +149,12 @@ def nodes(a: float, b: float) -> list[float]:
     return out
 
 
-def _point_rule(f: Callable[[float], float], boun: float) -> Callable[[float, float], list]:
-    """The rule of a plain integrand: f(boun + (1 - t)/t)/t^2 at each node t,
-    one call of f per node."""
+def _point_rule(f: Callable[[float], float]) -> Callable[[float, float], list]:
+    """The rule of a plain integrand: f((1 - t)/t)/t^2 at each node t, one
+    call of f per node."""
 
     def rule(a: float, b: float) -> list[float]:
-        return [(f(boun + (1.0 - t) / t) / t) / t for t in nodes(a, b)]
+        return [(f((1.0 - t) / t) / t) / t for t in nodes(a, b)]
 
     return rule
 
@@ -521,14 +519,13 @@ def _sum(rlist: list, last: int) -> float:
     return total
 
 
-def quad(f: Callable[[float], float], a: float, epsabs: float, epsrel: float, limit: int):
-    """The integral of f over [a, inf) as ``scipy.integrate.quad(f, a,
+def quad(f: Callable[[float], float], epsabs: float, epsrel: float, limit: int):
+    """The integral of f over [0, inf) as ``scipy.integrate.quad(f, 0,
     math.inf, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=True)``
     computes it, with dqagie.
 
-    f is called per node, unless a = 0 and f has a ``rule(a, b)`` method,
-    which then gives the 15 mapped values of each rule call (see the module
-    docstring).
+    f is called per node, unless it has a ``rule(a, b)`` method, which then
+    gives the 15 mapped values of each rule call (see the module docstring).
 
     Returns (value, abserr, neval, ier); ier 1 to 5 means not converged, and
     ``message(ier, limit)`` explains it.  Invalid input (scipy's ier 6)
@@ -539,6 +536,6 @@ def quad(f: Callable[[float], float], a: float, epsabs: float, epsrel: float, li
         raise ValueError(
             "If 'epsabs'<=0, 'epsrel' must be greater than both 5e-29 and 50*(machine epsilon)."
         )
-    rule = getattr(f, "rule", None) if a == 0.0 else None
-    value, abserr, last, ier = _adapt(rule or _point_rule(f, a), epsabs, epsrel, limit)
+    rule = getattr(f, "rule", None) or _point_rule(f)
+    value, abserr, last, ier = _adapt(rule, epsabs, epsrel, limit)
     return value, abserr, 30 * last - 15, ier

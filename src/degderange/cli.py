@@ -13,16 +13,18 @@ or invalid choice, no subcommand; and a ``table`` option among ``--x``,
 ``gamma-check thm11`` or ``expansion`` ``--n-max`` above
 ``probability.MAX_FLOAT_N`` = 170, where the target (1-lam) n! is past the
 float range, or ``--lambda`` that rounds to 0 or 1/2 as a float, a
-``verify --r-max`` above ``identities.MAX_N`` = 256, a ``verify`` or
-``certify`` selection with no case to run, every identity of it starting
-past ``--n-max``, and an ``--out`` path that cannot be opened for
-writing), 141 (128 + SIGPIPE) stdout closed by its reader before the
-output was written, as by ``| head``.  Rationals are always emitted as
+``gamma-check gammafn`` target past the float range, a ``verify
+--r-max`` above ``identities.MAX_N`` = 256, a ``verify`` or ``certify``
+selection with no case to run, every identity of it starting past
+``--n-max``, and an ``--out`` path that cannot be opened for writing),
+141 (128 + SIGPIPE) stdout closed by its reader before the output was
+written, as by ``| head``.  Rationals are always emitted as
 "p/q" strings (never decimals), whole at any length: a run lifts CPython's
 4300-digit int/str limit, which ended a long value in a ValueError
 traceback, exit 1; floats use shortest round-trip formatting, and a sample
 past the float range is written ``inf`` (CSV) or ``Infinity`` (JSON).
-Every JSON document has the bytes of ``json.dumps(doc, indent=2)``;
+Every JSON document has the bytes of ``json.dumps(doc, indent=2)`` and a
+final newline, on stdout and in an ``--out`` file alike;
 ``table`` formats its rows itself (``_table_json``), since an indent puts
 json on its pure-Python encoder.
 The environment variable DEGDERANGE_OUT_DIR supplies a default directory
@@ -143,14 +145,16 @@ def _open_out(out_path: str):
         raise CliError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
+def _out_file(out_path: str | None):
+    """stdout, left open on exit, or the out file opened for writing."""
+    return contextlib.nullcontext(sys.stdout) if out_path is None else _open_out(out_path)
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with _open_out(out_path) as fh:
-            fh.write(text)
+    """Write a JSON document and its final newline to stdout or the out file."""
+    with _out_file(out_path) as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _json_doc(command: str, params: dict, results) -> str:
@@ -163,11 +167,6 @@ def _json_doc(command: str, params: dict, results) -> str:
         },
         indent=2,
     )
-
-
-def _out_file(out_path: str | None):
-    """stdout, left open on exit, or the out file opened for writing."""
-    return contextlib.nullcontext(sys.stdout) if out_path is None else _open_out(out_path)
 
 
 def _emit_csv(header: list[str], rows: Iterable[list[str]], out_path: str | None) -> None:
@@ -392,6 +391,7 @@ def _cmd_gamma_check(args) -> int:
                 raise CliError("gammafn needs --k")
             params["k"] = args.k
             exact = probability.deg_gamma_fn_exact(args.k, lam)
+            probability._float_target(exact)  # refused before the quadrature runs
             numeric = probability.deg_gamma_fn_quadrature(args.k, float(lam))
             res = probability._compare(numeric, exact, probability.DEFAULT_CHECK_TOL)
             results.append(_result_dict(res, k=args.k))

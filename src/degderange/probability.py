@@ -17,12 +17,15 @@ adaptive bisection visits mostly the same Kronrod intervals for each of
 them: thm11 at one lam, n = 0..8, makes 121 rule calls on 21 intervals.
 So each :class:`_Damped` integrand gives ``_quadpack.quad`` a batch
 ``rule(a, b)`` that reads the interval's per-node transforms (x, 1 + lam*x,
-(1 + lam*x)^(-1/lam), e^(lam*u), log1p(lam*x)/lam), computed once per
-process and kept in ``_family(lam)``, an LRU cache of four lam values, then
-applies the member's own step.  The cache lives at module level because the
-CLI runs each n of ``gamma-check thm11`` as its own call; each interval's
-transform is published whole and never changed, so a warm and a cold cache
-give the same floats.  Every value is the float the per-node integrand
+(1 + lam*x)^(-1/lam), e^(lam*u), log1p(lam*x)/lam) from
+``_transform(lam, a, b)``, then applies the member's own step.
+``_transform`` is an LRU cache of ``TRANSFORM_CACHE_INTERVALS`` intervals,
+over every lam: a check visits some 21 to 35 intervals per lam, so it keeps
+a few lam values, and a quadrature that bisects without end cannot grow it.
+The cache lives at module level because the CLI runs each n of
+``gamma-check thm11`` as its own call; each interval's transform is a
+tuple, built whole and never changed, so a warm and a cold cache give the
+same floats.  Every value is the float the per-node integrand
 gives, each operation in the same order, so value, abserr and neval are
 unchanged and scipy, handed the same integrand (it is callable per node),
 agrees bit for bit.
@@ -76,7 +79,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import sub, truediv
 from random import Random
 from typing import Callable, Iterator
@@ -87,9 +90,9 @@ from .sequences import (
     _DERANGE,
     _DERANGE_ORDER_SERIES,
     _FALLING,
-    _S1,
     _dual,
     _key,
+    _stirling_steps,
     derange_deg_order,
     falling_deg,
 )
@@ -101,6 +104,11 @@ DEFAULT_CHECK_TOL = 1e-8
 # the largest n whose moment target (1-lam) n! is compared as a float:
 # 170! ~ 7.3e306 fits in one, 171! ~ 1.2e309 does not
 MAX_FLOAT_N = 170
+# the Kronrod intervals whose node transforms (about 3.8 kB each) stay
+# cached, over every lam: about three lam values of the gamma checks, at
+# 33-35 intervals each.  On the benchmark's gamma ops (seed 1) it builds
+# 2,387 transforms against 2,392 for four per-lam caches, in no more memory
+TRANSFORM_CACHE_INTERVALS = 96
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,11 @@ class QuadratureError(RuntimeError):
         return f"{message} (partial estimate {partial_estimate!r})"
 
 
+def _check_lam(lam: float) -> None:
+    if not 0 < lam < 1:
+        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+
+
 @dataclass(frozen=True)
 class DegGammaParams:
     """Parameters of the degenerate gamma distribution.
@@ -148,8 +161,7 @@ class DegGammaParams:
     lam: float
 
     def __post_init__(self):
-        if not 0 < self.lam < 1:
-            raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
+        _check_lam(self.lam)
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not math.isfinite(self.beta):
@@ -184,24 +196,34 @@ class MomentCheckResult:
     detail: str | None = None
 
 
-def _check_moment_n(n: int) -> None:
+def _moment_args(n: int, lam: ExactScalar) -> tuple[Fraction, float]:
+    """lam exact and as the float the quadratures divide by, for a moment
+    check at n: n in [0, MAX_FLOAT_N], where the target (1-lam) n! is a
+    finite float, and lam in (0, 1/2), refused also if it rounds out of
+    (0, 1/2) as a float, as 1e-400 rounds to 0.0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > MAX_FLOAT_N:
         raise ValueError(f"n must be <= {MAX_FLOAT_N}, got {n}: (1-lam) n! is past the float range")
-
-
-def _check_float_lam(lam: Fraction) -> float:
-    """float(lam) for a lam in (0, 1/2), which the quadratures divide by:
-    refused if it rounds out of (0, 1/2), as 1e-400 rounds to 0.0."""
+    lam = Fraction(lam)
+    if not 0 < lam < Fraction(1, 2):
+        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
     lamf = float(lam)
     if not 0 < lamf < 0.5:
         raise ValueError(f"lam rounds to {lamf!r} as a float, outside (0, 1/2)")
-    return lamf
+    return lam, lamf
+
+
+def _float_target(target: Fraction) -> float:
+    """float(target), refused if the exact target is past the float range."""
+    try:
+        return float(target)
+    except OverflowError:
+        raise ValueError("the exact target is past the float range") from None
 
 
 def _compare(numeric: float, target: Fraction, tol: float, **extra) -> MomentCheckResult:
-    tf = float(target)
+    tf = _float_target(target)
     abs_err = abs(numeric - tf)
     rel_err = abs_err / abs(tf) if tf != 0 else abs_err
     passed = (rel_err <= tol) if tf != 0 else (abs_err <= tol)
@@ -219,7 +241,7 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
     Raises :class:`QuadratureError` when QUADPACK does not converge or the
     value is not finite."""
     spec = spec or QuadratureSpec()
-    value, _, _, ier = _quadpack.quad(f, 0.0, spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
+    value, _, _, ier = _quadpack.quad(f, spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
     if ier:  # not converged
         raise QuadratureError(_quadpack.message(ier, spec.max_subdivisions), value)
     if not math.isfinite(value):
@@ -247,18 +269,13 @@ def _nodes(lam: float, points) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=TRANSFORM_CACHE_INTERVALS)
 def _transform(lam: float, a: float, b: float) -> tuple:
     """The nodes of one Kronrod interval [a, b] at lam, in the order of
-    ``_quadpack.nodes(a, b)``, and whether none of them is clamped."""
+    ``_quadpack.nodes(a, b)``, and whether none of them is clamped; cached
+    for the last ``TRANSFORM_CACHE_INTERVALS`` intervals used."""
     nodes = _nodes(lam, [((1.0 - t) / t, t) for t in _quadpack.nodes(a, b)])
     return nodes, None not in nodes
-
-
-@lru_cache(maxsize=4)
-def _family(lam: float) -> dict:
-    """The interval transforms of one lam, keyed by (a, b): each published
-    whole, once, and never changed."""
-    return {}
 
 
 class _Damped:
@@ -273,15 +290,14 @@ class _Damped:
     node whose step raises OverflowError (valid on the convergent windows
     enforced by the callers).  Calling the integrand evaluates one u at
     t = 1, where both divisions are exact; ``rule(a, b)`` gives
-    ``_quadpack.quad`` the 15 mapped values of a Kronrod interval from the
-    interval's cached transform."""
+    ``_quadpack.quad`` the 15 mapped values of a Kronrod interval from
+    ``_transform(lam, a, b)``, the interval's cached transform."""
 
-    __slots__ = ("lam", "values", "intervals")
+    __slots__ = ("lam", "values")
 
     def __init__(self, lam: float, values: Callable[[tuple], list]):
         self.lam = lam
         self.values = values
-        self.intervals = _family(lam)
 
     def __call__(self, u: float) -> float:
         return self._value(_nodes(self.lam, ((u, 1.0),))[0])
@@ -295,10 +311,7 @@ class _Damped:
             return 0.0
 
     def rule(self, a: float, b: float) -> list[float]:
-        entry = self.intervals.get((a, b))
-        if entry is None:
-            entry = self.intervals.setdefault((a, b), _transform(self.lam, a, b))
-        nodes, live = entry
+        nodes, live = _transform(self.lam, a, b)
         if live:
             try:
                 return self.values(nodes)
@@ -333,8 +346,7 @@ def deg_gamma_fn_quadrature(s: float, lam: float, spec: QuadratureSpec | None = 
     """Integral definition: integral of t^(s-1) (1+lam*t)^(-1/lam) dt over [0, inf).
 
     Converges for 0 < s < 1/lam."""
-    if not 0 < lam < 1:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    _check_lam(lam)
     if not 0 < s < 1 / lam:
         raise ValueError(f"s must lie in (0, 1/lam), got {s}")
 
@@ -374,11 +386,7 @@ def theorem11_check(
     (1-lam) * n! exactly; all three are required to agree.  n lies in
     [0, MAX_FLOAT_N], where the target is a finite float.
     """
-    _check_moment_n(n)
-    lam = Fraction(lam)
-    if not Fraction(0) < lam < Fraction(1, 2):
-        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-    lamf = _check_float_lam(lam)
+    lam, lamf = _moment_args(n, lam)
     lam_key = _key(lam)
     key = (lam_key, (0, 1))  # the derangement numbers: x = 0
     f = _FALLING.ints(((1, 1), lam_key), n)
@@ -410,8 +418,7 @@ def moment_ratio_expectation(m: int, lam: float, spec: QuadratureSpec | None = N
 
     Finite only for m < 1/lam (the integrand tail decays like x^(m-1/lam-1)).
     """
-    if not 0 < lam < 1:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    _check_lam(lam)
     if m >= 1 / lam:
         raise ValueError(f"E[X^{m}/(1+lam X)] diverges for m >= 1/lam = {1 / lam}")
 
@@ -448,11 +455,7 @@ def stirling_log_expansion_check(
     flagged inconclusive rather than passed, as is a window ending below n
     (no term; the value is the empty sum 0).  n lies in [0, MAX_FLOAT_N].
     """
-    _check_moment_n(n)
-    lam = Fraction(lam)
-    if not Fraction(0) < lam < Fraction(1, 2):
-        raise ValueError(f"lam must lie in (0, 1/2), got {lam}")
-    lamf = _check_float_lam(lam)
+    lam, lamf = _moment_args(n, lam)
     if m_cap < n:
         raise ValueError(f"m_cap must be >= n, got {m_cap} < {n}")
     target = (1 - lam) * factorial(n)
@@ -466,12 +469,13 @@ def stirling_log_expansion_check(
     prev_abs = math.inf
     growing = 0
     truncated_by_window = m_limit < m_cap
-    # s(m, n) from the shared lam = 0 triangle: row m is (ints, 1)
-    s1 = _S1.row((0, 1), m_limit)[0]
+    # row m of the lam = 0 first-kind triangle, columns 0..n, holds s(m, n);
+    # rows are stepped only as far as the loop reads them
+    rows = chain(([1],), _stirling_steps(False, (0, 1), m_limit, n + 1))
     p, q = lam.numerator, lam.denominator
-    for m in range(n, m_limit + 1):
+    for m, row in enumerate(islice(rows, n, None), n):
         # n! s(m, n) lam^(m-n) / m! as one correctly rounded int / int
-        coef = factorial(n) * s1[m][0][n] * p ** (m - n) / (q ** (m - n) * factorial(m))
+        coef = factorial(n) * row[n] * p ** (m - n) / (q ** (m - n) * factorial(m))
         term = coef * _moment_ratio(m, lamf, spec)
         partial += term
         err = abs(partial - tf)
@@ -513,15 +517,10 @@ def stirling_log_expansion_check(
 # sampling (unit-parameter family only)
 
 
-def _check_lam11(lam: float) -> None:
-    if not 0 < lam < 1:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
-
-
 def deg_gamma11_cdf(lam: float, x: float) -> float:
     """Exact CDF of the unit-parameter family: 1 - (1+lam*x)^((lam-1)/lam),
     zero for x <= 0."""
-    _check_lam11(lam)
+    _check_lam(lam)
     return -math.expm1((lam - 1) / lam * math.log1p(lam * max(x, 0.0)))
 
 
@@ -529,7 +528,7 @@ def deg_gamma11_ppf(lam: float, u: float) -> float:
     """Inverse CDF of the unit-parameter family: ((1-u)^(lam/(lam-1)) - 1)/lam,
     for u in [0, 1); maps u = 0 to 0, and to ``math.inf`` a value past the
     float range, which u near 1 reaches for lam above about 0.951."""
-    _check_lam11(lam)
+    _check_lam(lam)
     if not 0 <= u < 1:
         raise ValueError(f"u must lie in [0, 1), got {u}")
     try:
@@ -559,7 +558,7 @@ def sample_deg_gamma11_blocks(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     _check_seed(rng_seed)
-    _check_lam11(lam)
+    _check_lam(lam)
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     rng = Random(rng_seed)

@@ -609,11 +609,10 @@ def _grow_series_column(second_kind: bool, key, n):
     m T(k,m) = sum_j binom(k,j) B_j T(k-j,m-1), an exact division by m,
     published over q^n.  Column m-1 is read to n-1 from the same memo: entry
     k of its row over q^N is T(k, m-1) q^(N-k), an exact division away.
-    Column 0 is 1, 0, 0, ...; a column m > n is all 0."""
+    Column 0 is 1, 0, 0, ...; a column is grown to n >= m only, since
+    ``_series_column`` answers entries above the diagonal itself."""
     lam, m = key
     p, q = lam
-    if m > n:
-        return [0] * (n + 1), 1
     if m == 0:
         return _over_power([1] + [0] * n, q)
     big = _products(q, p, n) if second_kind else _products(p, q, n, lead=q)

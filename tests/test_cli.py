@@ -419,6 +419,30 @@ def test_out_file_and_env_dir(tmp_path):
     [
         ["table", "derangement", "--n-max", "2"],
         ["table", "derangement", "--n-max", "2", "--format", "csv"],
+        ["verify", "--identities", "THM2_REC", "--n-max", "3"],
+        ["certify", "--identities", "THM2_REC", "--n-max", "3"],
+        ["gamma-check", "gammafn", "--k", "2", "--lambda=1/4"],
+        ["sample", "--lambda=1/4", "--count", "3"],
+        ["sample", "--lambda=1/4", "--count", "3", "--format", "csv"],
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    # a JSON document ends in its newline in a file as on stdout
+    from degderange import cli
+
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "derangement", "--n-max", "2"],
+        ["table", "derangement", "--n-max", "2", "--format", "csv"],
         ["sample", "--lambda=1/4", "--count", "3"],
         ["sample", "--lambda=1/4", "--count", "3", "--format", "csv"],
     ],
@@ -534,6 +558,20 @@ def test_gamma_check_n_max_stops_at_the_float_range(check, monkeypatch, capsys):
     argv = ["gamma-check", check, "--lambda=1/80", "--m-cap", "171", "--n-max", "171"]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", "error: --n-max must lie in [0, 170]\n")
+
+
+@pytest.mark.parametrize("k, lam", [(172, "1/1000000000"), (171, "1/200")])
+def test_gammafn_target_past_the_float_range_is_config_error(k, lam, monkeypatch, capsys):
+    """(k-1)!/prod_{i<=k}(1 - i lam) is compared as a float; past the
+    largest one the target is refused before any quadrature runs."""
+    from degderange import _quadpack, cli
+
+    def no_quad(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(_quadpack, "quad", no_quad)
+    assert cli.main(["gamma-check", "gammafn", "--k", str(k), f"--lambda={lam}"]) == 2
+    assert capsys.readouterr() == ("", "error: the exact target is past the float range\n")
 
 
 def test_verify_r_max_is_capped_at_max_n(capsys):

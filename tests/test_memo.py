@@ -113,7 +113,9 @@ def test_threads_growing_one_key_match_serial_build():
         serial = values(fresh(memo), key, max(targets))
         drop_lower_columns(memo, key)
         shared = fresh(memo)
-        shared.row(key, 1)  # the threads then replace one shared row
+        # the threads then replace one shared row; a column is seeded at its
+        # index m, since it is grown only to n >= m
+        shared.row(key, key[1] if memo in COLUMN_MEMOS else 1)
         got = {}
         barrier = threading.Barrier(len(targets))
 

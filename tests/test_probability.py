@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from scipy import integrate
 
-from degderange import _quadpack, probability
+from degderange import _quadpack, probability, sequences
 from degderange.exactcore import factorial
 from degderange.probability import (
     DegGammaParams,
@@ -93,10 +93,10 @@ def test_quadrature_failure_carries_partial():
 
 
 @pytest.fixture
-def fresh_family():
-    probability._family.cache_clear()
+def fresh_transforms():
+    probability._transform.cache_clear()
     yield
-    probability._family.cache_clear()
+    probability._transform.cache_clear()
 
 
 def _damped_members(monkeypatch, lam):
@@ -133,11 +133,11 @@ def _bits(values):
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.2, 0.36])
-def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_family):
+def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_transforms):
     # the batch rule, cold and then warm, gives the bits of the per-node
     # path that scipy takes, on every interval, at every member
     for f in _damped_members(monkeypatch, lam):
-        point_rule = _quadpack._point_rule(f, 0.0)
+        point_rule = _quadpack._point_rule(f)
         for a, b in _INTERVALS:
             expected = _bits(point_rule(a, b))
             assert _bits(f.rule(a, b)) == expected, (a, b)
@@ -167,32 +167,47 @@ def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_family):
     assert mixed
 
 
-def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_family):
-    transforms, rules = [], []
-    transform, rule = probability._transform, probability._Damped.rule
-
-    def counted_transform(lam, a, b):
-        transforms.append((lam, a, b))
-        return transform(lam, a, b)
+def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_transforms):
+    # every rule call reads the cache: 121 of them, and a build (a miss)
+    # for each of the 21 intervals the bisection visits
+    rules = []
+    rule = probability._Damped.rule
 
     def counted_rule(self, a, b):
         rules.append((a, b))
         return rule(self, a, b)
 
-    monkeypatch.setattr(probability, "_transform", counted_transform)
     monkeypatch.setattr(probability._Damped, "rule", counted_rule)
     for n in range(9):
         assert theorem11_check(n, F(1, 4)).passed
-    assert len(rules) == 121
-    assert len(transforms) == len(set(transforms)) == len(set(rules)) == 21
+    info = probability._transform.cache_info()
+    assert len(rules) == info.hits + info.misses == 121
+    assert info.misses == info.currsize == len(set(rules)) == 21
 
 
-def test_node_cache_is_bounded(fresh_family):
-    bound = probability._family.cache_info().maxsize
-    assert 1 <= bound <= 8
-    for k in range(bound + 3):
+def test_node_cache_is_bounded(fresh_transforms):
+    # the bound counts intervals over every lam, so a few lam values of the
+    # gamma checks fit, and it holds at each lam added past it
+    bound = probability._transform.cache_info().maxsize
+    assert bound == probability.TRANSFORM_CACHE_INTERVALS
+    assert 64 <= bound <= 512
+    sizes = []
+    for k in range(30):  # 11 intervals at each lam
         deg_gamma_fn_quadrature(2, 0.1 + 0.01 * k)
-        assert probability._family.cache_info().currsize == min(k + 1, bound)
+        sizes.append(probability._transform.cache_info().currsize)
+    assert sizes[0] > 0
+    assert sizes == sorted(sizes) and sizes[-1] == bound
+
+
+def test_one_hard_quadrature_keeps_the_cache_bounded(fresh_transforms):
+    # a hard damped integrand bisects to max_subdivisions, near s = 1/lam,
+    # visiting far more intervals than the bound
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-14, max_subdivisions=2000)
+    with pytest.raises(QuadratureError):
+        deg_gamma_fn_quadrature(4.99, 0.2, spec)
+    info = probability._transform.cache_info()
+    assert info.misses > 4 * info.maxsize
+    assert info.currsize <= info.maxsize == probability.TRANSFORM_CACHE_INTERVALS
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +455,17 @@ def test_expansion_runs_one_quadrature_per_m(monkeypatch, capsys):
     # n = 0 converges at m = 0, n = 1 at m = 4 and n = 2 at m = 6
     assert requested == [0, 1, 2, 3, 4, 2, 3, 4, 5, 6]
     assert len(quads) == len(set(requested)) == 7
+
+
+def test_expansion_keeps_no_stirling_triangle():
+    # s(m, n) is stepped in rows of width n + 1 as the loop reads them, so
+    # the check fills no memo row of the first-kind triangle, however far
+    # m_cap reaches past the m where it converges
+    for memo in sequences._MEMOS:
+        memo.clear()
+    res = stirling_log_expansion_check(2, 40, F(1, 80))
+    assert res.passed and res.detail == "converged at m=6"
+    assert not sequences._S1.rows
 
 
 def test_expansion_coefficients_are_correctly_rounded(monkeypatch):
