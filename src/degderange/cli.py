@@ -54,13 +54,10 @@ SCHEMA_VERSION = 1
 
 SAMPLE_CHUNK = 8192  # samples per draw and write in sample --format csv
 
-# certify's time grows steeply with n (like n^3.6), its memory no longer:
-# it empties the memos after each |lambda| group of its points.  On a
-# 2-CPU host a fresh --n-max 48 took 7.8 s (minimum of 7) with a 25 MB
-# peak, against 7.9 s and 72 MB when every row was kept, and --n-max 64
-# 28.4 s (minimum of 2) with 35 MB, against 31.1 s and 169 MB.  Time alone
-# now sets the cap, and it did not change, so the cap stays; the other
-# subcommands keep identities.MAX_N
+# certify's time grows steeply with n (like n^3.6), and time alone sets the
+# cap: every run empties the memos after each |lambda| group.  On a 2-CPU
+# host a fresh --n-max 48 took 6.5 s (minimum of 5) with a 19 MB peak, and
+# --n-max 64 21.8 s (minimum of 2) with 21 MB; the rest keep identities.MAX_N
 CERTIFY_MAX_N = 64
 
 # each table selector with the options, beyond --lambda and --n-max, that it
@@ -413,8 +410,8 @@ def _cmd_gamma_check(args) -> int:
             raise CliError(f"unknown check {args.check!r}")
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    except probability.QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except probability.QuadratureError as exc:  # scipy's texts hold newlines
+        print("error:", *str(exc).split(), file=sys.stderr)
         return 1
     _emit(_json_doc("gamma-check", params, results), _resolve_out(args.out))
     return 0 if all(r["passed"] for r in results) else 1

@@ -66,7 +66,7 @@ over the first-kind one.
 The mutation mode applies one deliberate sign flip per identity (negative
 control for the harness itself).
 
-Per case.  ``_run_chunk`` calls the public ``verify`` once per distinct
+Per case.  ``_run_group`` calls the public ``verify`` once per distinct
 (identity, n, lam, x, r) case, so a count of its calls is the number of
 cases run.  One call unpacks the case once, checks it against its
 ``_Spec``, makes each parameter's memo key with one ``_key`` call and runs
@@ -76,41 +76,33 @@ uncopied), one or two kernel sums over those rows (``dot``,
 ``binomial_conv``; signs and differences enter as ``map`` chains, never as
 a list built per case) and the cross-multiplied comparison of the two int
 pairs.  Runs compare int pairs and build ``Fraction`` values for failures
-only: ``_run_chunk`` reads just whether a case passed, and a failing
+only: ``_run_group`` reads just whether a case passed, and a failing
 case's sides, so it calls ``verify`` with ``values=False``, under which a
 passing case returns before any gcd and a failing one returns the two
-reduced ``Fraction`` values of the default call.  The keyword exists
-because the two callers need different things: the runner keeps one
-public ``verify`` call per case, the unit that counts cases, while library
-callers read the values.  A side that does not involve x is not summed per
-case: the x-free THM5 expressions and the EQ24_25 lhs are read as entry n
-of a row keyed by lam alone, which holds the int pairs of that side for
-every n up to its length, each its own sum over the source rows, so one
-row serves every x point of a lam.  Each case still makes its own
-comparisons and its own mutation flip.  ``_run_chunk`` builds the case
-tuple with ``tuple.__new__``, skipping the argument handling of
-``IdentityCase(...)``.  Verifiers over whole runs, one call per (identity,
-lam, x) for all of its n, would remove most of these steps, and the
-``values`` keyword with them, but a call would then no longer be a case;
-they wait for a case counter of their own.
+reduced ``Fraction`` values of the default call.  A side that does not
+involve x is not summed per case: the x-free THM5 expressions and the
+EQ24_25 lhs are read as entry n of a row keyed by lam alone, which holds
+the int pairs of that side for every n up to its length, each its own sum
+over the source rows, so one row serves every x point of a lam.  Each case
+still makes its own comparisons and its own mutation flip.  Verifiers over
+whole runs, one call per (identity, lam, x) for all of its n, would remove
+most of these steps, and the ``values`` keyword with them, but a call
+would then no longer be a case; they wait for a case counter of their own.
 
 Evaluation order.  A memo row is built whole, to the largest n asked of
 it, a larger n building a new row, and the smaller n read its prefix, so
-``_run_chunk`` evaluates each run, one (identity, lam, x) key, top n first,
-each distinct case once, and each caller writes its runs in closed form.
-The per-lam rows of the x-free sides follow the same rule: the first run
-of a lam starts at the largest n of every run, so each is built once, and
-its grow step reads each source row once, at its top n (a ``dot`` stops at
-the shorter row, and a convolution at k reads entries 0..k), never at an
-ascending k, which would rebuild the source row at every step.
-The grid of ``verify_grid`` is the same at every n: ``_grid_runs`` gives
-each point every n of the identity's range, lam-major in (|lam|, lam)
-order.  ``verify_grid`` keeps its rows, each built once per process (per
-worker under ``--jobs``), to its final length.  The points of
-``certify_ranges`` are nested: the point of indices (i, j) lies in the grid
-of every n >= max(i, j).  It runs one |lam| group at a time and then
-empties every memo (``_Memo.clear``): each row is built once per group,
-and memory holds one group's rows, not every key's.
+``_run_group`` evaluates each run, one (identity, lam, x) key, top n
+first, each distinct case once, and each caller writes its runs in closed
+form.  The per-lam rows of the x-free sides follow the same rule: the first
+run of a lam starts at the largest n of every run, so each is built once,
+and its grow step reads each source row once, at its top n (a ``dot``
+stops at the shorter row, and a convolution at k reads entries 0..k),
+never at an ascending k, which would rebuild the source row at every step.
+Every caller's runs come in groups, one per |lam| (THM8_A and THM10 read
+lam and -lam), and the runner empties every memo (``_Memo.clear``) after
+each: each row is built once, the order-r weights, keyed by r alone, once
+per group, and memory holds one group's rows.  ``_run`` deals a pooled
+run's groups round-robin to the workers, whole.
 The order never reaches the output: failures are reported in
 ``IdentityCase.sort_key`` order, a case repeated in a grid once per copy,
 and certification per identity and n.
@@ -170,7 +162,7 @@ import os
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count, cycle, repeat
+from itertools import chain, count, cycle, groupby, repeat
 from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -542,10 +534,9 @@ def _check_points(spec: _Spec, n: int, n_lams: int, n_xs: int) -> None:
         raise ValueError(f"need at least {d_x + 1} distinct x points")
 
 
-def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
-    """The failures of the runs' cases, each listed once per copy; each
-    distinct case is evaluated once, top n first."""
-    failures = []
+def _run_group(runs, mutate, failures: list) -> None:
+    """Add the failures of the runs' cases to failures, each listed once per
+    copy; each distinct case is evaluated once, top n first."""
     new = tuple.__new__  # an IdentityCase without the argument handling of its __new__
     for ident, lam, x, rs, copies, ns in runs:
         for n in ns:
@@ -554,7 +545,32 @@ def _run_chunk(runs, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
                 lhs, rhs, passed = verify(case, mutate=mutate, values=False)
                 if not passed:
                     failures += [(case, lhs, rhs)] * copies
+
+
+def _run_groups(groups, mutate) -> list[tuple[IdentityCase, Fraction, Fraction]]:
+    """The failures of the groups' runs, every memo emptied after each group."""
+    failures = []
+    for runs in groups:
+        _run_group(runs, mutate, failures)
+        for memo in _MEMOS:
+            memo.clear()
+        del runs  # freed before the next group is made
     return failures
+
+
+def _run(groups, mutate, jobs: int = 1) -> list[tuple[IdentityCase, Fraction, Fraction]]:
+    """``_run_groups`` in ``jobs`` processes at most, one per CPU and group,
+    dealt whole groups round-robin; one worker reads them in-process, lazily."""
+    if jobs > 1:
+        groups = list(groups)
+        jobs = min(jobs, os.cpu_count() or 1, len(groups))
+    if jobs <= 1:
+        return _run_groups(groups, mutate)
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = pool.map(_run_groups, [groups[i::jobs] for i in range(jobs)], repeat(mutate))
+        return [f for part in parts for f in part]
 
 
 def _grid_runs(ids, lam_grid, x_grid, n_max: int, r_max: int) -> list:
@@ -576,16 +592,6 @@ def _grid_runs(ids, lam_grid, x_grid, n_max: int, r_max: int) -> list:
     ]
 
 
-def _chunks(runs: list, jobs: int) -> list[list]:
-    """The runs cut into at most ``jobs`` contiguous chunks.  In the
-    (|lam|, lam) order of ``_grid_runs`` each worker builds the rows of its
-    own keys only, lam next to -lam (THM8_A and THM10 read both); a cut
-    inside one lam makes both chunks build the rows its runs share.  The
-    serial run is the one-chunk case."""
-    size = -(-len(runs) // jobs) or 1
-    return [runs[i : i + size] for i in range(0, len(runs), size)]
-
-
 def verify_grid(
     ids: Iterable[IdentityId] | None = None,
     n_max: int = 32,
@@ -600,17 +606,16 @@ def verify_grid(
     The default grid, ``DEFAULT_LAMBDA_GRID`` x ``DEFAULT_X_GRID``, is the
     full certification grid.  Each distinct case is evaluated once, a value
     repeated in a grid counting its copies in ``cases_run`` and in the
-    failures, and each (lam, x) key runs top n first, so in each process
-    every memo row is built once, to its final length.  ``jobs`` worker
-    processes, at least one and at most one per CPU, share the runs in
-    contiguous chunks (``_chunks``); the serial run is the one-chunk case
-    and neither starts nor imports the process pool.  The report is
-    deterministic regardless of order and scheduling: the failures are
-    listed in ``IdentityCase.sort_key`` order.  Raises ValueError unless
-    0 <= n_max <= MAX_N, 1 <= r_max <= MAX_N and jobs >= 1, for an empty
-    ``ids`` or ``lam_grid``, or an empty ``x_grid`` when an identity
-    references x, and when no identity of ``ids`` has an n in range, so that
-    no case would run.
+    failures.  The runs go one |lam| group at a time, top n first, and every
+    memo is emptied after each group, rows a caller built before included.
+    ``jobs`` worker processes, at least one and at most one per CPU and per
+    group, are dealt whole groups; one worker runs them in-process, without
+    the process pool.  The report is deterministic regardless of order and
+    scheduling: the failures are listed in ``IdentityCase.sort_key`` order.
+    Raises ValueError unless 0 <= n_max <= MAX_N, 1 <= r_max <= MAX_N and
+    jobs >= 1, for an empty ``ids`` or ``lam_grid``, or an empty ``x_grid``
+    when an identity references x, and when no identity of ``ids`` has an n
+    in range, so that no case would run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -629,16 +634,8 @@ def verify_grid(
     runs = _grid_runs(id_list, lams, xs, n_max, r_max)
     if not runs:
         raise ValueError(f"no case to run: every identity starts past n_max = {n_max}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    chunks = _chunks(runs, jobs)
-    if len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_chunk, chunks, repeat(mutate)))
-    else:
-        parts = [_run_chunk(chunk, mutate) for chunk in chunks]
-    failures = sorted((f for part in parts for f in part), key=lambda t: t[0].sort_key())
+    groups = [list(group) for _, group in groupby(runs, lambda run: abs(run[1]))]
+    failures = sorted(_run(groups, mutate, jobs), key=lambda t: t[0].sort_key())
     cases_run = sum(copies * len(ns) * len(rs) for _, _, _, rs, copies, ns in runs)
     return VerificationReport(cases_run=cases_run, failures=failures)
 
@@ -660,8 +657,9 @@ def certify(
     THM9_VS_SERIES is evaluated at r = 1 only.  Raises ValueError when fewer
     than d_lam + 1 (or d_x + 1) distinct points are supplied for a referenced
     variable, and when x_points are given for an identity that does not take
-    x.  ``certify_ranges`` runs the same evaluation for every n up to a
-    bound, on one nested point set, for a set of identities.
+    x.  Every memo is emptied afterwards, rows a caller built before
+    included.  ``certify_ranges`` runs the same evaluation for every n up to
+    a bound, on one nested point set, for a set of identities.
     """
     spec = _REGISTRY[identity_id]
     lams = _axis(map(Fraction, lam_points))
@@ -676,7 +674,23 @@ def certify(
     _check_points(spec, n, len(lams), len(xs))
     rs = (1,) if spec.uses_r else (None,)
     runs = [(identity_id, lam, x, rs, 1, (n,)) for lam, _ in lams for x, _ in xs]
-    return not _run_chunk(runs, mutate)
+    return not _run([runs], mutate)
+
+
+def _range_groups(ids, n_max: int):
+    """The runs of ``certify_ranges``, one |lam| group at a time, lazily."""
+    points = [Fraction((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(n_max + 1)]
+    for k in range((n_max + 1) // 2 + 1):  # |lam| = k at the indices 2k - 1 and 2k
+        runs = []
+        for ident in ids:
+            spec = _REGISTRY[ident]
+            rs = (1,) if spec.uses_r else (None,)
+            xs = list(enumerate(points)) if spec.uses_x else [(0, None)]
+            for i in range(max(2 * k - 1, 0), min(2 * k, n_max) + 1):
+                for j, x in xs:
+                    ns = range(n_max, max(i, j, spec.min_n) - 1, -1)
+                    runs.append((ident, points[i], x, rs, 1, ns))
+        yield runs
 
 
 def certify_ranges(
@@ -702,7 +716,6 @@ def certify_ranges(
     """
     if not 0 <= n_max <= MAX_N:
         raise ValueError(f"n_max must lie in [0, {MAX_N}], got {n_max}")
-    points = [Fraction((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(n_max + 1)]
     certified = {
         ident: dict.fromkeys(range(_REGISTRY[ident].min_n, n_max + 1), True)
         for ident in dict.fromkeys(ids)
@@ -711,18 +724,6 @@ def certify_ranges(
         raise ValueError("empty identity list")
     if not any(certified.values()):
         raise ValueError(f"no case to run: every identity starts past n_max = {n_max}")
-    for k in range((n_max + 1) // 2 + 1):  # |lam| = k at the indices 2k - 1 and 2k
-        runs = []
-        for ident in certified:
-            spec = _REGISTRY[ident]
-            rs = (1,) if spec.uses_r else (None,)
-            xs = list(enumerate(points)) if spec.uses_x else [(0, None)]
-            for i in range(max(2 * k - 1, 0), min(2 * k, n_max) + 1):
-                for j, x in xs:
-                    ns = range(n_max, max(i, j, spec.min_n) - 1, -1)
-                    runs.append((ident, points[i], x, rs, 1, ns))
-        for case, _, _ in _run_chunk(runs, mutate):
-            certified[case.identity_id][case.n] = False
-        for memo in _MEMOS:
-            memo.clear()
+    for case, _, _ in _run(_range_groups(certified, n_max), mutate):
+        certified[case.identity_id][case.n] = False
     return certified

@@ -15,9 +15,9 @@ built on demand under one lock, exactly to the requested n (the derangement
 row as far as the terms row it is read from).  A key holds one
 (numerator, denominator) int pair per rational parameter (the deformation
 parameter, with the argument where there is one), so a lookup hashes ints
-only.  Every memo is listed in ``_MEMOS`` as it is made, so that
-``identities.certify_ranges`` can empty them all (``_Memo.clear``) after
-each |lam| group.  A row keeps integer numerators over shared denominators,
+only.  Every memo is listed in ``_MEMOS`` as it is made, so that the
+identity runner can empty them all (``_Memo.clear``) after each |lam|
+group.  A row keeps integer numerators over shared denominators,
 the layout of FLINT's ``fmpq_poly``, in one of two forms:
 
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
@@ -267,6 +267,11 @@ def _check_index(n: int) -> None:
         raise ValueError(f"index must be >= 0, got {n}")
 
 
+def _check_indices(n: int, m: int) -> None:
+    if n < 0 or m < 0:
+        raise ValueError("indices must be >= 0")
+
+
 def _dual(value, other, *args):
     """value, after checking it against other(*args), its companion path, when
     the cross-check mode is on."""
@@ -277,8 +282,7 @@ def _dual(value, other, *args):
 
 def _entry(memo: _TriangleMemo, n: int, m: int, lam: ExactScalar) -> Fraction:
     """Entry (n, m) of a Stirling triangle memo; 0 above the diagonal."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n, m)
     if m > n:
         return Fraction(0)
     nums, den = memo.ints(_key(lam), n)
@@ -547,8 +551,7 @@ _S1 = _TriangleMemo(partial(_grow_triangle, False))
 def _stirling_column(second_kind: bool, n: int, m: int, lam: ExactScalar) -> list[Fraction]:
     """Entries (k, m), k = 0..n, of a Stirling triangle: the rows are
     stepped with width m + 1, columns 0..m, in O(n m) and with no memo."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n, m)
     if m > n:
         return [Fraction(0)] * (n + 1)
     lam = _key(lam)
@@ -641,8 +644,7 @@ def _series_column(memo: _Memo, n: int, m: int, lam: ExactScalar) -> tuple[list[
     k = 0..n at least, entry (k, m) being nums[k] / den; all 0 above the
     diagonal.  Columns 1..m are built in turn, each once, to n, so that no
     grow step recurses into the one below."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n, m)
     if m > n:
         return [0] * (n + 1), 1
     lam = _key(lam)
@@ -686,8 +688,7 @@ def stirling1_series_column(n: int, m: int, lam: ExactScalar) -> list[Fraction]:
 def stirling1_classical(n: int, m: int) -> int:
     """Classical signed Stirling numbers of the first kind,
     s(n+1,k) = s(n,k-1) - n*s(n,k): the first-kind triangle at lam = 0."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n, m)
     if m > n:
         return 0
     return _S1.ints((0, 1), n)[0][m]

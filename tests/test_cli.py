@@ -623,14 +623,27 @@ def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
 
 
 def test_quadrature_failure_exits_1(monkeypatch, capsys):
-    from degderange import _quadpack, cli
+    """Each QUADPACK failure code ends the check with exit 1 and one
+    ``error:`` line: scipy's texts, which hold newlines and indents, are
+    printed with their whitespace folded."""
+    from degderange import _quadpack, cli, probability
 
-    monkeypatch.setattr(_quadpack, "quad", lambda *args: (0.5, 1.0, 21, 5))  # ier 5: divergent
-    assert cli.main(["gamma-check", "thm11", "--lambda", "1/4"]) == 1
-    assert capsys.readouterr() == (
-        "",
-        "error: The integral is probably divergent, or slowly convergent. (partial estimate 0.5)\n",
-    )
+    limit = probability.QuadratureSpec().max_subdivisions
+    for ier in range(1, 6):
+        monkeypatch.setattr(_quadpack, "quad", lambda *args, ier=ier: (0.5, 1.0, 21, ier))
+        assert cli.main(["gamma-check", "thm11", "--lambda", "1/4"]) == 1
+        text = " ".join(_quadpack.message(ier, limit).split())
+        assert capsys.readouterr() == ("", f"error: {text} (partial estimate 0.5)\n"), ier
+    assert text == "The integral is probably divergent, or slowly convergent."
+
+
+def test_roundoff_failure_of_a_real_input_is_one_error_line():
+    """At lam = 10^-9 the gammafn quadrature stops on roundoff (ier 2),
+    whose text spans three lines."""
+    out = run_cli("gamma-check", "gammafn", "--k", "2", "--lambda=1/1000000000")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith("error: The occurrence of roundoff error is detected, which ")
+    assert out.stderr.count("\n") == 1 and "  " not in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from degderange.identities import (
     verify,
     verify_grid,
 )
+from degderange.sequences import falling_row, stirling2_row
 
 import reference_identities
 
@@ -141,7 +142,7 @@ def test_certify_ranges_rejects_an_empty_identity_list():
 
 
 def test_grid_runs_keep_each_lam_together_in_magnitude_order():
-    """The pool's contiguous chunks and the memo rows rely on this order:
+    """The runner's |lam| groups and the memo rows rely on this order:
     lam-major by (|lam|, lam), then identity in the order given, then x
     ascending; each (identity, lam, x) once, with its copies and r values,
     top n first."""
@@ -600,42 +601,121 @@ def test_certify_ranges_evaluates_every_case_once(monkeypatch, mutate):
         assert all(per_n.values()) is not mutate
 
 
+def count_grows(monkeypatch, share=(None,)):
+    """Empties every memo and counts its grow steps in a Counter keyed by
+    (memo, key, share[0]), share[0] naming the share of a pooled run that is
+    running."""
+    grows = Counter()
+    for memo in sequences._MEMOS:
+
+        def counted(key, n, grow=memo.grow, memo=memo):
+            grows[memo, key, share[0]] += 1
+            return grow(key, n)
+
+        monkeypatch.setattr(memo, "rows", {})
+        monkeypatch.setattr(memo, "grow", counted)
+    return grows
+
+
+def build_rows_beforehand():
+    """Rows a caller builds through the public accessors: falling(3/4, .;
+    1/3) to 8 and the second-kind triangle at 1/3 to 2.  A run may read
+    each to a larger n than it was built to, or not at all."""
+    falling_row(F(3, 4), 8, F(1, 3))
+    stirling2_row(2, F(1, 3))
+    assert all(memo.rows for memo in (sequences._FALLING, sequences._S2))
+
+
 def test_certify_builds_each_row_once_and_empties_the_memos(monkeypatch):
     """certify_ranges, of one identity or of all, builds each memo row once
     and leaves every memo empty, the rows a caller built before included.
     The order-r weights, keyed by r alone, are built once per |lam| group
     that reads them."""
     weights = sequences._ORDER_WEIGHTS
-    grows = Counter()
-    for memo in sequences._MEMOS:
-
-        def counted(key, n, grow=memo.grow, memo=memo):
-            grows[memo, key] += 1
-            return grow(key, n)
-
-        monkeypatch.setattr(memo, "grow", counted)
+    grows = count_grows(monkeypatch)
     for run in (
         lambda: certify_ranges([IdentityId.THM3], 6).values(),
         lambda: certify_ranges(IdentityId, 6).values(),
     ):
-        verify_grid(n_max=6, lam_grid=[F(2, 7)], x_grid=[F(3, 4)])
-        assert all(memo.rows for memo in (sequences._FALLING, sequences._S2))
+        build_rows_beforehand()
+        stirling2_row(3, 1)  # an integer point, which certify_ranges reads to 6
         grows.clear()
         assert all(all(per_n.values()) for per_n in run())
         assert grows
-        assert {count for (memo, _), count in grows.items() if memo is not weights} == {1}
+        assert {count for (memo, _, _), count in grows.items() if memo is not weights} == {1}
         assert not any(memo.rows for memo in sequences._MEMOS)
+
+
+# each entry point with the number of |lam| groups in which it reads the
+# order-r weights
+ENTRY_POINTS = {
+    "verify_grid": (lambda: verify_grid(n_max=6, lam_grid=[F(1, 3), 0, F(-1, 3), F(2, 7)]).ok, 3),
+    "certify": (lambda: certify(IdentityId.THM9_VS_SERIES, 3, [F(1, 3), F(-1, 3), 0],
+                                [F(3, 4), 1, 0, -2]), 1),
+    "certify_ranges": (
+        lambda: all(all(per_n.values()) for per_n in certify_ranges(
+            [IdentityId.THM8_A, IdentityId.THM10, IdentityId.THM9_VS_SERIES], 6).values()),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_every_entry_point_builds_each_row_once_and_empties_the_memos(monkeypatch, entry_point):
+    """verify_grid (serial), certify and certify_ranges each build every memo
+    row once, the order-r weights once per |lam| group that reads them, and
+    leave every memo empty, the rows a caller built before included."""
+    run, groups = ENTRY_POINTS[entry_point]
+    weights = sequences._ORDER_WEIGHTS
+    grows = count_grows(monkeypatch)
+    build_rows_beforehand()
+    grows.clear()
+    assert run()
+    assert {count for (memo, _, _), count in grows.items() if memo is not weights} == {1}
+    assert {count for (memo, _, _), count in grows.items() if memo is weights} == {groups}
+    assert not any(memo.rows for memo in sequences._MEMOS)
+
+
+def in_process_pool(monkeypatch, cpus=3):
+    """Makes a pooled run take place in this process, on ``cpus`` CPUs: the
+    pool's ``map`` runs each worker's share in turn.  Returns the list of the
+    shares dealt and a one-item list holding the index of the share
+    running."""
+    shares, running = [], [None]
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, dealt, *rest):
+            for args in zip(dealt, *rest):
+                running[0] = len(shares)
+                shares.append(args[0])
+                yield fn(*args)
+
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return shares, running
 
 
 def test_grid_grows_each_memo_row_once(monkeypatch):
     """Top n first: every (memo, key) row grows once, to its final length,
-    in the serial run and in a pool chunk."""
+    in the serial run and across the shares of a pooled run; the order-r
+    weights, keyed by r alone, grow once per |lam| group."""
     memos = []
     for module in (sequences, identities):
         for value in vars(module).values():
             if isinstance(value, sequences._Memo) and value not in memos:
                 memos.append(value)
     assert len(memos) == 17
+    weights = memos.index(sequences._ORDER_WEIGHTS)
+    shares, _ = in_process_pool(monkeypatch)
     grows = Counter()
     for i, memo in enumerate(memos):
 
@@ -646,20 +726,36 @@ def test_grid_grows_each_memo_row_once(monkeypatch):
         monkeypatch.setattr(memo, "rows", {})
         monkeypatch.setattr(memo, "grow", counted)
 
-    assert verify_grid(n_max=12).ok
-    assert grows and set(grows.values()) == {1}
-    keys = set(grows)
+    groups = 4  # |lam| = 0, 2/7, 1/3, 1/2 on the default grid
+    keys = None
+    for jobs in (1, 2):
+        grows.clear()
+        assert verify_grid(n_max=12, jobs=jobs).ok
+        assert {count for (i, _), count in grows.items() if i != weights} == {1}
+        assert {count for (i, _), count in grows.items() if i == weights} == {groups}
+        keys = keys or set(grows)
+        assert set(grows) == keys
+    assert len(shares) == 2
 
-    for memo in memos:
-        memo.rows.clear()
-    grows.clear()
-    lam_grid, x_grid = verify_grid.__defaults__[2:4]
-    runs = identities._grid_runs(list(IdentityId), map(F, lam_grid), map(F, x_grid), 12, 4)
-    chunk = identities._chunks(runs, 2)[0]
-    assert len(chunk) < len(runs)
-    assert identities._run_chunk(chunk, False) == []
-    assert grows and set(grows.values()) == {1}
-    assert set(grows) < keys
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pooled_run_deals_whole_lam_groups(monkeypatch, jobs):
+    """A pooled run deals the |lam| groups round-robin to its workers, each
+    group whole.  Run share by share in this process, on the repeated-values
+    --mutate grid of the CI, no memo row but the order-r weights grows in
+    two shares, and the merged report is the serial one."""
+    kwargs = dict(n_max=6, lam_grid=REPEATED_LAM, x_grid=REPEATED_X, r_max=3, mutate=True)
+    serial = verify_grid(**kwargs)
+    assert serial.failures
+    shares, running = in_process_pool(monkeypatch)
+    grows = count_grows(monkeypatch, running)
+    assert verify_grid(jobs=jobs, **kwargs) == serial
+    magnitudes = sorted({abs(F(v)) for v in REPEATED_LAM})
+    assert [[{abs(run[1]) for run in group} for group in share] for share in shares] == [
+        [{v} for v in magnitudes[i::jobs]] for i in range(jobs)
+    ]
+    dealt = Counter((memo, key) for memo, key, _ in grows if memo is not sequences._ORDER_WEIGHTS)
+    assert dealt and set(dealt.values()) == {1}
 
 
 # the x-free sides of THM5 and EQ24_25, one row per lam key

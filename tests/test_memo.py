@@ -260,27 +260,28 @@ def test_clear_races_readers_and_growers():
 
 def test_readers_leave_every_published_row_unchanged(monkeypatch):
     """``ints`` hands out a published row itself when it holds exactly the
-    values asked for.  A grid run on empty memos builds every row to n = 8,
-    and a second, warm run reads them all: afterwards each row is the object
-    its grow step published, with the entries it had then."""
-    published = {}
+    values asked for.  A grid run to n = 8 and a certification run to n = 6
+    build every row on empty memos, and each row is read by many cases before
+    its |lam| group ends: afterwards each row that a grow step published
+    still has the entries it had then."""
+    published = []
     for memo in sequences._MEMOS:
 
         def recorded(key, n, grow=memo.grow, memo=memo):
             row = grow(key, n)
-            published[memo, key] = row, copy.deepcopy(row)
+            published.append((memo, key, row, copy.deepcopy(row)))
             return row
 
         monkeypatch.setattr(memo, "rows", {})
         monkeypatch.setattr(memo, "grow", recorded)
-    for _ in range(2):
-        assert identities.verify_grid(n_max=8).ok
+    assert identities.verify_grid(n_max=8).ok
+    certified = identities.certify_ranges(identities.IdentityId, 6)
+    assert all(all(per_n.values()) for per_n in certified.values())
     key = ((-1, 4), (0, 1))  # falling(x - 1, .; 0) at x = 3/4
     assert sequences._FALLING.ints(key, 8)[0] is sequences._FALLING.rows[key][0]
-    rows = {(memo, key): row for memo in sequences._MEMOS for key, row in memo.rows.items()}
-    assert rows.keys() == published.keys()
-    for item, row in rows.items():
-        assert row is published[item][0] and row == published[item][1], item
+    assert published
+    for memo, key, row, then in published:
+        assert row == then, (memo, key)
 
 
 def test_series_memos_grow_exactly_to_n():
