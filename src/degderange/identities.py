@@ -69,35 +69,42 @@ control for the harness itself).
 Per case.  ``_run_group`` calls the public ``verify`` once per distinct
 (identity, n, lam, x, r) case, so a count of its calls is the number of
 cases run.  One call unpacks the case once, checks it against its
-``_Spec``, makes each parameter's memo key with one ``_key`` call and runs
-the verifier, whose work is a fixed handful of memo reads (a hit is one
-dict read, and a row of exactly the values asked for is handed out
-uncopied), one or two kernel sums over those rows (``dot``,
-``binomial_conv``; signs and differences enter as ``map`` chains, never as
-a list built per case) and the cross-multiplied comparison of the two int
-pairs.  Runs compare int pairs and build ``Fraction`` values for failures
-only: ``_run_group`` reads just whether a case passed, and a failing
-case's sides, so it calls ``verify`` with ``values=False``, under which a
-passing case returns before any gcd and a failing one returns the two
-reduced ``Fraction`` values of the default call.  A side that does not
-involve x is not summed per case: the x-free THM5 expressions and the
-EQ24_25 lhs are read as entry n of a row keyed by lam alone, which holds
-the int pairs of that side for every n up to its length, each its own sum
-over the source rows, so one row serves every x point of a lam.  Each case
-still makes its own comparisons and its own mutation flip.  Verifiers over
-whole runs, one call per (identity, lam, x) for all of its n, would remove
-most of these steps, and the ``values`` keyword with them, but a call
-would then no longer be a case; they wait for a case counter of their own.
+``_Spec``, makes each parameter's memo key with one ``_key`` call (an exact
+``Fraction`` or ``int``, as every runner key is, gives its own ratio) and
+runs the verifier, whose work is a fixed handful of memo reads and one or
+two kernel sums over them (``dot``, ``binomial_conv``; signs and
+differences enter as ``map`` chains, never as a list built per case); then
+``verify`` compares the two int pairs inline, by cross-multiplication.  A
+read that hits is one dict read and copies nothing.  Every operand of a
+``binomial_conv`` at n, and of a ``dot`` against a Stirling row n, is the
+published row (``_Memo.row``), which may run past n, since the run's top n
+built it: both sums stop at n.  The Stirling rows are read exactly
+(``ints``: row n of a triangle is published as its n + 1 entries), and
+single values as pairs (``pair``).  Runs compare int pairs and build
+``Fraction`` values for failures only: ``_run_group`` reads just whether a
+case passed, and a failing case's sides, so it calls ``verify`` with
+``values=False``, under which a passing case returns before any gcd and a
+failing one returns the two reduced ``Fraction`` values of the default
+call.  A side that does not involve x is not summed per case: the x-free
+THM5 expressions and the EQ24_25 lhs are read as entry n of a row keyed by
+lam alone, which holds the int pairs of that side for every n up to its
+length, each its own sum over the source rows, so one row serves every x
+point of a lam.  Each case still makes its own comparisons and its own
+mutation flip.  Verifiers over whole runs, one call per (identity, lam, x)
+for all of its n, would remove most of these steps, and the ``values``
+keyword with them, but a call would then no longer be a case; they wait
+for a case counter of their own.
 
 Evaluation order.  A memo row is built whole, to the largest n asked of
-it, a larger n building a new row, and the smaller n read its prefix, so
-``_run_group`` evaluates each run, one (identity, lam, x) key, top n
-first, each distinct case once, and each caller writes its runs in closed
-form.  The per-lam rows of the x-free sides follow the same rule: the first
-run of a lam starts at the largest n of every run, so each is built once,
-and its grow step reads each source row once, at its top n (a ``dot``
-stops at the shorter row, and a convolution at k reads entries 0..k),
-never at an ascending k, which would rebuild the source row at every step.
+it, a larger n building a new row, and each smaller n reads the published
+row, its kernel sum stopping at n, so ``_run_group`` evaluates each run,
+one (identity, lam, x) key, top n first, each distinct case once, and each
+caller writes its runs in closed form.  The per-lam rows of the x-free
+sides follow the same rule: the first run of a lam starts at the largest n
+of every run, so each is built once, and its grow step reads each source
+row once, at its top n (a ``dot`` stops at the shorter row, and a
+convolution at k reads entries 0..k), never at an ascending k, which would
+rebuild the source row at every step.
 Every caller's runs come in groups, one per |lam| (THM8_A and THM10 read
 lam and -lam), and the runner empties every memo (``_Memo.clear``) after
 each: each row is built once, the order-r weights, keyed by r alone, once
@@ -267,7 +274,7 @@ def _alternating(row: IntRow) -> IntRow:
 
 def _thm2_conv(n, lam, x, r, mutate):
     lhs = _DERANGE_ORDER_SERIES.pair((lam, x, 1), n)
-    d, f = _DERANGE.ints((lam, _ZERO), n), _FALLING.ints((x, lam), n)
+    d, f = _DERANGE.row((lam, _ZERO), n), _FALLING.row((x, lam), n)
     num, den = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand
         num -= 2 * d[0][n] * f[0][0]
@@ -303,10 +310,10 @@ _ALTERNATING_INNER = _Memo(
 
 
 def _thm3(n, lam, x, r, mutate):
-    lhs = binomial_conv(_ALTERNATING_INNER.ints((lam, x, lam), n), _FALLING.ints((_ONE, lam), n), n)
+    lhs = binomial_conv(_ALTERNATING_INNER.row((lam, x, lam), n), _FALLING.row((_ONE, lam), n), n)
     # (-1)^m falling(x-1, m; lam) = falling(1-x, m; -lam), whose row holds
     # the same integers up to sign, over the same denominator
-    rhs = dot(_FALLING.ints((_shift(_neg(x), 1), _neg(lam)), n), _S2.ints(lam, n))
+    rhs = dot(_FALLING.row((_shift(_neg(x), 1), _neg(lam)), n), _S2.ints(lam, n))
     if mutate:
         rhs = _neg(rhs)
     return lhs, rhs
@@ -319,8 +326,8 @@ _THM4_INNER = _Memo(
 
 
 def _thm4(n, lam, x, r, mutate):
-    lhs = dot(_S2.ints(lam, n), _DERANGE.ints((lam, x), n))
-    rhs = binomial_conv(_THM4_INNER.ints((lam, x), n), _FUBINI_SERIES.ints((lam, _ONE), n), n)
+    lhs = dot(_S2.ints(lam, n), _DERANGE.row((lam, x), n))
+    rhs = binomial_conv(_THM4_INNER.row((lam, x), n), _FUBINI_SERIES.row((lam, _ONE), n), n)
     if mutate:  # negate every Fubini value
         rhs = _neg(rhs)
     return lhs, rhs
@@ -343,7 +350,7 @@ _THM5_FREE = _Memo(_thm5_free_sides)
 
 def _thm5(n, lam, x, r, mutate):
     expr_a, expr_b = _THM5_FREE.row(lam, n)[0][n]
-    d, f = _DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n)
+    d, f = _DERANGE.row((lam, x), n), _FALLING.row((_shift(_neg(x), 1), lam), n)
     num, den = binomial_conv(d, f, n)
     if mutate:  # flip the sign of the top summand of the x-shifted form
         num -= 2 * d[0][n] * f[0][0]
@@ -359,18 +366,18 @@ def _thm5(n, lam, x, r, mutate):
 def _lemma6(n, lam, x, r, mutate):
     # both sums run over m = 1..n; their terms at m = 0 carry S2(n, 0; lam),
     # which is 0 at n >= 1, so each is taken over the whole row
-    f, s = _FALLING.ints((_shift(x, -1), lam), n), _S2.ints(lam, n)
+    f, s = _FALLING.row((_shift(x, -1), lam), n), _S2.ints(lam, n)
     num, den = dot(f, s)
     if mutate:
         num -= 2 * f[0][1] * s[0][1]
-    d, dd = _DERANGE.ints((lam, x), n)
+    d, dd = _DERANGE.row((lam, x), n)
     differences = map(sub, d, map(mul, count(), chain((0,), d)))  # D(m) - m D(m-1)
     return (num, den), dot((differences, dd), s)
 
 
 def _thm7_a(n, lam, x, r, mutate):
     lhs = _FALLING.pair((_ONE, lam), n)
-    b, s = _BELL_SERIES.ints((lam, _ONE), n), _S1.ints(lam, n)
+    b, s = _BELL_SERIES.row((lam, _ONE), n), _S1.ints(lam, n)
     num, den = dot(b, s)
     if mutate:
         num -= 2 * b[0][n] * s[0][n]
@@ -379,7 +386,7 @@ def _thm7_a(n, lam, x, r, mutate):
 
 def _thm7_b(n, lam, x, r, mutate):
     lhs = _BELL_SERIES.pair((lam, _ONE), n)
-    f, s = _FALLING.ints((_ONE, lam), n), _S2.ints(lam, n)
+    f, s = _FALLING.row((_ONE, lam), n), _S2.ints(lam, n)
     num, den = dot(f, s)
     if mutate:
         num -= 2 * f[0][n] * s[0][n]
@@ -387,9 +394,9 @@ def _thm7_b(n, lam, x, r, mutate):
 
 
 def _thm8_a(n, lam, x, r, mutate):
-    d, dd = _DERANGE.ints((lam, _ZERO), n)
+    d, dd = _DERANGE.row((lam, _ZERO), n)
     lhs = dot((map(mul, cycle((1, -1)), d), dd), _S2.ints(_neg(lam), n))
-    b, f = _BELL_SERIES.ints((_neg(lam), _ONE), n), _FALLING.ints((_MINUS_ONE, _neg(lam)), n)
+    b, f = _BELL_SERIES.row((_neg(lam), _ONE), n), _FALLING.row((_MINUS_ONE, _neg(lam)), n)
     num, den = binomial_conv(b, f, n)
     if mutate:
         num -= 2 * b[0][n] * f[0][0]
@@ -397,7 +404,7 @@ def _thm8_a(n, lam, x, r, mutate):
 
 
 def _thm8_b(n, lam, x, r, mutate):
-    lhs = dot(_BELL.ints((lam, _ONE), n), _S1.ints(lam, n))
+    lhs = dot(_BELL.row((lam, _ONE), n), _S1.ints(lam, n))
     f, den = _FALLING.row((_MINUS_ONE, _neg(lam)), n)
     sign = -1 if mutate else 1
     return lhs, (sign * (-1) ** n * f[n], den)
@@ -413,7 +420,7 @@ _EQ24_25_FREE = _Memo(
 def _eq24_25(n, lam, x, r, mutate):
     num, den = _EQ24_25_FREE.pair(lam, n)
     lhs = (-num if (n + mutate) % 2 else num), den  # (-1)^n, and the mutation's flip
-    rhs = binomial_conv(_DERANGE.ints((lam, x), n), _FALLING.ints((_shift(_neg(x), 1), lam), n), n)
+    rhs = binomial_conv(_DERANGE.row((lam, x), n), _FALLING.row((_shift(_neg(x), 1), lam), n), n)
     return lhs, rhs
 
 
@@ -428,8 +435,8 @@ def _thm9_vs_series(n, lam, x, r, mutate):
 
 def _thm10(n, lam, x, r, mutate):
     lhs = _BELL_SERIES.pair((_neg(lam), _ONE), n)
-    inner = _ALTERNATING_INNER.ints((lam, _ZERO, _neg(lam)), n)
-    f = _FALLING.ints((_ONE, _neg(lam)), n)
+    inner = _ALTERNATING_INNER.row((lam, _ZERO, _neg(lam)), n)
+    f = _FALLING.row((_ONE, _neg(lam)), n)
     num, den = binomial_conv(inner, f, n)
     if mutate:
         num -= 2 * f[0][n] * inner[0][0]
@@ -437,7 +444,7 @@ def _thm10(n, lam, x, r, mutate):
 
 
 def _exp_moment_bridge(n, lam, x, r, mutate):
-    f = _FALLING.ints((_shift(x, -1), lam), n)
+    f = _FALLING.row((_shift(x, -1), lam), n)
     facts = factorials(n)
     num, den = binomial_conv((facts, 1), f, n)
     if mutate:
@@ -487,6 +494,13 @@ def verify(
     case, yet calls this function once per case, so that a count of its
     calls stays the count of cases run.  Row verifiers, one call per run,
     retire the keyword once a case counter of their own exists.
+
+    The verifier reads its memo rows uncopied: as published rows
+    (``_Memo.row``, possibly longer than n + 1) wherever its kernel sum
+    stops at n, a ``binomial_conv`` at n or a ``dot`` against a Stirling
+    row n; as exact rows (``ints``) for those Stirling rows; and as single
+    values (``pair``).  So its result does not depend on how far an earlier
+    case built a row.
     """
     ident, n, lam, x, r = case
     try:
@@ -501,13 +515,13 @@ def verify(
         raise ValueError(f"{ident.value} {'requires' if uses_r else 'does not take'} r")
     if uses_r and r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    lhs, rhs = fn(n, _key(lam), x if x is None else _key(x), r, mutate)
-    if _equal(lhs, rhs):
+    (a, b), (c, d) = fn(n, _key(lam), x if x is None else _key(x), r, mutate)
+    if a * d == c * b:
         if not values:
             return None, None, True
-        value = Fraction(*lhs)
+        value = Fraction(a, b)
         return value, value, True
-    return Fraction(*lhs), Fraction(*rhs), False
+    return Fraction(a, b), Fraction(c, d), False
 
 
 def _axis(values, order=lambda v: v) -> list:
@@ -542,7 +556,7 @@ def _run_group(runs, mutate, failures: list) -> None:
         for n in ns:
             for r in rs:
                 case = new(IdentityCase, (ident, n, lam, x, r))
-                lhs, rhs, passed = verify(case, mutate=mutate, values=False)
+                lhs, rhs, passed = verify(case, mutate, values=False)
                 if not passed:
                     failures += [(case, lhs, rhs)] * copies
 

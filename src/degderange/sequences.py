@@ -15,10 +15,11 @@ built on demand under one lock, exactly to the requested n (the derangement
 row as far as the terms row it is read from).  A key holds one
 (numerator, denominator) int pair per rational parameter (the deformation
 parameter, with the argument where there is one), so a lookup hashes ints
-only.  Every memo is listed in ``_MEMOS`` as it is made, so that the
+only.  Every live memo is listed, weakly, in ``_MEMOS``, so that the
 identity runner can empty them all (``_Memo.clear``) after each |lam|
-group.  A row keeps integer numerators over shared denominators,
-the layout of FLINT's ``fmpq_poly``, in one of two forms:
+group, and a memo that nothing else holds is freed.  A row keeps integer
+numerators over shared denominators, the layout of FLINT's ``fmpq_poly``,
+in one of two forms:
 
   _Memo          (nums, den): value k is nums[k]/den     falling factorials,
                                                          derangements, the
@@ -28,20 +29,26 @@ the layout of FLINT's ``fmpq_poly``, in one of two forms:
                                                          series path
   _TriangleMemo  (rows, q): row k is (nums, q^k)         both Stirling triangles
 
-``ints(key, n)`` gives the values 0..n (row n of a triangle) as one
-(nums, den) pair, the form that the kernel's ``dot`` and ``binomial_conv``
-take, and ``pair(key, n)`` gives value n as an unreduced int pair
-(num, den); the identity verifiers read these two, and only the public
+``ints(key, n)`` gives exactly the values 0..n (row n of a triangle) as
+one (nums, den) pair, the form that the kernel's ``dot`` and
+``binomial_conv`` take; ``row(key, n)`` gives the published row, which
+covers 0..n and may run past n; and ``pair(key, n)`` gives value n as an
+unreduced int pair (num, den).  The identity verifiers read all three:
+``row`` for every operand of a ``binomial_conv`` at n and of a ``dot``
+against a Stirling row n (their sums stop at n), ``ints`` for the Stirling
+rows themselves and ``pair`` for single values.  The public ``*_row``
+accessors, ``_entry`` and the grow steps read ``ints``, and only the public
 ``*_row`` and scalar accessors build ``Fraction`` values, at the API
 boundary.  A read that hits serves its row with one dict read, and ``ints``
 may return the published list itself, not a copy (a whole row of n + 1
-values, or row n of a triangle): no reader mutates what it is given.  A grow step builds a key's row for 0..n from the key alone, reading
-no earlier row of that key, and the memo publishes it in place of the old
-one: a published row is never changed, so a reader outside the lock,
-holding one reference to a row, never pairs new numerators with an old
-denominator.  A row is built whole, so many values of n are read
-through one row or column accessor, top n first, not through scalar calls
-in ascending n, each of which would rebuild the row.
+values, or row n of a triangle), but copies a slice of a longer row: no
+reader mutates what it is given.  A grow step builds a key's row for 0..n
+from the key alone, reading no earlier row of that key, and the memo
+publishes it in place of the old one: a published row is never changed, so
+a reader outside the lock, holding one reference to a row, never pairs new
+numerators with an old denominator.  A row is built whole, so many values
+of n are read through one row or column accessor, top n first, not through
+scalar calls in ascending n, each of which would rebuild the row.
 
 The fast paths grow by recurrences (falling factorials, both Stirling
 triangles), by sums over one row of explicit-sum terms (the derangement and
@@ -138,6 +145,7 @@ rows.
 from __future__ import annotations
 
 import threading
+import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, count, repeat
@@ -147,7 +155,7 @@ from operator import add, mul
 from .exactcore import ExactScalar, IntPair, Poly, as_fractions, factorial, pascal_step
 
 _lock = threading.RLock()
-_MEMOS: list = []  # every _Memo, in the order made
+_MEMOS = weakref.WeakSet()  # every live _Memo
 
 _cross_check = False
 
@@ -159,11 +167,18 @@ def set_cross_check(flag: bool) -> None:
 
 
 def _key(v: ExactScalar) -> tuple[int, int]:
-    """The memo key of a rational: its reduced (numerator, denominator) pair.
-    Anything else that ``Fraction`` accepts goes through it once."""
-    if not isinstance(v, (int, Fraction)):
-        v = Fraction(v)
-    return v.as_integer_ratio()
+    """The memo key of a rational: its reduced (numerator, denominator) pair
+    of plain ints.  An exact ``int`` or ``Fraction``, every key that the
+    runners and the CLI make, gives its own ``as_integer_ratio()``; anything
+    else that ``Fraction`` accepts goes through it once, its parts taken as
+    ints (a numpy integer has no ``as_integer_ratio``, and ``Fraction`` keeps
+    its numerator as given), so no subclass's or third party's ratio reaches
+    a key."""
+    t = type(v)
+    if t is Fraction or t is int:
+        return v.as_integer_ratio()
+    num, den = Fraction(v).as_integer_ratio()
+    return int(num), int(den)
 
 
 class _Memo:
@@ -179,18 +194,22 @@ class _Memo:
     lock is reentrant because building one memo's row may read another.
     ``clear`` drops rows, never changes one: a reader holding a row keeps
     a whole row, and a later read builds it anew.  Each memo registers
-    itself in ``_MEMOS``.
+    itself in ``_MEMOS``, weakly: a memo that nothing else holds is freed,
+    rows and all, and leaves the registry.
     """
 
-    __slots__ = ("grow", "rows")
+    __slots__ = ("grow", "rows", "__weakref__")
 
     def __init__(self, grow):
         self.grow = grow
         self.rows: dict = {}
-        _MEMOS.append(self)
+        _MEMOS.add(self)
 
     def row(self, key, n: int):
-        """The row for key, covering indices 0..n at least."""
+        """The row for key, covering indices 0..n at least: the published
+        layout itself, which may run past n.  The identity verifiers read
+        this wherever their kernel sum stops at n (a ``binomial_conv`` at n,
+        or a ``dot`` against a Stirling row of n + 1 entries)."""
         row = self.rows.get(key)
         if row is None or len(row[0]) <= n:
             with _lock:
@@ -200,8 +219,11 @@ class _Memo:
         return row
 
     def ints(self, key, n: int) -> tuple[list[int], int]:
-        """Values 0..n in integer-numerator form (nums, den): the published
-        list itself when it holds exactly n + 1 entries, else a slice."""
+        """Values 0..n in integer-numerator form (nums, den), exactly n + 1
+        of them: the published list itself when it holds exactly that many,
+        else a copied slice.  The public ``*_row`` accessors, ``_entry`` and
+        the grow steps read this; a per-case read whose sum stops at n reads
+        ``row`` and copies nothing."""
         row = self.rows.get(key)
         if row is None or len(row[0]) <= n:
             row = self.row(key, n)

@@ -601,6 +601,34 @@ def test_certify_ranges_evaluates_every_case_once(monkeypatch, mutate):
         assert all(per_n.values()) is not mutate
 
 
+def top_down_and_fresh(ident, lam, x, ns, mutate):
+    """verify's results at each n of ns, first top n first on the rows that
+    the first n built, then each on emptied memos; r = 2 where it is used."""
+    spec = _REGISTRY[ident]
+    cases = [IdentityCase(ident, n, lam, x if spec.uses_x else None, 2 if spec.uses_r else None)
+             for n in ns]
+    fresh = []
+    for case in cases:
+        for memo in sequences._MEMOS:
+            memo.clear()
+        fresh.append(verify(case, mutate))
+    for memo in sequences._MEMOS:
+        memo.clear()
+    return [verify(case, mutate) for case in cases], fresh
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+@pytest.mark.parametrize("lam, x", [(F(-1), F(2)), (F(2, 7), F(3, 4))])
+def test_verifiers_read_rows_built_past_n(lam, x, mutate):
+    """A case read from rows that a larger n built gives the result that it
+    gives on emptied memos, for every identity, also under mutation: the
+    verifiers read a published row past n only where their sum stops at n."""
+    for ident, spec in _REGISTRY.items():
+        top_down, fresh = top_down_and_fresh(ident, lam, x, range(12, spec.min_n - 1, -1), mutate)
+        assert top_down == fresh, ident
+        assert all(passed for _, _, passed in fresh) is not mutate, ident
+
+
 def count_grows(monkeypatch, share=(None,)):
     """Empties every memo and counts its grow steps in a Counter keyed by
     (memo, key, share[0]), share[0] naming the share of a pooled run that is

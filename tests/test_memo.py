@@ -9,15 +9,19 @@ serial build; they check that the library's batch reads build each row
 once and that the verifiers, handed published rows uncopied, write into
 none; they check that a reader never pairs the numerators of one row with the
 denominator of another, that every spelling of a parameter reaches one memo
-entry and that keys hold ints only; then they check each row and column
-accessor against its scalar reads.
+entry, that keys hold ints only and that the registry of memos frees a
+memo that nothing else holds; then they check each row and column accessor
+against its scalar reads, also below the top of a longer row.
 """
 
 import copy
+import gc
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -368,10 +372,29 @@ def test_series_columns_equal_top_down_scalar_reads_and_build_once(monkeypatch):
                 column(*bad, F(1, 2))
 
 
+class _OwnRatio(F):
+    """A Fraction subclass whose ``as_integer_ratio`` gives no ints."""
+
+    def as_integer_ratio(self):
+        return F(self.numerator), F(self.denominator)
+
+
 def test_every_spelling_of_a_parameter_reaches_one_memo_entry():
+    import numpy as np
+
     for a, b in ((0, F(0)), (2, F(2)), (F(1, 2), 0.5)):
         assert _key(a) == _key(b)
         assert all(type(v) is int for v in _key(a))
+    spellings = (0, -3, 10**30, True, False, F(-2, 6), _OwnRatio(1, 3), 0.5, -2.75,
+                 Decimal("1.25"), "1/3", " -2 ", np.int64(-7), np.int64(0))
+    for v in spellings:
+        assert _key(v) == F(v).as_integer_ratio(), v
+        assert all(type(part) is int for part in _key(v)), v
+    for bad in (float("nan"), float("inf"), "1/0", "abc"):
+        with pytest.raises(Exception) as expected:
+            F(bad)
+        with pytest.raises(expected.type):
+            _key(bad)
     for memo, read in (
         (sequences._FALLING, lambda lam, x: falling_row(x, 9, lam)),
         (sequences._DERANGE, lambda lam, x: derange_row(9, lam, x)),
@@ -393,9 +416,56 @@ def _leaves(key):
         yield key
 
 
+def _module_memos():
+    return {id(m): m for mod in (sequences, identities) for m in vars(mod).values() if isinstance(m, _Memo)}
+
+
+def test_a_memo_that_nothing_holds_leaves_the_registry():
+    """``_MEMOS`` holds its memos weakly: a memo made, filled and dropped is
+    freed with its row, and a run empties the module's 17 memos, which are
+    all that the registry lists."""
+    gc.collect()
+    assert len(sequences._MEMOS) == 17
+    memo = _Memo(sequences._FALLING.grow)
+    memo.row(((3, 4), (2, 7)), 12)
+    assert len(sequences._MEMOS) == 18
+    dropped = weakref.ref(memo)
+    del memo
+    gc.collect()
+    assert dropped() is None
+    assert len(sequences._MEMOS) == 17
+    assert identities.verify_grid(n_max=4).ok
+    assert set(map(id, sequences._MEMOS)) == set(_module_memos())
+    assert not any(memo.rows for memo in sequences._MEMOS)
+
+
+def test_row_accessors_read_exactly_n_plus_one_values_from_a_longer_row():
+    """A public row read at n = 10 of a row built to 40 gives 11 values, the
+    first 11 of the longer row (row 10 itself for a triangle)."""
+    lam, x = F(2, 7), F(3, 4)
+    for memo in sequences._MEMOS:
+        memo.clear()
+    for read, prefix in (
+        (lambda n: falling_row(x, n, lam), True),
+        (lambda n: derange_row(n, lam, x), True),
+        (lambda n: stirling1_row(n, lam), False),
+        (lambda n: stirling2_row(n, lam), False),
+        (lambda n: fubini_row(n, lam, x), True),
+        (lambda n: bell_row(n, lam, x), True),
+        (lambda n: fubini_series_row(n, lam, x), True),
+        (lambda n: bell_series_row(n, lam, x), True),
+    ):
+        top = read(40)
+        row = read(10)
+        assert len(top) == 41 and len(row) == 11
+        if prefix:
+            assert row == top[:11]
+    assert len(sequences._FALLING.rows[((3, 4), (2, 7))][0]) == 41
+
+
 def test_memo_keys_hold_ints_only():
     identities.verify_grid(n_max=8)
-    memos = {id(m): m for mod in (sequences, identities) for m in vars(mod).values() if isinstance(m, _Memo)}
+    memos = _module_memos()
     assert len(memos) == 17
     for memo in memos.values():
         for key in memo.rows:
