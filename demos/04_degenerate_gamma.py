@@ -15,9 +15,8 @@ from degderange import (
     deg_gamma11_cdf,
     deg_gamma_fn_exact,
     deg_gamma_fn_quadrature,
-    deg_gamma_pdf,
+    deg_gamma_pdf_mass,
     erlang_bridge_check,
-    improper_quadrature,
     sample_deg_gamma11,
     sampler_ks_check,
     stirling_log_expansion_check,
@@ -35,7 +34,7 @@ print()
 print("Density normalization by quadrature:")
 for alpha, beta, lam in ((1, 1, 0.25), (2, 1, 0.2), (1, 2, 1 / 3)):
     p = DegGammaParams(alpha, beta, lam)
-    mass = improper_quadrature(lambda x: deg_gamma_pdf(p, x))
+    mass = deg_gamma_pdf_mass(p)
     print(f"  alpha={alpha} beta={beta} lam={lam:.3f}: total mass {mass:.12f}")
 
 print()

@@ -52,13 +52,18 @@ Each dqk15i call takes its 15 function values from a *rule*: ``rule(a, b)``
 returns the mapped integrand f((1 - t)/t)/t/t at ``nodes(a, b)``, in that
 order, as a list of floats.  An integrand may carry its own ``rule`` method,
 so that a family of integrands can share the work per node that its members
-have in common (``probability`` does so for its damped moment integrands).
+have in common (``probability`` does so for its damped moment integrands),
+or so that one integrand evaluates its 15 nodes in one call rather than
+15 (``probability``'s density does so).
 A plain callable gets ``_point_rule``: one call f((1 - t)/t) per node,
 divided by t twice, the per-node path dqk15i always had, so a scalar
-``quad`` is unchanged.  Either way the Kronrod sums add the 15 floats one
-at a time in QUADPACK's order, so a rule that returns the very floats of
-the per-node calls leaves every value, error and neval unchanged, and
-scipy, which calls the integrand per node, still agrees bit for bit.
+``quad`` is unchanged.  Either way the Kronrod sums are straight-line
+expressions over the 15 floats that add them left to right in the order of
+QUADPACK's loops, each product by a zero Gauss weight kept, so that an inf
+or NaN value reaches the Gauss sum as in Fortran.  So a rule that returns
+the very floats of the per-node calls leaves every value, error and neval
+unchanged, and scipy, which calls the integrand per node, still agrees bit
+for bit.
 """
 
 from __future__ import annotations
@@ -104,9 +109,9 @@ _WG15 = (
     0.417959183673469387755102040816327,
 )
 
-# per Kronrod node x: its weights wgk and wg, and the position in a rule's
-# list of the value at centr - hlgth*x (the value at centr + hlgth*x follows)
-_K15_PAIRS = tuple(zip(_WGK15, _WG15, range(1, 15, 2)))
+# the weights one by one, outermost node first: wk8 and wg8 are the centre's
+_WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7, _WK8 = _WGK15
+_WG1, _WG2, _WG3, _WG4, _WG5, _WG6, _WG7, _WG8 = _WG15
 
 # scipy.integrate.quad's text for each ier
 _MESSAGES = {
@@ -165,24 +170,36 @@ def _qk15i(rule: Callable[[float, float], list], a: float, b: float):
     rule(a, b) gives, with QUADPACK's error estimate from |Kronrod - Gauss|.
 
     Returns (result, abserr, resabs, resasc): resabs and resasc are the
-    integrals of |f| and of |f - mean| over [a, b]."""
+    integrals of |f| and of |f - mean| over [a, b].  The four sums are
+    QUADPACK's loops written out: the centre term first, then the node
+    pairs from the outermost in, each term the Fortran's product, the
+    products by the zero Gauss weights included, so every sum rounds as
+    the loop does and 0.0 * inf is NaN in resg as it is there."""
     hlgth = 0.5 * (b - a)
-    fv = rule(a, b)
-    fc = fv[0]
-    resg = _WG15[7] * fc
-    resk = _WGK15[7] * fc
-    resabs = abs(resk)
-    for wk, wg, j in _K15_PAIRS:
-        fval1 = fv[j]
-        fval2 = fv[j + 1]
-        fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = rule(a, b)
+    s1 = l1 + r1
+    s2 = l2 + r2
+    s3 = l3 + r3
+    s4 = l4 + r4
+    s5 = l5 + r5
+    s6 = l6 + r6
+    s7 = l7 + r7
+    resg = (_WG8 * fc + _WG1 * s1 + _WG2 * s2 + _WG3 * s3 + _WG4 * s4
+            + _WG5 * s5 + _WG6 * s6 + _WG7 * s7)
+    resk = (_WK8 * fc + _WK1 * s1 + _WK2 * s2 + _WK3 * s3 + _WK4 * s4
+            + _WK5 * s5 + _WK6 * s6 + _WK7 * s7)
+    resabs = (abs(_WK8 * fc) + _WK1 * (abs(l1) + abs(r1)) + _WK2 * (abs(l2) + abs(r2))
+              + _WK3 * (abs(l3) + abs(r3)) + _WK4 * (abs(l4) + abs(r4))
+              + _WK5 * (abs(l5) + abs(r5)) + _WK6 * (abs(l6) + abs(r6))
+              + _WK7 * (abs(l7) + abs(r7)))
     reskh = resk * 0.5
-    resasc = _WGK15[7] * abs(fc - reskh)
-    for wk, _, j in _K15_PAIRS:
-        resasc = resasc + wk * (abs(fv[j] - reskh) + abs(fv[j + 1] - reskh))
+    resasc = (_WK8 * abs(fc - reskh) + _WK1 * (abs(l1 - reskh) + abs(r1 - reskh))
+              + _WK2 * (abs(l2 - reskh) + abs(r2 - reskh))
+              + _WK3 * (abs(l3 - reskh) + abs(r3 - reskh))
+              + _WK4 * (abs(l4 - reskh) + abs(r4 - reskh))
+              + _WK5 * (abs(l5 - reskh) + abs(r5 - reskh))
+              + _WK6 * (abs(l6 - reskh) + abs(r6 - reskh))
+              + _WK7 * (abs(l7 - reskh) + abs(r7 - reskh)))
     dhlgth = abs(hlgth)
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -352,12 +369,13 @@ def _adapt(rule: Callable[[float, float], list], epsabs: float, epsrel: float, l
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, 1, ier
 
-    # 1-based lists, as in QUADPACK
-    alist = [0.0] * (limit + 1)
-    blist = [0.0, 1.0] + [0.0] * (limit - 1)
-    rlist = [0.0, result] + [0.0] * (limit - 1)
-    elist = [0.0, abserr] + [0.0] * (limit - 1)
-    iord = [0, 1] + [0] * (limit - 1)
+    # 1-based lists, as in QUADPACK, with one entry per interval so far:
+    # each bisection adds entry last, and no entry past it is ever read
+    alist = [0.0, 0.0]
+    blist = [0.0, 1.0]
+    rlist = [0.0, result]
+    elist = [0.0, abserr]
+    iord = [0, 1]
     table = None  # the epsilon table, from the second bisection on
     errmax = abserr
     maxerr = 1
@@ -375,6 +393,11 @@ def _adapt(rule: Callable[[float, float], list], epsabs: float, epsrel: float, l
     parts = False  # the result is the sum over the intervals
 
     for last in range(2, limit + 1):
+        alist.append(0.0)
+        blist.append(0.0)
+        rlist.append(0.0)
+        elist.append(0.0)
+        iord.append(0)
         # bisect the interval of the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])

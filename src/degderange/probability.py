@@ -18,7 +18,11 @@ them: thm11 at one lam, n = 0..8, makes 121 rule calls on 21 intervals.
 So each :class:`_Damped` integrand gives ``_quadpack.quad`` a batch
 ``rule(a, b)`` that reads the interval's per-node transforms (x, 1 + lam*x,
 (1 + lam*x)^(-1/lam), e^(lam*u), log1p(lam*x)/lam) from
-``_transform(lam, a, b)``, then applies the member's own step.
+``_transform(lam, a, b)``, then applies the member's own step in one
+``values`` call per interval.  On an interval whose outer nodes are
+clamped (lam*u > 700, where every member is zero) that call runs over the
+live nodes only, and the rule puts 0.0 at the clamped ones; only a step
+that raises OverflowError falls back to one call per node.
 ``_transform`` is an LRU cache of ``TRANSFORM_CACHE_INTERVALS`` intervals,
 over every lam: a check visits some 21 to 35 intervals per lam, so it keeps
 a few lam values, and a quadrature that bisects without end cannot grow it.
@@ -30,17 +34,25 @@ gives, each operation in the same order, so value, abserr and neval are
 unchanged and scipy, handed the same integrand (it is callable per node),
 agrees bit for bit.
 
-That agreement also rests on the Kronrod sums: ``_quadpack`` adds the 15
-values one at a time, in QUADPACK's order.  Never form such a sum with
-``sum()`` or ``math.fsum``: both round differently from Fortran's loop, and
-float ``sum`` itself changed in Python 3.12 to a compensated sum, so the
-same code would give other bits on 3.10 and 3.11 than on 3.12.
+That agreement also rests on the Kronrod sums: ``_quadpack`` forms each
+of them as one straight-line expression over the 15 values, added left to
+right in the order of QUADPACK's loop, with the products by the zero Gauss
+weights kept, so that an inf value still makes the Gauss sum NaN.  Never
+form such a sum with ``sum()`` or ``math.fsum``: both round differently
+from Fortran's loop, and float ``sum`` itself changed in Python 3.12 to a
+compensated sum, so the same code would give other bits on 3.10 and 3.11
+than on 3.12.
 
 The normaliser of the degenerate gamma density is computed once per
 :class:`DegGammaParams` (its ``norm`` property), not once per density
 evaluation: an outer quadrature over the density then costs one inner
-quadrature in all, not one per node.  The expansion check integrates each
-E[X^m/(1+lam X)] once per (m, lam, spec), not once per n.
+quadrature in all, not one per node.  That outer quadrature,
+``deg_gamma_pdf_mass``, gives the density a rule that evaluates it at an
+interval's 15 nodes in one call of ``_pdf_formula``, the formula that
+``deg_gamma_pdf`` evaluates at one x.  Where a factor of that formula
+leaves the float range, the density is taken through its log.  The
+expansion check integrates each E[X^m/(1+lam X)] once per (m, lam, spec),
+not once per n.
 
 Quadrature runs on ``_quadpack``, a port of the QUADPACK routine behind
 ``scipy.integrate.quad`` on [0, inf) (``dqagie``) that returns scipy's
@@ -291,7 +303,8 @@ class _Damped:
     enforced by the callers).  Calling the integrand evaluates one u at
     t = 1, where both divisions are exact; ``rule(a, b)`` gives
     ``_quadpack.quad`` the 15 mapped values of a Kronrod interval from
-    ``_transform(lam, a, b)``, the interval's cached transform."""
+    ``_transform(lam, a, b)``, the interval's cached transform, in one
+    ``values`` call over its unclamped nodes."""
 
     __slots__ = ("lam", "values")
 
@@ -312,13 +325,15 @@ class _Damped:
 
     def rule(self, a: float, b: float) -> list[float]:
         nodes, live = _transform(self.lam, a, b)
-        if live:
-            try:
+        try:
+            if live:
                 return self.values(nodes)
-            except OverflowError:
-                pass
-        # zero the clamped and overflowing nodes only
-        return [self._value(node) for node in nodes]
+            # one values call over the unclamped nodes, 0.0 at the clamped
+            values = iter(self.values([node for node in nodes if node is not None]))
+            return [0.0 if node is None else next(values) for node in nodes]
+        except OverflowError:
+            # zero the overflowing nodes only
+            return [self._value(node) for node in nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +374,68 @@ def deg_gamma_fn_quadrature(s: float, lam: float, spec: QuadratureSpec | None = 
     return improper_quadrature(_Damped(lam, values), spec)
 
 
+def _pdf_formula(p: DegGammaParams, xs) -> list[float]:
+    """The one density formula, b (bx)^(a-1) (1 + lam*bx)^(-1/lam) / norm
+    with bx = b*x, at each x >= 0 of xs, as written: a power may overflow,
+    and an overflowed b (bx)^(a-1) times a tail that underflowed to 0.0 is
+    NaN.  ``deg_gamma_pdf`` then takes the density through its log."""
+    a, b, lam, norm = p.alpha, p.beta, p.lam, p.norm
+    e = -1 / lam
+    if a == 1:  # b * 1.0 is b
+        return [b * (1 + lam * (b * x)) ** e / norm for x in xs]
+    a1 = a - 1
+    return [b * (bx := b * x) ** a1 * (1 + lam * bx) ** e / norm for x in xs]
+
+
+def _pdf_log(p: DegGammaParams, x: float) -> float:
+    """The density at x > 0 as exp(log b + (a-1) log bx - log1p(lam*bx)/lam
+    - log norm): 0.0 where that underflows, inf where it overflows."""
+    a, b, lam = p.alpha, p.beta, p.lam
+    lbx = math.log(b) + math.log(x)  # finite where b*x overflows
+    bx = b * x
+    tail = math.log1p(lam * bx) if bx < math.inf else math.log(lam) + lbx
+    try:
+        return math.exp(math.log(b) + (a - 1) * lbx - tail / lam - math.log(p.norm))
+    except OverflowError:
+        return math.inf
+
+
 def deg_gamma_pdf(params: DegGammaParams, x: float) -> float:
-    """Density of the degenerate gamma distribution; zero for x < 0."""
+    """Density of the degenerate gamma distribution; zero for x < 0.  Where
+    a factor of its formula leaves the float range, the density is the exp
+    of its log, 0.0 where that underflows."""
     if x < 0:
         return 0.0
-    a, b, lam = params.alpha, params.beta, params.lam
-    bx = b * x
-    power = 1.0 if a == 1 else bx ** (a - 1)
-    return b * power * (1 + lam * bx) ** (-1 / lam) / params.norm
+    try:
+        (value,) = _pdf_formula(params, (x,))
+    except OverflowError:
+        return _pdf_log(params, x)
+    return value if math.isfinite(value) else _pdf_log(params, x)
+
+
+def deg_gamma_pdf_mass(params: DegGammaParams, spec: QuadratureSpec | None = None) -> float:
+    """The integral of ``deg_gamma_pdf(params, x)`` over [0, inf), which is
+    1 up to the quadrature error: one quadrature, whose rule evaluates the
+    density at the 15 nodes of a Kronrod interval at once."""
+
+    def density(x: float) -> float:
+        return deg_gamma_pdf(params, x)
+
+    def rule(a: float, b: float) -> list[float]:
+        # the density at the nodes, each divided by t twice as the per-node
+        # path does, from one formula call unless a value is not finite
+        ts = _quadpack.nodes(a, b)
+        xs = [(1.0 - t) / t for t in ts]
+        try:
+            values = _pdf_formula(params, xs)
+        except OverflowError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            values = [deg_gamma_pdf(params, x) for x in xs]
+        return [(v / t) / t for v, t in zip(values, ts)]
+
+    density.rule = rule
+    return improper_quadrature(density, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from collections import Counter
 import os
 import re
@@ -170,6 +171,26 @@ def test_gamma_check_non_finite_beta_is_a_domain_error(beta, capsys):
     assert capsys.readouterr() == ("", f"error: beta must be finite, got {beta}\n")
     assert cli.main(argv + ["0"]) == 2
     assert capsys.readouterr() == ("", "error: beta must be positive, got 0.0\n")
+
+
+def test_normalization_past_the_float_range_of_the_density_factors(capsys):
+    # (bx)^(alpha-1) overflows at alpha = 99.5, and at beta = 1e300 an
+    # infinite b (bx)^(alpha-1) meets a tail that underflowed to 0.0: each
+    # check ends in one error: line or in a document, never a traceback or
+    # a NaN partial estimate
+    from degderange import cli
+
+    argv = ["gamma-check", "normalization", "--lambda=1/100", "--alpha", "99.5"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "nan" not in err
+    argv = ["gamma-check", "normalization", "--lambda=1/5", "--alpha", "1.5", "--beta", "1e300"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    (result,) = json.loads(out)["results"]
+    assert result["passed"] is False and math.isfinite(result["numeric_value"])
 
 
 def test_sample_deterministic_bytes():

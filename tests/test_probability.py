@@ -1,5 +1,7 @@
+import decimal
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from random import Random
 
@@ -18,6 +20,7 @@ from degderange.probability import (
     deg_gamma_fn_exact,
     deg_gamma_fn_quadrature,
     deg_gamma_pdf,
+    deg_gamma_pdf_mass,
     erlang_bridge_check,
     erlang_moment,
     erlang_moment_quadrature,
@@ -185,6 +188,25 @@ def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_transforms
     assert info.misses == info.currsize == len(set(rules)) == 21
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.2, 0.36])
+def test_a_clamped_interval_takes_one_values_call(lam, monkeypatch, fresh_transforms):
+    # a rule call hands its unclamped nodes to one values call, whether or
+    # not the interval has clamped nodes; no thm11 member overflows, so none
+    # takes the per-node path
+    clamped = 0
+    for f in _damped_members(monkeypatch, lam)[:9]:
+        sizes = []
+        values = f.values
+        f.values = lambda nodes, values=values: sizes.append(len(nodes)) or values(nodes)
+        for a, b in _INTERVALS:
+            sizes.clear()
+            f.rule(a, b)
+            nodes, live = probability._transform(lam, a, b)
+            assert sizes == [sum(node is not None for node in nodes)], (a, b)
+            clamped += not live
+    assert clamped
+
+
 def test_node_cache_is_bounded(fresh_transforms):
     # the bound counts intervals over every lam, so a few lam values of the
     # gamma checks fit, and it holds at each lam added past it
@@ -310,6 +332,97 @@ def test_pdf_matches_per_call_normaliser(alpha, beta, lam):
         power = 1.0 if alpha == 1 else bx ** (alpha - 1)
         expected = beta * power * (1 + lam * bx) ** (-1 / lam) / norm
         assert deg_gamma_pdf(p, x) == expected
+
+
+def _density_integrand(monkeypatch, params):
+    """The integrand that deg_gamma_pdf_mass hands to the quadrature."""
+    params.norm  # a quadrature itself at non-integer alpha
+    members = []
+    monkeypatch.setattr(probability, "improper_quadrature", lambda f, spec=None: members.append(f))
+    deg_gamma_pdf_mass(params)
+    monkeypatch.undo()
+    (f,) = members
+    return f
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.2, 0.36])
+@pytest.mark.parametrize("beta", [1, 3])
+@pytest.mark.parametrize("alpha", [1, 1.5, 2])
+def test_density_rule_is_the_scalar_density(alpha, beta, lam, monkeypatch):
+    # the batch rule, called twice, gives the bits of the per-node path of
+    # deg_gamma_pdf on every interval
+    p = DegGammaParams(alpha, beta, lam)
+    f = _density_integrand(monkeypatch, p)
+    point_rule = _quadpack._point_rule(lambda x: deg_gamma_pdf(p, x))
+    for a, b in _INTERVALS:
+        expected = _bits(point_rule(a, b))
+        assert _bits(f.rule(a, b)) == expected, (a, b)
+        assert _bits(f.rule(a, b)) == expected, (a, b)
+
+
+def _density_as_written(p, x):
+    # the density formula as deg_gamma_pdf wrote it before its log path
+    bx = p.beta * x
+    power = 1.0 if p.alpha == 1 else bx ** (p.alpha - 1)
+    return p.beta * power * (1 + p.lam * bx) ** (-1 / p.lam) / p.norm
+
+
+def test_pdf_is_the_written_formula_wherever_that_is_finite():
+    xs = [0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, 2.75, 40.0, 1e5, 1e30, 1e100, 1e200, 1e300]
+    written = other = 0
+    for lam in (0.05, 0.2, 0.36):
+        for alpha in (0.5, 1, 1.5, 2, 2.5):
+            if alpha >= 1 / lam:
+                continue
+            for beta in (0.5, 1, 3, 1e10, 1e300):
+                p = DegGammaParams(alpha, beta, lam)
+                for x in xs:
+                    if alpha < 1 and beta * x == 0:
+                        continue  # 0.0 ** (alpha - 1) raises ZeroDivisionError
+                    try:
+                        expected = _density_as_written(p, x)
+                    except OverflowError:
+                        expected = math.nan
+                    if math.isfinite(expected):
+                        written += 1
+                        assert deg_gamma_pdf(p, x).hex() == expected.hex(), (alpha, beta, lam, x)
+                    elif x > 0:
+                        other += 1
+                        # not NaN; inf only past the float range
+                        assert deg_gamma_pdf(p, x) >= 0.0, (alpha, beta, lam, x)
+    assert written > 400 and other > 20
+
+
+def test_pdf_past_the_float_range_of_its_factors(monkeypatch):
+    # (bx)^(a-1) overflows, and at beta = 1e300 an infinite b (bx)^(a-1)
+    # meets a tail that underflowed to 0.0: the density is the exp of its
+    # log, 0.0 where that underflows, on the scalar and the batch path
+    overflow = DegGammaParams(3.0, 1.0, 0.2)
+    with pytest.raises(OverflowError):
+        _density_as_written(overflow, 1e200)
+    assert deg_gamma_pdf(overflow, 1e200) == 0.0
+    huge_beta = DegGammaParams(1.5, 1e300, 0.2)
+    assert math.isnan(_density_as_written(huge_beta, 1.0))
+    assert deg_gamma_pdf(huge_beta, 1.0) == 0.0
+    # where the log path is not negligible: b (bx)^(a-1) = 2b overflows at
+    # bx = 4, but b 2 (1 + 4 lam)^(-1/lam) / norm does not
+    edge = DegGammaParams(1.5, 1.7e308, 0.2)
+    x = 4 / 1.7e308
+    assert _density_as_written(edge, x) == math.inf
+    assert deg_gamma_pdf(edge, x) == pytest.approx(1.7e308 * (2 * 1.8**-5) / edge.norm, rel=1e-12)
+    # b*x itself overflows, and the density is still far from 0.0
+    far = DegGammaParams(1.9, 1e308, 0.5)
+    assert 1e308 * 2.0 == math.inf
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        b, x, lam = Decimal(1e308), Decimal(2), Decimal("0.5")
+        expected = b * (b * x) ** Decimal("0.9") * (1 + lam * b * x) ** -2 / Decimal(far.norm)
+    assert 0 < deg_gamma_pdf(far, 2.0) == pytest.approx(float(expected), rel=1e-12)
+    for p in (overflow, huge_beta, edge, far):
+        f = _density_integrand(monkeypatch, p)
+        point_rule = _quadpack._point_rule(lambda x: deg_gamma_pdf(p, x))
+        for a, b in _INTERVALS:
+            assert _bits(f.rule(a, b)) == _bits(point_rule(a, b)), (a, b)
 
 
 def test_params_validation():

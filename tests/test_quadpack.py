@@ -14,6 +14,7 @@ from degderange.probability import (
     QuadratureSpec,
     deg_gamma_fn_quadrature,
     deg_gamma_pdf,
+    deg_gamma_pdf_mass,
     erlang_moment_quadrature,
     improper_quadrature,
     moment_ratio_expectation,
@@ -60,11 +61,12 @@ def test_library_quadratures_are_scipys(monkeypatch):
         run(deg_gamma_fn_quadrature, 1.5, lam)
         params = DegGammaParams(1.5, 1.0, lam)
         run(improper_quadrature, lambda x: deg_gamma_pdf(params, x))
+        run(deg_gamma_pdf_mass, params)
         for m in range(4):
             run(moment_ratio_expectation, m, lam / 16)
     for r in (1, 3):
         run(erlang_moment_quadrature, 4, r)
-    assert len(checked) == 3 * 17 + 2
+    assert len(checked) == 3 * 18 + 2
 
 
 def _integrand(rng):
@@ -111,6 +113,28 @@ ERROR_PATHS = [
     (lambda x: math.exp(-x) / abs(x - 1) if x != 1 else 0.0, 1e-12, 1e-9, 200),
     (math.sin, 1e-12, 1e-9, 200),
 ]
+
+
+# values that the Kronrod sums must carry as QUADPACK's loops do: -0.0,
+# whose sign survives only a sum that starts from the centre term, and inf
+# or NaN.  The outer nodes of the first rule call sit at x ~ 233, so every
+# non-finite value reaches a node.  The products with the zero Gauss weights
+# make resg NaN there, as in Fortran, but resasc is then NaN too and decides
+# abserr either way: no case can tell those products from none.
+NON_FINITE = [
+    lambda x: -0.0,
+    lambda x: math.inf if x > 100 else math.exp(-x),
+    lambda x: -math.inf if x > 100 else math.exp(-x),
+    lambda x: math.nan if x > 100 else math.exp(-x),
+    lambda x: math.nan if x < 1 else math.exp(-x),
+]
+
+
+@pytest.mark.parametrize("epsabs, epsrel, limit", [(1e-12, 1e-9, 200), (0.0, 1e-9, 50), (1e-12, 1e-9, 1)])
+@pytest.mark.parametrize("f", NON_FINITE)
+def test_non_finite_and_signed_zero_values_are_scipys(f, epsabs, epsrel, limit):
+    args = (f, epsabs, epsrel, limit)
+    assert ported_quad(*args) == scipy_quad(*args)
 
 
 @pytest.mark.parametrize("f, epsabs, epsrel, limit", ERROR_PATHS)
