@@ -15,8 +15,9 @@ from degderange import (
     deg_gamma11_cdf,
     deg_gamma_fn_exact,
     deg_gamma_fn_quadrature,
-    deg_gamma_pdf_mass,
+    deg_gamma_pdf,
     erlang_bridge_check,
+    improper_quadrature,
     sample_deg_gamma11,
     sampler_ks_check,
     stirling_log_expansion_check,
@@ -34,7 +35,7 @@ print()
 print("Density normalization by quadrature:")
 for alpha, beta, lam in ((1, 1, 0.25), (2, 1, 0.2), (1, 2, 1 / 3)):
     p = DegGammaParams(alpha, beta, lam)
-    mass = deg_gamma_pdf_mass(p)
+    mass = improper_quadrature(lambda x: deg_gamma_pdf(p, x))
     print(f"  alpha={alpha} beta={beta} lam={lam:.3f}: total mass {mass:.12f}")
 
 print()

@@ -130,7 +130,6 @@ __all__ = [
     "deg_gamma_fn_exact",
     "deg_gamma_fn_quadrature",
     "deg_gamma_pdf",
-    "deg_gamma_pdf_mass",
     "deg_gamma11_cdf",
     "deg_gamma11_ppf",
     "sample_deg_gamma11",

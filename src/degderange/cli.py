@@ -396,7 +396,7 @@ def _cmd_gamma_check(args) -> int:
             params["alpha"] = args.alpha
             params["beta"] = args.beta
             p = probability.DegGammaParams(args.alpha, args.beta, float(lam))
-            mass = probability.deg_gamma_pdf_mass(p)
+            mass = probability._pdf_mass(p)
             res = probability._compare(mass, Fraction(1), probability.DEFAULT_CHECK_TOL)
             results.append(_result_dict(res, alpha=args.alpha, beta=args.beta))
         elif args.check == "expansion":

@@ -47,9 +47,9 @@ The normaliser of the degenerate gamma density is computed once per
 :class:`DegGammaParams` (its ``norm`` property), not once per density
 evaluation: an outer quadrature over the density then costs one inner
 quadrature in all, not one per node.  That outer quadrature,
-``deg_gamma_pdf_mass``, gives the density a rule that evaluates it at an
-interval's 15 nodes in one call of ``_pdf_formula``, the formula that
-``deg_gamma_pdf`` evaluates at one x.  Where a factor of that formula
+``_pdf_mass``, gives the density a rule that calls ``_pdf_formula``, the
+formula ``deg_gamma_pdf`` evaluates, at an interval's 15 nodes, with no
+call of the density itself in between.  Where a factor of that formula
 leaves the float range, the density is taken through its log.  The
 expansion check integrates each E[X^m/(1+lam X)] once per (m, lam, spec),
 not once per n.
@@ -374,17 +374,14 @@ def deg_gamma_fn_quadrature(s: float, lam: float, spec: QuadratureSpec | None = 
     return improper_quadrature(_Damped(lam, values), spec)
 
 
-def _pdf_formula(p: DegGammaParams, xs) -> list[float]:
-    """The one density formula, b (bx)^(a-1) (1 + lam*bx)^(-1/lam) / norm
-    with bx = b*x, at each x >= 0 of xs, as written: a power may overflow,
-    and an overflowed b (bx)^(a-1) times a tail that underflowed to 0.0 is
-    NaN.  ``deg_gamma_pdf`` then takes the density through its log."""
-    a, b, lam, norm = p.alpha, p.beta, p.lam, p.norm
-    e = -1 / lam
-    if a == 1:  # b * 1.0 is b
-        return [b * (1 + lam * (b * x)) ** e / norm for x in xs]
-    a1 = a - 1
-    return [b * (bx := b * x) ** a1 * (1 + lam * bx) ** e / norm for x in xs]
+def _pdf_formula(p: DegGammaParams, x: float) -> float:
+    """The density formula, b (bx)^(a-1) (1 + lam*bx)^(-1/lam) / norm with
+    bx = b*x, at x >= 0, as written: a power may overflow, and an
+    overflowed b (bx)^(a-1) times a tail that underflowed to 0.0 is NaN.
+    ``deg_gamma_pdf`` then takes the density through its log."""
+    b, lam = p.beta, p.lam
+    bx = b * x
+    return b * bx ** (p.alpha - 1) * (1 + lam * bx) ** (-1 / lam) / p.norm
 
 
 def _pdf_log(p: DegGammaParams, x: float) -> float:
@@ -407,35 +404,35 @@ def deg_gamma_pdf(params: DegGammaParams, x: float) -> float:
     if x < 0:
         return 0.0
     try:
-        (value,) = _pdf_formula(params, (x,))
+        value = _pdf_formula(params, x)
     except OverflowError:
         return _pdf_log(params, x)
     return value if math.isfinite(value) else _pdf_log(params, x)
 
 
-def deg_gamma_pdf_mass(params: DegGammaParams, spec: QuadratureSpec | None = None) -> float:
+def _pdf_mass(params: DegGammaParams) -> float:
     """The integral of ``deg_gamma_pdf(params, x)`` over [0, inf), which is
-    1 up to the quadrature error: one quadrature, whose rule evaluates the
-    density at the 15 nodes of a Kronrod interval at once."""
+    1 up to the quadrature error: one quadrature, whose rule calls the
+    formula at each node of a Kronrod interval with no call of the density
+    in between."""
 
     def density(x: float) -> float:
         return deg_gamma_pdf(params, x)
 
     def rule(a: float, b: float) -> list[float]:
-        # the density at the nodes, each divided by t twice as the per-node
-        # path does, from one formula call unless a value is not finite
+        # each value divided by t twice as the per-node path does; an
+        # interval where the formula leaves the float range takes that path
         ts = _quadpack.nodes(a, b)
-        xs = [(1.0 - t) / t for t in ts]
         try:
-            values = _pdf_formula(params, xs)
+            values = [(_pdf_formula(params, (1.0 - t) / t) / t) / t for t in ts]
+            if all(map(math.isfinite, values)):
+                return values
         except OverflowError:
-            values = None
-        if values is None or not all(map(math.isfinite, values)):
-            values = [deg_gamma_pdf(params, x) for x in xs]
-        return [(v / t) / t for v, t in zip(values, ts)]
+            pass
+        return [(deg_gamma_pdf(params, (1.0 - t) / t) / t) / t for t in ts]
 
     density.rule = rule
-    return improper_quadrature(density, spec)
+    return improper_quadrature(density)
 
 
 # ---------------------------------------------------------------------------

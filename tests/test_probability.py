@@ -20,7 +20,6 @@ from degderange.probability import (
     deg_gamma_fn_exact,
     deg_gamma_fn_quadrature,
     deg_gamma_pdf,
-    deg_gamma_pdf_mass,
     erlang_bridge_check,
     erlang_moment,
     erlang_moment_quadrature,
@@ -335,11 +334,11 @@ def test_pdf_matches_per_call_normaliser(alpha, beta, lam):
 
 
 def _density_integrand(monkeypatch, params):
-    """The integrand that deg_gamma_pdf_mass hands to the quadrature."""
+    """The integrand that _pdf_mass hands to the quadrature."""
     params.norm  # a quadrature itself at non-integer alpha
     members = []
     monkeypatch.setattr(probability, "improper_quadrature", lambda f, spec=None: members.append(f))
-    deg_gamma_pdf_mass(params)
+    probability._pdf_mass(params)
     monkeypatch.undo()
     (f,) = members
     return f

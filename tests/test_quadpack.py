@@ -14,7 +14,6 @@ from degderange.probability import (
     QuadratureSpec,
     deg_gamma_fn_quadrature,
     deg_gamma_pdf,
-    deg_gamma_pdf_mass,
     erlang_moment_quadrature,
     improper_quadrature,
     moment_ratio_expectation,
@@ -61,7 +60,7 @@ def test_library_quadratures_are_scipys(monkeypatch):
         run(deg_gamma_fn_quadrature, 1.5, lam)
         params = DegGammaParams(1.5, 1.0, lam)
         run(improper_quadrature, lambda x: deg_gamma_pdf(params, x))
-        run(deg_gamma_pdf_mass, params)
+        run(probability._pdf_mass, params)
         for m in range(4):
             run(moment_ratio_expectation, m, lam / 16)
     for r in (1, 3):
