@@ -7,32 +7,30 @@ an exact lam and divide by float(lam), so they refuse a lam that rounds out
 of (0, 1/2) as a float, as 1e-400 rounds to 0.0.
 
 Integrands containing powers of the deformed exponential are integrated after
-the change of variables u = (1/lam)*log(1 + lam*x), which maps them to
-exponentially damped integrands on [0, inf).
+the change of variables u = (1/lam)*log(1 + lam*x).  With
+x = (e^(lam*u) - 1)/lam, (1 + lam*x)^(-1/lam) = e^(-u) and 1 + lam*x =
+e^(lam*u), so each damped member is exactly c * x^a * u^b * e^(-r*u) on
+[0, inf): ``deg_gamma_fn_quadrature`` is x^(s-1) e^(-(1-lam)u),
+``theorem11_check`` is (1-lam) u^n e^(-u) and ``moment_ratio_expectation``
+is (1-lam) x^m e^(-u).  :func:`_damped` evaluates each node as one ``exp``
+of a sum of logs, with log x = lam*u + log(1 - e^(-lam*u)) - log(lam),
+finite for every u > 0, so no factor overflows where the product does not,
+and no power of 1 + lam*x magnifies its rounding by 1/lam.  A node or a
+result that does leave the float range raises :class:`QuadratureError`.
 
-The damped integrands of one lam share their node transforms.  Those of
-``theorem11_check``, ``moment_ratio_expectation`` and
-``deg_gamma_fn_quadrature`` differ only in their own factor, and the
-adaptive bisection visits mostly the same Kronrod intervals for each of
-them: thm11 at one lam, n = 0..8, makes 121 rule calls on 21 intervals.
-So each :class:`_Damped` integrand gives ``_quadpack.quad`` a batch
-``rule(a, b)`` that reads the interval's per-node transforms (x, 1 + lam*x,
-(1 + lam*x)^(-1/lam), e^(lam*u), log1p(lam*x)/lam) from
-``_transform(lam, a, b)``, then applies the member's own step in one
-``values`` call per interval.  On an interval whose outer nodes are
-clamped (lam*u > 700, where every member is zero) that call runs over the
-live nodes only, and the rule puts 0.0 at the clamped ones; only a step
-that raises OverflowError falls back to one call per node.
-``_transform`` is an LRU cache of ``TRANSFORM_CACHE_INTERVALS`` intervals,
-over every lam: a check visits some 21 to 35 intervals per lam, so it keeps
-a few lam values, and a quadrature that bisects without end cannot grow it.
-The cache lives at module level because the CLI runs each n of
-``gamma-check thm11`` as its own call; each interval's transform is a
-tuple, built whole and never changed, so a warm and a cold cache give the
-same floats.  Every value is the float the per-node integrand
-gives, each operation in the same order, so value, abserr and neval are
-unchanged and scipy, handed the same integrand (it is callable per node),
-agrees bit for bit.
+The damped members of one lam share their node logs: thm11 at one lam,
+n = 0..8, makes 121 rule calls on 21 Kronrod intervals.  So each member
+gives ``_quadpack.quad`` a batch ``rule(a, b)`` that reads the interval's
+(t, u, log x, log u) per node from ``_transform``, an LRU cache of
+``TRANSFORM_CACHE_INTERVALS`` intervals over every lam: a check visits some
+21 to 35 intervals per lam, so it keeps a few lam values, and a quadrature
+that bisects without end cannot grow it.  The cache lives at module level
+because the CLI runs each n of ``gamma-check thm11`` as its own call; each
+interval's entry is a tuple, built whole and never changed, so a warm and a
+cold cache give the same floats.  Every value is the float the per-node
+integrand gives, each operation in the same order, so value, abserr and
+neval are those of the per-node path, and scipy, handed the same integrand
+(it is callable per node), agrees bit for bit.
 
 That agreement also rests on the Kronrod sums: ``_quadpack`` forms each
 of them as one straight-line expression over the 15 values, added left to
@@ -116,11 +114,14 @@ DEFAULT_CHECK_TOL = 1e-8
 # the largest n whose moment target (1-lam) n! is compared as a float:
 # 170! ~ 7.3e306 fits in one, 171! ~ 1.2e309 does not
 MAX_FLOAT_N = 170
-# the Kronrod intervals whose node transforms (about 3.8 kB each) stay
-# cached, over every lam: about three lam values of the gamma checks, at
-# 33-35 intervals each.  On the benchmark's gamma ops (seed 1) it builds
-# 2,387 transforms against 2,392 for four per-lam caches, in no more memory
+# the Kronrod intervals whose node logs (about 2.7 kB each) stay cached,
+# over every lam: about three lam values of the gamma checks, at 33-35
+# intervals each.  On the benchmark's gamma ops (seed 1) it builds 2,387
+# of them for 8,083 rule calls
 TRANSFORM_CACHE_INTERVALS = 96
+# log x and log u at u = 0: 0 * _LOG0 is 0, so x^0 = u^0 = 1 there, a
+# positive power is 0 and a negative one is past the float range
+_LOG0 = -sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -261,79 +262,81 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
     return value
 
 
-def _nodes(lam: float, points) -> tuple:
-    """What every damped member reads at each (u, t) of points, t the node
-    of the map u = (1 - t)/t: (t, x, 1 + lam*x, (1 + lam*x)^(-1/lam),
-    e^(lam*u), log1p(lam*x)/lam) with x = (e^(lam*u) - 1)/lam, or None
-    where lam*u > 700 and every member is clamped to zero."""
-    expm1, exp, log1p = math.expm1, math.exp, math.log1p
-    e = -1 / lam
+def _node_logs(lam: float, centre: float, points) -> list:
+    """(t, u, log x, log u) at each (t, w) of points: u = centre*w and
+    x = (e^(lam*u) - 1)/lam, log x taken as lam*u + log(1 - e^(-lam*u)) -
+    log(lam), finite for every u > 0.  At u = 0, which only the rounding of
+    a node t to 1 reaches, both logs are ``_LOG0``."""
+    log, expm1, log_lam = math.log, math.expm1, math.log(lam)
     out = []
-    for u, t in points:
+    for t, w in points:
+        u = centre * w
         lu = lam * u
-        if lu > 700.0:
-            out.append(None)
-        else:
-            x = expm1(lu) / lam
-            lx = lam * x
-            onep = 1 + lx
-            out.append((t, x, onep, onep**e, exp(lu), log1p(lx) / lam))
-    return tuple(out)
+        out.append((t, u, lu + log(-expm1(-lu)) - log_lam, log(u)) if u else (t, u, _LOG0, _LOG0))
+    return out
 
 
 @lru_cache(maxsize=TRANSFORM_CACHE_INTERVALS)
-def _transform(lam: float, a: float, b: float) -> tuple:
-    """The nodes of one Kronrod interval [a, b] at lam, in the order of
-    ``_quadpack.nodes(a, b)``, and whether none of them is clamped; cached
-    for the last ``TRANSFORM_CACHE_INTERVALS`` intervals used."""
-    nodes = _nodes(lam, [((1.0 - t) / t, t) for t in _quadpack.nodes(a, b)])
-    return nodes, None not in nodes
+def _transform(lam: float, centre: float, a: float, b: float) -> tuple:
+    """``_node_logs`` at the nodes t of the Kronrod interval [a, b], in the
+    order of ``_quadpack.nodes(a, b)``, w = (1 - t)/t; cached for the last
+    ``TRANSFORM_CACHE_INTERVALS`` intervals used."""
+    return tuple(_node_logs(lam, centre, [(t, (1.0 - t) / t) for t in _quadpack.nodes(a, b)]))
 
 
-class _Damped:
-    """A u-space integrand g(x(u)) * dx/du of x = (e^(lam*u) - 1)/lam on
-    [0, inf), exponentially damped whenever g carries a power of the deformed
-    exponential.  ``values(nodes)`` is the member's own step: for each node
-    (t, x, onep, power, jac, log) of ``_nodes``, g(x) * jac / t / t, each
-    operation in the order of the per-node expression.
+def _damped(
+    lam: float, c: float, a: float, b: float, r: float, spec: QuadratureSpec | None
+) -> float:
+    """c times the integral over u in [0, inf) of x^a u^b e^(-r*u), with
+    x = (e^(lam*u) - 1)/lam, for a*b = 0, r > 0 and a < r/lam: a damped
+    member in u-space.  Each node is exp(E), E = a log x + b log u - r*u -
+    shift.
 
-    Far in the tail the damped value underflows to zero while intermediate
-    powers of x(u) overflow: a node with lam*u > 700 is zero, and so is a
-    node whose step raises OverflowError (valid on the convergent windows
-    enforced by the callers).  Calling the integrand evaluates one u at
-    t = 1, where both divisions are exact; ``rule(a, b)`` gives
-    ``_quadpack.quad`` the 15 mapped values of a Kronrod interval from
-    ``_transform(lam, a, b)``, the interval's cached transform, in one
-    ``values`` call over its unclamped nodes."""
+    Two values follow from the inputs.  shift = max(0, log T - 690), with
+    log T the log of the integral by ``lgamma`` (n!/r^(n+1) for u^n, the
+    Beta form lam^-(a+1) B(a+1, r/lam - a) for x^a), keeps the nodes finite
+    near n = 170; it is a scale only, 0 below e^690, and the result is
+    multiplied back.  The quadrature runs in w = u/centre, centre the
+    integrand's peak u* (b/r for u^b, -log1p(-a*lam/r)/lam for x^a) where
+    that is at least 64, else 1: the first Kronrod rules miss a peak that
+    far out and converge, with ier 0, to about 0.
 
-    __slots__ = ("lam", "values")
+    The per-node callable gives exp(E)*centre at w; ``rule(a, b)`` gives
+    exp(E)*centre/t/t at the nodes of ``_transform``, the floats of the
+    per-node path that scipy takes.  Raises :class:`QuadratureError` where
+    the quadrature does not converge, or a node or the result leaves the
+    float range; its partial estimate carries the scale."""
+    if b:
+        log_t, peak = math.lgamma(b + 1) - (b + 1) * math.log(r), b / r
+    else:
+        q = r / lam
+        log_t = math.lgamma(a + 1) - (a + 1) * math.log(r)  # the limit lam -> 0
+        if q < 1e12:  # past it lgamma(q) ~ q log q, and the difference loses units
+            log_t += math.lgamma(q - a) - math.lgamma(q + 1) + (a + 1) * math.log(q)
+        peak = -math.log1p(-a / q) / lam
+    shift = max(0.0, log_t - 690.0)
+    centre = peak if peak >= 64 else 1.0
+    exp = math.exp
 
-    def __init__(self, lam: float, values: Callable[[tuple], list]):
-        self.lam = lam
-        self.values = values
+    def f(w: float) -> float:
+        ((_, u, lx, lu),) = _node_logs(lam, centre, ((1.0, w),))
+        return exp(a * lx + b * lu - r * u - shift) * centre
 
-    def __call__(self, u: float) -> float:
-        return self._value(_nodes(self.lam, ((u, 1.0),))[0])
+    def rule(lo: float, hi: float) -> list[float]:
+        return [exp(a * lx + b * lu - r * u - shift) * centre / t / t
+                for t, u, lx, lu in _transform(lam, centre, lo, hi)]
 
-    def _value(self, node) -> float:
-        if node is None:
-            return 0.0
-        try:
-            return self.values((node,))[0]
-        except OverflowError:
-            return 0.0
-
-    def rule(self, a: float, b: float) -> list[float]:
-        nodes, live = _transform(self.lam, a, b)
-        try:
-            if live:
-                return self.values(nodes)
-            # one values call over the unclamped nodes, 0.0 at the clamped
-            values = iter(self.values([node for node in nodes if node is not None]))
-            return [0.0 if node is None else next(values) for node in nodes]
-        except OverflowError:
-            # zero the overflowing nodes only
-            return [self._value(node) for node in nodes]
+    f.rule = rule
+    try:
+        scale = c * math.exp(shift)
+        value = improper_quadrature(f, spec) * scale
+    except QuadratureError as exc:
+        raise QuadratureError(exc.args[0], exc.partial_estimate * scale) from None
+    except OverflowError:  # e^shift or a node past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise QuadratureError("integral evaluated to a non-finite value", value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +368,7 @@ def deg_gamma_fn_quadrature(s: float, lam: float, spec: QuadratureSpec | None = 
     if not 0 < s < 1 / lam:
         raise ValueError(f"s must lie in (0, 1/lam), got {s}")
 
-    e = s - 1
-
-    def values(nodes):
-        return [(x**e * power if x > 0 else 0.0) * jac / t / t
-                for t, x, onep, power, jac, log in nodes]
-
-    return improper_quadrature(_Damped(lam, values), spec)
+    return _damped(lam, 1.0, s - 1, 0, 1 - lam, spec)
 
 
 def _pdf_formula(p: DegGammaParams, x: float) -> float:
@@ -447,7 +444,9 @@ def theorem11_check(
 ) -> MomentCheckResult:
     """Moment identity for the unit-parameter degenerate gamma variable.
 
-    Numeric side: E[(1+lam*X)^(-1) * ((1/lam) log(1+lam*X))^n] by quadrature.
+    Numeric side: E[(1+lam*X)^(-1) * ((1/lam) log(1+lam*X))^n] by quadrature;
+    in u = (1/lam) log(1+lam*x) its integrand is (1-lam) u^n e^(-u), so the
+    check tests the quadrature and the exact layer, not the density.
     Exact side: (1-lam) * sum_l binom(n,l) d_l (1)_{n-l} which must also equal
     (1-lam) * n! exactly; all three are required to agree.  n lies in
     [0, MAX_FLOAT_N], where the target is a finite float.
@@ -469,14 +468,7 @@ def theorem11_check(
         raise AssertionError(
             f"exact layer inconsistency at n={n}, lam={lam}: {target} != {consistency}"
         )
-    c0 = 1 - lamf
-
-    def values(nodes):
-        return [log**n / onep * (c0 * power) * jac / t / t
-                for t, x, onep, power, jac, log in nodes]
-
-    numeric = improper_quadrature(_Damped(lamf, values), spec)
-    return _compare(numeric, target, tol)
+    return _compare(_damped(lamf, 1 - lamf, 0, n, 1.0, spec), target, tol)
 
 
 def moment_ratio_expectation(m: int, lam: float, spec: QuadratureSpec | None = None) -> float:
@@ -488,13 +480,7 @@ def moment_ratio_expectation(m: int, lam: float, spec: QuadratureSpec | None = N
     if m >= 1 / lam:
         raise ValueError(f"E[X^{m}/(1+lam X)] diverges for m >= 1/lam = {1 / lam}")
 
-    c0 = 1 - lam
-
-    def values(nodes):
-        return [x**m / onep * (c0 * power) * jac / t / t
-                for t, x, onep, power, jac, log in nodes]
-
-    return improper_quadrature(_Damped(lam, values), spec)
+    return _damped(lam, 1 - lam, m, 0, 1.0, spec)
 
 
 @lru_cache(maxsize=256)

@@ -646,7 +646,8 @@ def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
 def test_quadrature_failure_exits_1(monkeypatch, capsys):
     """Each QUADPACK failure code ends the check with exit 1 and one
     ``error:`` line: scipy's texts, which hold newlines and indents, are
-    printed with their whitespace folded."""
+    printed with their whitespace folded.  The partial estimate is the
+    moment's, (1 - lam) times the integral's 0.5."""
     from degderange import _quadpack, cli, probability
 
     limit = probability.QuadratureSpec().max_subdivisions
@@ -654,17 +655,35 @@ def test_quadrature_failure_exits_1(monkeypatch, capsys):
         monkeypatch.setattr(_quadpack, "quad", lambda *args, ier=ier: (0.5, 1.0, 21, ier))
         assert cli.main(["gamma-check", "thm11", "--lambda", "1/4"]) == 1
         text = " ".join(_quadpack.message(ier, limit).split())
-        assert capsys.readouterr() == ("", f"error: {text} (partial estimate 0.5)\n"), ier
+        assert capsys.readouterr() == ("", f"error: {text} (partial estimate 0.375)\n"), ier
     assert text == "The integral is probably divergent, or slowly convergent."
 
 
 def test_roundoff_failure_of_a_real_input_is_one_error_line():
-    """At lam = 10^-9 the gammafn quadrature stops on roundoff (ier 2),
-    whose text spans three lines."""
-    out = run_cli("gamma-check", "gammafn", "--k", "2", "--lambda=1/1000000000")
+    """At alpha = 99.5, lam = 1/100 the density's mass stops on roundoff in
+    the extrapolation table (ier 4), whose text spans four lines.  The
+    gammafn check at lam = 10^-9, which stopped on roundoff (ier 2) while
+    its integrand held a power of 1 + lam*x, passes."""
+    out = run_cli("gamma-check", "normalization", "--lambda=1/100", "--alpha", "99.5")
     assert (out.returncode, out.stdout) == (1, "")
-    assert out.stderr.startswith("error: The occurrence of roundoff error is detected, which ")
+    assert out.stderr.startswith("error: The algorithm does not converge. Roundoff error is detected ")
     assert out.stderr.count("\n") == 1 and "  " not in out.stderr
+    from degderange import _quadpack
+
+    assert len(_quadpack.message(4, 200).splitlines()) == 4
+    out = run_cli("gamma-check", "gammafn", "--k", "2", "--lambda=1/1000000000")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["results"][0]["passed"] is True
+
+
+def test_gammafn_at_lam_49_100_is_close():
+    """Gamma_lam(2) at lam = 49/100, where the tail decays like e^(-u/50):
+    the power (1 + lam*x)^(-1/lam) of the product form left rel_error
+    3.5e-7; the log form is within a few ulps."""
+    out = run_cli("gamma-check", "gammafn", "--k", "2", "--lambda=49/100")
+    assert (out.returncode, out.stderr) == (0, "")
+    (result,) = json.loads(out.stdout)["results"]
+    assert result["passed"] is True and result["rel_error"] < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -1229,8 +1248,8 @@ def test_quadrature_and_ks_check_load_no_scipy_stats():
 # The floats printed are part of the output contract.
 NORMALIZATION_DIGESTS = [
     ("--lambda=1/20 --alpha 1.5", "279edf173745f586d43a204eac4bfd3cecb64da1c31f055621bfb57722580e64"),
-    ("--lambda=1/5 --alpha 1.5", "0f4c4924683ff4a4c0a2c4630581fffb685fadbd720763c395f824714ccdefc7"),
-    ("--lambda=9/25 --alpha 1.5", "e1f376da65ecf989723e90ac1f6213481bb9c01f755995e8f4ddec12b6ccfdc2"),
+    ("--lambda=1/5 --alpha 1.5", "257e918c6353f6ca22329ef9957c212bb5bf829253eb796ad18e6dd0f0f668ea"),
+    ("--lambda=9/25 --alpha 1.5", "6604946f1c80605ed4721580b51de55efd873d61419c329f431fd83bfccf8859"),
     ("--lambda 1/5 --alpha 2", "cc1d543789121c2af2a6f4ddd2649b46cb502c07e4f60d9e27d7f6b7adbd17cb"),
 ]
 
@@ -1251,10 +1270,10 @@ def test_normalization_bytes_are_unchanged(argv, digest, capsys):
 # benchmark workload runs them: the moment identity, the gamma function at an
 # integer and the log-power expansion.
 GAMMA_CHECK_DIGESTS = [
-    ("thm11 --lambda=1/5 --n-max 8", "b4063f5327655fe7e8d503fa3e7ad0f33f9de5f2470e3c76beeda6519b572e3a"),
-    ("gammafn --k 2 --lambda=9/25", "dc654325d1fe61bdb7f7654a00fcd2485967146ed4fb2612a452c1eba3fe91f0"),
+    ("thm11 --lambda=1/5 --n-max 8", "25c2f8c223088528e67085fe2197992a6caee413a67f76112f079d1e2eb10111"),
+    ("gammafn --k 2 --lambda=9/25", "20d0c7624885734a55ba1588527bceb9e92f505bd4166738eef82e1a04ac9eef"),
     ("expansion --lambda=1/80 --n-max 2 --m-cap 40",
-     "00a881a8fdca99af862d6c07b6ab457750e71b680ccfc7500d6327d6d57cecf0"),
+     "a5c14d4edef2773aaca55dc4b3f52b6a0a0a87c94cfb692876bf400332b25dfe"),
 ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from degderange import _quadpack, probability, sequences
 from degderange.exactcore import factorial
@@ -124,7 +124,7 @@ def _damped_members(monkeypatch, lam):
 
 
 # [0, 1], a few inner intervals, and dyadic ones towards t = 0 (u -> inf),
-# where lam*u > 700 clamps nodes and x**m overflows at some nodes
+# where the factors x^m and e^(lam*u) of the product form overflow
 _INTERVALS = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)] + [
     iv for k in range(1, 25) for iv in ((0.0, 2.0**-k), (2.0**-k, 2.0 ** (1 - k)))
 ]
@@ -134,76 +134,66 @@ def _bits(values):
     return [v.hex() for v in values]
 
 
+def _product_form(a, b, r, lam, u):
+    """x^a u^b e^(-r*u), x = (e^(lam*u) - 1)/lam, in 40-digit decimal, whose
+    exponent range no factor leaves, rounded to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
+        u, lam = Decimal(u), Decimal(lam)
+        x = ((lam * u).exp() - 1) / lam
+        return float(x ** Decimal(a) * u**b * (-Decimal(r) * u).exp())
+
+
 @pytest.mark.parametrize("lam", [0.05, 0.2, 0.36])
 def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_transforms):
     # the batch rule, cold and then warm, gives the bits of the per-node
     # path that scipy takes, on every interval, at every member
-    for f in _damped_members(monkeypatch, lam):
+    members = _damped_members(monkeypatch, lam)
+    for f in members:
         point_rule = _quadpack._point_rule(f)
         for a, b in _INTERVALS:
             expected = _bits(point_rule(a, b))
             assert _bits(f.rule(a, b)) == expected, (a, b)
             assert _bits(f.rule(a, b)) == expected, (a, b)
-    # the sweep reaches the clamp and the overflow: some interval has a
-    # clamped node, and at m = 40 some interval has a node where x**40
-    # overflows beside one with a nonzero value
+    # each node at w is centre times the product x^a u^b e^(-r u) at
+    # u = centre*w (no shift at these sizes), also where lam*u > 700 or
+    # x^40 overflows: there the product underflows to 0.0 at lam = 0.05,
+    # and at lam = 0.2 and 0.36 is a nonzero value, up to 7.6e40 at
+    # lam = 0.36 (mu = 0.0225, centre u* = 102.3), that zeroing an
+    # overflowed x**40 loses
     mu = lam / 16
-    assert any(not probability._transform(lam, a, b)[1] for a, b in _INTERVALS)
-    assert any(not probability._transform(mu, a, b)[1] for a, b in _INTERVALS)
-
-    def overflows(node):
-        try:
-            node[1] ** 40
-        except OverflowError:
-            return True
-        return False
-
-    top = _damped_members(monkeypatch, lam)[9 + 40]
-    mixed = 0
-    for a, b in _INTERVALS:
-        nodes, _ = probability._transform(mu, a, b)
-        values = top.rule(a, b)
-        over = [node is not None and overflows(node) for node in nodes]
-        mixed += any(over) and any(v != 0.0 for v, o in zip(values, over) if not o)
-        assert all(v == 0.0 for v, o in zip(values, over) if o)
-    assert mixed
+    params = [(members[8], (0, 8, 1.0, lam)), (members[9 + 40], (40, 0, 1.0, mu)),
+              (members[-2], (0.5, 0, 1 - lam, lam))]
+    lost = 0
+    for f, (a, b, r, at) in params:
+        peak = b / r if b else -math.log1p(-a * at / r) / at
+        centre = peak if peak >= 64 else 1.0
+        for t in (t for iv in _INTERVALS for t in _quadpack.nodes(*iv)):
+            w = (1.0 - t) / t
+            u = centre * w
+            expected = centre * _product_form(a, b, r, at, u)
+            assert f(w) == pytest.approx(expected, rel=1e-11, abs=1e-300), (a, b, w)
+            log_x = at * u + math.log(-math.expm1(-at * u)) - math.log(at)
+            lost += a == 40 and 40 * log_x > 709.8 and f(w) > 0.0
+    assert (lam > 0.05) == (lost > 0)
 
 
 def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_transforms):
     # every rule call reads the cache: 121 of them, and a build (a miss)
     # for each of the 21 intervals the bisection visits
     rules = []
-    rule = probability._Damped.rule
+    qk15i = _quadpack._qk15i
 
-    def counted_rule(self, a, b):
+    def counted(rule, a, b):
         rules.append((a, b))
-        return rule(self, a, b)
+        return qk15i(rule, a, b)
 
-    monkeypatch.setattr(probability._Damped, "rule", counted_rule)
+    monkeypatch.setattr(_quadpack, "_qk15i", counted)
     for n in range(9):
         assert theorem11_check(n, F(1, 4)).passed
     info = probability._transform.cache_info()
     assert len(rules) == info.hits + info.misses == 121
     assert info.misses == info.currsize == len(set(rules)) == 21
-
-
-@pytest.mark.parametrize("lam", [0.05, 0.2, 0.36])
-def test_a_clamped_interval_takes_one_values_call(lam, monkeypatch, fresh_transforms):
-    # a rule call hands its unclamped nodes to one values call, whether or
-    # not the interval has clamped nodes; no thm11 member overflows, so none
-    # takes the per-node path
-    clamped = 0
-    for f in _damped_members(monkeypatch, lam)[:9]:
-        sizes = []
-        values = f.values
-        f.values = lambda nodes, values=values: sizes.append(len(nodes)) or values(nodes)
-        for a, b in _INTERVALS:
-            sizes.clear()
-            f.rule(a, b)
-            nodes, live = probability._transform(lam, a, b)
-            assert sizes == [sum(node is not None for node in nodes)], (a, b)
-            clamped += not live
-    assert clamped
 
 
 def test_node_cache_is_bounded(fresh_transforms):
@@ -220,12 +210,12 @@ def test_node_cache_is_bounded(fresh_transforms):
     assert sizes == sorted(sizes) and sizes[-1] == bound
 
 
-def test_one_hard_quadrature_keeps_the_cache_bounded(fresh_transforms):
-    # a hard damped integrand bisects to max_subdivisions, near s = 1/lam,
-    # visiting far more intervals than the bound
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-14, max_subdivisions=2000)
-    with pytest.raises(QuadratureError):
-        deg_gamma_fn_quadrature(4.99, 0.2, spec)
+def test_a_long_sweep_keeps_the_cache_bounded(fresh_transforms):
+    # from n = 64 each thm11 member is centred on its own peak u* = n, so
+    # the sweep to n = 170 visits far more intervals than the bound; no
+    # single member, smooth in u, bisects past about 150 intervals
+    for n in range(64, 171):
+        assert theorem11_check(n, F(1, 10)).passed
     info = probability._transform.cache_info()
     assert info.misses > 4 * info.maxsize
     assert info.currsize <= info.maxsize == probability.TRANSFORM_CACHE_INTERVALS
@@ -268,6 +258,82 @@ def test_gamma_fn_quadrature_matches_closed_form(k, lam):
 def test_gamma_fn_quadrature_domain():
     with pytest.raises(ValueError):
         deg_gamma_fn_quadrature(3, 0.5)  # s >= 1/lam
+
+
+def _moment_ratio_exact(m, lam):
+    """E[X^m/(1+lam X)] = (1-lam) m!/prod_{j=0..m}(1 - j lam), for m lam < 1."""
+    return (1 - lam) * factorial(m) / math.prod(1 - j * lam for j in range(m + 1))
+
+
+def test_damped_members_hold_on_their_whole_domain():
+    """thm11 at n, the gamma function at k and E[X^m/(1+lam X)] at m, each in
+    steps of 3 up to 170, at six lam from 10^-9 to 49/100: every input in
+    the domain whose exact value is a float passes at 1e-8, 758 in all.  An
+    input outside the domain raises ValueError, and one whose value is past
+    the float range raises QuadratureError, never a wrong number."""
+    checked = past = 0
+    for lam in (F(1, 10**9), F(1, 10**6), F(1, 1000), F(1, 100), F(1, 10), F(49, 100)):
+        lamf = float(lam)
+        for n in range(0, 171, 3):
+            assert theorem11_check(n, lam).passed, (n, lam)
+            checked += 1
+        members = [(deg_gamma_fn_quadrature, k, lam < F(1, k), deg_gamma_fn_exact)
+                   for k in range(1, 171, 3)]
+        members += [(moment_ratio_expectation, m, m * lam < 1, _moment_ratio_exact)
+                    for m in range(0, 171, 3)]
+        for quadrature, j, inside, exact in members:
+            if not inside:
+                with pytest.raises(ValueError):
+                    quadrature(j, lamf)
+            elif exact(j, lam) > sys.float_info.max:
+                past += 1
+                with pytest.raises(QuadratureError, match="non-finite"):
+                    quadrature(j, lamf)
+            else:
+                target = float(exact(j, lam))
+                assert abs(quadrature(j, lamf) - target) <= 1e-8 * target, (quadrature, j, lam)
+                checked += 1
+    assert (checked, past) == (758, 2)
+
+
+@pytest.mark.parametrize("lam", [1e-15, 1e-100, 1e-300])
+def test_members_at_a_tiny_lam(lam):
+    # the scale's log T drops the lgamma difference past 1/lam = 1e12,
+    # where it loses whole units: at 1e-300 it once scaled Gamma_lam(2) = 1
+    # away, to rel_error 2e-7
+    for k in (2, 150):
+        exact = float(deg_gamma_fn_exact(k, F(lam)))
+        assert deg_gamma_fn_quadrature(k, lam) == pytest.approx(exact, rel=1e-10)
+    assert deg_gamma_fn_quadrature(0.5, lam) == pytest.approx(math.sqrt(math.pi), rel=1e-11)
+    exact = float(_moment_ratio_exact(5, F(lam)))
+    assert moment_ratio_expectation(5, lam) == pytest.approx(exact, rel=1e-12)
+
+
+def test_a_moment_past_the_float_range_is_an_error():
+    # E[X^m/(1+lam X)] at lam = 1/1000 passes the largest float from m = 168
+    for m in (171, 200, 400):
+        assert _moment_ratio_exact(m, F(1, 1000)) > sys.float_info.max
+        with pytest.raises(QuadratureError, match="non-finite"):
+            moment_ratio_expectation(m, 1e-3)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.05, 0.2, 0.36, 0.49])
+def test_gamma_fn_at_non_integer_s_is_the_beta_form(lam):
+    # Gamma_lam(s) = lam^(-s) B(s, 1/lam - s): substitute y = lam*t in the
+    # Beta-prime integral; s runs up to 1/lam - 0.01, where the decay
+    # e^(-(1 - lam*s)u) is slowest
+    q = 1 / lam
+    for s in (0.5, 1.5, 2.5, q / 2 + 0.25, q - 0.3, q - 0.01):
+        if s >= q:
+            continue
+        log_expected = -s * math.log(lam) + special.betaln(s, q - s)
+        if log_expected > 700:  # past the float range with lam^(-s)
+            continue
+        expected = math.exp(log_expected)
+        value = deg_gamma_fn_quadrature(s, lam)
+        assert value == pytest.approx(expected, rel=1e-8), s
+        assert DegGammaParams(s, 1.0, lam).norm == value
+        assert math.isclose(lam**-s * special.beta(s, q - s), expected, rel_tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
