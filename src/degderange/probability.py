@@ -15,22 +15,38 @@ e^(lam*u), so each damped member is exactly c * x^a * u^b * e^(-r*u) on
 is (1-lam) x^m e^(-u).  :func:`_damped` evaluates each node as one ``exp``
 of a sum of logs, with log x = lam*u + log(1 - e^(-lam*u)) - log(lam),
 finite for every u > 0, so no factor overflows where the product does not,
-and no power of 1 + lam*x magnifies its rounding by 1/lam.  A node or a
-result that does leave the float range raises :class:`QuadratureError`.
+and no power of 1 + lam*x magnifies its rounding by 1/lam.  Below the least
+normal float, lam*u is below 2^-53 at every node and log(lam) loses bits,
+so there lam is read as 0, the limit x = u, where log x is log u.  A node
+or a result that does leave the float range raises :class:`QuadratureError`.
 
-The damped members of one lam share their node logs: thm11 at one lam,
-n = 0..8, makes 121 rule calls on 21 Kronrod intervals.  So each member
-gives ``_quadpack.quad`` a batch ``rule(a, b)`` that reads the interval's
-(t, u, log x, log u) per node from ``_transform``, an LRU cache of
-``TRANSFORM_CACHE_INTERVALS`` intervals over every lam: a check visits some
-21 to 35 intervals per lam, so it keeps a few lam values, and a quadrature
-that bisects without end cannot grow it.  The cache lives at module level
-because the CLI runs each n of ``gamma-check thm11`` as its own call; each
-interval's entry is a tuple, built whole and never changed, so a warm and a
-cold cache give the same floats.  Every value is the float the per-node
-integrand gives, each operation in the same order, so value, abserr and
-neval are those of the per-node path, and scipy, handed the same integrand
-(it is callable per node), agrees bit for bit.
+Each damped quadrature runs once per integrand: ``_damped_quadrature``
+caches its bare result, before the scale c*e^shift, by what the integrand
+reads, (lam, a, b, r, spec), in an LRU cache of ``DAMPED_CACHE_QUADRATURES``
+results over every lam.  lam is read as 0 where a = 0, since x^0 reads no
+lam: thm11's members, u^n e^(-u) whatever lam, and the moment ratio at
+m = 0, the integral of e^(-u) again, are shared across lam, so a thm11
+sweep to n = 8 over the benchmark's 32 lam runs 9 quadratures, not 288.
+So the expansion check, which asks for the same m at every n, integrates
+each E[X^m/(1+lam X)] once per (m, lam, spec).  On the benchmark's gamma
+ops (seed 1) the library runs 310 quadratures (72,510 integrand values),
+against 621 (133,095) with one quadrature per call.  A
+:class:`QuadratureError` is raised each time and never cached.
+
+Below that cache the members share their node logs, per (lam, centre,
+Kronrod interval): thm11 at one lam, n = 0..8, makes 121 rule calls on 21
+Kronrod intervals.  So each member gives ``_quadpack.quad`` a batch
+``rule(a, b)`` that reads the interval's (t, u, log x, log u) per node from
+``_transform``, an LRU cache of ``TRANSFORM_CACHE_INTERVALS`` intervals
+over every lam: a check visits some 21 to 35 intervals per lam, so it keeps
+a few lam values, and a quadrature that bisects without end cannot grow it.
+Both caches live at module level because the CLI runs each n of
+``gamma-check thm11`` as its own call; each entry is a float or a tuple,
+built whole and never changed, so a warm and a cold cache give the same
+floats.  Every value is the float the per-node integrand gives, each
+operation in the same order, so value, abserr and neval are those of the
+per-node path, and scipy, handed the same integrand (it is callable per
+node), agrees bit for bit.
 
 That agreement also rests on the Kronrod sums: ``_quadpack`` forms each
 of them as one straight-line expression over the 15 values, added left to
@@ -48,9 +64,7 @@ quadrature in all, not one per node.  That outer quadrature,
 ``_pdf_mass``, gives the density a rule that calls ``_pdf_formula``, the
 formula ``deg_gamma_pdf`` evaluates, at an interval's 15 nodes, with no
 call of the density itself in between.  Where a factor of that formula
-leaves the float range, the density is taken through its log.  The
-expansion check integrates each E[X^m/(1+lam X)] once per (m, lam, spec),
-not once per n.
+leaves the float range, the density is taken through its log.
 
 Quadrature runs on ``_quadpack``, a port of the QUADPACK routine behind
 ``scipy.integrate.quad`` on [0, inf) (``dqagie``) that returns scipy's
@@ -116,9 +130,13 @@ DEFAULT_CHECK_TOL = 1e-8
 MAX_FLOAT_N = 170
 # the Kronrod intervals whose node logs (about 2.7 kB each) stay cached,
 # over every lam: about three lam values of the gamma checks, at 33-35
-# intervals each.  On the benchmark's gamma ops (seed 1) it builds 2,387
-# of them for 8,083 rule calls
+# intervals each.  On the benchmark's gamma ops (seed 1) it builds 1,778
+# of them for 4,044 rule calls
 TRANSFORM_CACHE_INTERVALS = 96
+# the damped quadratures whose bare results (a float each) stay cached,
+# over every lam.  On the benchmark's gamma ops (seed 1) it runs 278 of
+# them for 695 calls
+DAMPED_CACHE_QUADRATURES = 256
 # log x and log u at u = 0: 0 * _LOG0 is 0, so x^0 = u^0 = 1 there, a
 # positive power is 0 and a negative one is past the float range
 _LOG0 = -sys.float_info.max
@@ -265,10 +283,18 @@ def improper_quadrature(f: Callable[[float], float], spec: QuadratureSpec | None
 def _node_logs(lam: float, centre: float, points) -> list:
     """(t, u, log x, log u) at each (t, w) of points: u = centre*w and
     x = (e^(lam*u) - 1)/lam, log x taken as lam*u + log(1 - e^(-lam*u)) -
-    log(lam), finite for every u > 0.  At u = 0, which only the rounding of
-    a node t to 1 reaches, both logs are ``_LOG0``."""
-    log, expm1, log_lam = math.log, math.expm1, math.log(lam)
+    log(lam), finite for every u > 0; at lam = 0, the limit x = u, log x is
+    log u.  At u = 0, which only the rounding of a node t to 1 reaches, both
+    logs are ``_LOG0``."""
+    log, expm1 = math.log, math.expm1
     out = []
+    if not lam:
+        for t, w in points:
+            u = centre * w
+            lu = log(u) if u else _LOG0
+            out.append((t, u, lu, lu))
+        return out
+    log_lam = log(lam)
     for t, w in points:
         u = centre * w
         lu = lam * u
@@ -284,38 +310,44 @@ def _transform(lam: float, centre: float, a: float, b: float) -> tuple:
     return tuple(_node_logs(lam, centre, [(t, (1.0 - t) / t) for t in _quadpack.nodes(a, b)]))
 
 
-def _damped(
-    lam: float, c: float, a: float, b: float, r: float, spec: QuadratureSpec | None
-) -> float:
-    """c times the integral over u in [0, inf) of x^a u^b e^(-r*u), with
-    x = (e^(lam*u) - 1)/lam, for a*b = 0, r > 0 and a < r/lam: a damped
-    member in u-space.  Each node is exp(E), E = a log x + b log u - r*u -
-    shift.
+def _frame(lam: float, a: float, b: float, r: float) -> tuple[float, float]:
+    """(shift, centre) of the damped member x^a u^b e^(-r*u), a*b = 0, with
+    lam = 0 where b != 0, as ``_damped`` reads it.
 
-    Two values follow from the inputs.  shift = max(0, log T - 690), with
-    log T the log of the integral by ``lgamma`` (n!/r^(n+1) for u^n, the
-    Beta form lam^-(a+1) B(a+1, r/lam - a) for x^a), keeps the nodes finite
-    near n = 170; it is a scale only, 0 below e^690, and the result is
-    multiplied back.  The quadrature runs in w = u/centre, centre the
-    integrand's peak u* (b/r for u^b, -log1p(-a*lam/r)/lam for x^a) where
-    that is at least 64, else 1: the first Kronrod rules miss a peak that
-    far out and converge, with ier 0, to about 0.
-
-    The per-node callable gives exp(E)*centre at w; ``rule(a, b)`` gives
-    exp(E)*centre/t/t at the nodes of ``_transform``, the floats of the
-    per-node path that scipy takes.  Raises :class:`QuadratureError` where
-    the quadrature does not converge, or a node or the result leaves the
-    float range; its partial estimate carries the scale."""
-    if b:
-        log_t, peak = math.lgamma(b + 1) - (b + 1) * math.log(r), b / r
-    else:
+    shift = max(0, log T - 690), with log T the log of the integral by
+    ``lgamma``, keeps the nodes finite near n = 170; it is a scale only, 0
+    below e^690.  At lam = 0, where x = u and the member is u^(a+b) e^(-r*u),
+    log T is lgamma(a+b+1) - (a+b+1) log r; otherwise it is that limit plus
+    the Beta form's lam^-(a+1) B(a+1, r/lam - a) difference.  centre is the
+    peak u* ((a+b)/r at lam = 0, -log1p(-a*lam/r)/lam otherwise) where that
+    is at least 64, else 1: the first Kronrod rules miss a peak that far out
+    and converge, with ier 0, to about 0."""
+    p = a + b
+    log_t = math.lgamma(p + 1) - (p + 1) * math.log(r)
+    if lam:
         q = r / lam
-        log_t = math.lgamma(a + 1) - (a + 1) * math.log(r)  # the limit lam -> 0
         if q < 1e12:  # past it lgamma(q) ~ q log q, and the difference loses units
             log_t += math.lgamma(q - a) - math.lgamma(q + 1) + (a + 1) * math.log(q)
         peak = -math.log1p(-a / q) / lam
-    shift = max(0.0, log_t - 690.0)
-    centre = peak if peak >= 64 else 1.0
+    else:
+        peak = p / r
+    return max(0.0, log_t - 690.0), (peak if peak >= 64 else 1.0)
+
+
+@lru_cache(maxsize=DAMPED_CACHE_QUADRATURES)
+def _damped_quadrature(
+    lam: float, a: float, b: float, r: float, spec: QuadratureSpec | None
+) -> float:
+    """The bare quadrature of ``_damped``: the integral over w in [0, inf) of
+    exp(E)*centre at u = centre*w, E = a log x + b log u - r*u - shift, with
+    (shift, centre) from ``_frame``.  Cached for the last
+    ``DAMPED_CACHE_QUADRATURES`` keys; a :class:`QuadratureError`, or an
+    ``OverflowError`` of a node, is raised and never cached.
+
+    The per-node callable gives exp(E)*centre at w; ``rule(a, b)`` gives
+    exp(E)*centre/t/t at the nodes of ``_transform``, the floats of the
+    per-node path that scipy takes."""
+    shift, centre = _frame(lam, a, b, r)
     exp = math.exp
 
     def f(w: float) -> float:
@@ -327,9 +359,33 @@ def _damped(
                 for t, u, lx, lu in _transform(lam, centre, lo, hi)]
 
     f.rule = rule
+    return improper_quadrature(f, spec)
+
+
+def _damped(
+    lam: float, c: float, a: float, b: float, r: float, spec: QuadratureSpec | None
+) -> float:
+    """c times the integral over u in [0, inf) of x^a u^b e^(-r*u), with
+    x = (e^(lam*u) - 1)/lam, for a*b = 0, r > 0 and a < r/lam: a damped
+    member in u-space, integrated by ``_damped_quadrature`` and multiplied
+    by c*e^shift.
+
+    That quadrature is cached by what its integrand reads, (lam, a, b, r,
+    spec), with lam read as 0 where a = 0, since x^0 reads no lam, and where
+    lam is below the least normal float: there lam*u is below 2^-53 at every
+    node, so x = u to the float, and log(lam) would lose bits.  So the
+    thm11 members, (1-lam) u^n e^(-u), and the moment ratio at m = 0, whose
+    integral is that of e^(-u), are one quadrature per (n, spec) over every
+    lam: a thm11 sweep to n = 8 over 32 lam runs 9 quadratures, not 288.  c
+    is not in the key.  Raises :class:`QuadratureError` where the quadrature
+    does not converge, or a node or the result leaves the float range; its
+    partial estimate carries the scale."""
+    if not a or lam < sys.float_info.min:
+        lam = 0.0
+    shift = _frame(lam, a, b, r)[0]
     try:
         scale = c * math.exp(shift)
-        value = improper_quadrature(f, spec) * scale
+        value = _damped_quadrature(lam, a, b, r, spec) * scale
     except QuadratureError as exc:
         raise QuadratureError(exc.args[0], exc.partial_estimate * scale) from None
     except OverflowError:  # e^shift or a node past the float range
@@ -483,13 +539,6 @@ def moment_ratio_expectation(m: int, lam: float, spec: QuadratureSpec | None = N
     return _damped(lam, 1 - lam, m, 0, 1.0, spec)
 
 
-@lru_cache(maxsize=256)
-def _moment_ratio(m: int, lam: float, spec: QuadratureSpec | None) -> float:
-    """moment_ratio_expectation, once per (m, lam, spec): the expansion check
-    asks for the same m at every n."""
-    return moment_ratio_expectation(m, lam, spec)
-
-
 def stirling_log_expansion_check(
     n: int,
     m_cap: int,
@@ -512,8 +561,10 @@ def stirling_log_expansion_check(
         raise ValueError(f"m_cap must be >= n, got {m_cap} < {n}")
     target = (1 - lam) * factorial(n)
     tf = float(target)
-    # largest m with a convergent expectation: m < 1/lam
-    m_limit = min(m_cap, math.ceil(1 / lamf) - 1)
+    # largest m with a convergent expectation: m < 1/lam, which is inf as a
+    # float below lam ~ 5.6e-309
+    inv_lam = 1 / lamf
+    m_limit = min(m_cap, math.ceil(inv_lam) - 1) if inv_lam < math.inf else m_cap
     partial = 0.0
     best_err = math.inf
     best_partial = 0.0
@@ -528,7 +579,7 @@ def stirling_log_expansion_check(
     for m, row in enumerate(islice(rows, n, None), n):
         # n! s(m, n) lam^(m-n) / m! as one correctly rounded int / int
         coef = factorial(n) * row[n] * p ** (m - n) / (q ** (m - n) * factorial(m))
-        term = coef * _moment_ratio(m, lamf, spec)
+        term = coef * moment_ratio_expectation(m, lamf, spec)
         partial += term
         err = abs(partial - tf)
         if err < best_err:

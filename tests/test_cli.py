@@ -643,7 +643,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
     assert sizes == [3, 2, 3]
 
 
-def test_quadrature_failure_exits_1(monkeypatch, capsys):
+def test_quadrature_failure_exits_1(monkeypatch, capsys, fresh_quadratures):
     """Each QUADPACK failure code ends the check with exit 1 and one
     ``error:`` line: scipy's texts, which hold newlines and indents, are
     printed with their whitespace folded.  The partial estimate is the

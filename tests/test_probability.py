@@ -91,20 +91,15 @@ def test_quadrature_failure_carries_partial():
 
 
 # ---------------------------------------------------------------------------
-# damped integrands: one cached transform per (lam, Kronrod interval)
+# damped integrands: one cached quadrature per integrand, one cached
+# transform per (lam, Kronrod interval)
 
 
-@pytest.fixture
-def fresh_transforms():
-    probability._transform.cache_clear()
-    yield
-    probability._transform.cache_clear()
-
-
-def _damped_members(monkeypatch, lam):
+def _damped_members(monkeypatch, lam, clear):
     """The damped integrands the moment checks hand to the quadrature at lam:
     thm11 for n = 0..8, E[X^m/(1+mu X)] at mu = lam/16 for m = 0..40, and
-    the gamma function at s = 1.5 and 2."""
+    the gamma function at s = 1.5 and 2.  clear empties the caches, whose
+    entries the stand-in quadrature's 1.0 must not outlive."""
     members = []
 
     def capture(f, spec=None):
@@ -114,11 +109,13 @@ def _damped_members(monkeypatch, lam):
     monkeypatch.setattr(probability, "improper_quadrature", capture)
     for n in range(9):
         theorem11_check(n, lam)
+    clear()  # m = 0 is thm11's n = 0: both integrate e^(-u)
     for m in range(41):
         moment_ratio_expectation(m, lam / 16)
     for s in (1.5, 2):
         deg_gamma_fn_quadrature(s, lam)
     monkeypatch.undo()
+    clear()
     assert len(members) == 9 + 41 + 2
     return members
 
@@ -145,10 +142,10 @@ def _product_form(a, b, r, lam, u):
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.2, 0.36])
-def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_transforms):
+def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_quadratures):
     # the batch rule, cold and then warm, gives the bits of the per-node
     # path that scipy takes, on every interval, at every member
-    members = _damped_members(monkeypatch, lam)
+    members = _damped_members(monkeypatch, lam, fresh_quadratures)
     for f in members:
         point_rule = _quadpack._point_rule(f)
         for a, b in _INTERVALS:
@@ -178,7 +175,7 @@ def test_damped_rule_is_the_scalar_integrand(lam, monkeypatch, fresh_transforms)
     assert (lam > 0.05) == (lost > 0)
 
 
-def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_transforms):
+def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_quadratures):
     # every rule call reads the cache: 121 of them, and a build (a miss)
     # for each of the 21 intervals the bisection visits
     rules = []
@@ -196,7 +193,7 @@ def test_thm11_sweep_transforms_each_interval_once(monkeypatch, fresh_transforms
     assert info.misses == info.currsize == len(set(rules)) == 21
 
 
-def test_node_cache_is_bounded(fresh_transforms):
+def test_node_cache_is_bounded(fresh_quadratures):
     # the bound counts intervals over every lam, so a few lam values of the
     # gamma checks fit, and it holds at each lam added past it
     bound = probability._transform.cache_info().maxsize
@@ -210,7 +207,7 @@ def test_node_cache_is_bounded(fresh_transforms):
     assert sizes == sorted(sizes) and sizes[-1] == bound
 
 
-def test_a_long_sweep_keeps_the_cache_bounded(fresh_transforms):
+def test_a_long_sweep_keeps_the_cache_bounded(fresh_quadratures):
     # from n = 64 each thm11 member is centred on its own peak u* = n, so
     # the sweep to n = 170 visits far more intervals than the bound; no
     # single member, smooth in u, bisects past about 150 intervals
@@ -219,6 +216,78 @@ def test_a_long_sweep_keeps_the_cache_bounded(fresh_transforms):
     info = probability._transform.cache_info()
     assert info.misses > 4 * info.maxsize
     assert info.currsize <= info.maxsize == probability.TRANSFORM_CACHE_INTERVALS
+
+
+def _sweep_values(lams):
+    """Every damped member the moment checks run at each lam, as bits:
+    thm11 for n = 0..8, the gamma function at s = 1.5 and 2, and
+    E[X^m/(1+mu X)] at mu = lam/16 for m = 0..40."""
+    values = []
+    for lam in lams:
+        values += [theorem11_check(n, lam).numeric_value for n in range(9)]
+        values += [deg_gamma_fn_quadrature(s, float(lam)) for s in (1.5, 2)]
+        values += [moment_ratio_expectation(m, float(lam / 16)) for m in range(41)]
+    return _bits(values)
+
+
+def test_warm_and_cold_quadrature_caches_give_the_same_bits(fresh_quadratures):
+    # each lam alone on emptied caches, then all three in one warm pass, in
+    # both orders: a member that does not read lam takes another lam's
+    # entry, and one that does never does
+    lams = [F(1, 20), F(1, 5), F(9, 25)]
+    cold = {}
+    for lam in lams:
+        fresh_quadratures()
+        cold[lam] = _sweep_values([lam])
+    fresh_quadratures()
+    for order in (lams, lams[::-1]):
+        assert _sweep_values(order) == [v for lam in order for v in cold[lam]]
+    info = probability._damped_quadrature.cache_info()
+    assert info.currsize <= info.maxsize == probability.DAMPED_CACHE_QUADRATURES == 256
+
+
+def test_a_lam_sweep_runs_each_quadrature_once(monkeypatch, fresh_quadratures):
+    # the benchmark's sweep, lam = 5/100 .. 36/100: thm11 to n = 8 reads no
+    # lam, so 9 quadratures in all (288 when each lam ran its own); the
+    # gamma function at s = 2 reads it, so one per lam
+    quads = []
+    quad = _quadpack.quad
+
+    def counted(*args):
+        quads.append(args)
+        return quad(*args)
+
+    monkeypatch.setattr(_quadpack, "quad", counted)
+    sweep = [F(k, 100) for k in range(5, 37)]
+    for lam in sweep:
+        for n in range(8, -1, -1):
+            assert theorem11_check(n, lam).passed
+    assert len(quads) == 9
+    for lam in sweep:
+        assert deg_gamma_fn_quadrature(2, float(lam)) == pytest.approx(
+            float(deg_gamma_fn_exact(2, lam)), rel=1e-10)
+    assert len(quads) == 9 + 32
+    # a quadrature that fails is run again each time it is asked for
+    cached = probability._damped_quadrature.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            theorem11_check(3, F(1, 5), QuadratureSpec(max_subdivisions=1))
+    assert len(quads) == 9 + 32 + 2
+    assert probability._damped_quadrature.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("lam", [1e-310, 1e-316, 1e-320, 5e-324])
+def test_members_at_a_subnormal_lam(lam):
+    # below the least normal float lam*u is below 2^-53 at every node, so
+    # x = u to the float, while log(lam) has lost bits there and, from
+    # about 1e-320, log(1 - e^(-lam*u)) reaches log(0)
+    assert lam < sys.float_info.min
+    assert deg_gamma_fn_quadrature(2, lam) == pytest.approx(1.0, rel=1e-12)
+    assert deg_gamma_fn_quadrature(1.5, lam) == pytest.approx(math.gamma(1.5), rel=1e-12)
+    assert moment_ratio_expectation(3, lam) == pytest.approx(6.0, rel=1e-12)
+    # 1/lam is inf as a float: the expansion's window reaches m_cap
+    res = stirling_log_expansion_check(2, 40, F(lam))
+    assert res.passed and res.detail == "converged at m=2"
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +430,7 @@ def test_pdf_normalization(alpha, beta, lam):
 
 
 @pytest.mark.parametrize("alpha,quads", [(1.5, 2), (2, 1)])
-def test_normalization_check_quadrature_count(alpha, quads, monkeypatch, capsys):
+def test_normalization_check_quadrature_count(alpha, quads, monkeypatch, capsys, fresh_quadratures):
     # One quadrature for the mass, plus one for the normaliser when alpha is
     # not an integer: the normaliser is not recomputed at each node.
     from degderange import cli
@@ -608,13 +677,13 @@ def test_expansion_converges_for_small_lam():
         assert not res.inconclusive
 
 
-def test_expansion_runs_one_quadrature_per_m(monkeypatch, capsys):
+def test_expansion_runs_one_quadrature_per_m(monkeypatch, capsys, fresh_quadratures):
     # every n of an expansion command asks for E[X^m/(1+lam X)] at the m
     # from n up; each distinct (m, lam) is integrated once
     from degderange import cli
 
     requested, quads = [], []
-    moment_ratio, quad = probability._moment_ratio, _quadpack.quad
+    moment_ratio, quad = probability.moment_ratio_expectation, _quadpack.quad
 
     def record(m, lam, spec):
         requested.append(m)
@@ -624,9 +693,8 @@ def test_expansion_runs_one_quadrature_per_m(monkeypatch, capsys):
         quads.append(args)
         return quad(*args)
 
-    monkeypatch.setattr(probability, "_moment_ratio", record)
+    monkeypatch.setattr(probability, "moment_ratio_expectation", record)
     monkeypatch.setattr(_quadpack, "quad", counted)
-    moment_ratio.cache_clear()
     argv = ["gamma-check", "expansion", "--lambda=1/80", "--n-max", "2", "--m-cap", "40"]
     assert cli.main(argv) == 0
     capsys.readouterr()
@@ -656,7 +724,7 @@ def test_expansion_coefficients_are_correctly_rounded(monkeypatch):
             coefs.append(coef)
             return 0.0
 
-    monkeypatch.setattr(probability, "_moment_ratio", lambda m, lam, spec: Recorder())
+    monkeypatch.setattr(probability, "moment_ratio_expectation", lambda m, lam, spec: Recorder())
     for lam in [F(k, d) for d in range(40, 400, 7) for k in (1, 3)]:
         m_limit = min(40, math.ceil(1 / float(lam)) - 1)
         for n in range(4):

@@ -33,8 +33,9 @@ def ported_quad(f, epsabs, epsrel, limit, quad=_quadpack.quad):
     return value.hex(), abserr.hex(), neval, _quadpack.message(ier, limit) if ier else None
 
 
-def test_library_quadratures_are_scipys(monkeypatch):
-    # every quadrature the moment checks run
+def test_library_quadratures_are_scipys(monkeypatch, fresh_quadratures):
+    # every quadrature the moment checks run, each on emptied caches: thm11
+    # does not read lam, and the density's norm is gammafn at s = 1.5
     quad = _quadpack.quad
     checked = []
 
@@ -45,9 +46,9 @@ def test_library_quadratures_are_scipys(monkeypatch):
         return quad(f, epsabs, epsrel, limit)
 
     monkeypatch.setattr(_quadpack, "quad", both)
-    probability._moment_ratio.cache_clear()
 
     def run(fn, *args):
+        fresh_quadratures()
         try:
             fn(*args)
         except QuadratureError:  # scipy's ier too: the floats were compared
